@@ -1,6 +1,7 @@
 """The four pointwise scoring strategies, demonstrated on a mock backend.
 
-Each strategy turns a (query, passage) pair into a relevance probability:
+Each strategy turns a (query, passage) pair into a relevance probability,
+all through the one scorer ``score_pair``:
 
   direct            decision token read immediately
   reason            generate a think block, then decide
@@ -16,12 +17,11 @@ from reranklab import (
     Passage,
     PromptMode,
     Query,
+    RerankStrategy,
     SamplingParams,
+    StrategyKind,
     assemble_prompt,
-    score_direct,
-    score_forced,
-    score_reasoned,
-    score_self_consistency,
+    score_pair,
 )
 
 query = Query("q1", "how to help a jammed finger")
@@ -58,20 +58,18 @@ mock = MockBackend(score_fn=score_fn, generate_fn=generate_fn)
 sampling = SamplingParams(temperature=0.7, top_p=0.95, max_tokens=128)
 
 print("=== scores ===")
-direct = score_direct(mock, DEFAULT_TEMPLATE, query, passage)
-print(f"direct            R = {direct.score:.3f}")
-
-reasoned = score_reasoned(mock, DEFAULT_TEMPLATE, query, passage, sampling)
-print(f"reason            R = {reasoned.score:.3f}   "
-      f"({reasoned.traces[0].token_count} reasoning tokens)")
-
-forced = score_forced(mock, DEFAULT_TEMPLATE, query, passage)
-print(f"forced_no_reason  R = {forced.score:.3f}")
-
-sc = score_self_consistency(mock, DEFAULT_TEMPLATE, query, passage, sampling,
-                            n=8, base_seed=0)
-print(f"self_consistency  R = {sc.score:.3f}   "
-      f"(mean of {[round(s, 3) for s in sc.per_sample_scores]})")
+scored = {}
+for kind, samples in ((StrategyKind.DIRECT, 1), (StrategyKind.REASON, 1),
+                      (StrategyKind.FORCED_NO_REASON, 1), (StrategyKind.SELF_CONSISTENCY, 8)):
+    pair = score_pair(mock, DEFAULT_TEMPLATE, RerankStrategy(kind, samples), query, passage,
+                      sampling, base_seed=0)
+    scored[kind] = pair
+    detail = ""
+    if kind is StrategyKind.REASON:
+        detail = f"   ({pair.traces[0].token_count} reasoning tokens)"
+    if kind is StrategyKind.SELF_CONSISTENCY:
+        detail = f"   (mean of {[round(s, 3) for s in pair.per_sample_scores]})"
+    print(f"{kind.value:<17} R = {pair.score:.3f}{detail}")
 
 print("\nreasoning trace from the reason strategy:")
-print(" ", reasoned.traces[0].text)
+print(" ", scored[StrategyKind.REASON].traces[0].text)

@@ -42,8 +42,7 @@ from .rerank import (
     relevance_from_logits,
     rerank,
     score_candidates,
-    score_direct,
-    score_forced,
+    score_pair,
     score_reasoned,
     score_self_consistency,
 )
@@ -105,8 +104,7 @@ __all__ = [
     "retrieve_top_k",
     "save_index",
     "score_candidates",
-    "score_direct",
-    "score_forced",
+    "score_pair",
     "score_reasoned",
     "score_self_consistency",
     "tokenize",

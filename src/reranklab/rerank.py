@@ -13,7 +13,7 @@ Four strategies produce a relevance probability per (query, passage) pair:
                           majority vote), which keeps the score continuous.
 
 All strategies share the same logits-to-probability mapping; they differ
-only in what the logits are conditioned on.
+only in what the logits are conditioned on, so ``score_pair`` serves all four.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -33,6 +33,7 @@ from .types import (
     DecisionLogits,
     Passage,
     Query,
+    ReasoningTrace,
     RunEntry,
     ScoredPair,
     ValidationError,
@@ -64,12 +65,6 @@ class RerankStrategy:
 class PairScoringError(BackendError):
     """A backend failure annotated with the pair it belongs to."""
 
-    def __init__(self, query_id: str, passage_id: str, cause: Exception):
-        super().__init__(f"scoring failed for ({query_id!r}, {passage_id!r}): {cause}")
-        self.query_id = query_id
-        self.passage_id = passage_id
-        self.cause = cause
-
 
 def relevance_from_logits(logits: DecisionLogits) -> float:
     """Two-way softmax probability of the 'true' decision token.
@@ -93,25 +88,87 @@ def derive_seed(base_seed: int, query_id: str, passage_id: str, sample_index: in
     return int.from_bytes(digest[:8], "big") >> 1  # non-negative 63-bit
 
 
+_PROMPT_MODES = {
+    StrategyKind.DIRECT: PromptMode.DIRECT,
+    StrategyKind.FORCED_NO_REASON: PromptMode.FORCED_THINK,
+    StrategyKind.REASON: PromptMode.OPEN_THINK,
+    StrategyKind.SELF_CONSISTENCY: PromptMode.OPEN_THINK,
+}
+
+
 def _truncate(text: str, max_chars: int) -> str:
     if max_chars and len(text) > max_chars:
         return text[:max_chars]
     return text
 
 
-def score_direct(
+def _sampled_read(
     backend: CompletionsBackend,
     template: PromptTemplate,
+    prompt: str,
+    sampling: SamplingParams,
+    seed: int | None,
+) -> tuple[ReasoningTrace, float]:
+    """Generate reasoning up to the template's end-of-think marker, then decide."""
+    sampling = replace(sampling, stop=template.think_close, seed=seed)
+    trace, logits = backend.generate_then_score(prompt, sampling, template.answer_scaffold)
+    return trace, relevance_from_logits(logits)
+
+
+def score_pair(
+    backend: CompletionsBackend,
+    template: PromptTemplate,
+    strategy: RerankStrategy,
     query: Query,
     passage: Passage,
-    max_passage_chars: int = 2048,
+    sampling: SamplingParams,
+    base_seed: int = 0,
+    average_over_successes: bool = False,
 ) -> ScoredPair:
-    """Single decision read with no reasoning (the plain pointwise scorer)."""
+    """Score one pair under any strategy.
+
+    ``direct`` and ``forced_no_reason`` make one decision read. ``reason``
+    and ``self_consistency`` average ``strategy.samples`` reasoning-conditioned
+    reads, the i-th seeded with ``derive_seed(base_seed, query, passage, i)``,
+    so ``reason`` is ``self_consistency`` with n=1. Only ``self_consistency``
+    reports ``per_sample_scores``. By default any failing sample fails the
+    pair; with ``average_over_successes`` a self-consistency pair takes the
+    mean over the samples that succeeded.
+    """
+    mode = _PROMPT_MODES[strategy.kind]
     prompt = assemble_prompt(
-        template, query.text, _truncate(passage.text, max_passage_chars), PromptMode.DIRECT
+        template, query.text, _truncate(passage.text, strategy.max_passage_chars), mode
     )
-    logits = backend.score_decision(prompt)
-    return ScoredPair(query.id, passage.id, relevance_from_logits(logits))
+    if mode is not PromptMode.OPEN_THINK:
+        if mode is PromptMode.FORCED_THINK:
+            prompt += template.answer_scaffold
+        logits = backend.score_decision(prompt)
+        return ScoredPair(query.id, passage.id, relevance_from_logits(logits))
+
+    sampled = strategy.kind is StrategyKind.SELF_CONSISTENCY
+    traces = []
+    per_sample = []
+    failures = []
+    for i in range(strategy.samples):
+        seed = derive_seed(base_seed, query.id, passage.id, i)
+        try:
+            trace, score = _sampled_read(backend, template, prompt, sampling, seed)
+        except BackendError as exc:
+            if not (average_over_successes and sampled):
+                raise
+            failures.append(exc)
+            continue
+        traces.append(trace)
+        per_sample.append(score)
+    if not per_sample:
+        raise BackendError(f"all {strategy.samples} samples failed; last error: {failures[-1]}")
+    return ScoredPair(
+        query.id,
+        passage.id,
+        math.fsum(per_sample) / len(per_sample),
+        traces=tuple(traces),
+        per_sample_scores=tuple(per_sample) if sampled else (),
+    )
 
 
 def score_reasoned(
@@ -122,27 +179,12 @@ def score_reasoned(
     sampling: SamplingParams,
     max_passage_chars: int = 2048,
 ) -> ScoredPair:
-    """Generate reasoning, then read the decision conditioned on it."""
+    """Generate reasoning with ``sampling`` as given, then read the decision after it."""
     prompt = assemble_prompt(
         template, query.text, _truncate(passage.text, max_passage_chars), PromptMode.OPEN_THINK
     )
-    trace, logits = backend.generate_then_score(prompt, sampling, template.answer_scaffold)
-    return ScoredPair(query.id, passage.id, relevance_from_logits(logits), traces=(trace,))
-
-
-def score_forced(
-    backend: CompletionsBackend,
-    template: PromptTemplate,
-    query: Query,
-    passage: Passage,
-    max_passage_chars: int = 2048,
-) -> ScoredPair:
-    """Reasoning disabled: the think block is pre-filled, one scoring call."""
-    prompt = assemble_prompt(
-        template, query.text, _truncate(passage.text, max_passage_chars), PromptMode.FORCED_THINK
-    )
-    logits = backend.score_decision(prompt + template.answer_scaffold)
-    return ScoredPair(query.id, passage.id, relevance_from_logits(logits))
+    trace, score = _sampled_read(backend, template, prompt, sampling, sampling.seed)
+    return ScoredPair(query.id, passage.id, score, traces=(trace,))
 
 
 def score_self_consistency(
@@ -156,39 +198,14 @@ def score_self_consistency(
     average_over_successes: bool = False,
     max_passage_chars: int = 2048,
 ) -> ScoredPair:
-    """Mean of n sampled reasoning-conditioned scores.
+    """Mean of n sampled reasoning-conditioned scores, seeded as in ``score_pair``.
 
-    Per-sample seeds derive deterministically from (query_id, passage_id,
-    sample index, base_seed), so reruns reproduce the same samples. By
-    default any failing sample fails the whole pair; with
-    ``average_over_successes`` the mean is taken over the samples that
-    succeeded (their count is visible as len(per_sample_scores)).
+    With ``average_over_successes`` the number of samples that succeeded is
+    visible as len(per_sample_scores).
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    traces = []
-    per_sample = []
-    failures = []
-    for i in range(n):
-        seeded = sampling.with_seed(derive_seed(base_seed, query.id, passage.id, i))
-        try:
-            pair = score_reasoned(backend, template, query, passage, seeded, max_passage_chars)
-        except BackendError as exc:
-            if not average_over_successes:
-                raise
-            failures.append(exc)
-            continue
-        traces.extend(pair.traces)
-        per_sample.append(pair.score)
-    if not per_sample:
-        raise BackendError(f"all {n} samples failed; last error: {failures[-1]}")
-    mean = math.fsum(per_sample) / len(per_sample)
-    return ScoredPair(
-        query.id,
-        passage.id,
-        mean,
-        traces=tuple(traces),
-        per_sample_scores=tuple(per_sample),
+    strategy = RerankStrategy(StrategyKind.SELF_CONSISTENCY, n, max_passage_chars)
+    return score_pair(
+        backend, template, strategy, query, passage, sampling, base_seed, average_over_successes
     )
 
 
@@ -274,41 +291,18 @@ def score_candidates(
         if c.passage_id not in corpus:
             raise ValidationError(f"candidate references unknown passage id {c.passage_id!r}")
 
-    def score_one(c: Candidate) -> ScoredPair:
-        query = queries[c.query_id]
-        passage = corpus.passage(c.passage_id)
-        chars = strategy.max_passage_chars
-        try:
-            if strategy.kind is StrategyKind.DIRECT:
-                return score_direct(backend, template, query, passage, chars)
-            if strategy.kind is StrategyKind.FORCED_NO_REASON:
-                return score_forced(backend, template, query, passage, chars)
-            if strategy.kind is StrategyKind.REASON:
-                seeded = sampling.with_seed(derive_seed(base_seed, query.id, passage.id, 0))
-                return score_reasoned(backend, template, query, passage, seeded, chars)
-            return score_self_consistency(
-                backend,
-                template,
-                query,
-                passage,
-                sampling,
-                n=strategy.samples,
-                base_seed=base_seed,
-                average_over_successes=allow_partial,
-                max_passage_chars=chars,
-            )
-        except PairScoringError:
-            raise
-        except BackendError as exc:
-            raise PairScoringError(c.query_id, c.passage_id, exc) from exc
-
     def attempt(c: Candidate) -> ScoredPair | PairFailure:
+        query, passage = queries[c.query_id], corpus.passage(c.passage_id)
         try:
-            return score_one(c)
-        except PairScoringError as exc:
+            return score_pair(
+                backend, template, strategy, query, passage, sampling, base_seed, allow_partial
+            )
+        except BackendError as exc:
             if allow_partial:
-                return PairFailure(exc.query_id, exc.passage_id, str(exc.cause))
-            raise
+                return PairFailure(c.query_id, c.passage_id, str(exc))
+            raise PairScoringError(
+                f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}"
+            ) from exc
 
     if concurrency <= 1:
         outcomes = [attempt(c) for c in candidates]

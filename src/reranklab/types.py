@@ -70,10 +70,6 @@ class Corpus:
         except KeyError:
             raise ValidationError(f"unknown passage id {passage_id!r}") from None
 
-    @classmethod
-    def from_passages(cls, passages: Sequence[Passage]) -> "Corpus":
-        return cls(tuple(passages))
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -92,26 +88,26 @@ class Candidate:
             )
 
 
-def validate_candidate_list(candidates: Sequence[Candidate]) -> None:
-    """Check per-query rank/score invariants over a full candidate list.
-
-    Within one query, ranks must form 1..k with no gaps and scores must be
-    non-increasing with rank.
-    """
-    by_query: dict[str, list[Candidate]] = {}
-    for c in candidates:
-        by_query.setdefault(c.query_id, []).append(c)
+def _check_ranked(rows: Sequence[tuple[str, int, float]]) -> None:
+    """The one ranked-list invariant, over (query_id, rank, score) rows."""
+    by_query: dict[str, list[tuple[int, float]]] = {}
+    for qid, rank, score in rows:
+        by_query.setdefault(qid, []).append((rank, score))
     for qid, group in by_query.items():
-        group = sorted(group, key=lambda c: c.first_stage_rank)
-        ranks = [c.first_stage_rank for c in group]
+        group.sort()  # by rank; a tie on rank fails the contiguity check below
+        ranks = [rank for rank, _ in group]
         if ranks != list(range(1, len(group) + 1)):
             raise ValidationError(f"query {qid!r}: ranks are not contiguous 1..k: {ranks}")
-        for earlier, later in zip(group, group[1:]):
-            if later.first_stage_score > earlier.first_stage_score:
+        for (rank, score), (next_rank, next_score) in zip(group, group[1:]):
+            if next_score > score:
                 raise ValidationError(
-                    f"query {qid!r}: score increases from rank "
-                    f"{earlier.first_stage_rank} to {later.first_stage_rank}"
+                    f"query {qid!r}: score increases from rank {rank} to {next_rank}"
                 )
+
+
+def validate_candidate_list(candidates: Sequence[Candidate]) -> None:
+    """Within each query: ranks 1..k without gaps, scores non-increasing with rank."""
+    _check_ranked([(c.query_id, c.first_stage_rank, c.first_stage_score) for c in candidates])
 
 
 @dataclass(frozen=True)
@@ -175,20 +171,8 @@ class RunEntry:
 
 
 def validate_run(entries: Sequence[RunEntry]) -> None:
-    """Within each query: ranks 1..m without gaps, scores non-increasing."""
-    by_query: dict[str, list[RunEntry]] = {}
-    for e in entries:
-        by_query.setdefault(e.query_id, []).append(e)
-    for qid, group in by_query.items():
-        group = sorted(group, key=lambda e: e.rank)
-        ranks = [e.rank for e in group]
-        if ranks != list(range(1, len(group) + 1)):
-            raise ValidationError(f"query {qid!r}: run ranks are not contiguous 1..m: {ranks}")
-        for earlier, later in zip(group, group[1:]):
-            if later.score > earlier.score:
-                raise ValidationError(
-                    f"query {qid!r}: run score increases from rank {earlier.rank} to {later.rank}"
-                )
+    """Within each query: ranks 1..k without gaps, scores non-increasing with rank."""
+    _check_ranked([(e.query_id, e.rank, e.score) for e in entries])
 
 
 @dataclass(frozen=True)

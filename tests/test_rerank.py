@@ -11,6 +11,7 @@ from reranklab import (
     DEFAULT_TEMPLATE,
     MockBackend,
     Passage,
+    PromptTemplate,
     Query,
     RerankStrategy,
     SamplingParams,
@@ -21,14 +22,15 @@ from reranklab import (
     relevance_from_logits,
     rerank,
     score_candidates,
-    score_direct,
-    score_forced,
+    score_pair,
     score_reasoned,
     score_self_consistency,
 )
 
 Q = Query("q1", "how to help a jammed finger")
 P = Passage("p1", "A broken finger is often more painful than a jammed finger.")
+DIRECT = RerankStrategy(StrategyKind.DIRECT)
+FORCED = RerankStrategy(StrategyKind.FORCED_NO_REASON)
 
 
 class TestRelevanceFromLogits:
@@ -83,7 +85,7 @@ class TestDeriveSeed:
 class TestStrategies:
     def test_direct_single_call_no_trace(self):
         mock = MockBackend(score_fn=lambda p: (2.0, 0.0))
-        pair = score_direct(mock, DEFAULT_TEMPLATE, Q, P)
+        pair = score_pair(mock, DEFAULT_TEMPLATE, DIRECT, Q, P, SamplingParams())
         assert abs(pair.score - 0.8807970779778824) < 1e-12
         assert pair.traces == ()
         assert mock.score_calls == 1
@@ -92,8 +94,8 @@ class TestStrategies:
     def test_direct_prompt_is_stable(self):
         prompts = []
         mock = MockBackend(score_fn=lambda p: (prompts.append(p), (0.0, 0.0))[1])
-        score_direct(mock, DEFAULT_TEMPLATE, Q, P)
-        score_direct(mock, DEFAULT_TEMPLATE, Q, P)
+        score_pair(mock, DEFAULT_TEMPLATE, DIRECT, Q, P, SamplingParams())
+        score_pair(mock, DEFAULT_TEMPLATE, DIRECT, Q, P, SamplingParams())
         assert prompts[0] == prompts[1]
 
     def test_reasoned_keeps_trace_and_conditions_on_it(self):
@@ -137,7 +139,7 @@ class TestStrategies:
 
     def test_forced_single_scoring_call_zero_generate(self):
         mock = MockBackend(score_fn=lambda p: (1.45, 0.0))
-        pair = score_forced(mock, DEFAULT_TEMPLATE, Q, P)
+        pair = score_pair(mock, DEFAULT_TEMPLATE, FORCED, Q, P, SamplingParams())
         assert abs(pair.score - 0.8099984339846871) < 1e-12
         assert pair.traces == ()
         assert mock.score_calls == 1
@@ -146,7 +148,7 @@ class TestStrategies:
     def test_forced_prompt_contains_block(self):
         prompts = []
         mock = MockBackend(score_fn=lambda p: (prompts.append(p), (0.0, 0.0))[1])
-        score_forced(mock, DEFAULT_TEMPLATE, Q, P)
+        score_pair(mock, DEFAULT_TEMPLATE, FORCED, Q, P, SamplingParams())
         assert "<think>\nOkay, I have finished thinking.\n</think>" in prompts[0]
 
     def test_forced_differs_from_reasoned_with_distinct_tables(self):
@@ -154,7 +156,7 @@ class TestStrategies:
             return (3.0, 0.0) if "Okay, I have finished thinking." in prompt else (0.0, 0.0)
 
         mock = MockBackend(score_fn=score_fn, generate_fn=lambda p, s: "hmm</think>")
-        forced = score_forced(mock, DEFAULT_TEMPLATE, Q, P)
+        forced = score_pair(mock, DEFAULT_TEMPLATE, FORCED, Q, P, SamplingParams())
         reasoned = score_reasoned(mock, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=8))
         assert forced.score != reasoned.score
 
@@ -162,9 +164,30 @@ class TestStrategies:
         long_passage = Passage("p9", "x" * 5000)
         prompts = []
         mock = MockBackend(score_fn=lambda p: (prompts.append(p), (0.0, 0.0))[1])
-        score_direct(mock, DEFAULT_TEMPLATE, Q, long_passage, max_passage_chars=100)
+        truncating = RerankStrategy(StrategyKind.DIRECT, max_passage_chars=100)
+        score_pair(mock, DEFAULT_TEMPLATE, truncating, Q, long_passage, SamplingParams())
         assert "x" * 100 in prompts[0]
         assert "x" * 101 not in prompts[0]
+
+    @pytest.mark.parametrize("kind", [StrategyKind.REASON, StrategyKind.SELF_CONSISTENCY])
+    def test_sampled_path_uses_template_think_marker(self, kind):
+        # a template with its own end-of-think marker: generation stops on it,
+        # the trace excludes it, and it (not "</think>") closes the block
+        template = PromptTemplate(think_open="<reasoning>", think_close="</reasoning>")
+        seen = []
+        mock = MockBackend(
+            score_fn=lambda p: (seen.append(p), (1.0, 0.0))[1],
+            generate_fn=lambda p, s: "weighing it</reasoning> trailing",
+        )
+        scored, _ = score_candidates(
+            mock, template, RerankStrategy(kind), {Q.id: Q}, Corpus((P,)),
+            [Candidate(Q.id, P.id, 1.0, 1)], SamplingParams(max_tokens=64),
+        )
+        trace = scored[0].traces[0]
+        assert trace.terminated
+        assert trace.text == "weighing it"
+        assert seen[0].endswith("<reasoning>weighing it</reasoning>\n")
+        assert "</think>" not in seen[0]
 
 
 class TestSelfConsistency:
@@ -403,6 +426,28 @@ class TestScoreCandidates:
                 MockBackend(), DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.DIRECT),
                 queries, corpus, bad, SamplingParams(),
             )
+
+    @pytest.mark.parametrize("kind", [StrategyKind.REASON, StrategyKind.SELF_CONSISTENCY])
+    def test_sampled_dump_contract(self, kind):
+        # reason is self_consistency with n=1: same scores and traces as one
+        # reasoned read at sample seed 0; only self_consistency lists samples
+        corpus, queries, cands = self._fixture()
+        sampling = SamplingParams(max_tokens=16)
+        scored, _ = score_candidates(
+            MockBackend(), DEFAULT_TEMPLATE, RerankStrategy(kind),
+            queries, corpus, cands, sampling, base_seed=3,
+        )
+        assert [s.passage_id for s in scored] == ["p1", "p2"]
+        for pair in scored:
+            seed = derive_seed(3, pair.query_id, pair.passage_id, 0)
+            reference = score_reasoned(
+                MockBackend(), DEFAULT_TEMPLATE, queries[pair.query_id],
+                corpus.passage(pair.passage_id), sampling.with_seed(seed),
+            )
+            assert pair.score == reference.score
+            assert pair.traces == reference.traces
+            expected = (pair.score,) if kind is StrategyKind.SELF_CONSISTENCY else ()
+            assert pair.per_sample_scores == expected
 
     def test_forced_strategy_makes_zero_generate_calls(self):
         corpus, queries, cands = self._fixture()
