@@ -7,6 +7,12 @@ rank pathologies. Default parameters are k1=0.9, b=0.4.
 The index is immutable once built; queries may be evaluated concurrently
 without coordination. Top-k retrieval scores every matching document and
 sorts, which is exact (no pruning) and plenty fast at desk scale.
+
+Building stems each distinct word once: ``build_index`` keeps a word-to-stem
+memo for the length of that one call and drops it on return, so nothing
+stays warm between builds or between a build and later queries. Queries
+stem through ``tokenize`` without a memo. The persisted file is format v1,
+byte for byte what earlier versions wrote for the same index.
 """
 
 from __future__ import annotations
@@ -14,7 +20,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter, defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .porter import porter_stem
 from .types import Candidate, Corpus, Query, ValidationError
@@ -23,6 +33,7 @@ INDEX_FORMAT = "reranklab-bm25-index"
 INDEX_VERSION = 1
 
 _STEMMERS = ("none", "porter")
+_SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,9 @@ class AnalyzerConfig:
             re.compile(self.token_pattern)
         except re.error as exc:
             raise ValidationError(f"invalid token pattern {self.token_pattern!r}: {exc}") from exc
+        if self.stopwords is not None and not self.stopwords:
+            # an empty set filters nothing and persists as null, so it loads as None
+            object.__setattr__(self, "stopwords", None)
 
 
 @dataclass(frozen=True)
@@ -56,14 +70,26 @@ class Bm25Params:
 
 
 def tokenize(text: str, cfg: AnalyzerConfig) -> list[str]:
+    return _tokenize(text, cfg, porter_stem)
+
+
+def _tokenize(text: str, cfg: AnalyzerConfig, stem: Callable[[str], str]) -> list[str]:
     if cfg.lowercase:
         text = text.lower()
     tokens = re.findall(cfg.token_pattern, text)
     if cfg.stopwords:
         tokens = [t for t in tokens if t not in cfg.stopwords]
     if cfg.stemmer == "porter":
-        tokens = [porter_stem(t) for t in tokens]
+        tokens = [stem(t) for t in tokens]
     return tokens
+
+
+class _StemMemo(dict):
+    """Word -> Porter stem, filled on first sight of each word."""
+
+    def __missing__(self, word: str) -> str:
+        stem = self[word] = porter_stem(word)
+        return stem
 
 
 @dataclass(frozen=True)
@@ -98,25 +124,22 @@ def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> Inve
     """Build an immutable inverted index over ``corpus``.
 
     Rebuilding from the same inputs produces an identical index (and an
-    identical persisted file).
+    identical persisted file). Each distinct word is stemmed once per call.
     """
     if corpus.size == 0:
         raise ValidationError("cannot index an empty corpus")
-    doc_ids = []
+    stem = _StemMemo().__getitem__
     doc_lengths = []
-    accumulating: dict[str, list[tuple[int, int]]] = {}
+    accumulating: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
     for ordinal, passage in enumerate(corpus.passages):
-        tokens = tokenize(passage.text, cfg)
-        doc_ids.append(passage.id)
+        tokens = _tokenize(passage.text, cfg, stem)
         doc_lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for term in sorted(counts):
-            accumulating.setdefault(term, []).append((ordinal, counts[term]))
+        # ordinals only grow, so each term's rows come out in ordinal order
+        for term, tf in Counter(tokens).items():
+            accumulating[term].append((ordinal, tf))
     postings = {term: tuple(rows) for term, rows in sorted(accumulating.items())}
     return InvertedIndex(
-        doc_ids=tuple(doc_ids),
+        doc_ids=tuple(p.id for p in corpus.passages),
         doc_lengths=tuple(doc_lengths),
         postings=postings,
         analyzer=cfg,
@@ -186,7 +209,14 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[Candidate
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist as a single self-describing JSON file with a version header."""
+    """Persist as a single self-describing JSON file with a version header.
+
+    The output is format v1, byte-identical to what earlier versions wrote:
+    keys sorted, no ASCII escaping, one trailing newline, posting rows as
+    ``[ordinal, tf]`` arrays. The whole file is encoded in one ``json.dumps``
+    call, which runs the C encoder; ``json.dump`` would stream it through the
+    pure-Python one.
+    """
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -197,38 +227,79 @@ def save_index(index: InvertedIndex, path: str) -> None:
             "stemmer": index.analyzer.stemmer,
         },
         "params": {"k1": index.params.k1, "b": index.params.b},
-        "doc_ids": list(index.doc_ids),
-        "doc_lengths": list(index.doc_lengths),
-        "postings": {term: [list(row) for row in rows] for term, rows in index.postings.items()},
+        # tuples encode as JSON arrays, so the index's own rows need no copy
+        "doc_ids": index.doc_ids,
+        "doc_lengths": index.doc_lengths,
+        "postings": index.postings,
     }
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, ensure_ascii=False)
+        fh.write(text)
         fh.write("\n")
 
 
 def load_index(path: str) -> InvertedIndex:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
+    """Read an index written by :func:`save_index`.
+
+    A file that is not JSON, not a v1 index object, lacks a section, or has
+    a posting row other than an ``[ordinal, tf]`` pair of integers naming a
+    document in its table raises :class:`ValidationError`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
         raise ValidationError(f"{path}: not a {INDEX_FORMAT} file")
     if payload.get("version") != INDEX_VERSION:
         raise ValidationError(
             f"{path}: unsupported index version {payload.get('version')!r}"
         )
-    analyzer_raw = payload["analyzer"]
-    analyzer = AnalyzerConfig(
-        lowercase=analyzer_raw["lowercase"],
-        token_pattern=analyzer_raw["token_pattern"],
-        stopwords=frozenset(analyzer_raw["stopwords"]) if analyzer_raw["stopwords"] else None,
-        stemmer=analyzer_raw["stemmer"],
-    )
+    missing = [key for key in _SECTIONS if key not in payload]
+    if missing:
+        raise ValidationError(f"{path}: index lacks {', '.join(missing)}")
+    try:
+        analyzer_raw = payload["analyzer"]
+        analyzer = AnalyzerConfig(
+            lowercase=analyzer_raw["lowercase"],
+            token_pattern=analyzer_raw["token_pattern"],
+            stopwords=frozenset(analyzer_raw["stopwords"] or ()),
+            stemmer=analyzer_raw["stemmer"],
+        )
+        params = Bm25Params(**payload["params"])
+        doc_ids = tuple(payload["doc_ids"])
+        doc_lengths = tuple(payload["doc_lengths"])
+        # each term's parsed rows are dropped as they are converted, so the
+        # parsed lists and the row tuples are never all alive at once
+        raw = payload["postings"]
+        postings = {term: tuple(map(tuple, raw.pop(term))) for term in list(raw.keys())}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed index: {exc!r}") from exc
+    if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):
+        raise ValidationError(f"{path}: doc_ids and doc_lengths must pair one string id "
+                              "with one integer length per document")
+
+    def column(i: int):
+        return map(itemgetter(i), chain.from_iterable(postings.values()))
+
+    if set(map(len, chain.from_iterable(postings.values()))) - {2} or not (
+        _all(int, column(0)) and _all(int, column(1))
+    ):
+        raise ValidationError(f"{path}: a posting row is not an [ordinal, tf] pair of integers")
+    if not (0 <= min(column(0), default=0) and max(column(0), default=-1) < len(doc_ids)
+            and min(column(1), default=1) >= 1):
+        raise ValidationError(f"{path}: a posting row names an ordinal outside "
+                              f"0..{len(doc_ids) - 1} or a tf below 1")
     return InvertedIndex(
-        doc_ids=tuple(payload["doc_ids"]),
-        doc_lengths=tuple(payload["doc_lengths"]),
-        postings={
-            term: tuple((int(doc), int(tf)) for doc, tf in rows)
-            for term, rows in payload["postings"].items()
-        },
+        doc_ids=doc_ids,
+        doc_lengths=doc_lengths,
+        postings=postings,
         analyzer=analyzer,
-        params=Bm25Params(**payload["params"]),
+        params=params,
     )
+
+
+def _all(kind: type, items) -> bool:
+    """Every item's type is exactly ``kind`` (so ``True`` is not an int)."""
+    return set(map(type, items)) <= {kind}

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,25 @@ from reranklab import (
     tokenize,
 )
 
+import reranklab.bm25 as bm25_module
+from reranklab.porter import porter_stem
+
 from conftest import make_corpus
 
 CFG = AnalyzerConfig()
 PARAMS = Bm25Params()  # k1=0.9, b=0.4
+
+# tiny_index.json pins the v1 file bytes for this corpus and analyzer: stemming
+# merges words, stopwords drop (d4 keeps no token at all), d3 has non-ASCII text.
+GOLDEN_INDEX = Path(__file__).parent / "golden" / "tiny_index.json"
+GOLDEN_CFG = AnalyzerConfig(stopwords=frozenset({"the", "a", "of", "on"}), stemmer="porter")
+GOLDEN_CORPUS = Corpus((
+    Passage("d1", "The runners were running; a runner runs."),
+    Passage("d2", "Connected connections connecting the connection"),
+    Passage("d3", "Café résumé naïve: generalizations of generalization"),
+    Passage("d4", "the of a on"),
+    Passage("d5", "Relational hopefulness, caresses, ponies and cats"),
+))
 
 
 class TestTokenize:
@@ -78,6 +95,22 @@ class TestBuildIndex:
     def test_duplicate_ids_rejected_at_corpus(self):
         with pytest.raises(ValidationError, match="duplicate"):
             Corpus((Passage("a", "x"), Passage("a", "y")))
+
+    def test_each_distinct_word_stemmed_once_per_build(self, monkeypatch, tiny_corpus):
+        calls = []
+
+        def counting_stem(word):
+            calls.append(word)
+            return porter_stem(word)
+
+        monkeypatch.setattr(bm25_module, "porter_stem", counting_stem)
+        cfg = AnalyzerConfig(stemmer="porter")
+        build_index(tiny_corpus, cfg, PARAMS)
+        words = [w for p in tiny_corpus.passages for w in tokenize(p.text, CFG)]
+        assert len(set(words)) < len(words)
+        assert sorted(calls) == sorted(set(words))
+        build_index(tiny_corpus, cfg, PARAMS)  # the memo does not outlive a build
+        assert len(calls) == 2 * len(set(words))
 
     def test_rebuild_identical(self, tmp_path, tiny_corpus):
         p1, p2 = tmp_path / "i1.json", tmp_path / "i2.json"
@@ -194,3 +227,78 @@ class TestPersistence:
         loaded = load_index(str(path))
         assert loaded.analyzer == cfg
         assert loaded.params == Bm25Params(k1=1.2, b=0.75)
+
+    def test_empty_stopword_set_roundtrip(self, tmp_path, tiny_corpus):
+        cfg = AnalyzerConfig(stopwords=frozenset(), stemmer="porter")
+        assert cfg == AnalyzerConfig(stemmer="porter")
+        index = build_index(tiny_corpus, cfg, PARAMS)
+        path = tmp_path / "index.json"
+        save_index(index, str(path))
+        assert load_index(str(path)) == index
+
+    def test_golden_v1_bytes(self, tmp_path):
+        index = build_index(GOLDEN_CORPUS, GOLDEN_CFG, PARAMS)
+        path = tmp_path / "index.json"
+        save_index(index, str(path))
+        assert path.read_bytes() == GOLDEN_INDEX.read_bytes()
+        assert load_index(str(GOLDEN_INDEX)) == index
+
+
+def _golden_payload() -> dict:
+    return json.loads(GOLDEN_INDEX.read_text(encoding="utf-8"))
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _set(value, *keys):
+    def edit(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return edit
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"", b"\xff\xfe{}", b"[]", b"42", b'"reranklab-bm25-index"',
+    ], ids=["broken", "empty", "not-utf8", "array", "number", "string"])
+    def test_not_an_index_object(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="bad.json"):
+            load_index(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        *[pytest.param(_without(key), f"lacks {key}", id=f"no-{key}") for key in
+          ("analyzer", "params", "doc_ids", "doc_lengths", "postings")],
+        pytest.param(_set({"lowercase": True}, "analyzer"), "malformed", id="analyzer-fields"),
+        pytest.param(_set({"k1": "high", "b": 0.4}, "params"), "malformed", id="params-type"),
+        pytest.param(_set([], "postings"), "malformed", id="postings-array"),
+        pytest.param(_set(7, "postings", "run"), "malformed", id="rows-number"),
+        pytest.param(_set([3], "postings", "run"), "malformed", id="row-number"),
+        pytest.param(_set([None], "postings", "run"), "malformed", id="row-null"),
+        pytest.param(_set("ab", "postings", "run"), "pair", id="rows-string"),
+        pytest.param(_set([[0]], "postings", "run"), "pair", id="row-short"),
+        pytest.param(_set([[0, 2, 1]], "postings", "run"), "pair", id="row-long"),
+        pytest.param(_set([["0", 2]], "postings", "run"), "pair", id="ordinal-string"),
+        pytest.param(_set([[0.0, 2]], "postings", "run"), "pair", id="ordinal-float"),
+        pytest.param(_set([[0, True]], "postings", "run"), "pair", id="tf-bool"),
+        pytest.param(_set([[5, 2]], "postings", "run"), "outside 0..4", id="ordinal-high"),
+        pytest.param(_set([[-1, 2]], "postings", "run"), "outside 0..4", id="ordinal-negative"),
+        pytest.param(_set([[0, 0]], "postings", "run"), "tf below 1", id="tf-zero"),
+        pytest.param(_set([5, 4, 5, 0], "doc_lengths"), "per document", id="lengths-short"),
+        pytest.param(_set(["d1", "d2", "d3", "d4", 5], "doc_ids"), "per document",
+                     id="id-number"),
+    ])
+    def test_malformed_sections(self, tmp_path, edit, message):
+        payload = _golden_payload()
+        edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
+            load_index(str(path))

@@ -77,6 +77,22 @@ class TestIndexRetrieve:
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        "[]",
+        '{"format": "reranklab-bm25-index", "version": 1}',
+    ], ids=["broken", "array", "no-sections"])
+    def test_malformed_index_is_data_error(self, workspace, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        code = main([
+            "retrieve", "--index", str(bad),
+            "--queries", str(workspace / "queries.jsonl"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "bad.json" in capsys.readouterr().err
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main([
             "index", "--corpus", str(tmp_path / "ghost.jsonl"),

@@ -1,14 +1,32 @@
-"""Property-based invariants: scored dumps round-trip, reranking ignores input order."""
+"""Property-based invariants: file formats round-trip exactly, reranking ignores
+input order, the index build and NDCG match naive references, bins add up."""
 
+import itertools
 import math
 import os
+import re
+import string
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reranklab import Candidate, ReasoningTrace, ScoredPair, rerank
-from reranklab.data import read_scored, write_scored
+from reranklab import (
+    AnalyzerConfig,
+    Bm25Params,
+    Candidate,
+    Corpus,
+    Passage,
+    ReasoningTrace,
+    RunEntry,
+    ScoredPair,
+    bin_scores,
+    build_index,
+    ndcg_at_k,
+    rerank,
+)
+from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
+from reranklab.porter import porter_stem
 
 ids = st.text(min_size=1, max_size=8)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -67,3 +85,129 @@ def test_rerank_ignores_candidate_and_score_order(data, shuffle):
     shuffle.shuffle(candidates)
     shuffle.shuffle(scores)
     assert rerank(candidates, scores, "t", failed=failed) == reference
+
+
+# A small vocabulary so words repeat within and across passages; inflected
+# forms so Porter merges some of them; case and punctuation for the analyzer.
+WORDS = ("run", "runs", "running", "Runner", "cat", "cats", "the", "a", "connect",
+         "connected", "connection", "relational", "caresses", "ponies", "x", "Café")
+
+
+def naive_postings(corpus: Corpus, cfg: AnalyzerConfig) -> dict:
+    """Stem every token with ``porter_stem`` and count with a plain dict."""
+    rows: dict[str, list[tuple[int, int]]] = {}
+    for ordinal, passage in enumerate(corpus.passages):
+        text = passage.text.lower() if cfg.lowercase else passage.text
+        counts: dict[str, int] = {}
+        for word in re.findall(cfg.token_pattern, text):
+            if cfg.stopwords and word in cfg.stopwords:
+                continue
+            term = porter_stem(word) if cfg.stemmer == "porter" else word
+            counts[term] = counts.get(term, 0) + 1
+        for term in sorted(counts):
+            rows.setdefault(term, []).append((ordinal, counts[term]))
+    return {term: tuple(r) for term, r in sorted(rows.items())}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(" ,".join),
+                   min_size=1, max_size=8),
+    lowercase=st.booleans(),
+    stopwords=st.frozensets(st.sampled_from(("the", "a", "cats", "x")), max_size=3),
+    stemmer=st.sampled_from(("porter", "none")),
+)
+def test_build_index_matches_naive_postings(texts, lowercase, stopwords, stemmer):
+    corpus = Corpus(tuple(Passage(f"d{i}", t) for i, t in enumerate(texts)))
+    cfg = AnalyzerConfig(lowercase=lowercase, stopwords=stopwords, stemmer=stemmer)
+    index = build_index(corpus, cfg, Bm25Params())
+    expected = naive_postings(corpus, cfg)
+    assert list(index.postings.items()) == list(expected.items())
+    assert index.doc_lengths == tuple(
+        sum(tf for rows in expected.values() for ordinal, tf in rows if ordinal == i)
+        for i in range(len(texts))
+    )
+
+
+def oracle_dcg(grades, k, gain):
+    return sum((2**g - 1 if gain == "exponential" else g) / math.log2(i + 1)
+               for i, g in enumerate(grades[:k], start=1))
+
+
+@st.composite
+def judged_runs(draw):
+    """Runs over a few queries, each a shuffled mix of judged and unjudged
+    passages, with judgments that may name passages the run never retrieved."""
+    run, judgments = [], {}
+    for q in range(draw(st.integers(1, 3))):
+        qid = f"q{q}"
+        grades = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+        judgments[qid] = {f"p{i}": g for i, g in enumerate(grades)}
+        pool = [f"p{i}" for i in range(len(grades))] + [f"u{i}" for i in range(3)]
+        retrieved = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        run += [RunEntry(qid, pid, rank, float(-rank), "t")
+                for rank, pid in enumerate(retrieved, start=1)]
+    return run, judgments
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=judged_runs(), k=st.integers(1, 8), gain=st.sampled_from(("exponential", "linear")))
+def test_ndcg_in_unit_interval_and_matches_brute_force(data, k, gain):
+    run, judgments = data
+    report = ndcg_at_k(run, judgments, k=k, gain=gain)
+    for qid, grades in judgments.items():
+        ranked = [grades.get(e.passage_id, 0) for e in run if e.query_id == qid]
+        ideal = max(oracle_dcg(list(p), k, gain) for p in itertools.permutations(grades.values()))
+        want = oracle_dcg(ranked, k, gain) / ideal if ideal else 0.0
+        assert 0.0 <= report.per_query[qid] <= 1.0
+        assert math.isclose(report.per_query[qid], want, rel_tol=1e-12, abs_tol=1e-12)
+    assert 0.0 <= report.mean <= 1.0
+    assert report.evaluated == len(judgments) - len(report.skipped)
+
+
+ids_no_space = st.text(string.ascii_letters + string.digits + "-_.:", min_size=1, max_size=8)
+# values with at most six decimals: the run file's ``score:.6f`` keeps them exact
+six_decimals = st.integers(-10**9, 10**9).map(lambda n: n / 10**6)
+
+
+@st.composite
+def runs(draw):
+    entries, tag = [], draw(ids_no_space)
+    for qid in draw(st.lists(ids_no_space, min_size=1, max_size=3, unique=True)):
+        pids = draw(st.lists(ids_no_space, min_size=1, max_size=5, unique=True))
+        scores = sorted(draw(st.lists(six_decimals, min_size=len(pids), max_size=len(pids))),
+                        reverse=True)
+        entries += [RunEntry(qid, pid, rank, score, tag)
+                    for rank, (pid, score) in enumerate(zip(pids, scores), start=1)]
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=runs())
+def test_run_file_roundtrip_is_exact(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.run")
+        write_run(path, entries)
+        assert read_run(path) == entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(judgments=st.dictionaries(
+    ids_no_space, st.dictionaries(ids_no_space, st.integers(0, 4), min_size=1, max_size=5),
+    min_size=1, max_size=4,
+))
+def test_qrels_roundtrip_is_exact(judgments):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "qrels.txt")
+        write_qrels(path, judgments)
+        assert load_qrels(path) == judgments
+
+
+@settings(max_examples=150, deadline=None)
+@given(scores=st.lists(unit, min_size=1, max_size=50))
+def test_bin_counts_sum_to_total(scores):
+    dist = bin_scores(scores)
+    assert sum(dist.counts) == dist.total == len(scores)
+    assert math.isclose(dist.low_fraction + dist.partial_fraction + dist.high_fraction, 1.0)
+    assert dist.low_fraction == sum(s < 0.1 for s in scores) / len(scores)
+    assert dist.high_fraction == sum(s >= 0.9 for s in scores) / len(scores)
