@@ -5,8 +5,11 @@ so every score is >= 0 and small test corpora cannot produce negative-score
 rank pathologies. Default parameters are k1=0.9, b=0.4.
 
 The index is immutable once built; queries may be evaluated concurrently
-without coordination. Top-k retrieval scores every matching document and
-sorts, which is exact (no pruning) and plenty fast at desk scale.
+without coordination. Top-k retrieval is exact, with no pruning: it scores
+every matching document term by term, finds the k-th largest score with a
+heap, and sorts only the documents at or above it. Each document's length
+norm ``k1 * (1 - b + b*dl/avgdl)`` is computed once, when the index is made,
+and both scoring paths read it from the same table.
 
 Building stems each distinct word once: ``build_index`` keeps a word-to-stem
 memo for the length of that one call and drops it on return, so nothing
@@ -17,9 +20,11 @@ byte for byte what earlier versions wrote for the same index.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -100,13 +105,21 @@ class InvertedIndex:
     analyzer: AnalyzerConfig
     params: Bm25Params
     avg_doc_length: float = field(init=False)
+    # k1 * (1 - b + b*dl/avgdl) per document ordinal; derived from the fields
+    # above, so equality and repr leave it out
+    length_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.doc_ids:
             raise ValidationError("index must contain at least one document")
-        object.__setattr__(
-            self, "avg_doc_length", sum(self.doc_lengths) / len(self.doc_lengths)
-        )
+        avgdl = sum(self.doc_lengths) / len(self.doc_lengths)
+        k1, b = self.params.k1, self.params.b
+        if avgdl:
+            norms = tuple(k1 * (1.0 - b + b * dl / avgdl) for dl in self.doc_lengths)
+        else:  # no document kept a token, so there are no postings to score
+            norms = (k1 * (1.0 - b),) * len(self.doc_lengths)
+        object.__setattr__(self, "avg_doc_length", avgdl)
+        object.__setattr__(self, "length_norms", norms)
 
     @property
     def doc_count(self) -> int:
@@ -156,21 +169,16 @@ def bm25_score(index: InvertedIndex, query: Query, ordinal: int) -> float:
     """
     if not 0 <= ordinal < index.doc_count:
         raise ValidationError(f"ordinal {ordinal} out of range 0..{index.doc_count - 1}")
-    k1, b = index.params.k1, index.params.b
-    norm = 1.0 - b + b * index.doc_lengths[ordinal] / index.avg_doc_length
+    k1 = index.params.k1
+    k1_norm = index.length_norms[ordinal]
     score = 0.0
     for term in tokenize(query.text, index.analyzer):
-        rows = index.postings.get(term)
-        if not rows:
+        rows = index.postings.get(term, ())
+        i = bisect_left(rows, ordinal, key=itemgetter(0))  # rows ascend by ordinal
+        if i == len(rows) or rows[i][0] != ordinal:
             continue
-        tf = 0
-        for doc, freq in rows:
-            if doc == ordinal:
-                tf = freq
-                break
-        if tf == 0:
-            continue
-        score += index._idf(term) * tf * (k1 + 1.0) / (tf + k1 * norm)
+        tf = rows[i][1]
+        score += index._idf(term) * tf * (k1 + 1.0) / (tf + k1_norm)
     return score
 
 
@@ -178,25 +186,32 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[Candidate
     """Exact top-k candidates, scores descending, ties by ascending id.
 
     Only documents matching at least one query term are candidates, so fewer
-    than k results may come back.
+    than k results may come back. Every match is scored; only those scoring
+    at least the k-th largest score are sorted.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    k1, b = index.params.k1, index.params.b
-    avgdl = index.avg_doc_length
+    k1 = index.params.k1
+    norms = index.length_norms
     # term-at-a-time accumulation in query-token order: float summation order
     # matches bm25_score exactly, so the two paths agree bit-for-bit
     scores: dict[int, float] = {}
+    get = scores.get
     for term in tokenize(query.text, index.analyzer):
         rows = index.postings.get(term)
         if not rows:
             continue
         idf = index._idf(term)
+        numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(map(itemgetter(1), rows))}
         for ordinal, tf in rows:
-            norm = 1.0 - b + b * index.doc_lengths[ordinal] / avgdl
-            contribution = idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], index.doc_ids[item[0]]))
+            scores[ordinal] = get(ordinal, 0.0) + numerators[tf] / (tf + norms[ordinal])
+    matches = scores.items()
+    if len(scores) > k:
+        # keep every tie at the k-th score, so the id order below cuts them
+        # exactly where a sort of all matches would
+        kth = heapq.nlargest(k, scores.values())[-1]
+        matches = [(ordinal, score) for ordinal, score in matches if score >= kth]
+    ranked = sorted(matches, key=lambda item: (-item[1], index.doc_ids[item[0]]))
     return [
         Candidate(
             query_id=query.id,

@@ -92,6 +92,14 @@ class TestBuildIndex:
         with pytest.raises(ValidationError):
             build_index(Corpus(()), CFG, PARAMS)
 
+    def test_corpus_without_tokens(self):
+        # every word is a stopword: no postings, average length 0
+        cfg = AnalyzerConfig(stopwords=frozenset({"the", "of"}))
+        index = build_index(Corpus((Passage("a", "the"), Passage("b", "of the"))), cfg, PARAMS)
+        assert index.avg_doc_length == 0.0 and index.postings == {}
+        assert retrieve_top_k(index, Query("q", "the cat"), 5) == []
+        assert bm25_score(index, Query("q", "the cat"), 1) == 0.0
+
     def test_duplicate_ids_rejected_at_corpus(self):
         with pytest.raises(ValidationError, match="duplicate"):
             Corpus((Passage("a", "x"), Passage("a", "y")))
@@ -170,6 +178,31 @@ class TestRetrieve:
         hits = retrieve_top_k(index, Query("q", "cat"), 2)
         assert [c.passage_id for c in hits] == ["aa", "zz"]
         assert hits[0].first_stage_score == hits[1].first_stage_score
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_ties_cut_at_k_by_ascending_id(self, k):
+        ids = ["p3", "p0", "p4", "p1", "p2"]
+        corpus = Corpus(tuple(Passage(i, "cat") for i in ids) + (Passage("x", "dog"),))
+        hits = retrieve_top_k(build_index(corpus, CFG, PARAMS), Query("q", "cat"), k)
+        assert [c.passage_id for c in hits] == sorted(ids)[:k]
+        assert len({c.first_stage_score for c in hits}) == 1
+
+    @pytest.mark.parametrize("text", ["cat cat", "cat dog cat"])
+    def test_repeated_query_token_sums_in_query_order(self, tiny_corpus, text):
+        index = build_index(tiny_corpus, CFG, PARAMS)
+        hits = retrieve_top_k(index, Query("q", text), 10)
+        by_id = {c.passage_id: c.first_stage_score for c in hits}
+        assert all(score > 0.0 for score in by_id.values())
+        for ordinal, doc_id in enumerate(index.doc_ids):
+            expected = 0.0
+            for token in text.split():  # one term per occurrence, left to right
+                expected += bm25_score(index, Query("t", token), ordinal)
+            assert by_id.get(doc_id, 0.0) == expected
+            assert bm25_score(index, Query("q", text), ordinal) == expected
+
+    def test_no_matching_term_returns_nothing(self, tiny_corpus):
+        index = build_index(tiny_corpus, CFG, PARAMS)
+        assert retrieve_top_k(index, Query("q", "xylophone zebra"), 3) == []
 
     def test_k_validation(self, tiny_corpus):
         index = build_index(tiny_corpus, CFG, PARAMS)

@@ -1,5 +1,6 @@
 """Property-based invariants: file formats round-trip exactly, reranking ignores
-input order, the index build and NDCG match naive references, bins add up."""
+input order, the index build, BM25 top-k and NDCG match naive references, bins
+add up."""
 
 import itertools
 import math
@@ -17,13 +18,16 @@ from reranklab import (
     Candidate,
     Corpus,
     Passage,
+    Query,
     ReasoningTrace,
     RunEntry,
     ScoredPair,
     bin_scores,
+    bm25_score,
     build_index,
     ndcg_at_k,
     rerank,
+    retrieve_top_k,
 )
 from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
 from reranklab.porter import porter_stem
@@ -127,6 +131,33 @@ def test_build_index_matches_naive_postings(texts, lowercase, stopwords, stemmer
         sum(tf for rows in expected.values() for ordinal, tf in rows if ordinal == i)
         for i in range(len(texts))
     )
+
+
+@st.composite
+def tied_retrievals(draw):
+    """A corpus over 3-5 words, so equal scores are common; a query; k in 1..N+2."""
+    vocab = draw(st.lists(st.sampled_from(("cat", "dog", "emu", "fox", "gnu")),
+                          min_size=3, max_size=5, unique=True))
+    texts = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5).map(" ".join),
+                          min_size=1, max_size=10))
+    ids = draw(st.permutations([f"d{i}" for i in range(len(texts))]))
+    corpus = Corpus(tuple(Passage(i, t) for i, t in zip(ids, texts)))
+    query = Query("q", " ".join(draw(st.lists(st.sampled_from(vocab + ["yak"]),
+                                              min_size=1, max_size=4))))
+    params = Bm25Params(b=draw(st.sampled_from((0.0, 0.4, 1.0))))
+    return corpus, params, query, draw(st.integers(1, len(texts) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=tied_retrievals())
+def test_retrieve_top_k_equals_full_sort_of_bm25_score(data):
+    corpus, params, query, k = data
+    index = build_index(corpus, AnalyzerConfig(), params)
+    scored = ((bm25_score(index, query, i), index.doc_ids[i]) for i in range(index.doc_count))
+    expected = sorted(((s, d) for s, d in scored if s > 0.0), key=lambda t: (-t[0], t[1]))[:k]
+    got = retrieve_top_k(index, query, k)
+    assert [(c.first_stage_score, c.passage_id) for c in got] == expected
+    assert [c.first_stage_rank for c in got] == list(range(1, len(got) + 1))
 
 
 def oracle_dcg(grades, k, gain):
