@@ -14,19 +14,32 @@ Two implementations share one contract:
 
 Clients are shareable across threads; the in-flight bound is enforced
 internally. Callers must not assume response ordering.
+
+The HTTP transport is the standard library's ``http.client``. One pool of
+``max_in_flight`` keep-alive connections, opened lazily, is also the
+in-flight gate: a request holds a connection for its whole round trip, and
+a connection that raised is closed and its slot reopened on next use. A
+reused connection that the server dropped while idle is redialled once
+without spending an attempt. 429 and 5xx answers and transport failures are
+retried with exponential backoff; a 429 or 503 carrying ``Retry-After``
+(delta-seconds) waits that long instead, capped at the request timeout. No
+proxy is consulted and no environment variable is read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import queue
 import re
+import ssl
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
-
-import requests
+from urllib.parse import urlsplit
 
 from .types import DecisionLogits, ReasoningTrace, ValidationError
 
@@ -57,6 +70,10 @@ class BackendConfig:
             raise ValidationError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.max_attempts < 1:
             raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not self.timeout > 0:
+            raise ValidationError(f"timeout must be > 0 seconds, got {self.timeout}")
+        if not self.backoff >= 0:
+            raise ValidationError(f"backoff must be >= 0 seconds, got {self.backoff}")
         true_tok, false_tok = self.decision_tokens
         if not true_tok or not false_tok or true_tok == false_tok:
             raise ValidationError(
@@ -109,6 +126,9 @@ class CompletionsBackend:
     def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release held connections; a no-op for backends that hold none."""
+
     def generate_then_score(
         self, prompt: str, sampling: SamplingParams, answer_scaffold: str = "\n"
     ) -> tuple[ReasoningTrace, DecisionLogits]:
@@ -145,42 +165,89 @@ class HttpCompletionsBackend(CompletionsBackend):
     def __init__(self, config: BackendConfig):
         if not config.endpoint:
             raise ValidationError("backend endpoint URL is required")
+        try:
+            url = urlsplit(config.endpoint)
+            port = url.port
+        except ValueError as exc:
+            raise ValidationError(f"malformed backend endpoint URL: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValidationError(
+                f"backend endpoint must be an http:// or https:// URL, got {config.endpoint!r}"
+            )
         self.config = config
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
-        self._local = threading.local()
+        if url.scheme == "https":
+            self._connect = partial(
+                http.client.HTTPSConnection, url.hostname, port or 443,
+                timeout=config.timeout, context=ssl.create_default_context(),
+            )
+        else:
+            self._connect = partial(
+                http.client.HTTPConnection, url.hostname, port or 80, timeout=config.timeout
+            )
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if config.auth_token:
+            self._headers["Authorization"] = f"Bearer {config.auth_token}"
+        # One entry per in-flight slot: an open connection, or None until one is needed.
+        self._pool: queue.LifoQueue = queue.LifoQueue()
+        for _ in range(config.max_in_flight):
+            self._pool.put(None)
         self._capture = _CaptureLog(config.capture_path) if config.capture_path else None
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            if self.config.auth_token:
-                session.headers["Authorization"] = f"Bearer {self.config.auth_token}"
-            self._local.session = session
-        return session
+    def _post(self, payload: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One round trip on a pooled connection: (status, headers, raw body).
+
+        Blocks until a connection slot is free. A reused connection that
+        fails before the status line arrives was dropped by the server while
+        idle, so the request goes out once more on a new connection. A
+        connection that raised is closed and its slot left empty.
+        """
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        conn = self._pool.get()
+        try:
+            if conn is None:
+                conn = self._connect()
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):  # incl. RemoteDisconnected
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except BaseException:
+            if conn is not None:
+                conn.close()
+                conn = None
+            raise
+        finally:
+            self._pool.put(conn)
 
     def _complete(self, payload: dict) -> dict:
         cfg = self.config
         last_error: Exception | None = None
+        wait = 0.0
         for attempt in range(cfg.max_attempts):
             if attempt:
-                time.sleep(cfg.backoff * (2 ** (attempt - 1)))
+                time.sleep(wait)
+            wait = cfg.backoff * (2 ** attempt)
             try:
-                with self._gate:
-                    resp = self._session().post(
-                        cfg.endpoint, json=payload, timeout=cfg.timeout
-                    )
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    last_error = BackendError(
-                        f"server returned {resp.status_code}: {resp.text[:200]}"
-                    )
+                status, headers, raw = self._post(payload)
+                if status == 429 or status >= 500:
+                    retry_after = (headers.get("Retry-After") or "").strip()
+                    if status in (429, 503) and retry_after.isdecimal():
+                        wait = min(int(retry_after), cfg.timeout)
+                    last_error = BackendError(f"server returned {status}: {_excerpt(raw)}")
                     continue
-                if resp.status_code != 200:
-                    raise ProtocolError(
-                        f"server returned {resp.status_code}: {resp.text[:200]}"
-                    )
-                body = resp.json()
-            except requests.RequestException as exc:
+                if status != 200:
+                    raise ProtocolError(f"server returned {status}: {_excerpt(raw)}")
+                body = json.loads(raw)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                # socket errors and timeouts, malformed or cut-short responses,
+                # and bodies that are not JSON
                 last_error = exc
                 continue
             if self._capture:
@@ -189,6 +256,19 @@ class HttpCompletionsBackend(CompletionsBackend):
         raise BackendError(
             f"request failed after {cfg.max_attempts} attempts: {last_error}"
         ) from last_error
+
+    def close(self) -> None:
+        """Close the idle pooled connections; later requests open new ones."""
+        idle = []
+        while True:
+            try:
+                idle.append(self._pool.get_nowait())
+            except queue.Empty:
+                break
+        for conn in idle:
+            if conn is not None:
+                conn.close()
+            self._pool.put(None)
 
     def _base_payload(self, prompt: str) -> dict:
         return {"model": self.config.model, "prompt": prompt, "echo": False}
@@ -257,12 +337,19 @@ class HttpCompletionsBackend(CompletionsBackend):
         text = choice.get("text", "")
         if text.endswith(sampling.stop):  # some servers include the stop sequence
             text = text[: -len(sampling.stop)]
-        terminated = choice.get("finish_reason") == "stop"
+        if "stop_reason" in choice:  # vLLM: the stop string matched, or null at EOS
+            terminated = choice["stop_reason"] == sampling.stop
+        else:
+            terminated = choice.get("finish_reason") == "stop"
         usage = body.get("usage") or {}
         token_count = usage.get("completion_tokens")
         if token_count is None:
             token_count = len(_pieces(text))
         return ReasoningTrace(text=text, terminated=terminated, token_count=int(token_count))
+
+
+def _excerpt(raw: bytes) -> str:
+    return raw.decode("utf-8", "replace")[:200]
 
 
 def _choice(body: dict) -> dict:
@@ -424,7 +511,8 @@ class ReplayBackend(HttpCompletionsBackend):
     """Serves responses recorded in a capture log instead of going on the wire."""
 
     def __init__(self, capture_path: str, config: BackendConfig | None = None):
-        super().__init__(config or BackendConfig(endpoint="replay:", model="replay"))
+        # Shares request building and response reading, not the transport.
+        self.config = config or BackendConfig(endpoint="replay:", model="replay")
         self._responses: dict[str, dict] = {}
         with open(capture_path, encoding="utf-8") as fh:
             for line in fh:
@@ -442,3 +530,6 @@ class ReplayBackend(HttpCompletionsBackend):
             raise BackendError(
                 "no recorded response for this request; re-record the capture log"
             ) from None
+
+    def close(self) -> None:
+        """Nothing to release: replay opens no connection."""

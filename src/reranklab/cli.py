@@ -266,20 +266,22 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     )
     template = prompts.load_template(config.template) if config.template else prompts.DEFAULT_TEMPLATE
     backend = _build_backend(config, config.concurrency)
-    backend.validate_decision_tokens()
-
-    scored, failures = score_candidates(
-        backend,
-        template,
-        strategy,
-        {q.id: q for q in queries},
-        corpus,
-        candidates,
-        _sampling(config, kind),
-        base_seed=config.seed,
-        concurrency=config.concurrency,
-        allow_partial=config.allow_partial,
-    )
+    try:
+        backend.validate_decision_tokens()
+        scored, failures = score_candidates(
+            backend,
+            template,
+            strategy,
+            {q.id: q for q in queries},
+            corpus,
+            candidates,
+            _sampling(config, kind),
+            base_seed=config.seed,
+            concurrency=config.concurrency,
+            allow_partial=config.allow_partial,
+        )
+    finally:
+        backend.close()
     tag = config.tag or kind.value
     failed = frozenset((f.query_id, f.passage_id) for f in failures)
     entries = rerank(candidates, scored, tag, failed=failed)

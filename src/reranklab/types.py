@@ -129,7 +129,7 @@ class ReasoningTrace:
 
     ``text`` never contains the end-of-think marker; ``terminated`` records
     whether the marker was actually produced (False means the token budget
-    ran out first).
+    ran out first, or the model ended its output without the marker).
     """
 
     text: str

@@ -1,6 +1,11 @@
 import json
+import socket
+import struct
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -26,18 +31,31 @@ class _StubState:
 
     def __init__(self):
         self.fail_next = 0          # respond 500 this many times
+        self.refuse = []            # (status, Retry-After or None) for the next requests
+        self.faults = []            # "not-json", "truncated", "reset" or "drop" (no answer)
+        self.close_after_response = False  # drop each connection without announcing it
+        self.stall_s = 0.0          # delay before every response
+        self.extra_choice = {}      # fields merged into generation choices
         self.requests = []
+        self.headers = []
+        self.clients = []           # client (host, port) per request
+        self.in_flight = 0
+        self.peak_in_flight = 0
         self.logprob_table = {"true": -0.2, "false": -1.7}
         self.top_count = 20
         self.generation = "Let me think it over. The passage matches.</think> extra"
         self.lock = threading.Lock()
 
     def handle(self, payload):
+        """(JSON body, status, extra headers) for one request."""
         with self.lock:
-            self.requests.append(payload)
+            if self.refuse:
+                status, retry_after = self.refuse.pop(0)
+                extra = {} if retry_after is None else {"Retry-After": retry_after}
+                return {"error": "busy"}, status, extra
             if self.fail_next > 0:
                 self.fail_next -= 1
-                return {"error": "transient"}, 500
+                return {"error": "transient"}, 500, {}
 
         prompt = payload["prompt"]
         if payload.get("echo") and payload.get("max_tokens") == 0:
@@ -47,7 +65,7 @@ class _StubState:
                 "choices": [
                     {"text": prompt, "finish_reason": "stop", "logprobs": {"tokens": tokens}}
                 ]
-            }, 200
+            }, 200, {}
 
         if payload.get("max_tokens") == 1 and payload.get("logprobs"):
             table = dict(self.logprob_table)
@@ -63,7 +81,7 @@ class _StubState:
                     }
                 ],
                 "usage": {"completion_tokens": 1},
-            }, 200
+            }, 200, {}
 
         # generation request
         stop = payload.get("stop", ["</think>"])[0]
@@ -75,23 +93,64 @@ class _StubState:
             text, finish, used = head, "stop", len(words)
         else:
             text, finish, used = " ".join(words[:budget]), "length", min(len(words), budget)
-        return {
-            "choices": [{"text": text, "finish_reason": finish, "logprobs": None}],
-            "usage": {"completion_tokens": used},
-        }, 200
+        choice = {"text": text, "finish_reason": finish, "logprobs": None}
+        choice.update(self.extra_choice)
+        return {"choices": [choice], "usage": {"completion_tokens": used}}, 200, {}
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, so the client's connection pool is exercised
+
     def do_POST(self):
+        state = self.server.state
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
-        body_dict, status = self.server.state.handle(payload)
+        with state.lock:
+            state.requests.append(payload)
+            state.headers.append(dict(self.headers))
+            state.clients.append(self.client_address)
+            state.in_flight += 1
+            state.peak_in_flight = max(state.peak_in_flight, state.in_flight)
+            fault = state.faults.pop(0) if state.faults else None
+        try:
+            time.sleep(state.stall_s)
+            body_dict, status, extra = state.handle(payload)
+            self._respond(status, body_dict, extra, fault, state.close_after_response)
+        finally:
+            with state.lock:
+                state.in_flight -= 1
+
+    def _respond(self, status, body_dict, extra, fault, close):
         body = json.dumps(body_dict).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if fault == "not-json":
+            body = b"<html>upstream busy</html>"
+        declared = len(body) + 10 if fault == "truncated" else len(body)
+        lines = [
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+            "Content-Type: application/json",
+            f"Content-Length: {declared}",
+        ]
+        lines += [f"{k}: {v}" for k, v in extra.items()]
+        # one write: separate header and body writes on a keep-alive socket
+        # meet Nagle's algorithm and delayed ACK
+        message = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+        if fault == "reset":
+            message = message[: len(message) - len(body) // 2]
+        elif fault == "drop":
+            message = b""
+        try:
+            self.wfile.write(message)
+        except OSError:
+            pass  # the client stopped waiting
+        if fault == "reset":
+            # abortive close: the peer sees RST, not FIN
+            self.connection.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            self.rfile.close()
+            self.connection.close()
+        # no "Connection: close" header, so the client cannot know
+        self.close_connection = close or fault in ("truncated", "reset", "drop")
 
     def log_message(self, *args):
         pass
@@ -101,12 +160,16 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.state = _StubState()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
     yield url, server.state
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def _config(url, **overrides):
@@ -203,6 +266,147 @@ class TestHttpBackend:
         scoring_request = state.requests[-1]
         assert scoring_request["prompt"] == "p<think>" + trace.text + "</think>\n"
         assert logits.true_logit == -0.2
+
+
+    @pytest.mark.parametrize(
+        "extra, terminated",
+        [
+            ({"stop_reason": None}, False),  # EOS with the think block still open
+            ({"stop_reason": "</think>"}, True),
+            ({"finish_reason": "length", "stop_reason": None}, False),
+        ],
+    )
+    def test_terminated_follows_stop_reason(self, stub_server, extra, terminated):
+        url, state = stub_server
+        state.extra_choice = extra
+        backend = HttpCompletionsBackend(_config(url))
+        trace = backend.generate("p<think>", SamplingParams(max_tokens=64))
+        assert trace.terminated is terminated
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:8000/v1/completions", "ftp://host/v1", "http:///v1", "http://host:port/v1"],
+    )
+    def test_endpoint_must_be_http_url(self, endpoint):
+        with pytest.raises(ValidationError, match="URL"):
+            HttpCompletionsBackend(_config(endpoint))
+
+
+class TestRetryPolicy:
+    def test_retry_after_zero_skips_backoff(self, stub_server):
+        url, state = stub_server
+        state.refuse = [(429, "0")]
+        backend = HttpCompletionsBackend(_config(url, backoff=5.0))
+        t0 = time.monotonic()
+        assert backend.score_decision("p").true_logit == -0.2
+        assert time.monotonic() - t0 < 2.0
+        assert len(state.requests) == 2
+
+    def test_retry_after_capped_at_timeout(self, stub_server):
+        url, state = stub_server
+        state.refuse = [(503, "3600")]
+        backend = HttpCompletionsBackend(_config(url, timeout=0.3))
+        t0 = time.monotonic()
+        backend.score_decision("p")
+        assert 0.3 <= time.monotonic() - t0 < 3.0
+        assert len(state.requests) == 2
+
+    @pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT"])
+    def test_without_delta_seconds_backoff_applies(self, stub_server, retry_after):
+        url, state = stub_server
+        state.refuse = [(503, retry_after)]
+        backend = HttpCompletionsBackend(_config(url, backoff=0.3))
+        t0 = time.monotonic()
+        backend.score_decision("p")
+        assert time.monotonic() - t0 >= 0.3
+        assert len(state.requests) == 2
+
+
+class TestTransport:
+    def test_keep_alive_connection_reused(self, stub_server):
+        url, state = stub_server
+        backend = HttpCompletionsBackend(_config(url))
+        for i in range(5):
+            backend.score_decision(f"p{i}")
+        backend.generate("p<think>", SamplingParams(max_tokens=64))
+        assert len(set(state.clients)) == 1
+        backend.close()
+        backend.score_decision("after close")
+        assert len(set(state.clients)) == 2
+
+    def test_dropped_idle_connection_costs_no_attempt(self, stub_server):
+        url, state = stub_server
+        state.close_after_response = True
+        backend = HttpCompletionsBackend(_config(url, max_attempts=1))
+        for i in range(5):
+            assert backend.score_decision(f"p{i}").true_logit == -0.2
+        assert len(state.requests) == 5
+
+    @pytest.mark.parametrize("fault", ["not-json", "truncated", "reset", "drop"])
+    def test_broken_response_retried(self, stub_server, fault):
+        url, state = stub_server
+        state.faults = [fault]
+        backend = HttpCompletionsBackend(_config(url, max_attempts=2))
+        assert backend.score_decision("p").true_logit == -0.2
+        assert len(state.requests) == 2
+
+    @pytest.mark.parametrize("fault", ["not-json", "truncated", "reset", "drop"])
+    def test_broken_response_exhausts_attempts(self, stub_server, fault):
+        url, state = stub_server
+        state.faults = [fault] * 3
+        backend = HttpCompletionsBackend(_config(url, max_attempts=3))
+        with pytest.raises(BackendError, match="after 3 attempts"):
+            backend.score_decision("p")
+        assert len(state.requests) == 3
+
+    def test_stall_past_timeout(self, stub_server):
+        url, state = stub_server
+        state.stall_s = 1.0
+        backend = HttpCompletionsBackend(_config(url, timeout=0.2, max_attempts=2))
+        with pytest.raises(BackendError, match="after 2 attempts"):
+            backend.score_decision("p")
+        assert len(state.requests) == 2
+
+    def test_pool_bounds_connections_and_in_flight(self, stub_server):
+        url, state = stub_server
+        state.stall_s = 0.005
+        backend = HttpCompletionsBackend(_config(url, max_in_flight=2))
+        prompts = [f"prompt {i}" for i in range(60)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(backend.score_decision, prompts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.true_logit == -0.2 for r in results)
+        assert sorted(r["prompt"] for r in state.requests) == sorted(prompts)
+        assert state.peak_in_flight == 2
+        assert len(set(state.clients)) == 2
+
+
+class TestEnvironmentContract:
+    def test_proxy_variables_ignored(self, stub_server, monkeypatch):
+        url, _ = stub_server
+        for name in ("HTTP_PROXY", "http_proxy", "HTTPS_PROXY", "https_proxy", "ALL_PROXY"):
+            monkeypatch.setenv(name, "http://127.0.0.1:9")
+        for name in ("NO_PROXY", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        backend = HttpCompletionsBackend(_config(url, max_attempts=1))
+        assert backend.score_decision("p").true_logit == -0.2
+
+    def test_auth_token_sent_as_bearer(self, stub_server):
+        url, state = stub_server
+        backend = HttpCompletionsBackend(_config(url, auth_token="s3cret"))
+        backend.score_decision("p")
+        backend.generate("p<think>", SamplingParams(max_tokens=64))
+        assert [h["Authorization"] for h in state.headers] == ["Bearer s3cret"] * 2
+        assert all(h["Content-Type"] == "application/json" for h in state.headers)
+
+    def test_no_auth_header_without_token(self, stub_server):
+        url, state = stub_server
+        HttpCompletionsBackend(_config(url)).score_decision("p")
+        assert "Authorization" not in state.headers[0]
 
 
 class TestCaptureReplay:
@@ -303,6 +507,14 @@ class TestConfigValidation:
     def test_in_flight_minimum(self):
         with pytest.raises(ValidationError):
             BackendConfig(endpoint="x", max_in_flight=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("backoff", -0.5)],
+    )
+    def test_timing_bounds(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            BackendConfig(endpoint="x", **{field: value})
 
     def test_sampling_bounds(self):
         with pytest.raises(ValidationError):
