@@ -1,16 +1,18 @@
 """Backends that turn prompts into decision-token logits and reasoning text.
 
-Two implementations share one contract:
+``CompletionsBackend`` holds the one protocol: it builds de-facto JSON text
+completions requests (vLLM-style servers) and reads per-token
+log-probabilities and reasoning text from the responses. Log-probabilities
+stand in for raw logits: a two-way softmax over logits equals renormalizing
+the two token probabilities, since the full-vocabulary softmax shift cancels
+in the ratio. A transport supplies only ``_complete(payload) -> body``:
 
-* ``HttpCompletionsBackend`` speaks the de-facto JSON-over-HTTP text
-  completions protocol (vLLM-style servers) and reads per-token
-  log-probabilities. Log-probabilities stand in for raw logits: a two-way
-  softmax over logits equals renormalizing the two token probabilities,
-  since the full-vocabulary softmax shift cancels in the ratio.
-* ``MockBackend`` is a deterministic in-process stand-in for tests and
-  offline runs: a pure function of (prompt, seed).
+* ``HttpCompletionsBackend`` sends the request to a server, and optionally
+  appends each request/response pair to a capture log.
+* ``ReplayBackend`` answers the request from such a capture log, offline.
 
-``ReplayBackend`` serves responses previously mirrored to a capture log.
+``MockBackend`` is a deterministic in-process stand-in for tests and
+offline runs: a pure function of (prompt, seed) that builds no requests.
 
 Clients are shareable across threads; the in-flight bound is enforced
 internally. Callers must not assume response ordering.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import queue
 import re
 import ssl
@@ -99,8 +102,10 @@ class SamplingParams:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValidationError(
+                f"temperature must be finite and >= 0, got {self.temperature}"
+            )
         if not 0.0 < self.top_p <= 1.0:
             raise ValidationError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens < 1:
@@ -113,162 +118,16 @@ class SamplingParams:
 
 
 class CompletionsBackend:
-    """Shared composition logic; subclasses provide the two primitives."""
+    """The completions protocol: request building and response reading.
+
+    Wire backends supply the transport as ``_complete(payload) -> body``.
+    """
 
     config: BackendConfig
 
-    def validate_decision_tokens(self) -> None:
-        raise NotImplementedError
-
-    def score_decision(self, prompt: str) -> DecisionLogits:
-        raise NotImplementedError
-
-    def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release held connections; a no-op for backends that hold none."""
-
-    def generate_then_score(
-        self, prompt: str, sampling: SamplingParams, answer_scaffold: str = "\n"
-    ) -> tuple[ReasoningTrace, DecisionLogits]:
-        """Generate a trace, then read decision logits after it.
-
-        The end-of-think marker is re-appended before scoring whether or not
-        the model emitted it, so a budget-exhausted trace still gets a score;
-        the logits position is always prompt + trace + marker + scaffold.
-        """
-        if not prompt:
-            raise ValidationError("prompt must be non-empty")
-        trace = self.generate(prompt, sampling)
-        extended = prompt + trace.text + sampling.stop + answer_scaffold
-        return trace, self.score_decision(extended)
-
-
-class _CaptureLog:
-    """Line-delimited request/response mirror for offline replay."""
-
-    def __init__(self, path: str):
-        self._path = path
-        self._lock = threading.Lock()
-
-    def record(self, request: dict, response: dict) -> None:
-        line = json.dumps({"request": request, "response": response}, sort_keys=True)
-        with self._lock:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-
-class HttpCompletionsBackend(CompletionsBackend):
-    """Client for an OpenAI-style ``/v1/completions`` endpoint with logprobs."""
-
-    def __init__(self, config: BackendConfig):
-        if not config.endpoint:
-            raise ValidationError("backend endpoint URL is required")
-        try:
-            url = urlsplit(config.endpoint)
-            port = url.port
-        except ValueError as exc:
-            raise ValidationError(f"malformed backend endpoint URL: {exc}") from None
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValidationError(
-                f"backend endpoint must be an http:// or https:// URL, got {config.endpoint!r}"
-            )
-        self.config = config
-        if url.scheme == "https":
-            self._connect = partial(
-                http.client.HTTPSConnection, url.hostname, port or 443,
-                timeout=config.timeout, context=ssl.create_default_context(),
-            )
-        else:
-            self._connect = partial(
-                http.client.HTTPConnection, url.hostname, port or 80, timeout=config.timeout
-            )
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._headers = {"Content-Type": "application/json"}
-        if config.auth_token:
-            self._headers["Authorization"] = f"Bearer {config.auth_token}"
-        # One entry per in-flight slot: an open connection, or None until one is needed.
-        self._pool: queue.LifoQueue = queue.LifoQueue()
-        for _ in range(config.max_in_flight):
-            self._pool.put(None)
-        self._capture = _CaptureLog(config.capture_path) if config.capture_path else None
-
-    def _post(self, payload: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
-        """One round trip on a pooled connection: (status, headers, raw body).
-
-        Blocks until a connection slot is free. A reused connection that
-        fails before the status line arrives was dropped by the server while
-        idle, so the request goes out once more on a new connection. A
-        connection that raised is closed and its slot left empty.
-        """
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        conn = self._pool.get()
-        try:
-            if conn is None:
-                conn = self._connect()
-            reused = conn.sock is not None
-            try:
-                conn.request("POST", self._target, body, self._headers)
-                resp = conn.getresponse()
-            except (BrokenPipeError, ConnectionResetError):  # incl. RemoteDisconnected
-                if not reused:
-                    raise
-                conn.close()
-                conn.request("POST", self._target, body, self._headers)
-                resp = conn.getresponse()
-            return resp.status, resp.headers, resp.read()
-        except BaseException:
-            if conn is not None:
-                conn.close()
-                conn = None
-            raise
-        finally:
-            self._pool.put(conn)
-
     def _complete(self, payload: dict) -> dict:
-        cfg = self.config
-        last_error: Exception | None = None
-        wait = 0.0
-        for attempt in range(cfg.max_attempts):
-            if attempt:
-                time.sleep(wait)
-            wait = cfg.backoff * (2 ** attempt)
-            try:
-                status, headers, raw = self._post(payload)
-                if status == 429 or status >= 500:
-                    retry_after = (headers.get("Retry-After") or "").strip()
-                    if status in (429, 503) and retry_after.isdecimal():
-                        wait = min(int(retry_after), cfg.timeout)
-                    last_error = BackendError(f"server returned {status}: {_excerpt(raw)}")
-                    continue
-                if status != 200:
-                    raise ProtocolError(f"server returned {status}: {_excerpt(raw)}")
-                body = json.loads(raw)
-            except (OSError, http.client.HTTPException, ValueError) as exc:
-                # socket errors and timeouts, malformed or cut-short responses,
-                # and bodies that are not JSON
-                last_error = exc
-                continue
-            if self._capture:
-                self._capture.record(payload, body)
-            return body
-        raise BackendError(
-            f"request failed after {cfg.max_attempts} attempts: {last_error}"
-        ) from last_error
-
-    def close(self) -> None:
-        """Close the idle pooled connections; later requests open new ones."""
-        idle = []
-        while True:
-            try:
-                idle.append(self._pool.get_nowait())
-            except queue.Empty:
-                break
-        for conn in idle:
-            if conn is not None:
-                conn.close()
-            self._pool.put(None)
+        """Answer one completions request with its JSON response body."""
+        raise NotImplementedError
 
     def _base_payload(self, prompt: str) -> dict:
         return {"model": self.config.model, "prompt": prompt, "echo": False}
@@ -347,6 +206,138 @@ class HttpCompletionsBackend(CompletionsBackend):
             token_count = len(_pieces(text))
         return ReasoningTrace(text=text, terminated=terminated, token_count=int(token_count))
 
+    def close(self) -> None:
+        """Release held connections; a no-op for backends that hold none."""
+
+    def generate_then_score(
+        self, prompt: str, sampling: SamplingParams, answer_scaffold: str = "\n"
+    ) -> tuple[ReasoningTrace, DecisionLogits]:
+        """Generate a trace, then read decision logits after it.
+
+        The end-of-think marker is re-appended before scoring whether or not
+        the model emitted it, so a budget-exhausted trace still gets a score;
+        the logits position is always prompt + trace + marker + scaffold.
+        """
+        if not prompt:
+            raise ValidationError("prompt must be non-empty")
+        trace = self.generate(prompt, sampling)
+        extended = prompt + trace.text + sampling.stop + answer_scaffold
+        return trace, self.score_decision(extended)
+
+
+class HttpCompletionsBackend(CompletionsBackend):
+    """Client for an OpenAI-style ``/v1/completions`` endpoint with logprobs."""
+
+    def __init__(self, config: BackendConfig):
+        if not config.endpoint:
+            raise ValidationError("backend endpoint URL is required")
+        try:
+            url = urlsplit(config.endpoint)
+            port = url.port
+        except ValueError as exc:
+            raise ValidationError(f"malformed backend endpoint URL: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValidationError(
+                f"backend endpoint must be an http:// or https:// URL, got {config.endpoint!r}"
+            )
+        self.config = config
+        if url.scheme == "https":
+            self._connect = partial(
+                http.client.HTTPSConnection, url.hostname, port or 443,
+                timeout=config.timeout, context=ssl.create_default_context(),
+            )
+        else:
+            self._connect = partial(
+                http.client.HTTPConnection, url.hostname, port or 80, timeout=config.timeout
+            )
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if config.auth_token:
+            self._headers["Authorization"] = f"Bearer {config.auth_token}"
+        # One entry per in-flight slot: an open connection, or None until one is needed.
+        self._pool: queue.LifoQueue = queue.LifoQueue()
+        for _ in range(config.max_in_flight):
+            self._pool.put(None)
+        self._capture_lock = threading.Lock()
+
+    def _post(self, payload: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One round trip on a pooled connection: (status, headers, raw body).
+
+        Blocks until a connection slot is free. A reused connection that
+        fails before the status line arrives was dropped by the server while
+        idle, so the request goes out once more on a new connection. A
+        connection that raised is closed and its slot left empty.
+        """
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        conn = self._pool.get()
+        try:
+            if conn is None:
+                conn = self._connect()
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):  # incl. RemoteDisconnected
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self._target, body, self._headers)
+                resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except BaseException:
+            if conn is not None:
+                conn.close()
+                conn = None
+            raise
+        finally:
+            self._pool.put(conn)
+
+    def _complete(self, payload: dict) -> dict:
+        cfg = self.config
+        last_error: Exception | None = None
+        wait = 0.0
+        for attempt in range(cfg.max_attempts):
+            if attempt:
+                time.sleep(wait)
+            wait = cfg.backoff * (2 ** attempt)
+            try:
+                status, headers, raw = self._post(payload)
+                if status == 429 or status >= 500:
+                    retry_after = (headers.get("Retry-After") or "").strip()
+                    if status in (429, 503) and retry_after.isdecimal():
+                        wait = min(int(retry_after), cfg.timeout)
+                    last_error = BackendError(f"server returned {status}: {_excerpt(raw)}")
+                    continue
+                if status != 200:
+                    raise ProtocolError(f"server returned {status}: {_excerpt(raw)}")
+                body = json.loads(raw)
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                # socket errors and timeouts, malformed or cut-short responses,
+                # and bodies that are not JSON
+                last_error = exc
+                continue
+            if cfg.capture_path:  # mirror for offline replay, one JSON line per request
+                line = json.dumps({"request": payload, "response": body}, sort_keys=True)
+                with self._capture_lock, open(cfg.capture_path, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
+            return body
+        raise BackendError(
+            f"request failed after {cfg.max_attempts} attempts: {last_error}"
+        ) from last_error
+
+    def close(self) -> None:
+        """Close the idle pooled connections; later requests open new ones."""
+        idle = []
+        while True:
+            try:
+                idle.append(self._pool.get_nowait())
+            except queue.Empty:
+                break
+        for conn in idle:
+            if conn is not None:
+                conn.close()
+            self._pool.put(None)
+
 
 def _excerpt(raw: bytes) -> str:
     return raw.decode("utf-8", "replace")[:200]
@@ -405,7 +396,7 @@ class MockBackend(CompletionsBackend):
         self._lock = threading.Lock()
         self.score_calls = 0
         self.generate_calls = 0
-        self.scored_prompts: list[str] = []
+        self.scored_prompts: list[str] = []  # always empty; kept only for bench/tracer.py
 
     def validate_decision_tokens(self) -> None:
         for token in self.config.decision_tokens:
@@ -424,7 +415,6 @@ class MockBackend(CompletionsBackend):
         true_logit, false_logit = self._score_fn(prompt)
         with self._lock:
             self.score_calls += 1
-            self.scored_prompts.append(prompt)
         return DecisionLogits(true_logit, false_logit)
 
     def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
@@ -507,11 +497,10 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
     )
 
 
-class ReplayBackend(HttpCompletionsBackend):
+class ReplayBackend(CompletionsBackend):
     """Serves responses recorded in a capture log instead of going on the wire."""
 
     def __init__(self, capture_path: str, config: BackendConfig | None = None):
-        # Shares request building and response reading, not the transport.
         self.config = config or BackendConfig(endpoint="replay:", model="replay")
         self._responses: dict[str, dict] = {}
         with open(capture_path, encoding="utf-8") as fh:
@@ -530,6 +519,3 @@ class ReplayBackend(HttpCompletionsBackend):
             raise BackendError(
                 "no recorded response for this request; re-record the capture log"
             ) from None
-
-    def close(self) -> None:
-        """Nothing to release: replay opens no connection."""

@@ -31,7 +31,7 @@ from .backend import (
     SamplingParams,
     load_mock_table,
 )
-from .types import Candidate, RunEntry, ValidationError, validate_candidate_list
+from .types import Candidate, RunEntry, ValidationError
 
 ENV_TOKEN = "RERANKLAB_API_TOKEN"
 
@@ -257,7 +257,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     candidates = [
         Candidate(e.query_id, e.passage_id, e.score, e.rank) for e in run_entries
     ]
-    validate_candidate_list(candidates)
 
     kind = StrategyKind(config.strategy)
     samples = config.samples if kind is StrategyKind.SELF_CONSISTENCY else 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -149,8 +150,9 @@ def write_qrels(path: str, judgments: JudgmentMap) -> None:
 def read_run(path: str) -> list[RunEntry]:
     """Read a six-column run file, restoring per-query rank order.
 
-    Scores that are not non-increasing with rank get a warning and the
-    query is re-ranked by score (descending, stable) on the way in.
+    Every score must be a finite number. Scores that are not non-increasing
+    with rank get a warning and the query is re-ranked by score (descending,
+    stable) on the way in.
     """
     parsed: dict[str, list[RunEntry]] = {}
     seen: dict[tuple[str, str], int] = {}
@@ -181,9 +183,11 @@ def read_run(path: str) -> list[RunEntry]:
             try:
                 score = float(score_text)
             except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
                 raise ValidationError(
-                    f"{path}:{line_no}: score must be a number, got {score_text!r}"
-                ) from None
+                    f"{path}:{line_no}: score must be a finite number, got {score_text!r}"
+                )
             try:
                 entry = RunEntry(qid, pid, rank, score, tag)
             except ValidationError as exc:

@@ -62,10 +62,6 @@ class RerankStrategy:
             )
 
 
-class PairScoringError(BackendError):
-    """A backend failure annotated with the pair it belongs to."""
-
-
 def relevance_from_logits(logits: DecisionLogits) -> float:
     """Two-way softmax probability of the 'true' decision token.
 
@@ -300,7 +296,7 @@ def score_candidates(
         except BackendError as exc:
             if allow_partial:
                 return PairFailure(c.query_id, c.passage_id, str(exc))
-            raise PairScoringError(
+            raise BackendError(
                 f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}"
             ) from exc
 

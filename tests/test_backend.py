@@ -1,9 +1,11 @@
 import json
+import math
 import socket
 import struct
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,6 +22,7 @@ from reranklab import (
     SamplingParams,
     ValidationError,
 )
+from reranklab.backend import CompletionsBackend
 
 # ---------------------------------------------------------------------------
 # stub completions server
@@ -433,6 +436,82 @@ class TestCaptureReplay:
             replay.score_decision("never recorded")
 
 
+class TestProtocolLayering:
+    """One protocol in ``CompletionsBackend``; HTTP and replay are transports."""
+
+    @staticmethod
+    def _calls(backend):
+        sampling = SamplingParams(max_tokens=64, seed=3)
+        return (
+            backend.validate_decision_tokens(),
+            backend.score_decision("layered prompt"),
+            backend.generate("layered<think>", sampling),
+            backend.generate_then_score("layered<think>", sampling, "\n"),
+            backend.generate("budget<think>", SamplingParams(max_tokens=2)),
+        )
+
+    def test_replay_answers_as_the_live_backend_did(self, stub_server, tmp_path):
+        url, state = stub_server
+        capture = tmp_path / "capture.jsonl"
+        live = _config(url, capture_path=str(capture))
+        live_backend = HttpCompletionsBackend(live)
+        want = self._calls(live_backend)
+        live_backend.close()
+        assert len(capture.read_text().splitlines()) == len(state.requests) == 7
+        replay = ReplayBackend(str(capture), config=live)
+        assert self._calls(replay) == want
+        assert len(state.requests) == 7  # replay never went on the wire
+
+    def test_replay_raises_the_live_protocol_error(self, stub_server, tmp_path):
+        url, _ = stub_server
+        capture = tmp_path / "capture.jsonl"
+        cfg = _config(url, capture_path=str(capture), decision_tokens=("relevant", "false"))
+        live = HttpCompletionsBackend(cfg)
+        with pytest.raises(ProtocolError) as live_error:
+            live.validate_decision_tokens()
+        live.close()
+        with pytest.raises(ProtocolError) as replay_error:
+            ReplayBackend(str(capture), config=cfg).validate_decision_tokens()
+        assert str(replay_error.value) == str(live_error.value)
+
+    def test_replay_needs_no_endpoint_and_close_is_a_no_op(self, stub_server, tmp_path):
+        url, _ = stub_server
+        capture = tmp_path / "capture.jsonl"
+        live = HttpCompletionsBackend(_config(url, model="replay", capture_path=str(capture)))
+        live.score_decision("p")
+        live.close()
+        replay = ReplayBackend(str(capture))
+        assert replay.config.endpoint == "replay:"
+        assert isinstance(replay, CompletionsBackend)
+        assert not isinstance(replay, HttpCompletionsBackend)
+        want = replay.score_decision("p")
+        assert replay.close() is None
+        assert replay.score_decision("p") == want
+
+    def test_retried_request_leaves_one_capture_line(self, stub_server, tmp_path):
+        url, state = stub_server
+        state.refuse = [(503, "0")]
+        capture = tmp_path / "capture.jsonl"
+        backend = HttpCompletionsBackend(_config(url, capture_path=str(capture)))
+        backend.score_decision("retried")
+        backend.close()
+        assert len(state.requests) == 2
+        (line,) = capture.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(line)
+        assert record["request"] == state.requests[-1]
+        assert line == json.dumps(record, sort_keys=True) + "\n"
+
+    def test_failed_request_leaves_no_capture_line(self, stub_server, tmp_path):
+        url, state = stub_server
+        state.fail_next = 2
+        capture = tmp_path / "capture.jsonl"
+        backend = HttpCompletionsBackend(_config(url, max_attempts=2, capture_path=str(capture)))
+        with pytest.raises(BackendError):
+            backend.score_decision("p")
+        backend.close()
+        assert not capture.exists()
+
+
 # ---------------------------------------------------------------------------
 # mock backend
 # ---------------------------------------------------------------------------
@@ -498,6 +577,19 @@ class TestMockBackend:
         with pytest.raises(ValidationError):
             MockBackend().score_decision("")
 
+    def test_scored_prompts_are_not_retained(self):
+        mock = MockBackend()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(2000):
+                mock.score_decision(f"{i:08d}" + "x" * 2040)  # a distinct 2 KB prompt
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert mock.score_calls == 2000
+        assert retained < 1_000_000
+
 
 class TestConfigValidation:
     def test_decision_tokens_distinct(self):
@@ -515,6 +607,11 @@ class TestConfigValidation:
     def test_timing_bounds(self, field, value):
         with pytest.raises(ValidationError, match=field):
             BackendConfig(endpoint="x", **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_temperature_must_be_finite(self, value):
+        with pytest.raises(ValidationError, match="temperature"):
+            SamplingParams(temperature=value)
 
     def test_sampling_bounds(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +226,22 @@ class TestRerankCommand:
             r[2] == victim_pid and float(r[4]) < 0 for r in rows
         )
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_temperature_is_data_error(self, workspace, tmp_path, capsys, value):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        out = tmp_path / "hot"
+        code = self._rerank(workspace, out, run_path, "reason", ["--temperature", value])
+        assert code == 2
+        assert "temperature" in capsys.readouterr().err
+        assert not (out / "reason.run").exists()
+
+    def test_non_finite_first_stage_score_is_data_error(self, workspace, tmp_path, capsys):
+        run_path = tmp_path / "bad.run"
+        run_path.write_text("q1 Q0 p1 1 nan t\nq1 Q0 p2 2 inf t\n")
+        code = self._rerank(workspace, tmp_path / "out", run_path, "direct")
+        assert code == 2
+        assert f"{run_path}:1: score must be a finite number" in capsys.readouterr().err
+
     def test_config_file_with_cli_override(self, workspace, tmp_path):
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
         config = {
@@ -350,6 +370,36 @@ class TestEvalAnalyze:
         assert "reasoning" in stdout
         assert "relevance  :" in stdout
         assert "Okay, sample" in stdout  # the mock's reasoning text
+
+
+class TestDependencies:
+    def test_offline_rerank_runs_without_requests(self, workspace, tmp_path):
+        """The package has no runtime dependencies: ``requests`` must not be needed."""
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        out = tmp_path / "offline"
+        argv = [
+            "rerank",
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--queries", str(workspace / "queries.jsonl"),
+            "--run-in", str(run_path),
+            "--strategy", "reason",
+            "--backend", f"mock:{workspace / 'mock.json'}",
+            "--out-dir", str(out),
+        ]
+        script = (
+            "import sys\n"
+            "sys.modules['requests'] = None  # any import of it now raises ImportError\n"
+            "import reranklab\n"
+            "from reranklab.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "reason.run").exists()
 
 
 class TestHelp:

@@ -139,6 +139,13 @@ class TestRunFiles:
         with pytest.raises(ValidationError, match="duplicate"):
             read_run(str(path))
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "1e999", "0.5x"])
+    def test_score_must_be_finite_number(self, tmp_path, score):
+        path = tmp_path / "x.run"
+        path.write_text(f"q1 Q0 p1 1 9.0 t\nq1 Q0 p2 2 {score} t\n")
+        with pytest.raises(ValidationError, match=r"x\.run:2: score must be a finite number"):
+            read_run(str(path))
+
     def test_non_monotonic_scores_reordered_with_warning(self, tmp_path, caplog):
         path = tmp_path / "a.run"
         path.write_text("q1 Q0 low 1 0.100000 t\nq1 Q0 high 2 0.900000 t\n")

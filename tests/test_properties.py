@@ -31,6 +31,7 @@ from reranklab import (
 )
 from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
 from reranklab.porter import porter_stem
+from reranklab.types import ValidationError, validate_run
 
 ids = st.text(min_size=1, max_size=8)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -220,6 +221,43 @@ def test_run_file_roundtrip_is_exact(entries):
         path = os.path.join(tmp, "x.run")
         write_run(path, entries)
         assert read_run(path) == entries
+
+
+score_texts = st.one_of(
+    six_decimals.map(str),
+    st.floats().map(repr),  # includes nan, inf and -inf
+    st.sampled_from(["NaN", "-inf", "1e999", "-0"]),
+)
+
+
+@st.composite
+def run_files(draw):
+    """Run-file lines: mostly contiguous ranks per query, any score text, any order."""
+    lines = []
+    for qid in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True)):
+        pids = draw(st.lists(st.sampled_from("wxyz"), min_size=1, max_size=4, unique=True))
+        n = len(pids)
+        ranks = draw(st.one_of(
+            st.permutations(range(1, n + 1)), st.lists(st.integers(0, 5), min_size=n, max_size=n)
+        ))
+        lines += [f"{qid} Q0 {pid} {rank} {draw(score_texts)} t\n"
+                  for pid, rank in zip(pids, ranks)]
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=run_files())
+def test_read_run_accepts_only_ranked_lists_with_finite_scores(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.run")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        try:
+            entries = read_run(path)
+        except ValidationError:
+            return
+    assert all(math.isfinite(e.score) for e in entries)
+    validate_run(entries)
 
 
 @settings(max_examples=150, deadline=None)

@@ -402,6 +402,24 @@ class TestScoreCandidates:
                 queries, corpus, cands, SamplingParams(),
             )
 
+    def test_fail_fast_error_is_plain_backend_error_with_cause(self):
+        corpus, queries, cands = self._fixture()
+        cause = BackendError("down")
+
+        def score_fn(prompt):
+            if "text two" in prompt:
+                raise cause
+            return (0.0, 0.0)
+
+        with pytest.raises(BackendError) as info:
+            score_candidates(
+                MockBackend(score_fn=score_fn), DEFAULT_TEMPLATE,
+                RerankStrategy(StrategyKind.DIRECT), queries, corpus, cands, SamplingParams(),
+            )
+        assert type(info.value) is BackendError
+        assert str(info.value) == "scoring failed for ('q1', 'p2'): down"
+        assert info.value.__cause__ is cause
+
     def test_allow_partial_records_failures(self):
         corpus, queries, cands = self._fixture()
 
