@@ -50,7 +50,7 @@ print("single-doc score:", bm25_score(tiny, Query("q", "a"), 0),
 query = Query("q1", "how to treat a jammed finger")
 print(f"\ntop candidates for: {query.text!r}")
 for c in retrieve_top_k(index, query, k=3):
-    print(f"  rank {c.first_stage_rank}  {c.passage_id}  score {c.first_stage_score:.4f}")
+    print(f"  rank {c.rank}  {c.passage_id}  score {c.score:.4f}")
 
 # --- persistence: reload must reproduce identical scores ------------------
 with tempfile.TemporaryDirectory() as tmp:

@@ -10,7 +10,7 @@ Run:  python demos/03_evaluation_and_analysis.py
 import math
 
 from reranklab import (
-    Candidate,
+    RunEntry,
     ScoredPair,
     bin_scores,
     classify,
@@ -31,9 +31,7 @@ def sigmoid(d):
 # first-stage order, seven grade-0 passages above them
 grades = {f"p{i}": g for i, g in enumerate([0] * 7 + [1, 2, 3])}
 qrels = {"q1": grades}
-candidates = [
-    Candidate("q1", f"p{i}", float(10 - i), i + 1) for i in range(10)
-]
+candidates = [RunEntry("q1", f"p{i}", i + 1, float(10 - i)) for i in range(10)]
 
 graded_scores = [  # monotone in grade: partial relevance preserved
     ScoredPair("q1", pid, sigmoid(logit({0: 0.05, 1: 0.35, 2: 0.55, 3: 0.75}[g])))

@@ -73,8 +73,8 @@ class BackendConfig:
             raise ValidationError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.max_attempts < 1:
             raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not self.timeout > 0:
-            raise ValidationError(f"timeout must be > 0 seconds, got {self.timeout}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValidationError(f"timeout must be finite and > 0 seconds, got {self.timeout}")
         if not self.backoff >= 0:
             raise ValidationError(f"backoff must be >= 0 seconds, got {self.backoff}")
         true_tok, false_tok = self.decision_tokens

@@ -32,7 +32,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .porter import porter_stem
-from .types import Candidate, Corpus, Query, ValidationError
+from .types import Corpus, Query, RunEntry, ValidationError
 
 INDEX_FORMAT = "reranklab-bm25-index"
 INDEX_VERSION = 1
@@ -182,8 +182,8 @@ def bm25_score(index: InvertedIndex, query: Query, ordinal: int) -> float:
     return score
 
 
-def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[Candidate]:
-    """Exact top-k candidates, scores descending, ties by ascending id.
+def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[RunEntry]:
+    """Exact top-k candidates as untagged rows, scores descending, ties by ascending id.
 
     Only documents matching at least one query term are candidates, so fewer
     than k results may come back. Every match is scored; only those scoring
@@ -213,12 +213,7 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[Candidate
         matches = [(ordinal, score) for ordinal, score in matches if score >= kth]
     ranked = sorted(matches, key=lambda item: (-item[1], index.doc_ids[item[0]]))
     return [
-        Candidate(
-            query_id=query.id,
-            passage_id=index.doc_ids[ordinal],
-            first_stage_score=score,
-            first_stage_rank=rank,
-        )
+        RunEntry(query.id, index.doc_ids[ordinal], rank, score)
         for rank, (ordinal, score) in enumerate(ranked[:k], start=1)
     ]
 

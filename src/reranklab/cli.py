@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from .backend import (
     SamplingParams,
     load_mock_table,
 )
-from .types import Candidate, RunEntry, ValidationError
+from .types import ValidationError
 
 ENV_TOKEN = "RERANKLAB_API_TOKEN"
 
@@ -194,13 +195,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     queries = data.load_queries(str(data.require_path(config.queries, "queries")))
     k = config.k if config.k is not None else 100
     tag = config.tag or "bm25"
-    entries = []
-    for query in queries:
-        for c in bm25.retrieve_top_k(index, query, k):
-            entries.append(
-                RunEntry(c.query_id, c.passage_id, c.first_stage_rank,
-                         c.first_stage_score, tag)
-            )
+    entries = [
+        replace(c, tag=tag) for query in queries for c in bm25.retrieve_top_k(index, query, k)
+    ]
     out = _run_dir(config, tag)
     run_path = out / f"{tag}.run"
     data.write_run(str(run_path), entries)
@@ -253,10 +250,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     corpus = data.load_corpus(str(data.require_path(config.corpus, "corpus")))
     queries = data.load_queries(str(data.require_path(config.queries, "queries")))
-    run_entries = data.read_run(str(data.require_path(config.run_in, "first-stage run")))
-    candidates = [
-        Candidate(e.query_id, e.passage_id, e.score, e.rank) for e in run_entries
-    ]
+    candidates = data.read_run(str(data.require_path(config.run_in, "first-stage run")))
 
     kind = StrategyKind(config.strategy)
     samples = config.samples if kind is StrategyKind.SELF_CONSISTENCY else 1

@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -183,11 +182,9 @@ def read_run(path: str) -> list[RunEntry]:
             try:
                 score = float(score_text)
             except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
                 raise ValidationError(
                     f"{path}:{line_no}: score must be a finite number, got {score_text!r}"
-                )
+                ) from None
             try:
                 entry = RunEntry(qid, pid, rank, score, tag)
             except ValidationError as exc:
@@ -218,7 +215,15 @@ def read_run(path: str) -> list[RunEntry]:
 
 
 def write_run(path: str, entries: Sequence[RunEntry]) -> None:
+    """Write a six-column run file, refusing rows that would not read back."""
     validate_run(entries)
+    for e in entries:
+        for name, value in (("query id", e.query_id), ("passage id", e.passage_id), ("tag", e.tag)):
+            if value.split() != [value]:  # empty, or split into several fields
+                raise ValidationError(
+                    f"{name} must be non-empty without whitespace in a run file, "
+                    f"got {value!r} for ({e.query_id!r}, {e.passage_id!r})"
+                )
     with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score:.6f} {e.tag}\n")

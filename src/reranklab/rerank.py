@@ -28,7 +28,6 @@ from typing import Iterable, Mapping, Sequence
 from .backend import BackendError, CompletionsBackend, SamplingParams
 from .prompts import PromptMode, PromptTemplate, assemble_prompt
 from .types import (
-    Candidate,
     Corpus,
     DecisionLogits,
     Passage,
@@ -206,7 +205,7 @@ def score_self_consistency(
 
 
 def rerank(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[RunEntry],
     scores: Iterable[ScoredPair],
     tag: str,
     failed: frozenset[tuple[str, str]] = frozenset(),
@@ -226,14 +225,14 @@ def rerank(
             raise ValidationError(f"duplicate score for pair {key}")
         by_pair[key] = s
 
-    by_query: dict[str, list[Candidate]] = {}
+    by_query: dict[str, list[RunEntry]] = {}
     for c in candidates:
         by_query.setdefault(c.query_id, []).append(c)
 
     entries: list[RunEntry] = []
     for qid in sorted(by_query):
-        scored: list[tuple[float, Candidate]] = []
-        fallback: list[Candidate] = []
+        scored: list[tuple[float, RunEntry]] = []
+        fallback: list[RunEntry] = []
         for c in by_query[qid]:
             key = (c.query_id, c.passage_id)
             if key in failed:
@@ -242,15 +241,15 @@ def rerank(
             if key not in by_pair:
                 raise ValidationError(f"candidate {key} has no score")
             scored.append((by_pair[key].score, c))
-        scored.sort(key=lambda item: (-item[0], item[1].first_stage_rank, item[1].passage_id))
-        fallback.sort(key=lambda c: c.first_stage_rank)
+        scored.sort(key=lambda item: (-item[0], item[1].rank, item[1].passage_id))
+        fallback.sort(key=lambda c: c.rank)
         rank = 0
         for score, c in scored:
             rank += 1
             entries.append(RunEntry(qid, c.passage_id, rank, score, tag))
         for c in fallback:
             rank += 1
-            entries.append(RunEntry(qid, c.passage_id, rank, -float(c.first_stage_rank), tag))
+            entries.append(RunEntry(qid, c.passage_id, rank, -float(c.rank), tag))
     return entries
 
 
@@ -267,7 +266,7 @@ def score_candidates(
     strategy: RerankStrategy,
     queries: Mapping[str, Query],
     corpus: Corpus,
-    candidates: Sequence[Candidate],
+    candidates: Sequence[RunEntry],
     sampling: SamplingParams,
     base_seed: int = 0,
     concurrency: int = 1,
@@ -287,7 +286,7 @@ def score_candidates(
         if c.passage_id not in corpus:
             raise ValidationError(f"candidate references unknown passage id {c.passage_id!r}")
 
-    def attempt(c: Candidate) -> ScoredPair | PairFailure:
+    def attempt(c: RunEntry) -> ScoredPair | PairFailure:
         query, passage = queries[c.query_id], corpus.passage(c.passage_id)
         try:
             return score_pair(

@@ -3,7 +3,8 @@
 Everything here is immutable after construction and safe to share across
 threads. Ids are opaque strings; no numeric parsing is ever applied to them.
 Relevance scores are plain floats in [0, 1], validated where they are
-constructed.
+constructed. ``RunEntry`` is the one ranked-row type: a first-stage candidate
+list and a reranked run are both lists of it.
 """
 
 from __future__ import annotations
@@ -72,45 +73,6 @@ class Corpus:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """One first-stage retrieval result for a query."""
-
-    query_id: str
-    passage_id: str
-    first_stage_score: float
-    first_stage_rank: int
-
-    def __post_init__(self) -> None:
-        if self.first_stage_rank < 1:
-            raise ValidationError(
-                f"rank must be >= 1, got {self.first_stage_rank} "
-                f"for ({self.query_id!r}, {self.passage_id!r})"
-            )
-
-
-def _check_ranked(rows: Sequence[tuple[str, int, float]]) -> None:
-    """The one ranked-list invariant, over (query_id, rank, score) rows."""
-    by_query: dict[str, list[tuple[int, float]]] = {}
-    for qid, rank, score in rows:
-        by_query.setdefault(qid, []).append((rank, score))
-    for qid, group in by_query.items():
-        group.sort()  # by rank; a tie on rank fails the contiguity check below
-        ranks = [rank for rank, _ in group]
-        if ranks != list(range(1, len(group) + 1)):
-            raise ValidationError(f"query {qid!r}: ranks are not contiguous 1..k: {ranks}")
-        for (rank, score), (next_rank, next_score) in zip(group, group[1:]):
-            if next_score > score:
-                raise ValidationError(
-                    f"query {qid!r}: score increases from rank {rank} to {next_rank}"
-                )
-
-
-def validate_candidate_list(candidates: Sequence[Candidate]) -> None:
-    """Within each query: ranks 1..k without gaps, scores non-increasing with rank."""
-    _check_ranked([(c.query_id, c.first_stage_rank, c.first_stage_score) for c in candidates])
-
-
-@dataclass(frozen=True)
 class DecisionLogits:
     """Log-scale model scores for the two decision tokens at one position."""
 
@@ -157,22 +119,59 @@ JudgmentMap = dict[str, dict[str, int]]
 
 @dataclass(frozen=True)
 class RunEntry:
-    """One row of a ranked retrieval run."""
+    """One row of a ranked list: a first-stage candidate or a reranked run row.
+
+    A first-stage row has no tag until a run names it.
+    """
 
     query_id: str
     passage_id: str
     rank: int
     score: float
-    tag: str
+    tag: str = ""
 
     def __post_init__(self) -> None:
         if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
+            raise ValidationError(
+                f"rank must be >= 1, got {self.rank} "
+                f"for ({self.query_id!r}, {self.passage_id!r})"
+            )
+        if not math.isfinite(self.score):
+            raise ValidationError(
+                f"score must be a finite number, got {self.score} "
+                f"for ({self.query_id!r}, {self.passage_id!r})"
+            )
+
+    # the old Candidate field names, kept while bench/ and acceptance read them
+    first_stage_rank = property(lambda self: self.rank)
+    first_stage_score = property(lambda self: self.score)
 
 
 def validate_run(entries: Sequence[RunEntry]) -> None:
     """Within each query: ranks 1..k without gaps, scores non-increasing with rank."""
-    _check_ranked([(e.query_id, e.rank, e.score) for e in entries])
+    by_query: dict[str, list[tuple[int, float]]] = {}
+    for e in entries:
+        by_query.setdefault(e.query_id, []).append((e.rank, e.score))
+    for qid, group in by_query.items():
+        group.sort()  # by rank; a tie on rank fails the contiguity check below
+        ranks = [rank for rank, _ in group]
+        if ranks != list(range(1, len(group) + 1)):
+            raise ValidationError(f"query {qid!r}: ranks are not contiguous 1..k: {ranks}")
+        for (rank, score), (next_rank, next_score) in zip(group, group[1:]):
+            if next_score > score:
+                raise ValidationError(
+                    f"query {qid!r}: score increases from rank {rank} to {next_rank}"
+                )
+
+
+# the old first-stage validator, kept while bench/ calls it
+validate_candidate_list = validate_run
+
+
+# the old Candidate constructor and argument order, kept while bench/ and acceptance call it
+def Candidate(query_id: str, passage_id: str, first_stage_score: float,
+              first_stage_rank: int) -> RunEntry:
+    return RunEntry(query_id, passage_id, first_stage_rank, first_stage_score)
 
 
 @dataclass(frozen=True)

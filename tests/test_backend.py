@@ -602,7 +602,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("backoff", -0.5)],
+        [("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("timeout", math.inf),
+         ("backoff", -0.5)],
     )
     def test_timing_bounds(self, field, value):
         with pytest.raises(ValidationError, match=field):

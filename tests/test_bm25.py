@@ -170,14 +170,14 @@ class TestRetrieve:
         index = build_index(tiny_corpus, CFG, PARAMS)
         hits = retrieve_top_k(index, Query("q", "cat"), 100)
         assert 0 < len(hits) < 100
-        assert [c.first_stage_rank for c in hits] == list(range(1, len(hits) + 1))
+        assert [c.rank for c in hits] == list(range(1, len(hits) + 1))
 
     def test_tie_broken_by_ascending_id(self):
         corpus = Corpus((Passage("zz", "cat"), Passage("aa", "cat")))
         index = build_index(corpus, CFG, PARAMS)
         hits = retrieve_top_k(index, Query("q", "cat"), 2)
         assert [c.passage_id for c in hits] == ["aa", "zz"]
-        assert hits[0].first_stage_score == hits[1].first_stage_score
+        assert hits[0].score == hits[1].score
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_ties_cut_at_k_by_ascending_id(self, k):
@@ -185,13 +185,13 @@ class TestRetrieve:
         corpus = Corpus(tuple(Passage(i, "cat") for i in ids) + (Passage("x", "dog"),))
         hits = retrieve_top_k(build_index(corpus, CFG, PARAMS), Query("q", "cat"), k)
         assert [c.passage_id for c in hits] == sorted(ids)[:k]
-        assert len({c.first_stage_score for c in hits}) == 1
+        assert len({c.score for c in hits}) == 1
 
     @pytest.mark.parametrize("text", ["cat cat", "cat dog cat"])
     def test_repeated_query_token_sums_in_query_order(self, tiny_corpus, text):
         index = build_index(tiny_corpus, CFG, PARAMS)
         hits = retrieve_top_k(index, Query("q", text), 10)
-        by_id = {c.passage_id: c.first_stage_score for c in hits}
+        by_id = {c.passage_id: c.score for c in hits}
         assert all(score > 0.0 for score in by_id.values())
         for ordinal, doc_id in enumerate(index.doc_ids):
             expected = 0.0
@@ -226,7 +226,7 @@ class TestRetrieve:
             )
             oracle = [(s, d) for s, d in oracle if s > 0.0]
             got = retrieve_top_k(index, q, len(oracle) + 5)
-            assert [(c.first_stage_score, c.passage_id) for c in got] == oracle
+            assert [(c.score, c.passage_id) for c in got] == oracle
 
     def test_deterministic_across_runs(self, tiny_corpus):
         q = Query("q", "the cat dog")

@@ -97,6 +97,20 @@ class TestIndexRetrieve:
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
 
+    def test_tag_with_whitespace_is_data_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "index", "--corpus", str(workspace / "corpus.jsonl"), "--out-dir", str(out),
+        ]) == 0
+        code = main([
+            "retrieve", "--index", str(out / "bm25_index.json"),
+            "--queries", str(workspace / "queries.jsonl"), "--tag", "my tag",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "'my tag'" in capsys.readouterr().err
+        assert not (out / "my tag.run").exists()
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main([
             "index", "--corpus", str(tmp_path / "ghost.jsonl"),
@@ -234,6 +248,14 @@ class TestRerankCommand:
         assert code == 2
         assert "temperature" in capsys.readouterr().err
         assert not (out / "reason.run").exists()
+
+    def test_infinite_timeout_is_data_error(self, workspace, tmp_path, capsys):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        out = tmp_path / "slow"
+        code = self._rerank(workspace, out, run_path, "direct", ["--timeout", "inf"])
+        assert code == 2
+        assert "timeout" in capsys.readouterr().err
+        assert not (out / "direct.run").exists()
 
     def test_non_finite_first_stage_score_is_data_error(self, workspace, tmp_path, capsys):
         run_path = tmp_path / "bad.run"

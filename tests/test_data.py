@@ -160,6 +160,18 @@ class TestRunFiles:
         with pytest.raises(ValidationError):
             write_run(str(tmp_path / "bad.run"), bad)
 
+    @pytest.mark.parametrize("row", [
+        RunEntry("q1", "d1", 1, 0.5, ""),
+        RunEntry("q1", "d1", 1, 0.5, "my tag"),
+        RunEntry("q1", "p 1", 1, 0.5, "t"),
+        RunEntry("q\t1", "d1", 1, 0.5, "t"),
+    ], ids=["empty-tag", "space-in-tag", "space-in-passage-id", "tab-in-query-id"])
+    def test_write_refuses_rows_that_would_not_read_back(self, tmp_path, row):
+        path = tmp_path / "a.run"
+        with pytest.raises(ValidationError, match="without whitespace"):
+            write_run(str(path), [RunEntry("q0", "d0", 1, 0.5, "t"), row])
+        assert not path.exists()
+
 
 class TestScoredDump:
     def test_roundtrip_with_traces(self, tmp_path):

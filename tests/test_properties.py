@@ -1,6 +1,6 @@
 """Property-based invariants: file formats round-trip exactly, reranking ignores
 input order, the index build, BM25 top-k and NDCG match naive references, bins
-add up."""
+add up, and the prompt fill substitutes each placeholder once."""
 
 import itertools
 import math
@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 from reranklab import (
     AnalyzerConfig,
     Bm25Params,
-    Candidate,
     Corpus,
     Passage,
+    PromptMode,
+    PromptTemplate,
     Query,
     ReasoningTrace,
     RunEntry,
     ScoredPair,
+    assemble_prompt,
     bin_scores,
     bm25_score,
     build_index,
@@ -73,7 +75,7 @@ def ranked_lists(draw):
         stage1 = sorted(draw(st.lists(st.integers(0, 5), min_size=len(pids), max_size=len(pids))),
                         reverse=True)
         for rank, (pid, first_stage) in enumerate(zip(pids, stage1), start=1):
-            candidates.append(Candidate(qid, pid, float(first_stage), rank))
+            candidates.append(RunEntry(qid, pid, rank, float(first_stage)))
             if draw(st.booleans()) and draw(st.booleans()):
                 failed.add((qid, pid))
             else:
@@ -157,8 +159,8 @@ def test_retrieve_top_k_equals_full_sort_of_bm25_score(data):
     scored = ((bm25_score(index, query, i), index.doc_ids[i]) for i in range(index.doc_count))
     expected = sorted(((s, d) for s, d in scored if s > 0.0), key=lambda t: (-t[0], t[1]))[:k]
     got = retrieve_top_k(index, query, k)
-    assert [(c.first_stage_score, c.passage_id) for c in got] == expected
-    assert [c.first_stage_rank for c in got] == list(range(1, len(got) + 1))
+    assert [(c.score, c.passage_id) for c in got] == expected
+    assert [c.rank for c in got] == list(range(1, len(got) + 1))
 
 
 def oracle_dcg(grades, k, gain):
@@ -280,3 +282,38 @@ def test_bin_counts_sum_to_total(scores):
     assert math.isclose(dist.low_fraction + dist.partial_fraction + dist.high_fraction, 1.0)
     assert dist.low_fraction == sum(s < 0.1 for s in scores) / len(scores)
     assert dist.high_fraction == sum(s >= 0.9 for s in scores) / len(scores)
+
+
+# placeholder-like pieces in the values must come through verbatim
+fill_values = st.lists(
+    st.sampled_from(["{query}", "{passage}", "{", "}", "query", "a", " ", "\n", "é"]), max_size=6
+).map("".join)
+template_text = st.text(alphabet="ab{} \n", max_size=6)
+
+
+def partition_fill(user: str, query_text: str, passage_text: str) -> str:
+    """Replace each placeholder of ``user`` once, splitting only the template."""
+    (first, first_text), (second, second_text) = sorted(
+        [("{query}", query_text), ("{passage}", passage_text)], key=lambda p: user.index(p[0])
+    )
+    head, _, rest = user.partition(first)
+    middle, _, tail = rest.partition(second)
+    return head + first_text + middle + second_text + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(template_text, min_size=3, max_size=3),
+    query_first=st.booleans(),
+    query_text=fill_values,
+    passage_text=fill_values,
+    mode=st.sampled_from(PromptMode),
+)
+def test_prompt_fill_is_a_single_literal_pass(parts, query_first, query_text, passage_text, mode):
+    order = ("{query}", "{passage}") if query_first else ("{passage}", "{query}")
+    user = parts[0] + order[0] + parts[1] + order[1] + parts[2]
+    template = PromptTemplate(user=user)
+    prompt = assemble_prompt(template, query_text, passage_text, mode)
+    segment = prompt.split("<|im_start|>user\n", 1)[1]
+    segment = segment.rsplit("\n<|im_end|>\n<|im_start|>assistant\n", 1)[0]
+    assert segment == partition_fill(user, query_text, passage_text)

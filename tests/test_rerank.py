@@ -5,7 +5,6 @@ import pytest
 
 from reranklab import (
     BackendError,
-    Candidate,
     Corpus,
     DecisionLogits,
     DEFAULT_TEMPLATE,
@@ -14,6 +13,7 @@ from reranklab import (
     PromptTemplate,
     Query,
     RerankStrategy,
+    RunEntry,
     SamplingParams,
     ScoredPair,
     StrategyKind,
@@ -181,7 +181,7 @@ class TestStrategies:
         )
         scored, _ = score_candidates(
             mock, template, RerankStrategy(kind), {Q.id: Q}, Corpus((P,)),
-            [Candidate(Q.id, P.id, 1.0, 1)], SamplingParams(max_tokens=64),
+            [RunEntry(Q.id, P.id, 1, 1.0)], SamplingParams(max_tokens=64),
         )
         trace = scored[0].traces[0]
         assert trace.terminated
@@ -286,9 +286,9 @@ class TestSelfConsistency:
 
 def _candidates():
     return [
-        Candidate("q1", "p1", 9.0, 1),
-        Candidate("q1", "p2", 8.0, 2),
-        Candidate("q1", "p3", 7.0, 3),
+        RunEntry("q1", "p1", 1, 9.0),
+        RunEntry("q1", "p2", 2, 8.0),
+        RunEntry("q1", "p3", 3, 7.0),
     ]
 
 
@@ -310,11 +310,11 @@ class TestRerank:
         import itertools
 
         cands = [
-            Candidate("q1", "p1", 9.0, 1),
-            Candidate("q1", "p2", 8.0, 2),
-            Candidate("q1", "p3", 7.0, 3),
-            Candidate("q1", "p4", 6.0, 4),
-            Candidate("q1", "p5", 5.0, 5),
+            RunEntry("q1", "p1", 1, 9.0),
+            RunEntry("q1", "p2", 2, 8.0),
+            RunEntry("q1", "p3", 3, 7.0),
+            RunEntry("q1", "p4", 4, 6.0),
+            RunEntry("q1", "p5", 5, 5.0),
         ]
         scores = _scores({"p1": 0.3, "p2": 0.9, "p3": 0.3, "p4": 0.1, "p5": 0.9})
         reference = rerank(cands, scores, "t")
@@ -349,7 +349,7 @@ class TestRerank:
         assert entries[1].score < 0.0
 
     def test_multi_query_grouping(self):
-        cands = _candidates() + [Candidate("q0", "p9", 3.0, 1)]
+        cands = _candidates() + [RunEntry("q0", "p9", 1, 3.0)]
         scores = _scores({"p1": 0.9, "p2": 0.1, "p3": 0.5}) + [ScoredPair("q0", "p9", 0.7)]
         entries = rerank(cands, scores, "t")
         assert [e.query_id for e in entries] == ["q0", "q1", "q1", "q1"]
@@ -360,7 +360,7 @@ class TestScoreCandidates:
     def _fixture(self):
         corpus = Corpus((Passage("p1", "text one"), Passage("p2", "text two")))
         queries = {"q1": Query("q1", "a question")}
-        cands = [Candidate("q1", "p1", 2.0, 1), Candidate("q1", "p2", 1.0, 2)]
+        cands = [RunEntry("q1", "p1", 1, 2.0), RunEntry("q1", "p2", 2, 1.0)]
         return corpus, queries, cands
 
     def test_results_in_candidate_order(self):
@@ -438,7 +438,7 @@ class TestScoreCandidates:
 
     def test_unknown_ids_rejected(self):
         corpus, queries, _ = self._fixture()
-        bad = [Candidate("q9", "p1", 1.0, 1)]
+        bad = [RunEntry("q9", "p1", 1, 1.0)]
         with pytest.raises(ValidationError, match="unknown query"):
             score_candidates(
                 MockBackend(), DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.DIRECT),

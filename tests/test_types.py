@@ -1,6 +1,10 @@
+import math
+
 import pytest
 
 from reranklab import (
+    AnalyzerConfig,
+    Bm25Params,
     Candidate,
     Corpus,
     DecisionLogits,
@@ -10,6 +14,8 @@ from reranklab import (
     RunEntry,
     ScoredPair,
     ValidationError,
+    build_index,
+    retrieve_top_k,
 )
 from reranklab.types import validate_candidate_list, validate_run
 
@@ -50,6 +56,34 @@ class TestConstructionInvariants:
             ScoredPair("q1", "p1", 1.5)
         with pytest.raises(ValidationError):
             ScoredPair("q1", "p1", 0.5, per_sample_scores=(0.2, -0.1))
+
+
+class TestRankedRow:
+    """RunEntry is the one ranked row; the old first-stage names are aliases of it."""
+
+    def test_candidate_alias_keeps_old_argument_order(self):
+        assert Candidate("q1", "p1", 2.5, 3) == RunEntry("q1", "p1", 3, 2.5)
+
+    def test_validate_candidate_list_is_validate_run(self):
+        assert validate_candidate_list is validate_run
+
+    def test_first_stage_rows_are_untagged_run_entries(self):
+        corpus = Corpus((Passage("p1", "cat dog"), Passage("p2", "cat"), Passage("p3", "dog")))
+        hits = retrieve_top_k(build_index(corpus, AnalyzerConfig(), Bm25Params()),
+                              Query("q1", "cat"), 10)
+        assert len(hits) == 2
+        for c in hits:
+            assert type(c) is RunEntry and c.tag == ""
+            assert (c.first_stage_rank, c.first_stage_score) == (c.rank, c.score)
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_score_must_be_finite(self, score):
+        with pytest.raises(ValidationError, match="finite"):
+            RunEntry("q1", "p1", 1, score, "t")
+
+    def test_rank_error_names_the_pair(self):
+        with pytest.raises(ValidationError, match=r"got 0 for \('q1', 'p1'\)"):
+            RunEntry("q1", "p1", 0, 1.0, "t")
 
 
 class TestListInvariants:
