@@ -14,8 +14,12 @@ in the ratio. A transport supplies only ``_complete(payload) -> body``:
 ``MockBackend`` is a deterministic in-process stand-in for tests and
 offline runs: a pure function of (prompt, seed) that builds no requests.
 
-Clients are shareable across threads; the in-flight bound is enforced
-internally. Callers must not assume response ordering.
+Clients are shareable across threads. ``max_in_flight`` bounds the HTTP
+requests in flight, enforced internally; callers must not assume response
+ordering. Backends that answer in process (``answers_in_process``: the mock
+and replay) gain nothing from threads, whose Python work only contends for
+the interpreter lock, so ``rerank.score_candidates`` scores them on the
+calling thread.
 
 The HTTP transport is the standard library's ``http.client``. One pool of
 ``max_in_flight`` keep-alive connections, opened lazily, is also the
@@ -41,7 +45,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, ClassVar
 from urllib.parse import urlsplit
 
 from .types import DecisionLogits, ReasoningTrace, ValidationError
@@ -124,6 +128,7 @@ class CompletionsBackend:
     """
 
     config: BackendConfig
+    answers_in_process: ClassVar[bool] = False  # True: no wait that threads could overlap
 
     def _complete(self, payload: dict) -> dict:
         """Answer one completions request with its JSON response body."""
@@ -382,6 +387,8 @@ class MockBackend(CompletionsBackend):
     real server applies. Call counters support call-count assertions.
     """
 
+    answers_in_process = True
+
     def __init__(
         self,
         score_fn: Callable[[str], tuple[float, float]] | None = None,
@@ -499,6 +506,8 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
 
 class ReplayBackend(CompletionsBackend):
     """Serves responses recorded in a capture log instead of going on the wire."""
+
+    answers_in_process = True
 
     def __init__(self, capture_path: str, config: BackendConfig | None = None):
         self.config = config or BackendConfig(endpoint="replay:", model="replay")

@@ -92,7 +92,11 @@ def build_parser() -> _Parser:
         help="backend: completions URL, mock:<table.json>, or replay:<capture.jsonl>",
     )
     p.add_argument("--model", help="model name sent to the backend")
-    p.add_argument("--concurrency", type=int, help="concurrent pairs in flight (default 1)")
+    p.add_argument(
+        "--concurrency", type=int,
+        help="HTTP requests in flight (default 1); mock and replay backends score "
+        "on the calling thread, with identical output at any value",
+    )
     p.add_argument("--seed", type=int, help="base seed for per-sample seed derivation")
     p.add_argument(
         "--allow-partial", dest="allow_partial", action="store_const", const=True,
@@ -191,10 +195,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    tag = config.tag or "bm25"
+    data.check_run_field("tag", tag)
     index = bm25.load_index(str(data.require_path(config.index, "index")))
     queries = data.load_queries(str(data.require_path(config.queries, "queries")))
     k = config.k if config.k is not None else 100
-    tag = config.tag or "bm25"
     entries = [
         replace(c, tag=tag) for query in queries for c in bm25.retrieve_top_k(index, query, k)
     ]
@@ -258,6 +263,8 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         kind=kind, samples=samples, max_passage_chars=config.max_passage_chars
     )
     template = prompts.load_template(config.template) if config.template else prompts.DEFAULT_TEMPLATE
+    tag = config.tag or kind.value
+    data.check_run_field("tag", tag)
     backend = _build_backend(config, config.concurrency)
     try:
         backend.validate_decision_tokens()
@@ -275,7 +282,6 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         )
     finally:
         backend.close()
-    tag = config.tag or kind.value
     failed = frozenset((f.query_id, f.passage_id) for f in failures)
     entries = rerank(candidates, scored, tag, failed=failed)
 

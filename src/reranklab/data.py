@@ -214,16 +214,29 @@ def read_run(path: str) -> list[RunEntry]:
     return entries
 
 
+def check_run_field(name: str, value: str) -> None:
+    """Refuse a value that would not read back as one run-file column."""
+    if value.split() != [value]:  # empty, or split into several fields
+        raise ValidationError(
+            f"{name} must be non-empty without whitespace in a run file, got {value!r}"
+        )
+
+
 def write_run(path: str, entries: Sequence[RunEntry]) -> None:
     """Write a six-column run file, refusing rows that would not read back."""
     validate_run(entries)
+    seen: set[tuple[str, str]] = set()
     for e in entries:
-        for name, value in (("query id", e.query_id), ("passage id", e.passage_id), ("tag", e.tag)):
-            if value.split() != [value]:  # empty, or split into several fields
-                raise ValidationError(
-                    f"{name} must be non-empty without whitespace in a run file, "
-                    f"got {value!r} for ({e.query_id!r}, {e.passage_id!r})"
-                )
+        pair = (e.query_id, e.passage_id)
+        if pair in seen:
+            raise ValidationError(f"duplicate run entry for {pair}")
+        seen.add(pair)
+        try:
+            check_run_field("query id", e.query_id)
+            check_run_field("passage id", e.passage_id)
+            check_run_field("tag", e.tag)
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} for {pair}") from None
     with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score:.6f} {e.tag}\n")

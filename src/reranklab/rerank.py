@@ -272,13 +272,16 @@ def score_candidates(
     concurrency: int = 1,
     allow_partial: bool = False,
 ) -> tuple[list[ScoredPair], list[PairFailure]]:
-    """Score every candidate pair, concurrently up to ``concurrency``.
+    """Score every candidate pair, with up to ``concurrency`` requests in flight.
 
-    Results come back in candidate order regardless of thread scheduling,
-    so a deterministic backend yields a deterministic output. Default error
-    policy is fail-fast (a silent score gap would corrupt downstream metric
-    comparisons); with ``allow_partial`` failed pairs are recorded and
-    returned for first-stage fallback placement.
+    ``concurrency`` bounds the requests a wire backend has in flight; a
+    backend that answers in process is scored on the calling thread at any
+    value, with identical output. Results come back in candidate order
+    regardless of thread scheduling, so a deterministic backend yields a
+    deterministic output. Default error policy is fail-fast (a silent score
+    gap would corrupt downstream metric comparisons); with ``allow_partial``
+    failed pairs are recorded and returned for first-stage fallback
+    placement.
     """
     for c in candidates:
         if c.query_id not in queries:
@@ -299,7 +302,8 @@ def score_candidates(
                 f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}"
             ) from exc
 
-    if concurrency <= 1:
+    # in-process answers hold the interpreter lock, so threads would only contend for it
+    if concurrency <= 1 or backend.answers_in_process:
         outcomes = [attempt(c) for c in candidates]
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:

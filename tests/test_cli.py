@@ -102,14 +102,16 @@ class TestIndexRetrieve:
         assert main([
             "index", "--corpus", str(workspace / "corpus.jsonl"), "--out-dir", str(out),
         ]) == 0
+        run_dir = tmp_path / "retrieved"
         code = main([
             "retrieve", "--index", str(out / "bm25_index.json"),
             "--queries", str(workspace / "queries.jsonl"), "--tag", "my tag",
-            "--out-dir", str(out),
+            "--out-dir", str(run_dir),
         ])
         assert code == 2
         assert "'my tag'" in capsys.readouterr().err
-        assert not (out / "my tag.run").exists()
+        assert not (run_dir / "my tag.run").exists()
+        assert not run_dir.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main([
@@ -170,6 +172,15 @@ class TestRerankCommand:
                 + (out / "reason_scored.jsonl").read_bytes()
             )
         assert outputs[0] == outputs[1]
+
+    def test_tag_with_whitespace_fails_before_any_work(self, workspace, tmp_path, capsys):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        capsys.readouterr()
+        out = tmp_path / "rr"
+        code = self._rerank(workspace, out, run_path, "direct", ["--tag", "my tag"])
+        assert code == 2
+        assert "'my tag'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, workspace, tmp_path, capsys):
         code = main(["rerank", "--no-such-flag"])

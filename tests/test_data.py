@@ -160,15 +160,19 @@ class TestRunFiles:
         with pytest.raises(ValidationError):
             write_run(str(tmp_path / "bad.run"), bad)
 
-    @pytest.mark.parametrize("row", [
-        RunEntry("q1", "d1", 1, 0.5, ""),
-        RunEntry("q1", "d1", 1, 0.5, "my tag"),
-        RunEntry("q1", "p 1", 1, 0.5, "t"),
-        RunEntry("q\t1", "d1", 1, 0.5, "t"),
-    ], ids=["empty-tag", "space-in-tag", "space-in-passage-id", "tab-in-query-id"])
-    def test_write_refuses_rows_that_would_not_read_back(self, tmp_path, row):
+    @pytest.mark.parametrize("row, message", [
+        (RunEntry("q1", "d1", 1, 0.5, ""), "without whitespace"),
+        (RunEntry("q1", "d1", 1, 0.5, "my tag"), "without whitespace"),
+        (RunEntry("q1", "p 1", 1, 0.5, "t"), "without whitespace"),
+        (RunEntry("q\t1", "d1", 1, 0.5, "t"), "without whitespace"),
+        (RunEntry("q0", "d0", 2, 0.4, "t"), r"duplicate run entry for \('q0', 'd0'\)"),
+    ], ids=[
+        "empty-tag", "space-in-tag", "space-in-passage-id", "tab-in-query-id",
+        "repeated-pair",
+    ])
+    def test_write_refuses_rows_that_would_not_read_back(self, tmp_path, row, message):
         path = tmp_path / "a.run"
-        with pytest.raises(ValidationError, match="without whitespace"):
+        with pytest.raises(ValidationError, match=message):
             write_run(str(path), [RunEntry("q0", "d0", 1, 0.5, "t"), row])
         assert not path.exists()
 

@@ -1,17 +1,23 @@
+import hashlib
+import json
 import math
 import random
+import threading
 
 import pytest
 
 from reranklab import (
+    BackendConfig,
     BackendError,
     Corpus,
     DecisionLogits,
     DEFAULT_TEMPLATE,
+    HttpCompletionsBackend,
     MockBackend,
     Passage,
     PromptTemplate,
     Query,
+    ReplayBackend,
     RerankStrategy,
     RunEntry,
     SamplingParams,
@@ -26,6 +32,7 @@ from reranklab import (
     score_reasoned,
     score_self_consistency,
 )
+from reranklab.backend import CompletionsBackend
 
 Q = Query("q1", "how to help a jammed finger")
 P = Passage("p1", "A broken finger is often more painful than a jammed finger.")
@@ -476,6 +483,83 @@ class TestScoreCandidates:
         )
         assert mock.generate_calls == 0
         assert mock.score_calls == len(cands)  # exactly one scoring call per pair
+
+
+class _WireFake(CompletionsBackend):
+    """A wire transport answering from a hash of the request.
+
+    Its first ``gate`` requests wait for each other at a barrier, so they
+    complete only if that many are in flight together.
+    """
+
+    def __init__(self, gate: int = 0):
+        self.config = BackendConfig(endpoint="fake:", model="fake")
+        self._barrier = threading.Barrier(gate, timeout=10) if gate else None
+        self._gate = gate
+        self._calls = 0
+        self._lock = threading.Lock()
+
+    def _complete(self, payload: dict) -> dict:
+        with self._lock:
+            self._calls += 1
+            waits = self._calls <= self._gate
+        if waits:
+            self._barrier.wait()
+        h = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).digest()
+        if "logprobs" in payload:  # a decision read
+            table = {"true": -h[0] / 64, "false": -h[1] / 64}
+            return {"choices": [{"logprobs": {"top_logprobs": [table]}}]}
+        return {"choices": [{"text": f"thought {h[:4].hex()}", "finish_reason": "stop"}]}
+
+
+class TestSchedule:
+    def _fixture(self, n=6):
+        corpus = Corpus(tuple(Passage(f"p{i}", f"text {i}") for i in range(n)))
+        queries = {"q1": Query("q1", "a question")}
+        cands = [RunEntry("q1", f"p{i}", i + 1, float(n - i)) for i in range(n)]
+        return corpus, queries, cands
+
+    @pytest.mark.parametrize("strategy", [
+        RerankStrategy(StrategyKind.DIRECT),
+        RerankStrategy(StrategyKind.SELF_CONSISTENCY, samples=3),
+    ], ids=["direct", "self_consistency"])
+    def test_in_process_backend_scores_on_calling_thread(self, strategy):
+        corpus, queries, cands = self._fixture()
+        threads = set()
+
+        def score_fn(prompt):
+            threads.add(threading.get_ident())
+            return (0.5, 0.0)
+
+        def generate_fn(prompt, seed):
+            threads.add(threading.get_ident())
+            return f"sample {seed}</think>"
+
+        scored, _ = score_candidates(
+            MockBackend(score_fn=score_fn, generate_fn=generate_fn), DEFAULT_TEMPLATE,
+            strategy, queries, corpus, cands, SamplingParams(max_tokens=16), concurrency=4,
+        )
+        assert len(scored) == len(cands)
+        assert threads == {threading.get_ident()}
+
+    def test_wire_backend_keeps_requests_in_flight(self):
+        # the barrier lets the first 4 requests through only when all 4 are in flight
+        corpus, queries, cands = self._fixture()
+        strategy = RerankStrategy(StrategyKind.SELF_CONSISTENCY, samples=2)
+        sampling = SamplingParams(max_tokens=16)
+        threaded, _ = score_candidates(
+            _WireFake(gate=4), DEFAULT_TEMPLATE, strategy, queries, corpus, cands,
+            sampling, base_seed=7, concurrency=4,
+        )
+        serial, _ = score_candidates(
+            _WireFake(), DEFAULT_TEMPLATE, strategy, queries, corpus, cands,
+            sampling, base_seed=7, concurrency=1,
+        )
+        assert threaded == serial
+        assert [s.passage_id for s in threaded] == [c.passage_id for c in cands]
+
+    def test_in_process_is_fixed_per_class(self):
+        assert ReplayBackend.answers_in_process and not HttpCompletionsBackend.answers_in_process
 
 
 class TestStrategyValidation:
