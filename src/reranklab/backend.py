@@ -48,6 +48,7 @@ from functools import partial
 from typing import Callable, ClassVar
 from urllib.parse import urlsplit
 
+from .data import read_json_object, read_records
 from .types import DecisionLogits, ReasoningTrace, ValidationError
 
 
@@ -460,8 +461,7 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
     ``{seed}`` in reasoning text is substituted at generation time so sampled
     outputs can differ per seed while staying deterministic.
     """
-    with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
+    table = read_json_object(path, "mock table")
     rules = table.get("rules", [])
     default_logits = table.get("default_logits", [0.0, 0.0])
     default_reasoning = table.get("default_reasoning")
@@ -504,6 +504,15 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
     )
 
 
+def _capture_record(line: str) -> tuple[None, tuple[str, dict]]:
+    """One capture-log line as (request key, response); a re-recorded request wins."""
+    record = json.loads(line)
+    if not (isinstance(record, dict) and "request" in record
+            and isinstance(record.get("response"), dict)):
+        raise ValidationError("capture record must hold a 'request' and a 'response' object")
+    return None, (json.dumps(record["request"], sort_keys=True), record["response"])
+
+
 class ReplayBackend(CompletionsBackend):
     """Serves responses recorded in a capture log instead of going on the wire."""
 
@@ -511,14 +520,9 @@ class ReplayBackend(CompletionsBackend):
 
     def __init__(self, capture_path: str, config: BackendConfig | None = None):
         self.config = config or BackendConfig(endpoint="replay:", model="replay")
-        self._responses: dict[str, dict] = {}
-        with open(capture_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                key = json.dumps(record["request"], sort_keys=True)
-                self._responses[key] = record["response"]
+        self._responses = dict(
+            read_records(capture_path, _capture_record, "request", "empty capture log")
+        )
 
     def _complete(self, payload: dict) -> dict:
         key = json.dumps(payload, sort_keys=True)

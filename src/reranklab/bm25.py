@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
+from .data import read_json_object
 from .porter import porter_stem
 from .types import Corpus, Query, RunEntry, ValidationError
 
@@ -255,12 +256,8 @@ def load_index(path: str) -> InvertedIndex:
     a posting row other than an ``[ordinal, tf]`` pair of integers naming a
     document in its table raises :class:`ValidationError`.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ValidationError(f"{path}: not a JSON file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
+    payload = read_json_object(path, "index")
+    if payload.get("format") != INDEX_FORMAT:
         raise ValidationError(f"{path}: not a {INDEX_FORMAT} file")
     if payload.get("version") != INDEX_VERSION:
         raise ValidationError(

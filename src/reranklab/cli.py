@@ -150,7 +150,7 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> data.PipelineConfig:
-    file_values = data.load_config(args.config) if args.config else {}
+    file_values = data.read_json_object(args.config, "config") if args.config else {}
     cli_values = {
         k: v
         for k, v in vars(args).items()

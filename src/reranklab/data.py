@@ -1,19 +1,29 @@
 """File ingestion and persistence for corpora, queries, qrels, runs, dumps.
 
-Formats:
+Line-oriented formats:
 
 * corpus / queries — line-delimited JSON records with ``id`` and ``text``
   fields (passages can contain anything, so no CSV), or two-column
-  tab-separated ``id <TAB> text``. The two are auto-detected per file.
+  tab-separated ``id <TAB> text``. The two are auto-detected per line.
 * qrels — whitespace-separated ``qid iteration docid grade`` (grades are
   integers, stored exactly as read).
 * run files — ``qid Q0 docid rank score tag`` with scores printed at a
   fixed six decimals; reads tolerate arbitrary whitespace.
 * scored-pair dumps — line-delimited JSON, one record per pair, traces
   included verbatim (JSON escaping handles newlines).
+* capture logs — line-delimited JSON ``{"request": …, "response": …}``, one
+  line per answered backend request (read by ``backend.ReplayBackend``).
 
-Parsers reject malformed input rather than coercing it, and every error
-names the file and line.
+All of them are read by :func:`read_records`: blank lines are skipped, a
+repeated key (passage id, query id, judged pair, run pair, scored pair) is
+refused, a file with no records is refused, and every error names the file
+and line. Corpus and query ids must be usable as one run-file column.
+
+JSON object files — the pipeline config, prompt template overrides, mock
+rule tables and persisted BM25 indexes — are read by
+:func:`read_json_object`, which refuses anything but one JSON object.
+
+Parsers reject malformed input rather than coercing it.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .types import (
     Corpus,
@@ -41,101 +51,97 @@ from .types import (
 log = logging.getLogger(__name__)
 
 
-def _iter_id_text(path: str):
-    """Yield (line_no, id, text) from a JSONL or TSV id/text file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("{"):
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-                if "id" not in record or "text" not in record:
-                    raise ValidationError(
-                        f"{path}:{line_no}: record must have 'id' and 'text' fields"
-                    )
-                yield line_no, str(record["id"]), str(record["text"])
-            else:
-                parts = line.split("\t", 1)
-                if len(parts) != 2:
-                    raise ValidationError(
-                        f"{path}:{line_no}: expected JSON object or 'id<TAB>text'"
-                    )
-                yield line_no, parts[0], parts[1]
+def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str) -> list:
+    """Parse each non-blank line of a text file into one record.
+
+    ``parse(line)`` gets the raw line, newline included, and returns
+    ``(key, record)``; a key seen on an earlier line is refused as a
+    duplicate ``what``, and a key of ``None`` is not checked. Invalid JSON
+    and :class:`ValidationError` from ``parse`` are re-raised with the
+    ``path:line:`` prefix. A file with no records raises ``path: <empty>``.
+    """
+    records = []
+    first_seen: dict = {}
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                key, record = parse(line)
+                if key is not None:
+                    first = first_seen.setdefault(key, line_no)
+                    if first != line_no:
+                        raise ValidationError(
+                            f"duplicate {what} {key!r} (first seen on line {first})"
+                        )
+                records.append(record)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{line_no}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not records:
+        raise ValidationError(f"{path}: {empty}")
+    return records
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """Read a file that holds one JSON object (config, template, mock table, index)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: invalid JSON {what}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return value
+
+
+def _id_text_records(path: str, what: str, make: Callable, empty: str) -> list:
+    """``make(id, text)`` per line of a JSONL or TSV id/text file, keyed by id."""
+
+    def parse(line: str) -> tuple:
+        if line.lstrip().startswith("{"):
+            record = json.loads(line)
+            if "id" not in record or "text" not in record:
+                raise ValidationError("record must have 'id' and 'text' fields")
+            ident, text = str(record["id"]), str(record["text"])
+        else:
+            ident, tab, text = line.rstrip("\n").partition("\t")
+            if not tab:
+                raise ValidationError("expected JSON object or 'id<TAB>text'")
+        check_run_field(what, ident)
+        return ident, make(ident, text)
+
+    return read_records(path, parse, what, empty)
 
 
 def load_corpus(path: str) -> Corpus:
-    passages = []
-    seen: dict[str, int] = {}
-    for line_no, pid, text in _iter_id_text(path):
-        if pid in seen:
-            raise ValidationError(
-                f"{path}:{line_no}: duplicate passage id {pid!r} (first seen on line {seen[pid]})"
-            )
-        seen[pid] = line_no
-        if not pid:
-            raise ValidationError(f"{path}:{line_no}: empty passage id")
-        passages.append(Passage(pid, text))
-    if not passages:
-        raise ValidationError(f"{path}: empty corpus")
-    return Corpus(tuple(passages))
+    return Corpus(tuple(_id_text_records(path, "passage id", Passage, "empty corpus")))
 
 
 def load_queries(path: str) -> list[Query]:
-    queries = []
-    seen: dict[str, int] = {}
-    for line_no, qid, text in _iter_id_text(path):
-        if qid in seen:
-            raise ValidationError(
-                f"{path}:{line_no}: duplicate query id {qid!r} (first seen on line {seen[qid]})"
-            )
-        seen[qid] = line_no
-        try:
-            queries.append(Query(qid, text))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{line_no}: {exc}") from exc
-    if not queries:
-        raise ValidationError(f"{path}: no queries")
-    return queries
+    return _id_text_records(path, "query id", Query, "no queries")
+
+
+def _judgment(line: str) -> tuple[tuple[str, str], Judgment]:
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValidationError(f"expected 'qid iteration docid grade', got {len(parts)} fields")
+    qid, _iteration, pid, grade_text = parts
+    try:
+        grade = int(grade_text)
+    except ValueError:
+        raise ValidationError(f"grade must be an integer, got {grade_text!r}") from None
+    return (qid, pid), Judgment(qid, pid, grade)
 
 
 def load_qrels(path: str) -> JudgmentMap:
     judgments: JudgmentMap = {}
-    lines: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 'qid iteration docid grade', got {len(parts)} fields"
-                )
-            qid, _iteration, pid, grade_text = parts
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: grade must be an integer, got {grade_text!r}"
-                ) from None
-            key = (qid, pid)
-            if key in lines:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate judgment for {key} "
-                    f"(first seen on line {lines[key]})"
-                )
-            lines[key] = line_no
-            try:
-                Judgment(qid, pid, grade)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
-            judgments.setdefault(qid, {})[pid] = grade
-    if not judgments:
-        raise ValidationError(f"{path}: no judgments")
+    for j in read_records(path, _judgment, "judgment for", "no judgments"):
+        judgments.setdefault(j.query_id, {})[j.passage_id] = j.grade
     return judgments
 
 
@@ -146,6 +152,24 @@ def write_qrels(path: str, judgments: JudgmentMap) -> None:
                 fh.write(f"{qid} 0 {pid} {grade}\n")
 
 
+def _run_entry(line: str) -> tuple[tuple[str, str], RunEntry]:
+    parts = line.split()
+    if len(parts) != 6:
+        raise ValidationError(
+            f"expected 'qid Q0 docid rank score tag', got {len(parts)} fields"
+        )
+    qid, _q0, pid, rank_text, score_text, tag = parts
+    try:
+        rank = int(rank_text)
+    except ValueError:
+        raise ValidationError(f"rank must be an integer, got {rank_text!r}") from None
+    try:
+        score = float(score_text)
+    except ValueError:
+        raise ValidationError(f"score must be a finite number, got {score_text!r}") from None
+    return (qid, pid), RunEntry(qid, pid, rank, score, tag)
+
+
 def read_run(path: str) -> list[RunEntry]:
     """Read a six-column run file, restoring per-query rank order.
 
@@ -154,42 +178,8 @@ def read_run(path: str) -> list[RunEntry]:
     stable) on the way in.
     """
     parsed: dict[str, list[RunEntry]] = {}
-    seen: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 'qid Q0 docid rank score tag', "
-                    f"got {len(parts)} fields"
-                )
-            qid, _q0, pid, rank_text, score_text, tag = parts
-            if (qid, pid) in seen:
-                raise ValidationError(
-                    f"{path}:{line_no}: duplicate run entry for ({qid!r}, {pid!r}) "
-                    f"(first seen on line {seen[(qid, pid)]})"
-                )
-            seen[(qid, pid)] = line_no
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: rank must be an integer, got {rank_text!r}"
-                ) from None
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: score must be a finite number, got {score_text!r}"
-                ) from None
-            try:
-                entry = RunEntry(qid, pid, rank, score, tag)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from exc
-            parsed.setdefault(qid, []).append(entry)
+    for e in read_records(path, _run_entry, "run entry for", "empty run file"):
+        parsed.setdefault(e.query_id, []).append(e)
 
     entries: list[RunEntry] = []
     for qid, group in parsed.items():
@@ -209,8 +199,6 @@ def read_run(path: str) -> list[RunEntry]:
                 dataclasses.replace(e, rank=i) for i, e in enumerate(group, start=1)
             ]
         entries.extend(group)
-    if not entries:
-        raise ValidationError(f"{path}: empty run file")
     return entries
 
 
@@ -261,41 +249,36 @@ def write_scored(path: str, pairs: Sequence[ScoredPair], strategy: str) -> None:
 
 def read_scored(path: str) -> tuple[list[ScoredPair], str]:
     """Read a scored-pair dump; returns the pairs and their strategy tag."""
-    pairs: list[ScoredPair] = []
     strategy: str | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            try:
-                pair = ScoredPair(
-                    query_id=record["query_id"],
-                    passage_id=record["passage_id"],
-                    score=record["score"],
-                    traces=tuple(
-                        ReasoningTrace(t["text"], t["terminated"], t["token_count"])
-                        for t in record.get("traces", [])
-                    ),
-                    per_sample_scores=tuple(record.get("per_sample_scores", [])),
-                )
-            except (KeyError, TypeError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{line_no}: bad scored record: {exc}") from exc
-            line_strategy = record.get("strategy", "")
-            if strategy is None:
-                strategy = line_strategy
-            elif strategy != line_strategy:
-                raise ValidationError(
-                    f"{path}:{line_no}: mixed strategies in one dump "
-                    f"({strategy!r} vs {line_strategy!r})"
-                )
-            pairs.append(pair)
-    if not pairs:
-        raise ValidationError(f"{path}: empty scored dump")
+
+    def parse(line: str) -> tuple[tuple[str, str], ScoredPair]:
+        nonlocal strategy
+        record = json.loads(line)
+        try:
+            pair = ScoredPair(
+                query_id=record["query_id"],
+                passage_id=record["passage_id"],
+                score=record["score"],
+                traces=tuple(
+                    ReasoningTrace(t["text"], t["terminated"], t["token_count"])
+                    for t in record.get("traces", [])
+                ),
+                per_sample_scores=tuple(record.get("per_sample_scores", [])),
+            )
+            if not (isinstance(pair.query_id, str) and isinstance(pair.passage_id, str)):
+                raise TypeError("query_id and passage_id must be strings")
+        except (KeyError, TypeError, ValidationError) as exc:
+            raise ValidationError(f"bad scored record: {exc}") from exc
+        line_strategy = record.get("strategy", "")
+        if strategy is None:
+            strategy = line_strategy
+        elif strategy != line_strategy:
+            raise ValidationError(
+                f"mixed strategies in one dump ({strategy!r} vs {line_strategy!r})"
+            )
+        return (pair.query_id, pair.passage_id), pair
+
+    pairs = read_records(path, parse, "scored pair", "empty scored dump")
     return pairs, strategy or ""
 
 
@@ -358,17 +341,6 @@ class PipelineConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=2)
             fh.write("\n")
-
-
-def load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON config: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    return raw
 
 
 def require_path(path: str | None, what: str) -> Path:

@@ -17,11 +17,11 @@ Assembly modes:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
 
+from .data import read_json_object
 from .types import ValidationError
 
 DEFAULT_SYSTEM = (
@@ -51,6 +51,10 @@ class PromptTemplate:
     turn_end: str = "<|im_end|>"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str):
+                raise ValidationError(f"template field {f.name!r} must be a string, got {value!r}")
         for placeholder in ("{query}", "{passage}"):
             n = self.user.count(placeholder)
             if n != 1:
@@ -109,12 +113,12 @@ def assemble_prompt(
 
 def load_template(path: str) -> PromptTemplate:
     """Read a template override file (JSON object of PromptTemplate fields)."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: template file must hold a JSON object")
+    raw = read_json_object(path, "template")
     known = {f.name for f in fields(PromptTemplate)}
     unknown = set(raw) - known
     if unknown:
         raise ValidationError(f"{path}: unknown template fields {sorted(unknown)}")
-    return PromptTemplate(**raw)
+    try:
+        return PromptTemplate(**raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

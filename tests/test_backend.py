@@ -1,14 +1,9 @@
 import json
 import math
-import socket
-import struct
 import sys
-import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -24,155 +19,19 @@ from reranklab import (
 )
 from reranklab.backend import CompletionsBackend
 
-# ---------------------------------------------------------------------------
-# stub completions server
-# ---------------------------------------------------------------------------
-
-
-class _StubState:
-    """Mutable behaviour knobs for the stub server, set per test."""
-
-    def __init__(self):
-        self.fail_next = 0          # respond 500 this many times
-        self.refuse = []            # (status, Retry-After or None) for the next requests
-        self.faults = []            # "not-json", "truncated", "reset" or "drop" (no answer)
-        self.close_after_response = False  # drop each connection without announcing it
-        self.stall_s = 0.0          # delay before every response
-        self.extra_choice = {}      # fields merged into generation choices
-        self.requests = []
-        self.headers = []
-        self.clients = []           # client (host, port) per request
-        self.in_flight = 0
-        self.peak_in_flight = 0
-        self.logprob_table = {"true": -0.2, "false": -1.7}
-        self.top_count = 20
-        self.generation = "Let me think it over. The passage matches.</think> extra"
-        self.lock = threading.Lock()
-
-    def handle(self, payload):
-        """(JSON body, status, extra headers) for one request."""
-        with self.lock:
-            if self.refuse:
-                status, retry_after = self.refuse.pop(0)
-                extra = {} if retry_after is None else {"Retry-After": retry_after}
-                return {"error": "busy"}, status, extra
-            if self.fail_next > 0:
-                self.fail_next -= 1
-                return {"error": "transient"}, 500, {}
-
-        prompt = payload["prompt"]
-        if payload.get("echo") and payload.get("max_tokens") == 0:
-            # probe: one token iff the prompt is a known vocabulary word
-            tokens = [prompt] if prompt in ("true", "false") else [prompt[:2], prompt[2:]]
-            return {
-                "choices": [
-                    {"text": prompt, "finish_reason": "stop", "logprobs": {"tokens": tokens}}
-                ]
-            }, 200, {}
-
-        if payload.get("max_tokens") == 1 and payload.get("logprobs"):
-            table = dict(self.logprob_table)
-            fillers = {f"tok{i}": -9.0 - i for i in range(self.top_count - len(table))}
-            table.update(fillers)
-            trimmed = dict(list(table.items())[: payload["logprobs"]])
-            return {
-                "choices": [
-                    {
-                        "text": "true",
-                        "finish_reason": "length",
-                        "logprobs": {"top_logprobs": [trimmed]},
-                    }
-                ],
-                "usage": {"completion_tokens": 1},
-            }, 200, {}
-
-        # generation request
-        stop = payload.get("stop", ["</think>"])[0]
-        raw = self.generation
-        head, sep, _ = raw.partition(stop)
-        budget = payload.get("max_tokens", 16)
-        words = head.split(" ")
-        if sep and len(words) <= budget:
-            text, finish, used = head, "stop", len(words)
-        else:
-            text, finish, used = " ".join(words[:budget]), "length", min(len(words), budget)
-        choice = {"text": text, "finish_reason": finish, "logprobs": None}
-        choice.update(self.extra_choice)
-        return {"choices": [choice], "usage": {"completion_tokens": used}}, 200, {}
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive, so the client's connection pool is exercised
-
-    def do_POST(self):
-        state = self.server.state
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
-        with state.lock:
-            state.requests.append(payload)
-            state.headers.append(dict(self.headers))
-            state.clients.append(self.client_address)
-            state.in_flight += 1
-            state.peak_in_flight = max(state.peak_in_flight, state.in_flight)
-            fault = state.faults.pop(0) if state.faults else None
-        try:
-            time.sleep(state.stall_s)
-            body_dict, status, extra = state.handle(payload)
-            self._respond(status, body_dict, extra, fault, state.close_after_response)
-        finally:
-            with state.lock:
-                state.in_flight -= 1
-
-    def _respond(self, status, body_dict, extra, fault, close):
-        body = json.dumps(body_dict).encode("utf-8")
-        if fault == "not-json":
-            body = b"<html>upstream busy</html>"
-        declared = len(body) + 10 if fault == "truncated" else len(body)
-        lines = [
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
-            "Content-Type: application/json",
-            f"Content-Length: {declared}",
-        ]
-        lines += [f"{k}: {v}" for k, v in extra.items()]
-        # one write: separate header and body writes on a keep-alive socket
-        # meet Nagle's algorithm and delayed ACK
-        message = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
-        if fault == "reset":
-            message = message[: len(message) - len(body) // 2]
-        elif fault == "drop":
-            message = b""
-        try:
-            self.wfile.write(message)
-        except OSError:
-            pass  # the client stopped waiting
-        if fault == "reset":
-            # abortive close: the peer sees RST, not FIN
-            self.connection.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-            self.rfile.close()
-            self.connection.close()
-        # no "Connection: close" header, so the client cannot know
-        self.close_connection = close or fault in ("truncated", "reset", "drop")
-
-    def log_message(self, *args):
-        pass
-
 
 @pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.state = _StubState()
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    url = f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
-    yield url, server.state
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+def http_backend():
+    """Build HTTP backends that are closed when the test ends, so no socket leaks."""
+    made = []
+
+    def build(config):
+        made.append(HttpCompletionsBackend(config))
+        return made[-1]
+
+    yield build
+    for backend in made:
+        backend.close()
 
 
 def _config(url, **overrides):
@@ -187,16 +46,16 @@ def _config(url, **overrides):
 
 
 class TestHttpBackend:
-    def test_score_decision_reads_both_logprobs(self, stub_server):
+    def test_score_decision_reads_both_logprobs(self, stub_server, http_backend):
         url, state = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         logits = backend.score_decision("some prompt")
         assert logits.true_logit == -0.2
         assert logits.false_logit == -1.7
 
-    def test_request_fields(self, stub_server):
+    def test_request_fields(self, stub_server, http_backend):
         url, state = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         backend.score_decision("p")
         req = state.requests[-1]
         assert req["model"] == "stub-model"
@@ -204,66 +63,66 @@ class TestHttpBackend:
         assert req["logprobs"] == 20
         assert req["echo"] is False
 
-    def test_missing_decision_token_is_protocol_error(self, stub_server):
+    def test_missing_decision_token_is_protocol_error(self, stub_server, http_backend):
         url, state = stub_server
         state.logprob_table = {"true": -0.2, "yes": -0.4}  # no "false"
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         with pytest.raises(ProtocolError, match="raise top_logprobs"):
             backend.score_decision("p")
 
-    def test_retry_then_success(self, stub_server):
+    def test_retry_then_success(self, stub_server, http_backend):
         url, state = stub_server
         state.fail_next = 2
-        backend = HttpCompletionsBackend(_config(url, max_attempts=3))
+        backend = http_backend(_config(url, max_attempts=3))
         logits = backend.score_decision("p")
         assert logits.true_logit == -0.2
         assert len(state.requests) == 3
 
-    def test_retries_exhausted(self, stub_server):
+    def test_retries_exhausted(self, stub_server, http_backend):
         url, state = stub_server
         state.fail_next = 10
-        backend = HttpCompletionsBackend(_config(url, max_attempts=2))
+        backend = http_backend(_config(url, max_attempts=2))
         with pytest.raises(BackendError, match="after 2 attempts"):
             backend.score_decision("p")
 
-    def test_unreachable_endpoint(self):
-        backend = HttpCompletionsBackend(
+    def test_unreachable_endpoint(self, http_backend):
+        backend = http_backend(
             _config("http://127.0.0.1:9/v1/completions", max_attempts=2, timeout=0.5)
         )
         with pytest.raises(BackendError):
             backend.score_decision("p")
 
-    def test_probe_accepts_single_token_words(self, stub_server):
+    def test_probe_accepts_single_token_words(self, stub_server, http_backend):
         url, _ = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         backend.validate_decision_tokens()  # "true"/"false" are single tokens
 
-    def test_probe_rejects_multi_token_word(self, stub_server):
+    def test_probe_rejects_multi_token_word(self, stub_server, http_backend):
         url, _ = stub_server
-        backend = HttpCompletionsBackend(
+        backend = http_backend(
             _config(url, decision_tokens=("relevant", "false"))
         )
         with pytest.raises(ProtocolError, match="tokenizes to 2 pieces"):
             backend.validate_decision_tokens()
 
-    def test_generate_stops_at_marker(self, stub_server):
+    def test_generate_stops_at_marker(self, stub_server, http_backend):
         url, _ = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         trace = backend.generate("p<think>", SamplingParams(max_tokens=64))
         assert trace.terminated
         assert trace.text == "Let me think it over. The passage matches."
         assert "</think>" not in trace.text
 
-    def test_generate_budget_exhausted(self, stub_server):
+    def test_generate_budget_exhausted(self, stub_server, http_backend):
         url, _ = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         trace = backend.generate("p<think>", SamplingParams(max_tokens=3))
         assert not trace.terminated
         assert trace.token_count == 3
 
-    def test_generate_then_score_composes(self, stub_server):
+    def test_generate_then_score_composes(self, stub_server, http_backend):
         url, state = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         sampling = SamplingParams(max_tokens=64)
         trace, logits = backend.generate_then_score("p<think>", sampling, "\n")
         scoring_request = state.requests[-1]
@@ -279,10 +138,10 @@ class TestHttpBackend:
             ({"finish_reason": "length", "stop_reason": None}, False),
         ],
     )
-    def test_terminated_follows_stop_reason(self, stub_server, extra, terminated):
+    def test_terminated_follows_stop_reason(self, stub_server, extra, terminated, http_backend):
         url, state = stub_server
         state.extra_choice = extra
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         trace = backend.generate("p<think>", SamplingParams(max_tokens=64))
         assert trace.terminated is terminated
 
@@ -290,35 +149,35 @@ class TestHttpBackend:
         "endpoint",
         ["localhost:8000/v1/completions", "ftp://host/v1", "http:///v1", "http://host:port/v1"],
     )
-    def test_endpoint_must_be_http_url(self, endpoint):
+    def test_endpoint_must_be_http_url(self, endpoint, http_backend):
         with pytest.raises(ValidationError, match="URL"):
-            HttpCompletionsBackend(_config(endpoint))
+            http_backend(_config(endpoint))
 
 
 class TestRetryPolicy:
-    def test_retry_after_zero_skips_backoff(self, stub_server):
+    def test_retry_after_zero_skips_backoff(self, stub_server, http_backend):
         url, state = stub_server
         state.refuse = [(429, "0")]
-        backend = HttpCompletionsBackend(_config(url, backoff=5.0))
+        backend = http_backend(_config(url, backoff=5.0))
         t0 = time.monotonic()
         assert backend.score_decision("p").true_logit == -0.2
         assert time.monotonic() - t0 < 2.0
         assert len(state.requests) == 2
 
-    def test_retry_after_capped_at_timeout(self, stub_server):
+    def test_retry_after_capped_at_timeout(self, stub_server, http_backend):
         url, state = stub_server
         state.refuse = [(503, "3600")]
-        backend = HttpCompletionsBackend(_config(url, timeout=0.3))
+        backend = http_backend(_config(url, timeout=0.3))
         t0 = time.monotonic()
         backend.score_decision("p")
         assert 0.3 <= time.monotonic() - t0 < 3.0
         assert len(state.requests) == 2
 
     @pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT"])
-    def test_without_delta_seconds_backoff_applies(self, stub_server, retry_after):
+    def test_without_delta_seconds_backoff_applies(self, stub_server, retry_after, http_backend):
         url, state = stub_server
         state.refuse = [(503, retry_after)]
-        backend = HttpCompletionsBackend(_config(url, backoff=0.3))
+        backend = http_backend(_config(url, backoff=0.3))
         t0 = time.monotonic()
         backend.score_decision("p")
         assert time.monotonic() - t0 >= 0.3
@@ -326,9 +185,9 @@ class TestRetryPolicy:
 
 
 class TestTransport:
-    def test_keep_alive_connection_reused(self, stub_server):
+    def test_keep_alive_connection_reused(self, stub_server, http_backend):
         url, state = stub_server
-        backend = HttpCompletionsBackend(_config(url))
+        backend = http_backend(_config(url))
         for i in range(5):
             backend.score_decision(f"p{i}")
         backend.generate("p<think>", SamplingParams(max_tokens=64))
@@ -337,43 +196,43 @@ class TestTransport:
         backend.score_decision("after close")
         assert len(set(state.clients)) == 2
 
-    def test_dropped_idle_connection_costs_no_attempt(self, stub_server):
+    def test_dropped_idle_connection_costs_no_attempt(self, stub_server, http_backend):
         url, state = stub_server
         state.close_after_response = True
-        backend = HttpCompletionsBackend(_config(url, max_attempts=1))
+        backend = http_backend(_config(url, max_attempts=1))
         for i in range(5):
             assert backend.score_decision(f"p{i}").true_logit == -0.2
         assert len(state.requests) == 5
 
     @pytest.mark.parametrize("fault", ["not-json", "truncated", "reset", "drop"])
-    def test_broken_response_retried(self, stub_server, fault):
+    def test_broken_response_retried(self, stub_server, fault, http_backend):
         url, state = stub_server
         state.faults = [fault]
-        backend = HttpCompletionsBackend(_config(url, max_attempts=2))
+        backend = http_backend(_config(url, max_attempts=2))
         assert backend.score_decision("p").true_logit == -0.2
         assert len(state.requests) == 2
 
     @pytest.mark.parametrize("fault", ["not-json", "truncated", "reset", "drop"])
-    def test_broken_response_exhausts_attempts(self, stub_server, fault):
+    def test_broken_response_exhausts_attempts(self, stub_server, fault, http_backend):
         url, state = stub_server
         state.faults = [fault] * 3
-        backend = HttpCompletionsBackend(_config(url, max_attempts=3))
+        backend = http_backend(_config(url, max_attempts=3))
         with pytest.raises(BackendError, match="after 3 attempts"):
             backend.score_decision("p")
         assert len(state.requests) == 3
 
-    def test_stall_past_timeout(self, stub_server):
+    def test_stall_past_timeout(self, stub_server, http_backend):
         url, state = stub_server
         state.stall_s = 1.0
-        backend = HttpCompletionsBackend(_config(url, timeout=0.2, max_attempts=2))
+        backend = http_backend(_config(url, timeout=0.2, max_attempts=2))
         with pytest.raises(BackendError, match="after 2 attempts"):
             backend.score_decision("p")
         assert len(state.requests) == 2
 
-    def test_pool_bounds_connections_and_in_flight(self, stub_server):
+    def test_pool_bounds_connections_and_in_flight(self, stub_server, http_backend):
         url, state = stub_server
         state.stall_s = 0.005
-        backend = HttpCompletionsBackend(_config(url, max_in_flight=2))
+        backend = http_backend(_config(url, max_in_flight=2))
         prompts = [f"prompt {i}" for i in range(60)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -389,34 +248,34 @@ class TestTransport:
 
 
 class TestEnvironmentContract:
-    def test_proxy_variables_ignored(self, stub_server, monkeypatch):
+    def test_proxy_variables_ignored(self, stub_server, monkeypatch, http_backend):
         url, _ = stub_server
         for name in ("HTTP_PROXY", "http_proxy", "HTTPS_PROXY", "https_proxy", "ALL_PROXY"):
             monkeypatch.setenv(name, "http://127.0.0.1:9")
         for name in ("NO_PROXY", "no_proxy"):
             monkeypatch.delenv(name, raising=False)
-        backend = HttpCompletionsBackend(_config(url, max_attempts=1))
+        backend = http_backend(_config(url, max_attempts=1))
         assert backend.score_decision("p").true_logit == -0.2
 
-    def test_auth_token_sent_as_bearer(self, stub_server):
+    def test_auth_token_sent_as_bearer(self, stub_server, http_backend):
         url, state = stub_server
-        backend = HttpCompletionsBackend(_config(url, auth_token="s3cret"))
+        backend = http_backend(_config(url, auth_token="s3cret"))
         backend.score_decision("p")
         backend.generate("p<think>", SamplingParams(max_tokens=64))
         assert [h["Authorization"] for h in state.headers] == ["Bearer s3cret"] * 2
         assert all(h["Content-Type"] == "application/json" for h in state.headers)
 
-    def test_no_auth_header_without_token(self, stub_server):
+    def test_no_auth_header_without_token(self, stub_server, http_backend):
         url, state = stub_server
-        HttpCompletionsBackend(_config(url)).score_decision("p")
+        http_backend(_config(url)).score_decision("p")
         assert "Authorization" not in state.headers[0]
 
 
 class TestCaptureReplay:
-    def test_capture_then_replay(self, stub_server, tmp_path):
+    def test_capture_then_replay(self, stub_server, tmp_path, http_backend):
         url, _ = stub_server
         capture = tmp_path / "capture.jsonl"
-        live = HttpCompletionsBackend(_config(url, capture_path=str(capture)))
+        live = http_backend(_config(url, capture_path=str(capture)))
         want = live.score_decision("replayable prompt")
         trace_want = live.generate("replay<think>", SamplingParams(max_tokens=64))
 
@@ -426,14 +285,33 @@ class TestCaptureReplay:
         assert replay.score_decision("replayable prompt") == want
         assert replay.generate("replay<think>", SamplingParams(max_tokens=64)) == trace_want
 
-    def test_replay_miss_is_backend_error(self, stub_server, tmp_path):
+    def test_replay_miss_is_backend_error(self, stub_server, tmp_path, http_backend):
         url, _ = stub_server
         capture = tmp_path / "capture.jsonl"
-        live = HttpCompletionsBackend(_config(url, capture_path=str(capture)))
+        live = http_backend(_config(url, capture_path=str(capture)))
         live.score_decision("recorded")
         replay = ReplayBackend(str(capture), config=_config("replay:"))
         with pytest.raises(BackendError, match="no recorded response"):
             replay.score_decision("never recorded")
+
+
+    @pytest.mark.parametrize("line", ['{"request": {}, "response": "text"}', "[1, 2]"],
+                             ids=["response-not-object", "array"])
+    def test_capture_record_shape_checked(self, tmp_path, line):
+        # bad JSON, a missing key and an empty log: tests/test_cli.py::TestMalformedInputs
+        capture = tmp_path / "capture.jsonl"
+        capture.write_text(line + "\n")
+        with pytest.raises(ValidationError, match=r"capture\.jsonl:1: capture record must hold"):
+            ReplayBackend(str(capture))
+
+    def test_request_recorded_twice_replays_the_later_answer(self, tmp_path):
+        capture = tmp_path / "capture.jsonl"
+        request = {"prompt": "p"}
+        capture.write_text("".join(
+            json.dumps({"request": request, "response": {"choices": [{"text": text}]}}) + "\n"
+            for text in ("first", "second")
+        ))
+        assert ReplayBackend(str(capture))._complete(request)["choices"][0]["text"] == "second"
 
 
 class TestProtocolLayering:
@@ -450,11 +328,11 @@ class TestProtocolLayering:
             backend.generate("budget<think>", SamplingParams(max_tokens=2)),
         )
 
-    def test_replay_answers_as_the_live_backend_did(self, stub_server, tmp_path):
+    def test_replay_answers_as_the_live_backend_did(self, stub_server, tmp_path, http_backend):
         url, state = stub_server
         capture = tmp_path / "capture.jsonl"
         live = _config(url, capture_path=str(capture))
-        live_backend = HttpCompletionsBackend(live)
+        live_backend = http_backend(live)
         want = self._calls(live_backend)
         live_backend.close()
         assert len(capture.read_text().splitlines()) == len(state.requests) == 7
@@ -462,11 +340,11 @@ class TestProtocolLayering:
         assert self._calls(replay) == want
         assert len(state.requests) == 7  # replay never went on the wire
 
-    def test_replay_raises_the_live_protocol_error(self, stub_server, tmp_path):
+    def test_replay_raises_the_live_protocol_error(self, stub_server, tmp_path, http_backend):
         url, _ = stub_server
         capture = tmp_path / "capture.jsonl"
         cfg = _config(url, capture_path=str(capture), decision_tokens=("relevant", "false"))
-        live = HttpCompletionsBackend(cfg)
+        live = http_backend(cfg)
         with pytest.raises(ProtocolError) as live_error:
             live.validate_decision_tokens()
         live.close()
@@ -474,10 +352,10 @@ class TestProtocolLayering:
             ReplayBackend(str(capture), config=cfg).validate_decision_tokens()
         assert str(replay_error.value) == str(live_error.value)
 
-    def test_replay_needs_no_endpoint_and_close_is_a_no_op(self, stub_server, tmp_path):
+    def test_replay_needs_no_endpoint_and_close_is_a_no_op(self, stub_server, tmp_path, http_backend):
         url, _ = stub_server
         capture = tmp_path / "capture.jsonl"
-        live = HttpCompletionsBackend(_config(url, model="replay", capture_path=str(capture)))
+        live = http_backend(_config(url, model="replay", capture_path=str(capture)))
         live.score_decision("p")
         live.close()
         replay = ReplayBackend(str(capture))
@@ -488,11 +366,11 @@ class TestProtocolLayering:
         assert replay.close() is None
         assert replay.score_decision("p") == want
 
-    def test_retried_request_leaves_one_capture_line(self, stub_server, tmp_path):
+    def test_retried_request_leaves_one_capture_line(self, stub_server, tmp_path, http_backend):
         url, state = stub_server
         state.refuse = [(503, "0")]
         capture = tmp_path / "capture.jsonl"
-        backend = HttpCompletionsBackend(_config(url, capture_path=str(capture)))
+        backend = http_backend(_config(url, capture_path=str(capture)))
         backend.score_decision("retried")
         backend.close()
         assert len(state.requests) == 2
@@ -501,11 +379,11 @@ class TestProtocolLayering:
         assert record["request"] == state.requests[-1]
         assert line == json.dumps(record, sort_keys=True) + "\n"
 
-    def test_failed_request_leaves_no_capture_line(self, stub_server, tmp_path):
+    def test_failed_request_leaves_no_capture_line(self, stub_server, tmp_path, http_backend):
         url, state = stub_server
         state.fail_next = 2
         capture = tmp_path / "capture.jsonl"
-        backend = HttpCompletionsBackend(_config(url, max_attempts=2, capture_path=str(capture)))
+        backend = http_backend(_config(url, max_attempts=2, capture_path=str(capture)))
         with pytest.raises(BackendError):
             backend.score_decision("p")
         backend.close()

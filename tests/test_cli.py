@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +114,16 @@ class TestIndexRetrieve:
         assert "'my tag'" in capsys.readouterr().err
         assert not (run_dir / "my tag.run").exists()
         assert not run_dir.exists()
+
+    def test_passage_id_with_whitespace_fails_at_index(self, workspace, tmp_path, capsys):
+        corpus = workspace / "spaced.jsonl"
+        corpus.write_text('{"id": "p0", "text": "fine"}\n{"id": "p 1", "text": "spaced"}\n')
+        out = tmp_path / "out"
+        assert main(["index", "--corpus", str(corpus), "--out-dir", str(out)]) == 2
+        assert f"{corpus}:2: passage id must be non-empty without whitespace" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main([
@@ -275,6 +287,58 @@ class TestRerankCommand:
         assert code == 2
         assert f"{run_path}:1: score must be a finite number" in capsys.readouterr().err
 
+    def test_capture_then_replay_writes_identical_outputs(self, workspace, tmp_path, stub_server):
+        url, state = stub_server
+        run_path = workspace / "stage1.run"
+        run_path.write_text(
+            "q00 Q0 p0000 1 3.0 bm25\nq00 Q0 p0001 2 2.0 bm25\nq01 Q0 p0002 1 1.0 bm25\n"
+        )
+        capture = tmp_path / "capture.jsonl"
+        live, replay = tmp_path / "live", tmp_path / "replay"
+        flags = ["--samples", "2", "--concurrency", "2"]
+        assert self._rerank(workspace, live, run_path, "self_consistency",
+                            [*flags, "--backend", url, "--capture", str(capture)]) == 0
+        sent = len(state.requests)
+        assert sent == len(capture.read_text().splitlines()) == 2 + 3 * 2 * 2
+        assert self._rerank(workspace, replay, run_path, "self_consistency",
+                            [*flags, "--backend", f"replay:{capture}"]) == 0
+        assert len(state.requests) == sent  # replay never went on the wire
+        for name in ("self_consistency.run", "self_consistency_scored.jsonl"):
+            assert (replay / name).read_bytes() == (live / name).read_bytes()
+
+    def test_mock_rule_sets_logits_and_seeded_reasoning(self, workspace, tmp_path):
+        first = json.loads((workspace / "corpus.jsonl").read_text().splitlines()[0])
+        table = {
+            "single_token_vocab": ["true", "false"],
+            "default_logits": [0.0, 0.0],
+            "rules": [{
+                "contains": [f"Passage: {first['text']}\n"],
+                "logits": [3.0, -3.0],
+                "reasoning": "Sample {seed} finds it relevant.</think>",
+            }],
+        }
+        (workspace / "rules.json").write_text(json.dumps(table))
+        run_path = workspace / "stage1.run"
+        run_path.write_text(f"q00 Q0 {first['id']} 1 2.0 bm25\nq00 Q0 p0001 2 1.0 bm25\n")
+        out = tmp_path / "sc"
+        assert main([
+            "rerank", "--corpus", str(workspace / "corpus.jsonl"),
+            "--queries", str(workspace / "queries.jsonl"), "--run-in", str(run_path),
+            "--strategy", "self_consistency", "--samples", "2",
+            "--backend", f"mock:{workspace / 'rules.json'}", "--out-dir", str(out),
+        ]) == 0
+        dump = {
+            d["passage_id"]: d
+            for d in map(json.loads, (out / "self_consistency_scored.jsonl").read_text().splitlines())
+        }
+        ruled, default = dump[first["id"]], dump["p0001"]
+        assert ruled["per_sample_scores"] == [1 / (1 + math.exp(-6.0))] * 2
+        texts = [t["text"] for t in ruled["traces"]]
+        assert all(re.fullmatch(r"Sample -?\d+ finds it relevant\.", t) for t in texts)
+        assert texts[0] != texts[1]  # each sample's own seed
+        assert default["per_sample_scores"] == [0.5, 0.5]
+        assert all("finds it relevant" not in t["text"] for t in default["traces"])
+
     def test_config_file_with_cli_override(self, workspace, tmp_path):
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
         config = {
@@ -294,6 +358,57 @@ class TestRerankCommand:
         assert (out / "forced_no_reason.run").exists()
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["strategy"] == "forced_no_reason"
+
+
+# (kind, file name, content, where the error points, command over the workspace)
+MALFORMED = [
+    ("corpus", "bad.jsonl", '{"id": "p1", "text": "ok"}\n{broken\n', ":2: invalid JSON",
+     lambda ws, bad: ["index", "--corpus", bad]),
+    ("queries", "bad.tsv", "q1 has no tab\n", ":1: expected JSON object",
+     lambda ws, bad: ["rerank", "--corpus", ws / "corpus.jsonl", "--queries", bad]),
+    ("qrels", "bad.qrels", "q00 0 p0000 3\nq00 0 p0001\n", ":2: expected 'qid iteration",
+     lambda ws, bad: ["eval", "--run-in", ws / "ok.run", "--qrels", bad]),
+    ("run-in", "bad.run", "\nq00 Q0 p0000 one 1.0 t\n", ":2: rank must be an integer",
+     lambda ws, bad: ["eval", "--run-in", bad, "--qrels", ws / "qrels.txt"]),
+    ("scored", "bad_scored.jsonl", '{"query_id": "q00", "score": 0.5}\n',
+     ":1: bad scored record",
+     lambda ws, bad: ["analyze", "--scored", bad]),
+    ("config", "bad_config.json", '{"k": 10,}', ": invalid JSON config",
+     lambda ws, bad: ["eval", "--config", bad]),
+    ("template", "bad_template.json", '{"user": 5}', ": template field 'user'",
+     lambda ws, bad: [*_rerank_inputs(ws), "--template", bad]),
+    ("index", "bad_index.json", "[]", ": index must be a JSON object",
+     lambda ws, bad: ["retrieve", "--index", bad, "--queries", ws / "queries.jsonl"]),
+    ("mock-table", "bad_table.json", "[1, 2]", ": mock table must be a JSON object",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
+    ("capture-json", "bad_capture.jsonl", '{"request": {}, "response":\n', ":1: invalid JSON",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
+    ("capture-key", "bad_capture.jsonl", '\n{"request": {}}\n', ":2: capture record",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
+    ("capture-empty", "bad_capture.jsonl", "\n", ": empty capture log",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
+]
+
+
+def _rerank_inputs(ws):
+    return ["rerank", "--corpus", ws / "corpus.jsonl", "--queries", ws / "queries.jsonl",
+            "--run-in", ws / "ok.run"]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("kind, name, content, where, command", MALFORMED,
+                             ids=[case[0] for case in MALFORMED])
+    def test_exits_2_naming_the_file(self, workspace, tmp_path, capsys,
+                                     kind, name, content, where, command):
+        (workspace / "ok.run").write_text("q00 Q0 p0000 1 2.0 t\nq00 Q0 p0001 2 1.0 t\n")
+        bad = workspace / name
+        bad.write_text(content)
+        out = tmp_path / "out"
+        code = main([str(arg) for arg in command(workspace, bad)] + ["--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{bad}{where}" in err
+        assert not out.exists()
 
 
 class TestEvalAnalyze:

@@ -5,10 +5,11 @@ import pytest
 from reranklab import ReasoningTrace, RunEntry, ScoredPair, ValidationError
 from reranklab.data import (
     PipelineConfig,
-    load_config,
     load_corpus,
     load_qrels,
     load_queries,
+    read_json_object,
+    read_records,
     read_run,
     read_scored,
     write_qrels,
@@ -51,6 +52,16 @@ class TestCorpus:
         with pytest.raises(ValidationError, match=":2"):
             load_corpus(str(path))
 
+    @pytest.mark.parametrize("line", [
+        '{"id": "p 1", "text": "x"}', '{"id": "", "text": "x"}', "p 1\tx", "\tx",
+    ], ids=["space-json", "empty-json", "space-tsv", "empty-tsv"])
+    def test_id_must_be_one_run_column(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "p0", "text": "ok"}\n' + line + "\n")
+        with pytest.raises(ValidationError,
+                           match=r"corpus\.jsonl:2: passage id must be non-empty without whitespace"):
+            load_corpus(str(path))
+
     def test_text_with_newline_escapes_survive(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"id": "p1", "text": "line one\nline two"}) + "\n")
@@ -68,6 +79,21 @@ class TestQueries:
         path = tmp_path / "queries.jsonl"
         path.write_text('{"id": "q1", "text": ""}\n')
         with pytest.raises(ValidationError, match=":1"):
+            load_queries(str(path))
+
+
+    def test_id_must_be_one_run_column(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q1\tfirst\n\nq 2\tsecond\n")
+        with pytest.raises(ValidationError,
+                           match=r"queries\.tsv:3: query id must be non-empty without whitespace"):
+            load_queries(str(path))
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("q1\tfirst\nq1\tagain\n")
+        with pytest.raises(ValidationError, match=r"queries\.tsv:2: duplicate query id 'q1' "
+                                                  r"\(first seen on line 1\)"):
             load_queries(str(path))
 
 
@@ -204,6 +230,27 @@ class TestScoredDump:
         with pytest.raises(ValidationError, match="mixed strategies"):
             read_scored(str(path))
 
+    def test_repeated_pair_rejected(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        rows = [
+            {"query_id": "q", "passage_id": "a", "score": 1.0, "strategy": "direct"},
+            {"query_id": "q", "passage_id": "b", "score": 0.0, "strategy": "direct"},
+            {"query_id": "q", "passage_id": "a", "score": 1.0, "strategy": "direct"},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValidationError, match=r"dump\.jsonl:3: duplicate scored pair "
+                                                  r"\('q', 'a'\) \(first seen on line 1\)"):
+            read_scored(str(path))
+
+    @pytest.mark.parametrize("row", [
+        '{"query_id": 7, "passage_id": "a", "score": 0.5}', "[1, 2]", "null",
+    ], ids=["number-id", "array", "null"])
+    def test_record_shape_checked(self, tmp_path, row):
+        path = tmp_path / "dump.jsonl"
+        path.write_text(row + "\n")
+        with pytest.raises(ValidationError, match=r"dump\.jsonl:1: bad scored record"):
+            read_scored(str(path))
+
     def test_score_floats_roundtrip_exactly(self, tmp_path):
         value = 0.12345678901234567
         path = tmp_path / "dump.jsonl"
@@ -212,12 +259,65 @@ class TestScoredDump:
         assert loaded[0].score == value
 
 
+def _word(line):
+    word = line.strip()
+    if word == "bad":
+        raise ValidationError("bad word")
+    return (None if word.startswith("~") else word), word
+
+
+class TestReadRecords:
+    def test_blank_lines_skipped_and_none_keys_unchecked(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("a\n\n  \t\n~x\n~x\nb")
+        assert read_records(str(path), _word, "word", "no words") == ["a", "~x", "~x", "b"]
+
+    @pytest.mark.parametrize("content, message", [
+        ("a\n\nb\na\n", r"words\.txt:4: duplicate word 'a' \(first seen on line 1\)"),
+        ("a\nbad\n", r"words\.txt:2: bad word$"),
+        ("\n \n", r"words\.txt: no words$"),
+        ("", r"words\.txt: no words$"),
+    ], ids=["duplicate", "parse-error", "blank", "empty"])
+    def test_errors_name_file_and_line(self, tmp_path, content, message):
+        path = tmp_path / "words.txt"
+        path.write_text(content)
+        with pytest.raises(ValidationError, match=message):
+            read_records(str(path), _word, "word", "no words")
+
+    def test_invalid_json_named_once(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{"a": \n')
+        with pytest.raises(ValidationError, match=r"^[^:]*rows\.jsonl:2: invalid JSON: Expecting"):
+            read_records(str(path), lambda line: (None, json.loads(line)), "row", "no rows")
+
+    def test_not_utf8_is_validation_error(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_bytes(b"ok\n\xff\xfe\n")
+        with pytest.raises(ValidationError, match=r"rows\.txt: not UTF-8 text"):
+            read_records(str(path), _word, "word", "no words")
+
+
+class TestReadJsonObject:
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", r"cfg\.json: invalid JSON config: "),
+        (b"", r"cfg\.json: invalid JSON config: "),
+        (b"\xff{}", r"cfg\.json: invalid JSON config: "),
+        (b"[1, 2]", r"cfg\.json: config must be a JSON object$"),
+        (b'"text"', r"cfg\.json: config must be a JSON object$"),
+    ], ids=["broken", "empty", "not-utf8", "array", "string"])
+    def test_refuses_anything_but_one_object(self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=message):
+            read_json_object(str(path), "config")
+
+
 class TestConfig:
     def test_file_then_cli_override(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"k": 50, "strategy": "reason", "seed": 3}')
         config = PipelineConfig.from_sources(
-            load_config(str(path)), {"k": 10, "seed": None}
+            read_json_object(str(path), "config"), {"k": 10, "seed": None}
         )
         assert config.k == 10          # CLI wins
         assert config.strategy == "reason"  # file value kept
@@ -227,7 +327,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text('{"no_such_knob": 1}')
         with pytest.raises(ValidationError, match="unknown config keys"):
-            PipelineConfig.from_sources(load_config(str(path)), {})
+            PipelineConfig.from_sources(read_json_object(str(path), "config"), {})
 
     def test_resolved_dump_is_deterministic(self, tmp_path):
         config = PipelineConfig(strategy="direct", k=10)

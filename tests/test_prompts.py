@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,22 @@ class TestTemplateFiles:
         path.write_text('{"nonsense": 1}')
         with pytest.raises(ValidationError, match="unknown template fields"):
             load_template(str(path))
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"user": 5}', r"template\.json: template field 'user' must be a string, got 5"),
+        ('{"user": "no placeholders"}', r"template\.json: user text must contain \{query\}"),
+        ("[]", r"template\.json: template must be a JSON object"),
+        ("{oops", r"template\.json: invalid JSON template"),
+    ], ids=["number-field", "no-placeholders", "array", "broken"])
+    def test_bad_file_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "template.json"
+        path.write_text(content)
+        with pytest.raises(ValidationError, match=message):
+            load_template(str(path))
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PromptTemplate)])
+@pytest.mark.parametrize("value", [5, None])
+def test_template_fields_must_be_strings(field, value):
+    with pytest.raises(ValidationError, match=f"template field {field!r} must be a string"):
+        PromptTemplate(**{field: value})

@@ -57,7 +57,11 @@ def scored_pairs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(pairs=st.lists(scored_pairs(), min_size=1, max_size=6), strategy=st.text(max_size=20))
+@given(
+    pairs=st.lists(scored_pairs(), min_size=1, max_size=6,
+                   unique_by=lambda p: (p.query_id, p.passage_id)),
+    strategy=st.text(max_size=20),
+)
 def test_scored_dump_roundtrip_is_exact(pairs, strategy):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scored.jsonl")
