@@ -5,14 +5,13 @@ completions requests (vLLM-style servers) and reads per-token
 log-probabilities and reasoning text from the responses. Log-probabilities
 stand in for raw logits: a two-way softmax over logits equals renormalizing
 the two token probabilities, since the full-vocabulary softmax shift cancels
-in the ratio. A transport supplies only ``_complete(payload) -> body``:
+in the ratio. Three transports each supply only ``_complete(payload) -> body``:
 
 * ``HttpCompletionsBackend`` sends the request to a server, and optionally
   appends each request/response pair to a capture log.
 * ``ReplayBackend`` answers the request from such a capture log, offline.
-
-``MockBackend`` is a deterministic in-process stand-in for tests and
-offline runs: a pure function of (prompt, seed) that builds no requests.
+* ``MockBackend`` builds the answer in process, a pure function of
+  (prompt, seed), for tests and offline runs.
 
 Clients are shareable across threads. ``max_in_flight`` bounds the HTTP
 requests in flight, enforced internally; callers must not assume response
@@ -125,7 +124,7 @@ class SamplingParams:
 class CompletionsBackend:
     """The completions protocol: request building and response reading.
 
-    Wire backends supply the transport as ``_complete(payload) -> body``.
+    A transport (HTTP, replay or mock) supplies ``_complete(payload) -> body``.
     """
 
     config: BackendConfig
@@ -134,9 +133,6 @@ class CompletionsBackend:
     def _complete(self, payload: dict) -> dict:
         """Answer one completions request with its JSON response body."""
         raise NotImplementedError
-
-    def _base_payload(self, prompt: str) -> dict:
-        return {"model": self.config.model, "prompt": prompt, "echo": False}
 
     def validate_decision_tokens(self) -> None:
         """Probe the server: each decision token must be one vocabulary item."""
@@ -164,21 +160,21 @@ class CompletionsBackend:
     def score_decision(self, prompt: str) -> DecisionLogits:
         if not prompt:
             raise ValidationError("prompt must be non-empty")
-        payload = self._base_payload(prompt)
-        payload.update(
-            {"max_tokens": 1, "temperature": 0.0, "logprobs": self.config.top_logprobs}
-        )
-        body = self._complete(payload)
+        cfg = self.config
+        body = self._complete({
+            "model": cfg.model, "prompt": prompt, "echo": False,
+            "max_tokens": 1, "temperature": 0.0, "logprobs": cfg.top_logprobs,
+        })
         top = _choice(body).get("logprobs", {}).get("top_logprobs")
         if not top:
             raise ProtocolError("response carried no top_logprobs for the next position")
         table = top[0]
-        true_tok, false_tok = self.config.decision_tokens
-        missing = [t for t in (true_tok, false_tok) if t not in table]
-        if missing:
+        true_tok, false_tok = cfg.decision_tokens
+        if true_tok not in table or false_tok not in table:
+            missing = [t for t in (true_tok, false_tok) if t not in table]
             raise ProtocolError(
                 f"decision token(s) {missing} absent from the top "
-                f"{self.config.top_logprobs} logprobs; raise top_logprobs in the "
+                f"{cfg.top_logprobs} logprobs; raise top_logprobs in the "
                 "backend config so both decision tokens are always returned"
             )
         return DecisionLogits(float(table[true_tok]), float(table[false_tok]))
@@ -186,15 +182,11 @@ class CompletionsBackend:
     def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
         if not prompt:
             raise ValidationError("prompt must be non-empty")
-        payload = self._base_payload(prompt)
-        payload.update(
-            {
-                "max_tokens": sampling.max_tokens,
-                "temperature": sampling.temperature,
-                "top_p": sampling.top_p,
-                "stop": [sampling.stop],
-            }
-        )
+        payload = {
+            "model": self.config.model, "prompt": prompt, "echo": False,
+            "max_tokens": sampling.max_tokens, "temperature": sampling.temperature,
+            "top_p": sampling.top_p, "stop": [sampling.stop],
+        }
         if sampling.seed is not None:
             payload["seed"] = sampling.seed
         body = self._complete(payload)
@@ -322,6 +314,9 @@ class HttpCompletionsBackend(CompletionsBackend):
                 # and bodies that are not JSON
                 last_error = exc
                 continue
+            if not isinstance(body, dict):  # JSON, but not a completions body: "[]", "busy"
+                last_error = ProtocolError(f"response is not a JSON object: {_excerpt(raw)}")
+                continue
             if cfg.capture_path:  # mirror for offline replay, one JSON line per request
                 line = json.dumps({"request": payload, "response": body}, sort_keys=True)
                 with self._capture_lock, open(cfg.capture_path, "a", encoding="utf-8") as fh:
@@ -380,12 +375,13 @@ def _default_generate_fn(prompt: str, seed: int | None) -> str:
 
 
 class MockBackend(CompletionsBackend):
-    """Deterministic backend for tests: a pure function of (prompt, seed).
+    """Deterministic transport for tests: a pure function of (prompt, seed).
 
-    ``score_fn`` maps a prompt to (true_logit, false_logit); ``generate_fn``
-    maps (prompt, seed) to the raw continuation the model would emit, which
-    is then subjected to the same stop-marker and token-budget handling a
-    real server applies. Call counters support call-count assertions.
+    It builds answers, not requests. ``score_fn`` maps a prompt to
+    (true_logit, false_logit); ``generate_fn`` maps (prompt, seed) to the raw
+    continuation the model would emit, which ``_complete`` cuts at the stop
+    marker and the token budget as a server would. Call counters count score
+    and generate requests.
     """
 
     answers_in_process = True
@@ -406,37 +402,66 @@ class MockBackend(CompletionsBackend):
         self.generate_calls = 0
         self.scored_prompts: list[str] = []  # always empty; kept only for bench/tracer.py
 
-    def validate_decision_tokens(self) -> None:
-        for token in self.config.decision_tokens:
-            if self._vocab is not None:
-                single = token in self._vocab
+    def _complete(self, payload: dict) -> dict:
+        prompt = payload["prompt"]
+        if "stop" in payload:  # generate: cut at the stop marker, then at the budget
+            raw = self._generate_fn(prompt, payload.get("seed"))
+            with self._lock:
+                self.generate_calls += 1
+            head, marker, _ = raw.partition(payload["stop"][0])
+            pieces = _pieces(head)
+            if marker and len(pieces) <= payload["max_tokens"]:
+                choice = {"text": head, "finish_reason": "stop"}
             else:
-                single = bool(token) and not any(ch.isspace() for ch in token)
-            if not single:
-                raise ProtocolError(
-                    f"decision token {token!r} is not a single token in the mock vocabulary"
-                )
-
-    def score_decision(self, prompt: str) -> DecisionLogits:
-        if not prompt:
-            raise ValidationError("prompt must be non-empty")
-        true_logit, false_logit = self._score_fn(prompt)
+                pieces = pieces[: payload["max_tokens"]]
+                choice = {"text": "".join(pieces), "finish_reason": "length"}
+            return {"choices": [choice], "usage": {"completion_tokens": len(pieces)}}
+        if payload["echo"]:  # probe: one piece iff the prompt is one vocabulary item
+            if self._vocab is not None:
+                single = prompt in self._vocab
+            else:
+                single = not any(ch.isspace() for ch in prompt)
+            tokens = [prompt] if single else [prompt[:1], prompt[1:]]
+            return {"choices": [{"logprobs": {"tokens": tokens}}]}
+        z_true, z_false = self._score_fn(prompt)
         with self._lock:
             self.score_calls += 1
-        return DecisionLogits(true_logit, false_logit)
+        true_tok, false_tok = self.config.decision_tokens
+        top = {true_tok: z_true, false_tok: z_false}
+        return {"choices": [{"logprobs": {"top_logprobs": [top]}}]}
 
-    def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
-        if not prompt:
-            raise ValidationError("prompt must be non-empty")
-        raw = self._generate_fn(prompt, sampling.seed)
-        with self._lock:
-            self.generate_calls += 1
-        head, marker, _ = raw.partition(sampling.stop)
-        pieces = _pieces(head)
-        if marker and len(pieces) <= sampling.max_tokens:
-            return ReasoningTrace(text=head, terminated=True, token_count=len(pieces))
-        kept = pieces[: sampling.max_tokens]
-        return ReasoningTrace(text="".join(kept), terminated=False, token_count=len(kept))
+
+def _is_logits(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(
+        isinstance(z, (int, float)) and not isinstance(z, bool) and math.isfinite(z)
+        for z in value
+    )
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+# field -> (type check, what the field must be); an absent field takes its default
+_TABLE_FIELDS = {
+    "single_token_vocab": (_is_strings, "a list of strings"),
+    "default_logits": (lambda v: v == "hash" or _is_logits(v), '"hash" or two finite numbers'),
+    "default_reasoning": (lambda v: isinstance(v, str), "a string"),
+    "rules": (lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
+              "a list of objects"),
+}
+_RULE_FIELDS = {
+    "contains": (_is_strings, "a list of strings"),
+    "logits": (_is_logits, "two finite numbers"),
+    "reasoning": (lambda v: isinstance(v, str), "a string"),
+    "fail": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _check_fields(obj: dict, fields: dict, where: str) -> None:
+    for name, (ok, kind) in fields.items():
+        if name in obj and not ok(obj[name]):
+            raise ValidationError(f"{where} field {name!r} must be {kind}")
 
 
 def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBackend:
@@ -459,10 +484,14 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
     The first rule whose ``contains`` strings all appear in the prompt wins.
     A ``fail`` rule raises a backend error (for exercising error policy).
     ``{seed}`` in reasoning text is substituted at generation time so sampled
-    outputs can differ per seed while staying deterministic.
+    outputs can differ per seed while staying deterministic. Every field is
+    optional; one of the wrong type raises ``ValidationError`` naming the file.
     """
     table = read_json_object(path, "mock table")
+    _check_fields(table, _TABLE_FIELDS, f"{path}: mock table")
     rules = table.get("rules", [])
+    for i, rule in enumerate(rules):
+        _check_fields(rule, _RULE_FIELDS, f"{path}: mock table rule {i}")
     default_logits = table.get("default_logits", [0.0, 0.0])
     default_reasoning = table.get("default_reasoning")
 

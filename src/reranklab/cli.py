@@ -172,7 +172,11 @@ def _analyzer(config: data.PipelineConfig) -> bm25.AnalyzerConfig:
     stopwords = None
     if config.stopwords:
         path = data.require_path(config.stopwords, "stopwords")
-        words = [w.strip() for w in path.read_text(encoding="utf-8").splitlines()]
+        try:  # not data.read_records: an empty file means no stopwords
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+        words = [w.strip() for w in text.splitlines()]
         stopwords = frozenset(w for w in words if w)
     return bm25.AnalyzerConfig(
         lowercase=not config.no_lowercase,

@@ -74,7 +74,7 @@ class _StubState:
     def __init__(self):
         self.fail_next = 0          # respond 500 this many times
         self.refuse = []            # (status, Retry-After or None) for the next requests
-        self.faults = []            # "not-json", "truncated", "reset" or "drop" (no answer)
+        self.faults = []            # "not-json", "not-object", "truncated", "reset" or "drop"
         self.close_after_response = False  # drop each connection without announcing it
         self.stall_s = 0.0          # delay before every response
         self.extra_choice = {}      # fields merged into generation choices
@@ -166,6 +166,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.dumps(body_dict).encode("utf-8")
         if fault == "not-json":
             body = b"<html>upstream busy</html>"
+        elif fault == "not-object":  # valid JSON, but no completions body
+            body = b"[]"
         declared = len(body) + 10 if fault == "truncated" else len(body)
         lines = [
             f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",

@@ -8,14 +8,20 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from reranklab import (
+    DEFAULT_TEMPLATE,
     BackendConfig,
     BackendError,
     HttpCompletionsBackend,
     MockBackend,
+    Passage,
     ProtocolError,
+    Query,
     ReplayBackend,
+    RerankStrategy,
     SamplingParams,
+    StrategyKind,
     ValidationError,
+    score_pair,
 )
 from reranklab.backend import CompletionsBackend
 
@@ -204,7 +210,7 @@ class TestTransport:
             assert backend.score_decision(f"p{i}").true_logit == -0.2
         assert len(state.requests) == 5
 
-    @pytest.mark.parametrize("fault", ["not-json", "truncated", "reset", "drop"])
+    @pytest.mark.parametrize("fault", ["not-json", "not-object", "truncated", "reset", "drop"])
     def test_broken_response_retried(self, stub_server, fault, http_backend):
         url, state = stub_server
         state.faults = [fault]
@@ -212,7 +218,7 @@ class TestTransport:
         assert backend.score_decision("p").true_logit == -0.2
         assert len(state.requests) == 2
 
-    @pytest.mark.parametrize("fault", ["not-json", "truncated", "reset", "drop"])
+    @pytest.mark.parametrize("fault", ["not-json", "not-object", "truncated", "reset", "drop"])
     def test_broken_response_exhausts_attempts(self, stub_server, fault, http_backend):
         url, state = stub_server
         state.faults = [fault] * 3
@@ -220,6 +226,14 @@ class TestTransport:
         with pytest.raises(BackendError, match="after 3 attempts"):
             backend.score_decision("p")
         assert len(state.requests) == 3
+
+    def test_non_object_body_is_a_protocol_error(self, stub_server, http_backend):
+        url, state = stub_server
+        state.faults = ["not-object"] * 2
+        backend = http_backend(_config(url, max_attempts=2))
+        with pytest.raises(BackendError, match="after 2 attempts: response is not a JSON") as info:
+            backend.score_decision("p")
+        assert isinstance(info.value.__cause__, ProtocolError)
 
     def test_stall_past_timeout(self, stub_server, http_backend):
         url, state = stub_server
@@ -432,6 +446,34 @@ class TestMockBackend:
             config=BackendConfig(endpoint="mock:", decision_tokens=("relevant", "false")),
         )
         with pytest.raises(ProtocolError):
+            bad.validate_decision_tokens()
+
+    def test_every_request_goes_through_complete(self, monkeypatch):
+        mock = MockBackend()
+        kinds = []
+        answer = mock._complete
+
+        def spy(payload):
+            kinds.append("generate" if "stop" in payload else
+                         "probe" if payload["echo"] else "score")
+            return answer(payload)
+
+        monkeypatch.setattr(mock, "_complete", spy)
+        mock.validate_decision_tokens()
+        assert kinds == ["probe", "probe"]
+        query, passage = Query("q1", "cat care"), Passage("p1", "cats need care")
+        for kind, requests in ((StrategyKind.DIRECT, ["score"]),
+                               (StrategyKind.REASON, ["generate", "score"])):
+            kinds.clear()
+            score_pair(mock, DEFAULT_TEMPLATE, RerankStrategy(kind), query, passage,
+                       SamplingParams(max_tokens=64))
+            assert kinds == requests
+        assert (mock.score_calls, mock.generate_calls) == (2, 1)
+
+    def test_probe_names_the_piece_count(self):
+        config = BackendConfig(endpoint="mock:", decision_tokens=("very true", "no"))
+        bad = MockBackend(config=config)
+        with pytest.raises(ProtocolError, match="'very true' tokenizes to 2 pieces"):
             bad.validate_decision_tokens()
 
     def test_call_counters(self):

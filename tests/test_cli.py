@@ -58,6 +58,15 @@ class TestIndexRetrieve:
         out = capsys.readouterr().out
         assert "indexed 30 passages" in out
 
+    def test_empty_stopwords_file_means_no_stopwords(self, workspace, tmp_path, capsys):
+        (workspace / "stopwords.txt").write_text("")
+        corpus = str(workspace / "corpus.jsonl")
+        assert main(["index", "--corpus", corpus, "--out-dir", str(tmp_path / "a")]) == 0
+        plain = capsys.readouterr().out.split(" -> ")[0]  # "indexed N passages, M terms"
+        assert main(["index", "--corpus", corpus, "--stopwords", str(workspace / "stopwords.txt"),
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out.split(" -> ")[0] == plain
+
     def test_k_flag_limits_candidates(self, workspace, tmp_path):
         out = tmp_path / "out"
         assert main([
@@ -381,12 +390,23 @@ MALFORMED = [
      lambda ws, bad: ["retrieve", "--index", bad, "--queries", ws / "queries.jsonl"]),
     ("mock-table", "bad_table.json", "[1, 2]", ": mock table must be a JSON object",
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
+    ("mock-vocab", "bad_table.json", '{"single_token_vocab": 5}',
+     ": mock table field 'single_token_vocab' must be a list of strings",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
+    ("mock-logits", "bad_table.json", '{"default_logits": "x"}',
+     ": mock table field 'default_logits' must be",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
+    ("mock-rules", "bad_table.json", '{"rules": [5]}',
+     ": mock table field 'rules' must be a list of objects",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
     ("capture-json", "bad_capture.jsonl", '{"request": {}, "response":\n', ":1: invalid JSON",
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
     ("capture-key", "bad_capture.jsonl", '\n{"request": {}}\n', ":2: capture record",
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
     ("capture-empty", "bad_capture.jsonl", "\n", ": empty capture log",
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
+    ("stopwords", "bad_stopwords.txt", b"\xff\xfe", ": not UTF-8 text",
+     lambda ws, bad: ["index", "--corpus", ws / "corpus.jsonl", "--stopwords", bad]),
 ]
 
 
@@ -402,7 +422,10 @@ class TestMalformedInputs:
                                      kind, name, content, where, command):
         (workspace / "ok.run").write_text("q00 Q0 p0000 1 2.0 t\nq00 Q0 p0001 2 1.0 t\n")
         bad = workspace / name
-        bad.write_text(content)
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
         out = tmp_path / "out"
         code = main([str(arg) for arg in command(workspace, bad)] + ["--out-dir", str(out)])
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Property-based invariants: file formats round-trip exactly, reranking ignores
 input order, the index build, BM25 top-k and NDCG match naive references, bins
-add up, and the prompt fill substitutes each placeholder once."""
+add up, the prompt fill substitutes each placeholder once, and the mock
+transport answers as the old in-process mock did."""
 
 import itertools
 import math
@@ -9,19 +10,21 @@ import re
 import string
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reranklab import (
     AnalyzerConfig,
     Bm25Params,
     Corpus,
+    MockBackend,
     Passage,
     PromptMode,
     PromptTemplate,
     Query,
     ReasoningTrace,
     RunEntry,
+    SamplingParams,
     ScoredPair,
     assemble_prompt,
     bin_scores,
@@ -31,6 +34,7 @@ from reranklab import (
     rerank,
     retrieve_top_k,
 )
+from reranklab.backend import _pieces
 from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
 from reranklab.porter import porter_stem
 from reranklab.types import ValidationError, validate_run
@@ -321,3 +325,34 @@ def test_prompt_fill_is_a_single_literal_pass(parts, query_first, query_text, pa
     segment = prompt.split("<|im_start|>user\n", 1)[1]
     segment = segment.rsplit("\n<|im_end|>\n<|im_start|>assistant\n", 1)[0]
     assert segment == partition_fill(user, query_text, passage_text)
+
+
+STOP = SamplingParams().stop
+reasoning_text = st.text(st.sampled_from(" \n\tab</>think"), max_size=160) | st.text(max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=reasoning_text, tail=st.none() | st.text(max_size=20), budget=st.integers(1, 64))
+@example(body="", tail=" after", budget=1)  # the marker at position 0
+@example(body="one two three", tail="", budget=3)  # exactly at budget, marker present
+@example(body="one two three", tail=None, budget=3)  # exactly at budget, no marker
+def test_mock_generation_cuts_at_the_marker_then_the_budget(body, tail, budget):
+    raw = body if tail is None else body + STOP + tail
+    head, marker, _ = raw.partition(STOP)
+    pieces = _pieces(head)
+    mock = MockBackend(generate_fn=lambda prompt, seed: raw)
+    trace = mock.generate("prompt<think>", SamplingParams(max_tokens=budget))
+    assert head.startswith(trace.text)
+    assert trace.terminated == (bool(marker) and len(pieces) <= budget)
+    assert trace.token_count == len(_pieces(trace.text))
+    assert trace.text == "".join(pieces[:budget])
+
+
+logits = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=st.tuples(logits, logits), prompt=st.text(min_size=1, max_size=40))
+def test_mock_score_decision_returns_the_score_fn_logits_exactly(z, prompt):
+    read = MockBackend(score_fn=lambda p: z).score_decision(prompt)
+    assert (read.true_logit.hex(), read.false_logit.hex()) == (z[0].hex(), z[1].hex())
