@@ -43,8 +43,6 @@ from .rerank import (
     rerank,
     score_candidates,
     score_pair,
-    score_reasoned,
-    score_self_consistency,
 )
 from .types import (
     Candidate,
@@ -105,7 +103,5 @@ __all__ = [
     "save_index",
     "score_candidates",
     "score_pair",
-    "score_reasoned",
-    "score_self_consistency",
     "tokenize",
 ]

@@ -42,7 +42,7 @@ import re
 import ssl
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, ClassVar
 from urllib.parse import urlsplit
@@ -117,14 +117,12 @@ class SamplingParams:
         if not self.stop:
             raise ValidationError("stop sequence must be non-empty")
 
-    def with_seed(self, seed: int | None) -> "SamplingParams":
-        return replace(self, seed=seed)
-
 
 class CompletionsBackend:
     """The completions protocol: request building and response reading.
 
     A transport (HTTP, replay or mock) supplies ``_complete(payload) -> body``.
+    A response field of the wrong type raises ``ProtocolError`` naming it.
     """
 
     config: BackendConfig
@@ -145,12 +143,13 @@ class CompletionsBackend:
                 "logprobs": 0,
             }
             body = self._complete(payload)
-            tokens = _choice(body).get("logprobs", {}).get("tokens")
+            tokens = _logprobs(body).get("tokens")
             if tokens is None:
                 raise ProtocolError(
                     "probe response carried no logprobs.tokens; the server must "
                     "support echo with logprobs for decision-token validation"
                 )
+            _shaped(tokens, list, "logprobs.tokens")
             if len(tokens) != 1:
                 raise ProtocolError(
                     f"decision token {token!r} tokenizes to {len(tokens)} pieces "
@@ -165,10 +164,10 @@ class CompletionsBackend:
             "model": cfg.model, "prompt": prompt, "echo": False,
             "max_tokens": 1, "temperature": 0.0, "logprobs": cfg.top_logprobs,
         })
-        top = _choice(body).get("logprobs", {}).get("top_logprobs")
+        top = _logprobs(body).get("top_logprobs")
         if not top:
             raise ProtocolError("response carried no top_logprobs for the next position")
-        table = top[0]
+        table = _shaped(_shaped(top, list, "top_logprobs")[0], dict, "top_logprobs[0]")
         true_tok, false_tok = cfg.decision_tokens
         if true_tok not in table or false_tok not in table:
             missing = [t for t in (true_tok, false_tok) if t not in table]
@@ -177,7 +176,11 @@ class CompletionsBackend:
                 f"{cfg.top_logprobs} logprobs; raise top_logprobs in the "
                 "backend config so both decision tokens are always returned"
             )
-        return DecisionLogits(float(table[true_tok]), float(table[false_tok]))
+        z_true, z_false = table[true_tok], table[false_tok]
+        if not (_is_number(z_true) and _is_number(z_false)):
+            tok, z = (false_tok, z_false) if _is_number(z_true) else (true_tok, z_true)
+            raise _malformed(f"top_logprobs[0][{tok!r}]", "a finite number", z)
+        return DecisionLogits(float(z_true), float(z_false))
 
     def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
         if not prompt:
@@ -191,36 +194,23 @@ class CompletionsBackend:
             payload["seed"] = sampling.seed
         body = self._complete(payload)
         choice = _choice(body)
-        text = choice.get("text", "")
+        text = _shaped(choice.get("text", ""), str, "text")
         if text.endswith(sampling.stop):  # some servers include the stop sequence
             text = text[: -len(sampling.stop)]
         if "stop_reason" in choice:  # vLLM: the stop string matched, or null at EOS
             terminated = choice["stop_reason"] == sampling.stop
         else:
             terminated = choice.get("finish_reason") == "stop"
-        usage = body.get("usage") or {}
+        usage = _shaped(body.get("usage") or {}, dict, "usage")
         token_count = usage.get("completion_tokens")
         if token_count is None:
             token_count = len(_pieces(text))
-        return ReasoningTrace(text=text, terminated=terminated, token_count=int(token_count))
+        elif type(token_count) is not int or token_count < 0:  # bool is not a count
+            raise _malformed("usage.completion_tokens", "a non-negative integer", token_count)
+        return ReasoningTrace(text=text, terminated=terminated, token_count=token_count)
 
     def close(self) -> None:
         """Release held connections; a no-op for backends that hold none."""
-
-    def generate_then_score(
-        self, prompt: str, sampling: SamplingParams, answer_scaffold: str = "\n"
-    ) -> tuple[ReasoningTrace, DecisionLogits]:
-        """Generate a trace, then read decision logits after it.
-
-        The end-of-think marker is re-appended before scoring whether or not
-        the model emitted it, so a budget-exhausted trace still gets a score;
-        the logits position is always prompt + trace + marker + scaffold.
-        """
-        if not prompt:
-            raise ValidationError("prompt must be non-empty")
-        trace = self.generate(prompt, sampling)
-        extended = prompt + trace.text + sampling.stop + answer_scaffold
-        return trace, self.score_decision(extended)
 
 
 class HttpCompletionsBackend(CompletionsBackend):
@@ -348,7 +338,30 @@ def _choice(body: dict) -> dict:
     choices = body.get("choices")
     if not choices:
         raise ProtocolError(f"response carried no choices: {json.dumps(body)[:200]}")
-    return choices[0]
+    return _shaped(_shaped(choices, list, "choices")[0], dict, "choices[0]")
+
+
+def _logprobs(body: dict) -> dict:
+    return _shaped(_choice(body).get("logprobs", {}), dict, "logprobs")
+
+
+def _is_number(value) -> bool:
+    return type(value) in (float, int) and math.isfinite(value)  # a JSON number, not a bool
+
+
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _shaped(value, kind: type, field: str):
+    """``value`` if it is a ``kind``; otherwise the server's answer is unusable."""
+    if not isinstance(value, kind):
+        raise _malformed(field, _SHAPES[kind], value)
+    return value
+
+
+def _malformed(field: str, shape: str, value) -> ProtocolError:
+    got = json.dumps(value)[:200]
+    return ProtocolError(f"response field {field!r} must be {shape}, got {got}")
 
 
 def _pieces(text: str) -> list[str]:
@@ -432,10 +445,7 @@ class MockBackend(CompletionsBackend):
 
 
 def _is_logits(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(
-        isinstance(z, (int, float)) and not isinstance(z, bool) and math.isfinite(z)
-        for z in value
-    )
+    return isinstance(value, list) and len(value) == 2 and all(_is_number(z) for z in value)
 
 
 def _is_strings(value) -> bool:

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -297,12 +297,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     if failures:
         with open(out / f"{tag}_failures.jsonl", "w", encoding="utf-8") as fh:
             for f in failures:
-                fh.write(
-                    json.dumps(
-                        {"query_id": f.query_id, "passage_id": f.passage_id, "error": f.error}
-                    )
-                    + "\n"
-                )
+                fh.write(json.dumps(asdict(f)) + "\n")
     config.write_resolved(str(out / "resolved_config.json"))
     print(
         f"scored {len(scored)} pairs ({len(failures)} failed) with {kind.value} "

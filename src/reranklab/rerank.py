@@ -32,7 +32,6 @@ from .types import (
     DecisionLogits,
     Passage,
     Query,
-    ReasoningTrace,
     RunEntry,
     ScoredPair,
     ValidationError,
@@ -97,19 +96,6 @@ def _truncate(text: str, max_chars: int) -> str:
     return text
 
 
-def _sampled_read(
-    backend: CompletionsBackend,
-    template: PromptTemplate,
-    prompt: str,
-    sampling: SamplingParams,
-    seed: int | None,
-) -> tuple[ReasoningTrace, float]:
-    """Generate reasoning up to the template's end-of-think marker, then decide."""
-    sampling = replace(sampling, stop=template.think_close, seed=seed)
-    trace, logits = backend.generate_then_score(prompt, sampling, template.answer_scaffold)
-    return trace, relevance_from_logits(logits)
-
-
 def score_pair(
     backend: CompletionsBackend,
     template: PromptTemplate,
@@ -120,15 +106,20 @@ def score_pair(
     base_seed: int = 0,
     average_over_successes: bool = False,
 ) -> ScoredPair:
-    """Score one pair under any strategy.
+    """Score one pair under any strategy; every decision read is taken here.
 
-    ``direct`` and ``forced_no_reason`` make one decision read. ``reason``
-    and ``self_consistency`` average ``strategy.samples`` reasoning-conditioned
-    reads, the i-th seeded with ``derive_seed(base_seed, query, passage, i)``,
-    so ``reason`` is ``self_consistency`` with n=1. Only ``self_consistency``
-    reports ``per_sample_scores``. By default any failing sample fails the
-    pair; with ``average_over_successes`` a self-consistency pair takes the
-    mean over the samples that succeeded.
+    ``direct`` reads at the end of the assembled prompt, and
+    ``forced_no_reason`` after its pre-filled think block plus the template's
+    answer scaffold. ``reason`` and ``self_consistency`` generate a trace up
+    to the template's end-of-think marker, then read at prompt + trace +
+    marker + answer scaffold: the marker is re-appended whether or not the
+    model emitted it, so a budget-exhausted trace still scores. They average
+    ``strategy.samples`` such reads, the i-th seeded with
+    ``derive_seed(base_seed, query, passage, i)``, so ``reason`` is
+    ``self_consistency`` with n=1. Only ``self_consistency`` reports
+    ``per_sample_scores``. By default any failing sample fails the pair; with
+    ``average_over_successes`` a self-consistency pair takes the mean over the
+    samples that succeeded.
     """
     mode = _PROMPT_MODES[strategy.kind]
     prompt = assemble_prompt(
@@ -140,6 +131,7 @@ def score_pair(
         logits = backend.score_decision(prompt)
         return ScoredPair(query.id, passage.id, relevance_from_logits(logits))
 
+    close = template.think_close
     sampled = strategy.kind is StrategyKind.SELF_CONSISTENCY
     traces = []
     per_sample = []
@@ -147,14 +139,15 @@ def score_pair(
     for i in range(strategy.samples):
         seed = derive_seed(base_seed, query.id, passage.id, i)
         try:
-            trace, score = _sampled_read(backend, template, prompt, sampling, seed)
+            trace = backend.generate(prompt, replace(sampling, stop=close, seed=seed))
+            logits = backend.score_decision(prompt + trace.text + close + template.answer_scaffold)
         except BackendError as exc:
             if not (average_over_successes and sampled):
                 raise
             failures.append(exc)
             continue
         traces.append(trace)
-        per_sample.append(score)
+        per_sample.append(relevance_from_logits(logits))
     if not per_sample:
         raise BackendError(f"all {strategy.samples} samples failed; last error: {failures[-1]}")
     return ScoredPair(
@@ -163,44 +156,6 @@ def score_pair(
         math.fsum(per_sample) / len(per_sample),
         traces=tuple(traces),
         per_sample_scores=tuple(per_sample) if sampled else (),
-    )
-
-
-def score_reasoned(
-    backend: CompletionsBackend,
-    template: PromptTemplate,
-    query: Query,
-    passage: Passage,
-    sampling: SamplingParams,
-    max_passage_chars: int = 2048,
-) -> ScoredPair:
-    """Generate reasoning with ``sampling`` as given, then read the decision after it."""
-    prompt = assemble_prompt(
-        template, query.text, _truncate(passage.text, max_passage_chars), PromptMode.OPEN_THINK
-    )
-    trace, score = _sampled_read(backend, template, prompt, sampling, sampling.seed)
-    return ScoredPair(query.id, passage.id, score, traces=(trace,))
-
-
-def score_self_consistency(
-    backend: CompletionsBackend,
-    template: PromptTemplate,
-    query: Query,
-    passage: Passage,
-    sampling: SamplingParams,
-    n: int,
-    base_seed: int = 0,
-    average_over_successes: bool = False,
-    max_passage_chars: int = 2048,
-) -> ScoredPair:
-    """Mean of n sampled reasoning-conditioned scores, seeded as in ``score_pair``.
-
-    With ``average_over_successes`` the number of samples that succeeded is
-    visible as len(per_sample_scores).
-    """
-    strategy = RerankStrategy(StrategyKind.SELF_CONSISTENCY, n, max_passage_chars)
-    return score_pair(
-        backend, template, strategy, query, passage, sampling, base_seed, average_over_successes
     )
 
 

@@ -81,7 +81,7 @@ class DecisionLogits:
 
     def __post_init__(self) -> None:
         for name, v in (("true_logit", self.true_logit), ("false_logit", self.false_logit)):
-            if v != v or v in (float("inf"), float("-inf")):
+            if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v}")
 
 

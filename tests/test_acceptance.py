@@ -40,8 +40,7 @@ from reranklab import (
     rerank,
     retrieve_top_k,
     score_candidates,
-    score_reasoned,
-    score_self_consistency,
+    score_pair,
 )
 from reranklab.cli import main
 from reranklab.data import write_run
@@ -358,8 +357,9 @@ def test_criterion_6_self_consistency(tmp_path):
 
     # mean equals the analytic mean of the per-seed scores
     n = 8
-    pair = score_self_consistency(
-        _seeded_mock(), DEFAULT_TEMPLATE, q, p, sampling, n=n, base_seed=42
+    pair = score_pair(
+        _seeded_mock(), DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.SELF_CONSISTENCY, n), q, p,
+        sampling, base_seed=42,
     )
     expected = []
     for i in range(n):
@@ -370,20 +370,22 @@ def test_criterion_6_self_consistency(tmp_path):
     assert abs(pair.score - math.fsum(expected) / n) <= 1e-12
 
     # per-sample seeds are reproducible: same derivation, same constants
-    again = score_self_consistency(
-        _seeded_mock(), DEFAULT_TEMPLATE, q, p, sampling, n=n, base_seed=42
+    again = score_pair(
+        _seeded_mock(), DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.SELF_CONSISTENCY, n), q, p,
+        sampling, base_seed=42,
     )
     assert again == pair
     assert derive_seed(0, "q1", "p1", 0) == 1467374414647989287
 
     # n=1 reduces to a single-sample reasoned run, byte-identically at the
     # run-file level and value-identically at the pair level
-    single = score_self_consistency(
-        _seeded_mock(), DEFAULT_TEMPLATE, q, p, sampling, n=1, base_seed=42
+    single = score_pair(
+        _seeded_mock(), DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.SELF_CONSISTENCY, 1), q, p,
+        sampling, base_seed=42,
     )
-    reasoned = score_reasoned(
-        _seeded_mock(), DEFAULT_TEMPLATE, q, p,
-        sampling.with_seed(derive_seed(42, q.id, p.id, 0)),
+    reasoned = score_pair(
+        _seeded_mock(), DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.REASON), q, p,
+        sampling, base_seed=42,
     )
     assert single.score == reasoned.score
     assert single.traces == reasoned.traces

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from reranklab import (
     DEFAULT_TEMPLATE,
     BackendConfig,
     BackendError,
+    DecisionLogits,
     HttpCompletionsBackend,
     MockBackend,
     Passage,
@@ -21,6 +24,7 @@ from reranklab import (
     SamplingParams,
     StrategyKind,
     ValidationError,
+    relevance_from_logits,
     score_pair,
 )
 from reranklab.backend import CompletionsBackend
@@ -126,14 +130,18 @@ class TestHttpBackend:
         assert not trace.terminated
         assert trace.token_count == 3
 
-    def test_generate_then_score_composes(self, stub_server, http_backend):
+    def test_reason_reads_after_the_trace(self, stub_server, http_backend):
         url, state = stub_server
         backend = http_backend(_config(url))
-        sampling = SamplingParams(max_tokens=64)
-        trace, logits = backend.generate_then_score("p<think>", sampling, "\n")
-        scoring_request = state.requests[-1]
-        assert scoring_request["prompt"] == "p<think>" + trace.text + "</think>\n"
-        assert logits.true_logit == -0.2
+        pair = score_pair(
+            backend, DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.REASON),
+            Query("q", "question"), Passage("p", "passage"), SamplingParams(max_tokens=64),
+        )
+        generate_request, scoring_request = state.requests[-2:]
+        prompt = generate_request["prompt"]
+        assert prompt.endswith("<think>")
+        assert scoring_request["prompt"] == prompt + pair.traces[0].text + "</think>\n"
+        assert pair.score == relevance_from_logits(DecisionLogits(-0.2, -1.7))
 
 
     @pytest.mark.parametrize(
@@ -338,7 +346,8 @@ class TestProtocolLayering:
             backend.validate_decision_tokens(),
             backend.score_decision("layered prompt"),
             backend.generate("layered<think>", sampling),
-            backend.generate_then_score("layered<think>", sampling, "\n"),
+            (trace := backend.generate("layered<think>", sampling)),
+            backend.score_decision("layered<think>" + trace.text + "</think>\n"),
             backend.generate("budget<think>", SamplingParams(max_tokens=2)),
         )
 
@@ -365,6 +374,42 @@ class TestProtocolLayering:
         with pytest.raises(ProtocolError) as replay_error:
             ReplayBackend(str(capture), config=cfg).validate_decision_tokens()
         assert str(replay_error.value) == str(live_error.value)
+
+    @pytest.mark.parametrize("read, body, field", [
+        ("score", {"choices": [5]}, "choices[0]"),
+        ("score", {"choices": {"a": 1}}, "choices"),
+        ("score", {"choices": [{"logprobs": None}]}, "logprobs"),
+        ("probe", {"choices": [{"logprobs": None}]}, "logprobs"),
+        ("probe", {"choices": [{"logprobs": {"tokens": "true"}}]}, "logprobs.tokens"),
+        ("score", {"choices": [{"logprobs": {"top_logprobs": [5]}}]}, "top_logprobs[0]"),
+        ("score", {"choices": [{"logprobs": {"top_logprobs": {"0": {}}}}]}, "top_logprobs"),
+        ("score", {"choices": [{"logprobs": {"top_logprobs": [{"true": "-0.2", "false": -1.7}]}}]},
+         "top_logprobs[0]['true']"),
+        ("score", {"choices": [{"logprobs": {"top_logprobs": [{"true": -0.2, "false": None}]}}]},
+         "top_logprobs[0]['false']"),
+        ("generate", {"choices": [{"text": None}]}, "text"),
+        ("generate", {"choices": [{"text": "t"}], "usage": 5}, "usage"),
+        ("generate", {"choices": [{"text": "t"}], "usage": {"completion_tokens": 2.5}},
+         "usage.completion_tokens"),
+        ("generate", {"choices": [{"text": "t"}], "usage": {"completion_tokens": "many"}},
+         "usage.completion_tokens"),
+    ], ids=["choice-not-object", "choices-not-list", "score-logprobs-null", "probe-logprobs-null",
+            "tokens-not-list", "top-entry-not-object", "top-not-list", "logprob-string",
+            "logprob-null", "text-null", "usage-not-object", "count-fraction", "count-string"])
+    def test_malformed_body_is_a_protocol_error(self, read, body, field):
+        class Answers(CompletionsBackend):
+            config = BackendConfig(endpoint="fake:", model="fake")
+
+            def _complete(self, payload):
+                return body
+
+        reads = {
+            "score": lambda b: b.score_decision("p"),
+            "probe": lambda b: b.validate_decision_tokens(),
+            "generate": lambda b: b.generate("p", SamplingParams()),
+        }
+        with pytest.raises(ProtocolError, match=f"response field {re.escape(repr(field))} must"):
+            reads[read](Answers())
 
     def test_replay_needs_no_endpoint_and_close_is_a_no_op(self, stub_server, tmp_path, http_backend):
         url, _ = stub_server
@@ -435,7 +480,7 @@ class TestMockBackend:
         a = mock.generate("same prompt", sampling)
         b = mock.generate("same prompt", sampling)
         assert a == b
-        c = mock.generate("same prompt", sampling.with_seed(10))
+        c = mock.generate("same prompt", replace(sampling, seed=10))
         assert c != a
 
     def test_vocab_validation(self):

@@ -315,6 +315,22 @@ class TestRerankCommand:
         for name in ("self_consistency.run", "self_consistency_scored.jsonl"):
             assert (replay / name).read_bytes() == (live / name).read_bytes()
 
+    def test_replayed_malformed_response_exits_3(self, workspace, tmp_path, stub_server, capsys):
+        url, _ = stub_server
+        run_path = workspace / "stage1.run"
+        run_path.write_text("q00 Q0 p0000 1 3.0 bm25\n")
+        capture = tmp_path / "capture.jsonl"
+        assert self._rerank(workspace, tmp_path / "live", run_path, "direct",
+                            ["--backend", url, "--capture", str(capture)]) == 0
+        records = [json.loads(line) for line in capture.read_text().splitlines()]
+        records[-1]["response"]["choices"][0]["logprobs"] = None  # the pair's score read
+        capture.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "replay"
+        assert self._rerank(workspace, out, run_path, "direct",
+                            ["--backend", f"replay:{capture}"]) == 3
+        assert "response field 'logprobs' must be an object, got null" in capsys.readouterr().err
+        assert not (out / "direct.run").exists()
+
     def test_mock_rule_sets_logits_and_seeded_reasoning(self, workspace, tmp_path):
         first = json.loads((workspace / "corpus.jsonl").read_text().splitlines()[0])
         table = {
@@ -571,6 +587,17 @@ class TestDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "reason.run").exists()
+
+    def test_every_export_resolves(self):
+        import reranklab
+
+        assert [name for name in reranklab.__all__ if not hasattr(reranklab, name)] == []
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "from reranklab import *"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHelp:

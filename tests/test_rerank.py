@@ -3,6 +3,7 @@ import json
 import math
 import random
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from reranklab import (
     HttpCompletionsBackend,
     MockBackend,
     Passage,
+    PromptMode,
     PromptTemplate,
     Query,
     ReplayBackend,
@@ -24,13 +26,12 @@ from reranklab import (
     ScoredPair,
     StrategyKind,
     ValidationError,
+    assemble_prompt,
     derive_seed,
     relevance_from_logits,
     rerank,
     score_candidates,
     score_pair,
-    score_reasoned,
-    score_self_consistency,
 )
 from reranklab.backend import CompletionsBackend
 
@@ -38,6 +39,20 @@ Q = Query("q1", "how to help a jammed finger")
 P = Passage("p1", "A broken finger is often more painful than a jammed finger.")
 DIRECT = RerankStrategy(StrategyKind.DIRECT)
 FORCED = RerankStrategy(StrategyKind.FORCED_NO_REASON)
+REASON = RerankStrategy(StrategyKind.REASON)
+
+
+def _sc(n):
+    return RerankStrategy(StrategyKind.SELF_CONSISTENCY, n)
+
+
+def _read_after_trace(backend, query, passage, sampling, seed):
+    """The documented reasoned read under the default template, as two backend reads:
+    generate up to ``</think>``, then decide at prompt + trace + ``</think>`` + newline."""
+    prompt = assemble_prompt(DEFAULT_TEMPLATE, query.text, passage.text, PromptMode.OPEN_THINK)
+    trace = backend.generate(prompt, replace(sampling, stop="</think>", seed=seed))
+    logits = backend.score_decision(prompt + trace.text + "</think>\n")
+    return ScoredPair(query.id, passage.id, relevance_from_logits(logits), traces=(trace,))
 
 
 class TestRelevanceFromLogits:
@@ -113,7 +128,7 @@ class TestStrategies:
             score_fn=score_fn,
             generate_fn=lambda p, s: "Thinking... the answer is true </think>",
         )
-        pair = score_reasoned(mock, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=64))
+        pair = score_pair(mock, DEFAULT_TEMPLATE, REASON, Q, P, SamplingParams(max_tokens=64))
         assert abs(pair.score - 0.9999546021312976) < 1e-12
         assert len(pair.traces) == 1
         assert pair.traces[0].terminated
@@ -126,7 +141,7 @@ class TestStrategies:
             score_fn=lambda p: (seen.append(p), (1.0, 0.0))[1],
             generate_fn=lambda p, s: " ".join(["word"] * 100),
         )
-        pair = score_reasoned(mock, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=5))
+        pair = score_pair(mock, DEFAULT_TEMPLATE, REASON, Q, P, SamplingParams(max_tokens=5))
         assert not pair.traces[0].terminated
         assert seen[0].rstrip("\n").endswith("</think>")
         assert 0.0 < pair.score < 1.0
@@ -138,8 +153,8 @@ class TestStrategies:
         text = "short thought"
         emitted = MockBackend(generate_fn=lambda p, s: text + "</think>")
         truncated = MockBackend(generate_fn=lambda p, s: text)
-        a = score_reasoned(emitted, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=64))
-        b = score_reasoned(truncated, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=2))
+        a = score_pair(emitted, DEFAULT_TEMPLATE, REASON, Q, P, SamplingParams(max_tokens=64))
+        b = score_pair(truncated, DEFAULT_TEMPLATE, REASON, Q, P, SamplingParams(max_tokens=2))
         assert a.traces[0].terminated and not b.traces[0].terminated
         assert a.traces[0].text == b.traces[0].text
         assert a.score == b.score
@@ -164,7 +179,7 @@ class TestStrategies:
 
         mock = MockBackend(score_fn=score_fn, generate_fn=lambda p, s: "hmm</think>")
         forced = score_pair(mock, DEFAULT_TEMPLATE, FORCED, Q, P, SamplingParams())
-        reasoned = score_reasoned(mock, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=8))
+        reasoned = score_pair(mock, DEFAULT_TEMPLATE, REASON, Q, P, SamplingParams(max_tokens=8))
         assert forced.score != reasoned.score
 
     def test_passage_truncation(self):
@@ -196,6 +211,35 @@ class TestStrategies:
         assert seen[0].endswith("<reasoning>weighing it</reasoning>\n")
         assert "</think>" not in seen[0]
 
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_decision_position_off_the_default_template(self, kind):
+        # the exact text each decision read sees: the template's own marker and
+        # scaffold close every think block, and each sample reads after its own trace
+        template = PromptTemplate(
+            system="S", user="Q={query} P={passage}", turn_start="<", turn_end=">",
+            think_open="<reasoning>", think_close="</reasoning>", forced_body="done",
+            answer_scaffold="\nAnswer:",
+        )
+        head = "<system\nS\n>\n<user\nQ=q text P=p text\n>\n<assistant\n"
+        seeds = [derive_seed(0, "q", "p", i) for i in range(2)]
+        want = {
+            StrategyKind.DIRECT: [head],
+            StrategyKind.FORCED_NO_REASON: [head + "<reasoning>\ndone\n</reasoning>\nAnswer:"],
+            StrategyKind.REASON: [head + f"<reasoning>trace {seeds[0]}</reasoning>\nAnswer:"],
+            StrategyKind.SELF_CONSISTENCY: [
+                head + f"<reasoning>trace {seed}</reasoning>\nAnswer:" for seed in seeds
+            ],
+        }[kind]
+        seen = []
+        mock = MockBackend(
+            score_fn=lambda p: (seen.append(p), (0.0, 0.0))[1],
+            generate_fn=lambda p, s: f"trace {s}</reasoning> trailing",
+        )
+        strategy = RerankStrategy(kind, len(want))
+        score_pair(mock, template, strategy, Query("q", "q text"), Passage("p", "p text"),
+                   SamplingParams())
+        assert seen == want
+
 
 class TestSelfConsistency:
     def _seed_mock(self):
@@ -215,9 +259,7 @@ class TestSelfConsistency:
         mock = self._seed_mock()
         sampling = SamplingParams(temperature=0.7, top_p=0.95, max_tokens=16)
         n = 8
-        pair = score_self_consistency(
-            mock, DEFAULT_TEMPLATE, Q, P, sampling, n=n, base_seed=0
-        )
+        pair = score_pair(mock, DEFAULT_TEMPLATE, _sc(n), Q, P, sampling, base_seed=0)
         assert len(pair.per_sample_scores) == n
         assert len(pair.traces) == n
         expected = math.fsum(pair.per_sample_scores) / n
@@ -228,9 +270,7 @@ class TestSelfConsistency:
         # oracle: recompute each sample's R from the seed the runner derives
         mock = self._seed_mock()
         sampling = SamplingParams(max_tokens=16)
-        pair = score_self_consistency(
-            mock, DEFAULT_TEMPLATE, Q, P, sampling, n=4, base_seed=7
-        )
+        pair = score_pair(mock, DEFAULT_TEMPLATE, _sc(4), Q, P, sampling, base_seed=7)
         for i, got in enumerate(pair.per_sample_scores):
             seed = derive_seed(7, Q.id, P.id, i)
             d = float(seed % 5) - 2.0
@@ -240,10 +280,8 @@ class TestSelfConsistency:
     def test_n1_equals_reasoned_with_derived_seed(self):
         mock = self._seed_mock()
         sampling = SamplingParams(max_tokens=16)
-        sc = score_self_consistency(mock, DEFAULT_TEMPLATE, Q, P, sampling, n=1, base_seed=3)
-        rr = score_reasoned(
-            mock, DEFAULT_TEMPLATE, Q, P, sampling.with_seed(derive_seed(3, Q.id, P.id, 0))
-        )
+        sc = score_pair(mock, DEFAULT_TEMPLATE, _sc(1), Q, P, sampling, base_seed=3)
+        rr = _read_after_trace(mock, Q, P, sampling, derive_seed(3, Q.id, P.id, 0))
         assert sc.score == rr.score
         assert sc.traces == rr.traces
         assert sc.per_sample_scores == (rr.score,)
@@ -252,7 +290,7 @@ class TestSelfConsistency:
         mock = MockBackend(score_fn=lambda p: (1.0, 0.0), generate_fn=lambda p, s: "t</think>")
         sampling = SamplingParams(max_tokens=8)
         for n in (1, 3, 8):
-            pair = score_self_consistency(mock, DEFAULT_TEMPLATE, Q, P, sampling, n=n)
+            pair = score_pair(mock, DEFAULT_TEMPLATE, _sc(n), Q, P, sampling)
             assert pair.score == relevance_from_logits(DecisionLogits(1.0, 0.0))
 
     def test_simple_mean(self):
@@ -269,9 +307,7 @@ class TestSelfConsistency:
 
         mock = MockBackend(generate_fn=generate_fn)
         with pytest.raises(BackendError):
-            score_self_consistency(
-                mock, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=8), n=3
-            )
+            score_pair(mock, DEFAULT_TEMPLATE, _sc(3), Q, P, SamplingParams(max_tokens=8))
 
     def test_average_over_successes(self):
         calls = {"n": 0}
@@ -283,9 +319,9 @@ class TestSelfConsistency:
             return "ok</think>"
 
         mock = MockBackend(score_fn=lambda p: (0.0, 0.0), generate_fn=generate_fn)
-        pair = score_self_consistency(
-            mock, DEFAULT_TEMPLATE, Q, P, SamplingParams(max_tokens=8),
-            n=3, average_over_successes=True,
+        pair = score_pair(
+            mock, DEFAULT_TEMPLATE, _sc(3), Q, P, SamplingParams(max_tokens=8),
+            average_over_successes=True,
         )
         assert len(pair.per_sample_scores) == 2
         assert pair.score == 0.5
@@ -465,9 +501,9 @@ class TestScoreCandidates:
         assert [s.passage_id for s in scored] == ["p1", "p2"]
         for pair in scored:
             seed = derive_seed(3, pair.query_id, pair.passage_id, 0)
-            reference = score_reasoned(
-                MockBackend(), DEFAULT_TEMPLATE, queries[pair.query_id],
-                corpus.passage(pair.passage_id), sampling.with_seed(seed),
+            reference = _read_after_trace(
+                MockBackend(), queries[pair.query_id], corpus.passage(pair.passage_id),
+                sampling, seed,
             )
             assert pair.score == reference.score
             assert pair.traces == reference.traces
