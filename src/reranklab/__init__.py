@@ -45,7 +45,6 @@ from .rerank import (
     score_pair,
 )
 from .types import (
-    Candidate,
     Corpus,
     DecisionLogits,
     Judgment,
@@ -64,7 +63,6 @@ __all__ = [
     "BackendConfig",
     "BackendError",
     "Bm25Params",
-    "Candidate",
     "ClassificationReport",
     "Corpus",
     "DecisionLogits",

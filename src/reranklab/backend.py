@@ -92,18 +92,11 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class SamplingParams:
-    """Decoding controls for reasoning generation.
-
-    temperature 0 means greedy decoding; the seed is honored when the
-    backend supports it. ``stop`` is the end-of-think marker and is never
-    included in returned trace text.
-    """
+    """Decoding controls for reasoning generation; temperature 0 means greedy decoding."""
 
     temperature: float = 0.0
     top_p: float = 1.0
     max_tokens: int = 1024
-    stop: str = "</think>"
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
@@ -114,8 +107,6 @@ class SamplingParams:
             raise ValidationError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.max_tokens < 1:
             raise ValidationError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if not self.stop:
-            raise ValidationError("stop sequence must be non-empty")
 
 
 class CompletionsBackend:
@@ -182,23 +173,27 @@ class CompletionsBackend:
             raise _malformed(f"top_logprobs[0][{tok!r}]", "a finite number", z)
         return DecisionLogits(float(z_true), float(z_false))
 
-    def generate(self, prompt: str, sampling: SamplingParams) -> ReasoningTrace:
+    def generate(self, prompt: str, sampling: SamplingParams, stop: str,
+                 seed: int | None = None) -> ReasoningTrace:
+        """Sample up to ``stop`` (never in the returned text); ``seed`` is sent when given."""
         if not prompt:
             raise ValidationError("prompt must be non-empty")
+        if not stop:  # "" would cut every trace to nothing below
+            raise ValidationError("stop sequence must be non-empty")
         payload = {
             "model": self.config.model, "prompt": prompt, "echo": False,
             "max_tokens": sampling.max_tokens, "temperature": sampling.temperature,
-            "top_p": sampling.top_p, "stop": [sampling.stop],
+            "top_p": sampling.top_p, "stop": [stop],
         }
-        if sampling.seed is not None:
-            payload["seed"] = sampling.seed
+        if seed is not None:
+            payload["seed"] = seed
         body = self._complete(payload)
         choice = _choice(body)
         text = _shaped(choice.get("text", ""), str, "text")
-        if text.endswith(sampling.stop):  # some servers include the stop sequence
-            text = text[: -len(sampling.stop)]
+        if text.endswith(stop):  # some servers include the stop sequence
+            text = text[: -len(stop)]
         if "stop_reason" in choice:  # vLLM: the stop string matched, or null at EOS
-            terminated = choice["stop_reason"] == sampling.stop
+            terminated = choice["stop_reason"] == stop
         else:
             terminated = choice.get("finish_reason") == "stop"
         usage = _shaped(body.get("usage") or {}, dict, "usage")
@@ -469,8 +464,11 @@ _RULE_FIELDS = {
 
 
 def _check_fields(obj: dict, fields: dict, where: str) -> None:
-    for name, (ok, kind) in fields.items():
-        if name in obj and not ok(obj[name]):
+    for name, value in obj.items():
+        if name not in fields:  # a misspelt field would otherwise be silently ignored
+            raise ValidationError(f"{where} has unknown field {name!r}")
+        ok, kind = fields[name]
+        if not ok(value):
             raise ValidationError(f"{where} field {name!r} must be {kind}")
 
 
@@ -495,7 +493,8 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
     A ``fail`` rule raises a backend error (for exercising error policy).
     ``{seed}`` in reasoning text is substituted at generation time so sampled
     outputs can differ per seed while staying deterministic. Every field is
-    optional; one of the wrong type raises ``ValidationError`` naming the file.
+    optional; an unknown one or one of the wrong type raises ``ValidationError``
+    naming the file (and the rule).
     """
     table = read_json_object(path, "mock table")
     _check_fields(table, _TABLE_FIELDS, f"{path}: mock table")
@@ -505,34 +504,24 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
     default_logits = table.get("default_logits", [0.0, 0.0])
     default_reasoning = table.get("default_reasoning")
 
-    def _match(prompt: str) -> dict | None:
-        for rule in rules:
-            if all(s in prompt for s in rule.get("contains", [])):
-                return rule
-        return None
+    def rule_for(prompt: str) -> dict:
+        """The first rule matching ``prompt``, or ``{}``; a ``fail`` rule raises."""
+        rule = next((r for r in rules if all(s in prompt for s in r.get("contains", []))), {})
+        if rule.get("fail"):
+            raise BackendError("mock rule requested a failure")
+        return rule
 
     def score_fn(prompt: str) -> tuple[float, float]:
-        rule = _match(prompt)
-        if rule is not None:
-            if rule.get("fail"):
-                raise BackendError("mock rule requested a failure")
-            if "logits" in rule:
-                z_true, z_false = rule["logits"]
-                return float(z_true), float(z_false)
-        if default_logits == "hash":
+        logits = rule_for(prompt).get("logits", default_logits)
+        if logits == "hash":
             return _default_score_fn(prompt)
-        return float(default_logits[0]), float(default_logits[1])
+        return float(logits[0]), float(logits[1])
 
     def generate_fn(prompt: str, seed: int | None) -> str:
-        rule = _match(prompt)
-        if rule is not None:
-            if rule.get("fail"):
-                raise BackendError("mock rule requested a failure")
-            if "reasoning" in rule:
-                return rule["reasoning"].replace("{seed}", str(seed))
-        if default_reasoning is not None:
-            return default_reasoning.replace("{seed}", str(seed))
-        return _default_generate_fn(prompt, seed)
+        reasoning = rule_for(prompt).get("reasoning", default_reasoning)
+        if reasoning is None:
+            return _default_generate_fn(prompt, seed)
+        return reasoning.replace("{seed}", str(seed))
 
     vocab = table.get("single_token_vocab")
     return MockBackend(

@@ -39,6 +39,7 @@ INDEX_FORMAT = "reranklab-bm25-index"
 INDEX_VERSION = 1
 
 _STEMMERS = ("none", "porter")
+TOKEN_PATTERN = re.compile(r"[^\W_]+")  # runs of alphanumerics
 _SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
 
 
@@ -47,17 +48,12 @@ class AnalyzerConfig:
     """Deterministic text-to-token rules shared by indexing and querying."""
 
     lowercase: bool = True
-    token_pattern: str = r"[^\W_]+"  # runs of alphanumerics
     stopwords: frozenset[str] | None = None
     stemmer: str = "none"
 
     def __post_init__(self) -> None:
         if self.stemmer not in _STEMMERS:
             raise ValidationError(f"stemmer must be one of {_STEMMERS}, got {self.stemmer!r}")
-        try:
-            re.compile(self.token_pattern)
-        except re.error as exc:
-            raise ValidationError(f"invalid token pattern {self.token_pattern!r}: {exc}") from exc
         if self.stopwords is not None and not self.stopwords:
             # an empty set filters nothing and persists as null, so it loads as None
             object.__setattr__(self, "stopwords", None)
@@ -69,8 +65,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValidationError(f"k1 must be > 0, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 > 0):  # NaN is not valid JSON in the index
+            raise ValidationError(f"k1 must be finite and > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValidationError(f"b must be in [0, 1], got {self.b}")
 
@@ -82,7 +78,7 @@ def tokenize(text: str, cfg: AnalyzerConfig) -> list[str]:
 def _tokenize(text: str, cfg: AnalyzerConfig, stem: Callable[[str], str]) -> list[str]:
     if cfg.lowercase:
         text = text.lower()
-    tokens = re.findall(cfg.token_pattern, text)
+    tokens = TOKEN_PATTERN.findall(text)
     if cfg.stopwords:
         tokens = [t for t in tokens if t not in cfg.stopwords]
     if cfg.stemmer == "porter":
@@ -233,7 +229,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "version": INDEX_VERSION,
         "analyzer": {
             "lowercase": index.analyzer.lowercase,
-            "token_pattern": index.analyzer.token_pattern,
+            "token_pattern": TOKEN_PATTERN.pattern,
             "stopwords": sorted(index.analyzer.stopwords) if index.analyzer.stopwords else None,
             "stemmer": index.analyzer.stemmer,
         },
@@ -268,9 +264,10 @@ def load_index(path: str) -> InvertedIndex:
         raise ValidationError(f"{path}: index lacks {', '.join(missing)}")
     try:
         analyzer_raw = payload["analyzer"]
+        if analyzer_raw["token_pattern"] != TOKEN_PATTERN.pattern:  # queries would split otherwise
+            raise ValidationError(f"{path}: index token_pattern must be {TOKEN_PATTERN.pattern!r}")
         analyzer = AnalyzerConfig(
             lowercase=analyzer_raw["lowercase"],
-            token_pattern=analyzer_raw["token_pattern"],
             stopwords=frozenset(analyzer_raw["stopwords"] or ()),
             stemmer=analyzer_raw["stemmer"],
         )

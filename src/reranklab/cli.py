@@ -156,7 +156,10 @@ def _config_from_args(args: argparse.Namespace) -> data.PipelineConfig:
         for k, v in vars(args).items()
         if k in data.PipelineConfig.field_names()
     }
-    return data.PipelineConfig.from_sources(file_values, cli_values)
+    try:
+        return data.PipelineConfig.from_sources(file_values, cli_values)
+    except ValidationError as exc:  # only the file's keys and values are checked there
+        raise ValidationError(f"{args.config}: {exc}") from None
 
 
 def _run_dir(config: data.PipelineConfig, tag: str) -> Path:
@@ -231,6 +234,8 @@ def _build_backend(config: data.PipelineConfig, concurrency: int) -> Completions
         capture_path=config.capture,
         auth_token=os.environ.get(ENV_TOKEN),
     )
+    if config.capture and target.startswith(("mock:", "replay:")):
+        raise ValidationError("--capture mirrors HTTP requests; mock: and replay: send none")
     if target.startswith("mock:"):
         path = data.require_path(target[len("mock:"):], "mock table")
         return load_mock_table(str(path), config=base)
@@ -422,6 +427,7 @@ def cmd_dump_traces(args: argparse.Namespace) -> int:
     if config.out_dir:
         out = _run_dir(config, "traces")
         (out / "traces.txt").write_text(text + "\n", encoding="utf-8")
+        config.write_resolved(str(out / "resolved_config.json"))
     return 0
 
 

@@ -33,7 +33,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_type_hints
 
 from .types import (
     Corpus,
@@ -286,9 +286,9 @@ def read_scored(path: str) -> tuple[list[ScoredPair], str]:
 class PipelineConfig:
     """Resolved settings for a pipeline run; file values then CLI overrides.
 
-    The config file is a JSON object whose keys are these field names. Every
-    command writes its resolved configuration beside its outputs so a run
-    can be reproduced from the artifacts alone.
+    The config file is a JSON object of these fields, each value of its
+    field's type. Every command writes its resolved configuration beside its
+    outputs so a run can be reproduced from the artifacts alone.
     """
 
     corpus: str | None = None
@@ -333,6 +333,12 @@ class PipelineConfig:
         unknown = set(file_values) - cls.field_names()
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for key, value in file_values.items():
+            kinds = get_args(hints[key]) or (hints[key],)  # int | None: (int, NoneType)
+            if type(value) not in kinds and not (type(value) is int and float in kinds):
+                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise ValidationError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
         merged = dict(file_values)
         merged.update({k: v for k, v in cli_values.items() if v is not None})
         return cls(**{k: v for k, v in merged.items() if k in cls.field_names()})

@@ -171,6 +171,8 @@ def classify(
     judgment are excluded from the counts and tallied separately.
     """
     grade_is_positive(0, grade_rule)  # validate rule
+    if not math.isfinite(score_threshold):  # score > NaN is never true
+        raise ValidationError(f"score_threshold must be finite, got {score_threshold}")
     tp = fp = tn = fn = unjudged = 0
     for pair in scores:
         grade = judgments.get(pair.query_id, {}).get(pair.passage_id)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -54,6 +54,8 @@ class RerankStrategy:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        if self.max_passage_chars < 0:  # a negative cut would drop the passage's tail
+            raise ValidationError(f"max_passage_chars must be >= 0, got {self.max_passage_chars}")
         if self.samples > 1 and self.kind is not StrategyKind.SELF_CONSISTENCY:
             raise ValidationError(
                 f"samples > 1 only applies to self_consistency, not {self.kind.value}"
@@ -139,7 +141,7 @@ def score_pair(
     for i in range(strategy.samples):
         seed = derive_seed(base_seed, query.id, passage.id, i)
         try:
-            trace = backend.generate(prompt, replace(sampling, stop=close, seed=seed))
+            trace = backend.generate(prompt, sampling, close, seed)
             logits = backend.score_decision(prompt + trace.text + close + template.answer_scaffold)
         except BackendError as exc:
             if not (average_over_successes and sampled):

@@ -18,7 +18,6 @@ import pytest
 from reranklab import (
     AnalyzerConfig,
     Bm25Params,
-    Candidate,
     Corpus,
     DecisionLogits,
     DEFAULT_TEMPLATE,
@@ -259,7 +258,7 @@ def _miniature_fixture():
         for rank, grade in enumerate(order, start=1):
             pid = f"{qid}_p{rank}"
             corpus_rows.append(Passage(pid, f"passage {pid} marker-g{grade} body"))
-            candidates.append(Candidate(qid, pid, float(20 - rank), rank))
+            candidates.append(RunEntry(qid, pid, rank, float(20 - rank)))
             qrels[qid][pid] = grade
     return queries, Corpus(tuple(corpus_rows)), candidates, qrels
 
@@ -390,7 +389,7 @@ def test_criterion_6_self_consistency(tmp_path):
     assert single.score == reasoned.score
     assert single.traces == reasoned.traces
 
-    cand = [Candidate("q1", "p1", 1.0, 1)]
+    cand = [RunEntry("q1", "p1", 1, 1.0)]
     run_sc = tmp_path / "sc.run"
     run_rr = tmp_path / "rr.run"
     write_run(str(run_sc), rerank(cand, [single], "same-tag"))
@@ -459,7 +458,7 @@ def test_criterion_8_bm25_sanity():
         )
         oracle = [(s, d) for s, d in oracle if s > 0.0][:10]
         got = [
-            (c.first_stage_score, c.passage_id)
+            (c.score, c.passage_id)
             for c in retrieve_top_k(index, query, 10)
         ]
         assert got == oracle[: len(got)]

@@ -5,7 +5,6 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -118,7 +117,7 @@ class TestHttpBackend:
     def test_generate_stops_at_marker(self, stub_server, http_backend):
         url, _ = stub_server
         backend = http_backend(_config(url))
-        trace = backend.generate("p<think>", SamplingParams(max_tokens=64))
+        trace = backend.generate("p<think>", SamplingParams(max_tokens=64), "</think>")
         assert trace.terminated
         assert trace.text == "Let me think it over. The passage matches."
         assert "</think>" not in trace.text
@@ -126,7 +125,7 @@ class TestHttpBackend:
     def test_generate_budget_exhausted(self, stub_server, http_backend):
         url, _ = stub_server
         backend = http_backend(_config(url))
-        trace = backend.generate("p<think>", SamplingParams(max_tokens=3))
+        trace = backend.generate("p<think>", SamplingParams(max_tokens=3), "</think>")
         assert not trace.terminated
         assert trace.token_count == 3
 
@@ -156,7 +155,7 @@ class TestHttpBackend:
         url, state = stub_server
         state.extra_choice = extra
         backend = http_backend(_config(url))
-        trace = backend.generate("p<think>", SamplingParams(max_tokens=64))
+        trace = backend.generate("p<think>", SamplingParams(max_tokens=64), "</think>")
         assert trace.terminated is terminated
 
     @pytest.mark.parametrize(
@@ -204,7 +203,7 @@ class TestTransport:
         backend = http_backend(_config(url))
         for i in range(5):
             backend.score_decision(f"p{i}")
-        backend.generate("p<think>", SamplingParams(max_tokens=64))
+        backend.generate("p<think>", SamplingParams(max_tokens=64), "</think>")
         assert len(set(state.clients)) == 1
         backend.close()
         backend.score_decision("after close")
@@ -283,7 +282,7 @@ class TestEnvironmentContract:
         url, state = stub_server
         backend = http_backend(_config(url, auth_token="s3cret"))
         backend.score_decision("p")
-        backend.generate("p<think>", SamplingParams(max_tokens=64))
+        backend.generate("p<think>", SamplingParams(max_tokens=64), "</think>")
         assert [h["Authorization"] for h in state.headers] == ["Bearer s3cret"] * 2
         assert all(h["Content-Type"] == "application/json" for h in state.headers)
 
@@ -299,13 +298,13 @@ class TestCaptureReplay:
         capture = tmp_path / "capture.jsonl"
         live = http_backend(_config(url, capture_path=str(capture)))
         want = live.score_decision("replayable prompt")
-        trace_want = live.generate("replay<think>", SamplingParams(max_tokens=64))
+        trace_want = live.generate("replay<think>", SamplingParams(max_tokens=64), "</think>")
 
         # replay must be configured like the recording client (the request
         # payload, model name included, is the lookup key)
         replay = ReplayBackend(str(capture), config=_config("replay:"))
         assert replay.score_decision("replayable prompt") == want
-        assert replay.generate("replay<think>", SamplingParams(max_tokens=64)) == trace_want
+        assert replay.generate("replay<think>", SamplingParams(max_tokens=64), "</think>") == trace_want
 
     def test_replay_miss_is_backend_error(self, stub_server, tmp_path, http_backend):
         url, _ = stub_server
@@ -341,14 +340,14 @@ class TestProtocolLayering:
 
     @staticmethod
     def _calls(backend):
-        sampling = SamplingParams(max_tokens=64, seed=3)
+        sampling = SamplingParams(max_tokens=64)
         return (
             backend.validate_decision_tokens(),
             backend.score_decision("layered prompt"),
-            backend.generate("layered<think>", sampling),
-            (trace := backend.generate("layered<think>", sampling)),
+            backend.generate("layered<think>", sampling, "</think>", 3),
+            (trace := backend.generate("layered<think>", sampling, "</think>", 3)),
             backend.score_decision("layered<think>" + trace.text + "</think>\n"),
-            backend.generate("budget<think>", SamplingParams(max_tokens=2)),
+            backend.generate("budget<think>", SamplingParams(max_tokens=2), "</think>"),
         )
 
     def test_replay_answers_as_the_live_backend_did(self, stub_server, tmp_path, http_backend):
@@ -406,7 +405,7 @@ class TestProtocolLayering:
         reads = {
             "score": lambda b: b.score_decision("p"),
             "probe": lambda b: b.validate_decision_tokens(),
-            "generate": lambda b: b.generate("p", SamplingParams()),
+            "generate": lambda b: b.generate("p", SamplingParams(), "</think>"),
         }
         with pytest.raises(ProtocolError, match=f"response field {re.escape(repr(field))} must"):
             reads[read](Answers())
@@ -462,26 +461,45 @@ class TestMockBackend:
 
     def test_stop_marker_stripped(self):
         mock = MockBackend(generate_fn=lambda p, s: "Okay... </think> tail")
-        trace = mock.generate("x<think>", SamplingParams(max_tokens=64))
+        trace = mock.generate("x<think>", SamplingParams(max_tokens=64), "</think>")
         assert trace.terminated
         assert trace.text == "Okay... "
 
     def test_budget_truncation(self):
         long_text = " ".join(f"w{i}" for i in range(100))
         mock = MockBackend(generate_fn=lambda p, s: long_text)
-        trace = mock.generate("x<think>", SamplingParams(max_tokens=5))
+        trace = mock.generate("x<think>", SamplingParams(max_tokens=5), "</think>")
         assert not trace.terminated
         assert trace.token_count == 5
         assert trace.text.split() == [f"w{i}" for i in range(5)]
 
     def test_pure_function_of_prompt_and_seed(self):
         mock = MockBackend()
-        sampling = SamplingParams(temperature=0.0, max_tokens=32, seed=9)
-        a = mock.generate("same prompt", sampling)
-        b = mock.generate("same prompt", sampling)
+        sampling = SamplingParams(temperature=0.0, max_tokens=32)
+        a = mock.generate("same prompt", sampling, "</think>", 9)
+        b = mock.generate("same prompt", sampling, "</think>", 9)
         assert a == b
-        c = mock.generate("same prompt", replace(sampling, seed=10))
+        c = mock.generate("same prompt", sampling, "</think>", 10)
         assert c != a
+
+    def test_seed_is_sent_only_when_given(self, monkeypatch):
+        mock = MockBackend()
+        payloads = []
+        answer = mock._complete
+
+        def spy(payload):
+            payloads.append(payload)
+            return answer(payload)
+
+        monkeypatch.setattr(mock, "_complete", spy)
+        mock.generate("p<think>", SamplingParams(), "</think>", 7)
+        mock.generate("p<think>", SamplingParams(), "</think>")
+        assert [(p["stop"], p.get("seed")) for p in payloads] == [(["</think>"], 7),
+                                                                  (["</think>"], None)]
+
+    def test_empty_stop_is_refused(self):
+        with pytest.raises(ValidationError, match="stop sequence must be non-empty"):
+            MockBackend().generate("p<think>", SamplingParams(), "")
 
     def test_vocab_validation(self):
         mock = MockBackend(single_token_vocab={"true", "false"})

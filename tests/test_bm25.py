@@ -310,6 +310,8 @@ class TestLoadValidation:
         *[pytest.param(_without(key), f"lacks {key}", id=f"no-{key}") for key in
           ("analyzer", "params", "doc_ids", "doc_lengths", "postings")],
         pytest.param(_set({"lowercase": True}, "analyzer"), "malformed", id="analyzer-fields"),
+        pytest.param(_set(r"\w+", "analyzer", "token_pattern"), r"token_pattern must be",
+                     id="other-token-pattern"),
         pytest.param(_set({"k1": "high", "b": 0.4}, "params"), "malformed", id="params-type"),
         pytest.param(_set([], "postings"), "malformed", id="postings-array"),
         pytest.param(_set(7, "postings", "run"), "malformed", id="rows-number"),

@@ -415,6 +415,12 @@ MALFORMED = [
     ("mock-rules", "bad_table.json", '{"rules": [5]}',
      ": mock table field 'rules' must be a list of objects",
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
+    ("mock-rule-field", "bad_table.json", '{"rules": [{"contain": ["splints"], "logits": [9, 0]}]}',
+     ": mock table rule 0 has unknown field 'contain'",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
+    ("mock-table-field", "bad_table.json", '{"default_logit": [9.0, 0.0]}',
+     ": mock table has unknown field 'default_logit'",
+     lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"mock:{bad}"]),
     ("capture-json", "bad_capture.jsonl", '{"request": {}, "response":\n', ":1: invalid JSON",
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
     ("capture-key", "bad_capture.jsonl", '\n{"request": {}}\n', ":2: capture record",
@@ -448,6 +454,75 @@ class TestMalformedInputs:
         assert code == 2, err
         assert f"{bad}{where}" in err
         assert not out.exists()
+
+
+def _with_mock(ws):
+    return [*_rerank_inputs(ws), "--backend", f"mock:{ws / 'mock.json'}"]
+
+
+# (config file content, command over the workspace): a value of the wrong JSON type for its key
+WRONG_TYPES = [
+    ('{"k": "10"}', lambda ws: ["retrieve", "--index", ws / "idx" / "bm25_index.json",
+                                "--queries", ws / "queries.jsonl"]),
+    ('{"k1": null}', lambda ws: ["index", "--corpus", ws / "corpus.jsonl"]),
+    ('{"concurrency": "2"}', _with_mock),
+    ('{"samples": 2.5, "strategy": "self_consistency"}', _with_mock),
+]
+
+# (command over the workspace, the setting the error names): values that would corrupt output
+CORRUPTING_NUMBERS = [
+    (lambda ws: [*_with_mock(ws), "--max-passage-chars", "-3"], "max_passage_chars"),
+    (lambda ws: ["index", "--corpus", ws / "corpus.jsonl", "--k1", "nan"], "k1"),
+    (lambda ws: ["index", "--corpus", ws / "corpus.jsonl", "--k1", "inf"], "k1"),
+    (lambda ws: ["analyze", "--scored", ws / "scored.jsonl", "--qrels", ws / "qrels.txt",
+                 "--score-threshold", "nan"], "score_threshold"),
+]
+
+
+class TestRefusedValues:
+    @pytest.fixture
+    def ws(self, workspace):
+        (workspace / "ok.run").write_text("q00 Q0 p0000 1 2.0 t\nq00 Q0 p0001 2 1.0 t\n")
+        (workspace / "scored.jsonl").write_text(
+            '{"query_id": "q00", "passage_id": "p0000", "score": 0.5, "strategy": "direct"}\n')
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out-dir", str(workspace / "idx")]) == 0
+        return workspace
+
+    @pytest.mark.parametrize("content, command", WRONG_TYPES,
+                             ids=["k-string", "k1-null", "concurrency-string", "samples-float"])
+    def test_config_value_of_wrong_type_exits_2(self, ws, tmp_path, capsys, content, command):
+        config = ws / "config.json"
+        config.write_text(content)
+        out = tmp_path / "out"
+        code = main([str(arg) for arg in command(ws)]
+                    + ["--config", str(config), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        key = next(iter(json.loads(content)))
+        assert f"{config}: config key {key!r} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting", CORRUPTING_NUMBERS,
+                             ids=["passage-chars-negative", "k1-nan", "k1-inf", "threshold-nan"])
+    def test_corrupting_number_exits_2(self, ws, tmp_path, capsys, command, setting):
+        out = tmp_path / "out"
+        code = main([str(arg) for arg in command(ws)] + ["--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{setting} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["mock", "replay"])
+    def test_capture_needs_an_http_backend(self, ws, tmp_path, capsys, scheme):
+        target = ws / ("mock.json" if scheme == "mock" else "capture.jsonl")
+        log, out = tmp_path / "log.jsonl", tmp_path / "out"
+        code = main([str(arg) for arg in _rerank_inputs(ws)]
+                    + ["--backend", f"{scheme}:{target}", "--capture", str(log),
+                       "--out-dir", str(out)])
+        assert code == 2
+        assert "--capture mirrors HTTP requests" in capsys.readouterr().err
+        assert not log.exists() and not out.exists()
 
 
 class TestEvalAnalyze:
@@ -557,6 +632,18 @@ class TestEvalAnalyze:
         assert "reasoning" in stdout
         assert "relevance  :" in stdout
         assert "Okay, sample" in stdout  # the mock's reasoning text
+
+    def test_dump_traces_records_its_config(self, workspace, reranked, tmp_path):
+        out = tmp_path / "traces"
+        scored = str(reranked / "reason_scored.jsonl")
+        assert main([
+            "dump-traces", "--scored", scored,
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--queries", str(workspace / "queries.jsonl"),
+            "--out-dir", str(out),
+        ]) == 0
+        assert (out / "traces.txt").exists()
+        assert json.loads((out / "resolved_config.json").read_text())["scored"] == scored
 
 
 class TestDependencies:

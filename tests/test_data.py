@@ -329,6 +329,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match="unknown config keys"):
             PipelineConfig.from_sources(read_json_object(str(path), "config"), {})
 
+    def test_file_values_follow_the_field_annotations(self):
+        accepted = {"k": None, "k1": 1, "temperature": 0.5, "allow_partial": True, "tag": "t"}
+        assert PipelineConfig.from_sources(accepted, {}).k1 == 1  # an int counts as a float
+        for key, value in [("k", "10"), ("k1", None), ("seed", True), ("samples", 2.5),
+                           ("allow_partial", 1), ("model", None), ("stopwords", ["a"])]:
+            with pytest.raises(ValidationError, match=f"config key '{key}' must be"):
+                PipelineConfig.from_sources({key: value}, {})
+
     def test_resolved_dump_is_deterministic(self, tmp_path):
         config = PipelineConfig(strategy="direct", k=10)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

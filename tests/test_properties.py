@@ -6,7 +6,6 @@ transport answers as the old in-process mock did."""
 import itertools
 import math
 import os
-import re
 import string
 import tempfile
 
@@ -17,6 +16,7 @@ from reranklab import (
     AnalyzerConfig,
     Bm25Params,
     Corpus,
+    DEFAULT_TEMPLATE,
     MockBackend,
     Passage,
     PromptMode,
@@ -35,6 +35,7 @@ from reranklab import (
     retrieve_top_k,
 )
 from reranklab.backend import _pieces
+from reranklab.bm25 import TOKEN_PATTERN
 from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
 from reranklab.porter import porter_stem
 from reranklab.types import ValidationError, validate_run
@@ -114,7 +115,7 @@ def naive_postings(corpus: Corpus, cfg: AnalyzerConfig) -> dict:
     for ordinal, passage in enumerate(corpus.passages):
         text = passage.text.lower() if cfg.lowercase else passage.text
         counts: dict[str, int] = {}
-        for word in re.findall(cfg.token_pattern, text):
+        for word in TOKEN_PATTERN.findall(text):
             if cfg.stopwords and word in cfg.stopwords:
                 continue
             term = porter_stem(word) if cfg.stemmer == "porter" else word
@@ -327,7 +328,7 @@ def test_prompt_fill_is_a_single_literal_pass(parts, query_first, query_text, pa
     assert segment == partition_fill(user, query_text, passage_text)
 
 
-STOP = SamplingParams().stop
+STOP = DEFAULT_TEMPLATE.think_close
 reasoning_text = st.text(st.sampled_from(" \n\tab</>think"), max_size=160) | st.text(max_size=40)
 
 
@@ -341,7 +342,7 @@ def test_mock_generation_cuts_at_the_marker_then_the_budget(body, tail, budget):
     head, marker, _ = raw.partition(STOP)
     pieces = _pieces(head)
     mock = MockBackend(generate_fn=lambda prompt, seed: raw)
-    trace = mock.generate("prompt<think>", SamplingParams(max_tokens=budget))
+    trace = mock.generate("prompt<think>", SamplingParams(max_tokens=budget), STOP)
     assert head.startswith(trace.text)
     assert trace.terminated == (bool(marker) and len(pieces) <= budget)
     assert trace.token_count == len(_pieces(trace.text))

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -50,7 +49,7 @@ def _read_after_trace(backend, query, passage, sampling, seed):
     """The documented reasoned read under the default template, as two backend reads:
     generate up to ``</think>``, then decide at prompt + trace + ``</think>`` + newline."""
     prompt = assemble_prompt(DEFAULT_TEMPLATE, query.text, passage.text, PromptMode.OPEN_THINK)
-    trace = backend.generate(prompt, replace(sampling, stop="</think>", seed=seed))
+    trace = backend.generate(prompt, sampling, "</think>", seed)
     logits = backend.score_decision(prompt + trace.text + "</think>\n")
     return ScoredPair(query.id, passage.id, relevance_from_logits(logits), traces=(trace,))
 

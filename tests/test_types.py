@@ -5,7 +5,6 @@ import pytest
 from reranklab import (
     AnalyzerConfig,
     Bm25Params,
-    Candidate,
     Corpus,
     DecisionLogits,
     Judgment,
@@ -17,7 +16,7 @@ from reranklab import (
     build_index,
     retrieve_top_k,
 )
-from reranklab.types import validate_candidate_list, validate_run
+from reranklab.types import Candidate, validate_candidate_list, validate_run
 
 
 class TestConstructionInvariants:
