@@ -14,33 +14,45 @@ and both scoring paths read it from the same table.
 Building stems each distinct word once: ``build_index`` keeps a word-to-stem
 memo for the length of that one call and drops it on return, so nothing
 stays warm between builds or between a build and later queries. Queries
-stem through ``tokenize`` without a memo. The persisted file is format v1,
-byte for byte what earlier versions wrote for the same index.
+stem through ``tokenize`` without a memo.
+
+The persisted file is format v2: one JSON object whose header sections
+(analyzer, params, document ids and lengths) are plain JSON and whose
+postings are three packed little-endian integer columns, ``df`` (rows per
+term, in ``terms`` order), ``ordinals`` and ``tfs``, each base64-encoded.
+Loading rebuilds the same in-memory rows that ``build_index`` makes. Files
+of format v1 (one JSON array per posting row) are refused; rebuild them
+with ``reranklab index``.
 """
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
 import math
 import re
+import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import accumulate, chain, compress, count, islice
+from operator import itemgetter, le
 
 from .data import read_json_object
 from .porter import porter_stem
 from .types import Corpus, Query, RunEntry, ValidationError
 
 INDEX_FORMAT = "reranklab-bm25-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 _STEMMERS = ("none", "porter")
 TOKEN_PATTERN = re.compile(r"[^\W_]+")  # runs of alphanumerics
 _SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
+_COLUMNS = ("df", "ordinals", "tfs")
+_TYPECODES = ("B", "H", "I", "Q")  # unsigned, 1, 2, 4 and 8 bytes
 
 
 @dataclass(frozen=True)
@@ -216,14 +228,19 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[RunEntry]
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist as a single self-describing JSON file with a version header.
+    """Persist as a single self-describing JSON file, format v2.
 
-    The output is format v1, byte-identical to what earlier versions wrote:
-    keys sorted, no ASCII escaping, one trailing newline, posting rows as
-    ``[ordinal, tf]`` arrays. The whole file is encoded in one ``json.dumps``
-    call, which runs the C encoder; ``json.dump`` would stream it through the
-    pure-Python one.
+    Keys are sorted, non-ASCII text is written as is, and the file ends in
+    one newline. ``postings`` holds the sorted ``terms`` and three integer
+    columns built from the rows in that term order: ``df`` (each term's row
+    count), ``ordinals`` and ``tfs``. Each column is
+    ``{"type": <array typecode>, "base64": <little-endian bytes>}``, with the
+    narrowest of ``B``/``H``/``I``/``Q`` that holds its maximum, so the bytes
+    are the same on any host. The same index always writes the same bytes.
     """
+    terms = sorted(index.postings)
+    runs = list(map(index.postings.__getitem__, terms))
+    rows = list(chain.from_iterable(runs))
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -234,27 +251,65 @@ def save_index(index: InvertedIndex, path: str) -> None:
             "stemmer": index.analyzer.stemmer,
         },
         "params": {"k1": index.params.k1, "b": index.params.b},
-        # tuples encode as JSON arrays, so the index's own rows need no copy
+        # tuples encode as JSON arrays, so the document table needs no copy
         "doc_ids": index.doc_ids,
         "doc_lengths": index.doc_lengths,
-        "postings": index.postings,
+        "postings": {
+            "terms": terms,
+            "df": _pack(list(map(len, runs))),
+            "ordinals": _pack(list(map(itemgetter(0), rows))),
+            "tfs": _pack(list(map(itemgetter(1), rows))),
+        },
     }
+    # one json.dumps call runs the C encoder; json.dump would stream the
+    # file through the pure-Python one
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
 
 
+def _pack(values: list[int]) -> dict:
+    top = max(values, default=0)
+    code = next(c for c in _TYPECODES if top >> 8 * array(c).itemsize == 0)
+    column = array(code, values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return {"type": code, "base64": base64.b64encode(column.tobytes()).decode("ascii")}
+
+
+def _unpack(path: str, name: str, raw: dict) -> array:
+    code = raw["type"]
+    if code not in _TYPECODES:
+        raise ValidationError(f"{path}: postings column {name!r} has typecode {code!r}, "
+                              f"not one of {', '.join(_TYPECODES)}")
+    column = array(code)
+    try:
+        column.frombytes(base64.b64decode(raw["base64"], validate=True))
+    except ValueError as exc:  # bad base64 (binascii.Error), or a partial integer
+        raise ValidationError(f"{path}: postings column {name!r} is not base64 of "
+                              f"{code!r} integers: {exc}") from exc
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
 def load_index(path: str) -> InvertedIndex:
     """Read an index written by :func:`save_index`.
 
-    A file that is not JSON, not a v1 index object, lacks a section, or has
-    a posting row other than an ``[ordinal, tf]`` pair of integers naming a
-    document in its table raises :class:`ValidationError`.
+    A file that is not JSON, not a v2 index object, or lacks a section
+    raises :class:`ValidationError`, as does a postings section whose
+    columns disagree in length, repeat a term, give a term no rows, name an
+    ordinal outside the document table, hold a tf below 1, or list a term's
+    ordinals other than strictly ascending (both scoring paths rely on that
+    order). A v1 file is refused with a message to rebuild it.
     """
     payload = read_json_object(path, "index")
     if payload.get("format") != INDEX_FORMAT:
         raise ValidationError(f"{path}: not a {INDEX_FORMAT} file")
+    if payload.get("version") == 1:
+        raise ValidationError(f"{path}: index format v1 is no longer read; "
+                              "re-run `reranklab index` to rebuild it")
     if payload.get("version") != INDEX_VERSION:
         raise ValidationError(
             f"{path}: unsupported index version {payload.get('version')!r}"
@@ -274,31 +329,36 @@ def load_index(path: str) -> InvertedIndex:
         params = Bm25Params(**payload["params"])
         doc_ids = tuple(payload["doc_ids"])
         doc_lengths = tuple(payload["doc_lengths"])
-        # each term's parsed rows are dropped as they are converted, so the
-        # parsed lists and the row tuples are never all alive at once
         raw = payload["postings"]
-        postings = {term: tuple(map(tuple, raw.pop(term))) for term in list(raw.keys())}
+        terms = raw["terms"]
+        df, ordinals, tfs = (_unpack(path, name, raw[name]) for name in _COLUMNS)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed index: {exc!r}") from exc
     if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):
         raise ValidationError(f"{path}: doc_ids and doc_lengths must pair one string id "
                               "with one integer length per document")
-
-    def column(i: int):
-        return map(itemgetter(i), chain.from_iterable(postings.values()))
-
-    if set(map(len, chain.from_iterable(postings.values()))) - {2} or not (
-        _all(int, column(0)) and _all(int, column(1))
-    ):
-        raise ValidationError(f"{path}: a posting row is not an [ordinal, tf] pair of integers")
-    if not (0 <= min(column(0), default=0) and max(column(0), default=-1) < len(doc_ids)
-            and min(column(1), default=1) >= 1):
+    if not (type(terms) is list and _all(str, terms)):
+        raise ValidationError(f"{path}: postings terms must be a list of strings")
+    if len(set(terms)) != len(terms):
+        raise ValidationError(f"{path}: postings terms repeat")
+    if not (len(terms) == len(df) and sum(df) == len(ordinals) == len(tfs)):
+        raise ValidationError(
+            f"{path}: postings columns disagree: {len(terms)} terms, {len(df)} df, "
+            f"sum(df) {sum(df)}, {len(ordinals)} ordinals, {len(tfs)} tfs")
+    if min(df, default=1) < 1:
+        raise ValidationError(f"{path}: a postings term has df below 1")
+    if not (max(ordinals, default=-1) < len(doc_ids) and min(tfs, default=1) >= 1):
         raise ValidationError(f"{path}: a posting row names an ordinal outside "
                               f"0..{len(doc_ids) - 1} or a tf below 1")
+    # a row whose ordinal does not exceed the one before it must start a term
+    starts = set(accumulate(df))
+    if not set(compress(count(1), map(le, ordinals[1:], ordinals))) <= starts:
+        raise ValidationError(f"{path}: a postings term's ordinals repeat or do not ascend")
+    rows = zip(ordinals, tfs)
     return InvertedIndex(
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        postings=postings,
+        postings={term: tuple(islice(rows, n)) for term, n in zip(terms, df)},
         analyzer=analyzer,
         params=params,
     )

@@ -218,7 +218,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_backend(config: data.PipelineConfig, concurrency: int) -> CompletionsBackend:
+def _build_backend(config: data.PipelineConfig) -> CompletionsBackend:
     target = config.backend
     if not target:
         raise ValidationError(
@@ -229,7 +229,7 @@ def _build_backend(config: data.PipelineConfig, concurrency: int) -> Completions
         endpoint=target,
         model=config.model,
         timeout=config.timeout,
-        max_in_flight=max(concurrency, 1),
+        max_in_flight=config.concurrency,
         max_attempts=config.max_attempts,
         capture_path=config.capture,
         auth_token=os.environ.get(ENV_TOKEN),
@@ -262,6 +262,10 @@ def _sampling(config: data.PipelineConfig, kind: StrategyKind) -> SamplingParams
 
 def cmd_rerank(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    # checked before any work: resolved_config.json must not record a value the run ignored
+    for name in ("concurrency", "samples"):
+        if getattr(config, name) < 1:
+            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
     corpus = data.load_corpus(str(data.require_path(config.corpus, "corpus")))
     queries = data.load_queries(str(data.require_path(config.queries, "queries")))
     candidates = data.read_run(str(data.require_path(config.run_in, "first-stage run")))
@@ -274,7 +278,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     template = prompts.load_template(config.template) if config.template else prompts.DEFAULT_TEMPLATE
     tag = config.tag or kind.value
     data.check_run_field("tag", tag)
-    backend = _build_backend(config, config.concurrency)
+    backend = _build_backend(config)
     try:
         backend.validate_decision_tokens()
         scored, failures = score_candidates(

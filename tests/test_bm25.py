@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,7 @@ from conftest import make_corpus
 CFG = AnalyzerConfig()
 PARAMS = Bm25Params()  # k1=0.9, b=0.4
 
-# tiny_index.json pins the v1 file bytes for this corpus and analyzer: stemming
+# tiny_index.json pins the v2 file bytes for this corpus and analyzer: stemming
 # merges words, stopwords drop (d4 keeps no token at all), d3 has non-ASCII text.
 GOLDEN_INDEX = Path(__file__).parent / "golden" / "tiny_index.json"
 GOLDEN_CFG = AnalyzerConfig(stopwords=frozenset({"the", "a", "of", "on"}), stemmer="porter")
@@ -269,21 +271,72 @@ class TestPersistence:
         save_index(index, str(path))
         assert load_index(str(path)) == index
 
-    def test_golden_v1_bytes(self, tmp_path):
+    def test_golden_v2_bytes(self, tmp_path):
         index = build_index(GOLDEN_CORPUS, GOLDEN_CFG, PARAMS)
         path = tmp_path / "index.json"
         save_index(index, str(path))
         assert path.read_bytes() == GOLDEN_INDEX.read_bytes()
+        assert _golden_payload()["postings"] == _postings(GOLDEN_ROWS)
         assert load_index(str(GOLDEN_INDEX)) == index
+        assert index.postings == {t: tuple(map(tuple, rows)) for t, rows in GOLDEN_ROWS.items()}
+
+    def test_columns_are_narrowest_little_endian(self, tmp_path):
+        # 300 documents share "common" (df and ordinals need 2 bytes); one
+        # document repeats "cat" 70000 times (its tf needs 4 bytes)
+        texts = ["common cat " + "cat " * 69999] + [f"common w{i}" for i in range(299)]
+        corpus = Corpus(tuple(Passage(f"p{i}", t) for i, t in enumerate(texts)))
+        index = build_index(corpus, CFG, PARAMS)
+        path = tmp_path / "index.json"
+        save_index(index, str(path))
+        postings = json.loads(path.read_text(encoding="utf-8"))["postings"]
+        rows = {term: index.postings[term] for term in sorted(index.postings)}
+        assert postings == _postings(rows, codes=("H", "H", "I"))
+        assert load_index(str(path)) == index
+
+
+# the rows tiny_index.json holds; _postings encodes them independently of save_index
+GOLDEN_ROWS = {
+    "and": [[4, 1]], "café": [[2, 1]], "caress": [[4, 1]], "cat": [[4, 1]],
+    "connect": [[1, 4]], "gener": [[2, 2]], "hope": [[4, 1]], "naïv": [[2, 1]],
+    "poni": [[4, 1]], "relat": [[4, 1]], "run": [[0, 2]], "runner": [[0, 2]],
+    "résumé": [[2, 1]], "were": [[0, 1]],
+}
+_WIDTHS = {"B": 1, "H": 2, "I": 4, "b": 1}
+
+
+def _column(values, code="B") -> dict:
+    raw = b"".join(v.to_bytes(_WIDTHS[code], "little", signed=code.islower()) for v in values)
+    return {"type": code, "base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _postings(rows: dict, codes=("B", "B", "B")) -> dict:
+    runs = list(rows.values())
+    return {
+        "terms": list(rows),
+        "df": _column(map(len, runs), codes[0]),
+        "ordinals": _column((o for run in runs for o, _ in run), codes[1]),
+        "tfs": _column((tf for run in runs for _, tf in run), codes[2]),
+    }
 
 
 def _golden_payload() -> dict:
     return json.loads(GOLDEN_INDEX.read_text(encoding="utf-8"))
 
 
+def _rows(**changed):
+    """Replace the postings with GOLDEN_ROWS, some terms' rows changed."""
+    return _set(_postings({**GOLDEN_ROWS, **changed}), "postings")
+
+
 def _without(key):
     def edit(payload):
         del payload[key]
+    return edit
+
+
+def _without_column(name):
+    def edit(payload):
+        del payload["postings"][name]
     return edit
 
 
@@ -309,23 +362,43 @@ class TestLoadValidation:
     @pytest.mark.parametrize("edit, message", [
         *[pytest.param(_without(key), f"lacks {key}", id=f"no-{key}") for key in
           ("analyzer", "params", "doc_ids", "doc_lengths", "postings")],
+        pytest.param(_set(1, "version"), "re-run `reranklab index`", id="v1-file"),
         pytest.param(_set({"lowercase": True}, "analyzer"), "malformed", id="analyzer-fields"),
         pytest.param(_set(r"\w+", "analyzer", "token_pattern"), r"token_pattern must be",
                      id="other-token-pattern"),
         pytest.param(_set({"k1": "high", "b": 0.4}, "params"), "malformed", id="params-type"),
         pytest.param(_set([], "postings"), "malformed", id="postings-array"),
-        pytest.param(_set(7, "postings", "run"), "malformed", id="rows-number"),
-        pytest.param(_set([3], "postings", "run"), "malformed", id="row-number"),
-        pytest.param(_set([None], "postings", "run"), "malformed", id="row-null"),
-        pytest.param(_set("ab", "postings", "run"), "pair", id="rows-string"),
-        pytest.param(_set([[0]], "postings", "run"), "pair", id="row-short"),
-        pytest.param(_set([[0, 2, 1]], "postings", "run"), "pair", id="row-long"),
-        pytest.param(_set([["0", 2]], "postings", "run"), "pair", id="ordinal-string"),
-        pytest.param(_set([[0.0, 2]], "postings", "run"), "pair", id="ordinal-float"),
-        pytest.param(_set([[0, True]], "postings", "run"), "pair", id="tf-bool"),
-        pytest.param(_set([[5, 2]], "postings", "run"), "outside 0..4", id="ordinal-high"),
-        pytest.param(_set([[-1, 2]], "postings", "run"), "outside 0..4", id="ordinal-negative"),
-        pytest.param(_set([[0, 0]], "postings", "run"), "tf below 1", id="tf-zero"),
+        *[pytest.param(_without_column(name), "malformed", id=f"no-{name}")
+          for name in ("terms", "df", "ordinals", "tfs")],
+        pytest.param(_set(7, "postings", "ordinals"), "malformed", id="rows-number"),
+        pytest.param(_set("ab", "postings", "ordinals"), "malformed", id="rows-string"),
+        pytest.param(_set(None, "postings", "tfs"), "malformed", id="row-null"),
+        pytest.param(_set({"type": "B", "base64": 3}, "postings", "tfs"), "malformed",
+                     id="row-number"),
+        pytest.param(_set("!!!!", "postings", "tfs", "base64"), "not base64", id="bad-base64"),
+        pytest.param(_set({"type": "H", "base64": "AAEC"}, "postings", "tfs"),
+                     "not base64 of 'H' integers", id="partial-integer"),
+        pytest.param(_set("x", "postings", "tfs", "type"), "typecode", id="typecode-unknown"),
+        pytest.param(_set({"type": "d", "base64": base64.b64encode(struct.pack("<d", 0.0))
+                           .decode("ascii")}, "postings", "ordinals"), "typecode 'd'",
+                     id="ordinal-float"),
+        pytest.param(_set(_column([-1], "b"), "postings", "ordinals"), "typecode 'b'",
+                     id="ordinal-negative"),
+        pytest.param(_set(["run", 5], "postings", "terms"), "list of strings", id="term-number"),
+        pytest.param(_set(list(GOLDEN_ROWS)[:-1] + ["run"], "postings", "terms"), "terms repeat",
+                     id="term-duplicate"),
+        pytest.param(_set(list(GOLDEN_ROWS)[:-1], "postings", "terms"), "disagree",
+                     id="terms-short"),
+        pytest.param(_set(_column([1] * 13 + [2]), "postings", "df"), "disagree",
+                     id="df-sum-long"),
+        pytest.param(_set(_column([1] * 13), "postings", "tfs"), "disagree", id="row-short"),
+        pytest.param(_rows(run=[]), "df below 1", id="df-zero"),
+        pytest.param(_rows(run=[[5, 2]]), "outside 0..4", id="ordinal-high"),
+        pytest.param(_rows(run=[[0, 0]]), "tf below 1", id="tf-zero"),
+        pytest.param(_rows(run=[[0, 2], [0, 1]]), "repeat or do not ascend",
+                     id="ordinal-repeated"),
+        pytest.param(_rows(run=[[2, 1], [0, 2]]), "repeat or do not ascend",
+                     id="ordinal-descending"),
         pytest.param(_set([5, 4, 5, 0], "doc_lengths"), "per document", id="lengths-short"),
         pytest.param(_set(["d1", "d2", "d3", "d4", 5], "doc_ids"), "per document",
                      id="id-number"),

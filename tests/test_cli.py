@@ -95,7 +95,7 @@ class TestIndexRetrieve:
     @pytest.mark.parametrize("content", [
         "{not json",
         "[]",
-        '{"format": "reranklab-bm25-index", "version": 1}',
+        '{"format": "reranklab-bm25-index", "version": 2}',
     ], ids=["broken", "array", "no-sections"])
     def test_malformed_index_is_data_error(self, workspace, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -107,6 +107,23 @@ class TestIndexRetrieve:
         ])
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_v1_index_asks_for_a_rebuild(self, workspace, tmp_path, capsys):
+        old = tmp_path / "bm25_index.json"
+        old.write_text(json.dumps({
+            "format": "reranklab-bm25-index", "version": 1, "doc_ids": ["p0"], "doc_lengths": [1],
+            "analyzer": {"lowercase": True, "token_pattern": "[^\\W_]+", "stopwords": None,
+                         "stemmer": "none"},
+            "params": {"k1": 0.9, "b": 0.4}, "postings": {"cat": [[0, 1]]},
+        }))
+        code = main([
+            "retrieve", "--index", str(old),
+            "--queries", str(workspace / "queries.jsonl"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert f"{old}: index format v1 is no longer read; re-run `reranklab index`" in (
+            capsys.readouterr().err)
 
     def test_tag_with_whitespace_is_data_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
@@ -469,9 +486,18 @@ WRONG_TYPES = [
     ('{"samples": 2.5, "strategy": "self_consistency"}', _with_mock),
 ]
 
+
+def _config(ws, content):
+    (ws / "config.json").write_text(content)
+    return ["--config", ws / "config.json"]
+
+
 # (command over the workspace, the setting the error names): values that would corrupt output
 CORRUPTING_NUMBERS = [
     (lambda ws: [*_with_mock(ws), "--max-passage-chars", "-3"], "max_passage_chars"),
+    (lambda ws: [*_with_mock(ws), "--concurrency", "-3"], "concurrency"),
+    (lambda ws: [*_with_mock(ws), "--strategy", "direct", *_config(ws, '{"samples": 0}')],
+     "samples"),
     (lambda ws: ["index", "--corpus", ws / "corpus.jsonl", "--k1", "nan"], "k1"),
     (lambda ws: ["index", "--corpus", ws / "corpus.jsonl", "--k1", "inf"], "k1"),
     (lambda ws: ["analyze", "--scored", ws / "scored.jsonl", "--qrels", ws / "qrels.txt",
@@ -504,7 +530,8 @@ class TestRefusedValues:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, setting", CORRUPTING_NUMBERS,
-                             ids=["passage-chars-negative", "k1-nan", "k1-inf", "threshold-nan"])
+                             ids=["passage-chars-negative", "concurrency-negative",
+                                  "samples-zero-in-config", "k1-nan", "k1-inf", "threshold-nan"])
     def test_corrupting_number_exits_2(self, ws, tmp_path, capsys, command, setting):
         out = tmp_path / "out"
         code = main([str(arg) for arg in command(ws)] + ["--out-dir", str(out)])

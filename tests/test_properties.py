@@ -1,7 +1,8 @@
-"""Property-based invariants: file formats round-trip exactly, reranking ignores
-input order, the index build, BM25 top-k and NDCG match naive references, bins
-add up, the prompt fill substitutes each placeholder once, and the mock
-transport answers as the old in-process mock did."""
+"""Property-based invariants: file formats (the index file included) round-trip
+exactly, reranking ignores input order, the index build, BM25 top-k and NDCG
+match naive references, bins add up, the prompt fill substitutes each
+placeholder once, and the mock transport answers as the old in-process mock
+did."""
 
 import itertools
 import math
@@ -30,9 +31,11 @@ from reranklab import (
     bin_scores,
     bm25_score,
     build_index,
+    load_index,
     ndcg_at_k,
     rerank,
     retrieve_top_k,
+    save_index,
 )
 from reranklab.backend import _pieces
 from reranklab.bm25 import TOKEN_PATTERN
@@ -143,6 +146,38 @@ def test_build_index_matches_naive_postings(texts, lowercase, stopwords, stemmer
         sum(tf for rows in expected.values() for ordinal, tf in rows if ordinal == i)
         for i in range(len(texts))
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+                   min_size=1, max_size=8),
+    ids=st.lists(st.text(string.ascii_letters + "éß-", min_size=1, max_size=4),
+                 min_size=8, max_size=8, unique=True),
+    lowercase=st.booleans(),
+    stopwords=st.frozensets(st.sampled_from(("the", "a", "cats", "x")), max_size=3),
+    stemmer=st.sampled_from(("porter", "none")),
+    k1=st.floats(min_value=0.01, max_value=4.0),
+    b=st.floats(min_value=0.0, max_value=1.0),
+    query=st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+)
+def test_index_file_round_trip_is_exact(texts, ids, lowercase, stopwords, stemmer, k1, b, query):
+    corpus = Corpus(tuple(Passage(i, t) for i, t in zip(ids, texts)))
+    cfg = AnalyzerConfig(lowercase=lowercase, stopwords=stopwords, stemmer=stemmer)
+    index = build_index(corpus, cfg, Bm25Params(k1=k1, b=b))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_index(index, first)
+        save_index(index, second)
+        with open(first, "rb") as fh1, open(second, "rb") as fh2:
+            assert fh1.read() == fh2.read()
+        loaded = load_index(first)
+    assert loaded == index
+    q = Query("q", query)
+    got = retrieve_top_k(loaded, q, len(texts))
+    assert got == retrieve_top_k(index, q, len(texts))
+    ordinals = {doc_id: i for i, doc_id in enumerate(loaded.doc_ids)}
+    assert all(e.score == bm25_score(loaded, q, ordinals[e.passage_id]) for e in got)
 
 
 @st.composite
