@@ -298,11 +298,12 @@ def load_index(path: str) -> InvertedIndex:
     """Read an index written by :func:`save_index`.
 
     A file that is not JSON, not a v2 index object, or lacks a section
-    raises :class:`ValidationError`, as does a postings section whose
-    columns disagree in length, repeat a term, give a term no rows, name an
-    ordinal outside the document table, hold a tf below 1, or list a term's
-    ordinals other than strictly ascending (both scoring paths rely on that
-    order). A v1 file is refused with a message to rebuild it.
+    raises :class:`ValidationError`, as does a repeated document id, a
+    negative document length, or a postings section whose columns disagree
+    in length, repeat a term, give a term no rows, name an ordinal outside
+    the document table, hold a tf below 1, or list a term's ordinals other
+    than strictly ascending (both scoring paths rely on that order). A v1
+    file is refused with a message to rebuild it.
     """
     payload = read_json_object(path, "index")
     if payload.get("format") != INDEX_FORMAT:
@@ -337,6 +338,10 @@ def load_index(path: str) -> InvertedIndex:
     if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):
         raise ValidationError(f"{path}: doc_ids and doc_lengths must pair one string id "
                               "with one integer length per document")
+    if min(doc_lengths, default=0) < 0:  # would turn length norms negative and inflate scores
+        raise ValidationError(f"{path}: a doc_lengths entry is negative")
+    if len(set(doc_ids)) != len(doc_ids):
+        raise ValidationError(f"{path}: doc_ids repeat")
     if not (type(terms) is list and _all(str, terms)):
         raise ValidationError(f"{path}: postings terms must be a list of strings")
     if len(set(terms)) != len(terms):

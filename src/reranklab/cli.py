@@ -5,6 +5,14 @@ produced artifacts can be injected at any point: a run file from another
 retriever replaces the built-in first stage, a scored dump from another
 scorer feeds the analysis commands.
 
+Every command runs the same lifecycle in :func:`main`: parse the arguments,
+resolve one :class:`PipelineConfig` (config file, then flags), run the
+command, and write ``resolved_config.json`` into the directory the command
+wrote, last and only if the command succeeded. A command only computes: it
+takes the config and returns its output directory, or ``None`` when it
+wrote nothing (``eval``, ``analyze`` and ``dump-traces`` without
+``--out-dir``).
+
 Exit codes: 0 success, 1 usage, 2 data validation, 3 backend failure.
 The only environment variable consulted is RERANKLAB_API_TOKEN, sent as a
 bearer token to HTTP backends.
@@ -17,9 +25,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 from . import bm25, data, metrics, prompts
 from .rerank import RerankStrategy, StrategyKind, rerank, score_candidates
@@ -149,20 +157,91 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> data.PipelineConfig:
+@dataclass
+class PipelineConfig:
+    """Resolved settings for a pipeline run; file values then CLI overrides.
+
+    The config file is a JSON object of these fields, each value of its
+    field's type. :func:`main` writes the resolved configuration beside a
+    command's outputs so a run can be reproduced from the artifacts alone.
+    """
+
+    corpus: str | None = None
+    queries: str | None = None
+    qrels: str | None = None
+    run_in: str | None = None
+    index: str | None = None
+    template: str | None = None
+    out_dir: str | None = None
+    scored: str | None = None
+    backend: str | None = None
+    model: str = ""
+    strategy: str = "direct"
+    samples: int = 8
+    k: int | None = None
+    gain: str = "exponential"
+    grade_rule: str = "gt2"
+    score_threshold: float = 0.5
+    concurrency: int = 1
+    seed: int = 0
+    allow_partial: bool = False
+    tag: str | None = None
+    k1: float = 0.9
+    b: float = 0.4
+    stemmer: str = "none"
+    stopwords: str | None = None
+    no_lowercase: bool = False
+    temperature: float | None = None
+    top_p: float | None = None
+    max_reasoning_tokens: int = 1024
+    max_passage_chars: int = 2048
+    timeout: float = 120.0
+    max_attempts: int = 3
+    capture: str | None = None
+
+    @classmethod
+    def field_names(cls) -> set[str]:
+        return {f.name for f in fields(cls)}
+
+    @classmethod
+    def from_sources(cls, file_values: dict, cli_values: dict) -> "PipelineConfig":
+        unknown = set(file_values) - cls.field_names()
+        if unknown:
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        hints = get_type_hints(cls)
+        for key, value in file_values.items():
+            kinds = get_args(hints[key]) or (hints[key],)  # int | None: (int, NoneType)
+            if type(value) not in kinds and not (type(value) is int and float in kinds):
+                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise ValidationError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
+        merged = dict(file_values)
+        merged.update({k: v for k, v in cli_values.items() if v is not None})
+        return cls(**{k: v for k, v in merged.items() if k in cls.field_names()})
+
+
+def require_path(path: str | None, what: str) -> Path:
+    if not path:
+        raise ValidationError(f"{what} path is required")
+    p = Path(path)
+    if not p.exists():
+        raise ValidationError(f"{what} file not found: {path}")
+    return p
+
+
+def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     file_values = data.read_json_object(args.config, "config") if args.config else {}
     cli_values = {
         k: v
         for k, v in vars(args).items()
-        if k in data.PipelineConfig.field_names()
+        if k in PipelineConfig.field_names()
     }
     try:
-        return data.PipelineConfig.from_sources(file_values, cli_values)
+        return PipelineConfig.from_sources(file_values, cli_values)
     except ValidationError as exc:  # only the file's keys and values are checked there
         raise ValidationError(f"{args.config}: {exc}") from None
 
 
-def _run_dir(config: data.PipelineConfig, tag: str) -> Path:
+def _run_dir(config: PipelineConfig, tag: str) -> Path:
     if config.out_dir:
         out = Path(config.out_dir)
     else:
@@ -171,10 +250,21 @@ def _run_dir(config: data.PipelineConfig, tag: str) -> Path:
     return out
 
 
-def _analyzer(config: data.PipelineConfig) -> bm25.AnalyzerConfig:
+def _report(config: PipelineConfig, name: str, text: str) -> Path | None:
+    """Print a text report; with --out-dir, write it there as ``name`` and return the dir."""
+    print(text)
+    if not config.out_dir:
+        return None
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text + "\n", encoding="utf-8")
+    return out
+
+
+def _analyzer(config: PipelineConfig) -> bm25.AnalyzerConfig:
     stopwords = None
     if config.stopwords:
-        path = data.require_path(config.stopwords, "stopwords")
+        path = require_path(config.stopwords, "stopwords")
         try:  # not data.read_records: an empty file means no stopwords
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -188,24 +278,21 @@ def _analyzer(config: data.PipelineConfig) -> bm25.AnalyzerConfig:
     )
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    corpus = data.load_corpus(str(data.require_path(config.corpus, "corpus")))
+def cmd_index(config: PipelineConfig) -> Path:
+    corpus = data.load_corpus(str(require_path(config.corpus, "corpus")))
     index = bm25.build_index(corpus, _analyzer(config), bm25.Bm25Params(config.k1, config.b))
     out = _run_dir(config, "index")
     index_path = out / "bm25_index.json"
     bm25.save_index(index, str(index_path))
-    config.write_resolved(str(out / "resolved_config.json"))
     print(f"indexed {index.doc_count} passages, {len(index.postings)} terms -> {index_path}")
-    return 0
+    return out
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_retrieve(config: PipelineConfig) -> Path:
     tag = config.tag or "bm25"
     data.check_run_field("tag", tag)
-    index = bm25.load_index(str(data.require_path(config.index, "index")))
-    queries = data.load_queries(str(data.require_path(config.queries, "queries")))
+    index = bm25.load_index(str(require_path(config.index, "index")))
+    queries = data.load_queries(str(require_path(config.queries, "queries")))
     k = config.k if config.k is not None else 100
     entries = [
         replace(c, tag=tag) for query in queries for c in bm25.retrieve_top_k(index, query, k)
@@ -213,12 +300,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     out = _run_dir(config, tag)
     run_path = out / f"{tag}.run"
     data.write_run(str(run_path), entries)
-    config.write_resolved(str(out / "resolved_config.json"))
     print(f"retrieved {len(entries)} candidates for {len(queries)} queries -> {run_path}")
-    return 0
+    return out
 
 
-def _build_backend(config: data.PipelineConfig) -> CompletionsBackend:
+def _build_backend(config: PipelineConfig) -> CompletionsBackend:
     target = config.backend
     if not target:
         raise ValidationError(
@@ -237,15 +323,15 @@ def _build_backend(config: data.PipelineConfig) -> CompletionsBackend:
     if config.capture and target.startswith(("mock:", "replay:")):
         raise ValidationError("--capture mirrors HTTP requests; mock: and replay: send none")
     if target.startswith("mock:"):
-        path = data.require_path(target[len("mock:"):], "mock table")
+        path = require_path(target[len("mock:"):], "mock table")
         return load_mock_table(str(path), config=base)
     if target.startswith("replay:"):
-        path = data.require_path(target[len("replay:"):], "capture log")
+        path = require_path(target[len("replay:"):], "capture log")
         return ReplayBackend(str(path), config=base)
     return HttpCompletionsBackend(base)
 
 
-def _sampling(config: data.PipelineConfig, kind: StrategyKind) -> SamplingParams:
+def _sampling(config: PipelineConfig, kind: StrategyKind) -> SamplingParams:
     # greedy by default; self-consistency needs sampling diversity
     if kind is StrategyKind.SELF_CONSISTENCY:
         temperature = 0.7 if config.temperature is None else config.temperature
@@ -260,15 +346,14 @@ def _sampling(config: data.PipelineConfig, kind: StrategyKind) -> SamplingParams
     )
 
 
-def cmd_rerank(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_rerank(config: PipelineConfig) -> Path:
     # checked before any work: resolved_config.json must not record a value the run ignored
     for name in ("concurrency", "samples"):
         if getattr(config, name) < 1:
             raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
-    corpus = data.load_corpus(str(data.require_path(config.corpus, "corpus")))
-    queries = data.load_queries(str(data.require_path(config.queries, "queries")))
-    candidates = data.read_run(str(data.require_path(config.run_in, "first-stage run")))
+    corpus = data.load_corpus(str(require_path(config.corpus, "corpus")))
+    queries = data.load_queries(str(require_path(config.queries, "queries")))
+    candidates = data.read_run(str(require_path(config.run_in, "first-stage run")))
 
     kind = StrategyKind(config.strategy)
     samples = config.samples if kind is StrategyKind.SELF_CONSISTENCY else 1
@@ -307,25 +392,20 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         with open(out / f"{tag}_failures.jsonl", "w", encoding="utf-8") as fh:
             for f in failures:
                 fh.write(json.dumps(asdict(f)) + "\n")
-    config.write_resolved(str(out / "resolved_config.json"))
     print(
         f"scored {len(scored)} pairs ({len(failures)} failed) with {kind.value} "
         f"-> {run_path}"
     )
-    return 0
+    return out
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    run_entries = data.read_run(str(data.require_path(config.run_in, "run")))
-    judgments = data.load_qrels(str(data.require_path(config.qrels, "qrels")))
+def cmd_eval(config: PipelineConfig) -> Path | None:
+    run_entries = data.read_run(str(require_path(config.run_in, "run")))
+    judgments = data.load_qrels(str(require_path(config.qrels, "qrels")))
     k = config.k if config.k is not None else 10
     report = metrics.ndcg_at_k(run_entries, judgments, k=k, gain=config.gain)
-    text = report.format()
-    print(text)
-    if config.out_dir:
-        out = _run_dir(config, "eval")
-        (out / "eval.txt").write_text(text + "\n", encoding="utf-8")
+    out = _report(config, "eval.txt", report.format())
+    if out:
         with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
             for qid, value in report.per_query.items():
                 fh.write(json.dumps({"query_id": qid, f"ndcg@{k}": value}) + "\n")
@@ -341,13 +421,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 )
                 + "\n"
             )
-        config.write_resolved(str(out / "resolved_config.json"))
-    return 0
+    return out
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    pairs, strategy = data.read_scored(str(data.require_path(config.scored, "scored dump")))
+def cmd_analyze(config: PipelineConfig) -> Path | None:
+    pairs, strategy = data.read_scored(str(require_path(config.scored, "scored dump")))
     dist = metrics.bin_scores([p.score for p in pairs])
     if sum(dist.counts) != dist.total:  # bin bookkeeping must balance
         raise AssertionError("bin counts do not sum to the sample total")
@@ -358,7 +436,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     report = None
     if config.qrels:
-        judgments = data.load_qrels(str(data.require_path(config.qrels, "qrels")))
+        judgments = data.load_qrels(str(require_path(config.qrels, "qrels")))
         report = metrics.classify(
             pairs, judgments,
             score_threshold=config.score_threshold,
@@ -367,11 +445,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         blocks.append(report.format())
     else:
         blocks.append("no qrels supplied; classification report skipped")
-    text = "\n\n".join(blocks)
-    print(text)
-    if config.out_dir:
-        out = _run_dir(config, "analyze")
-        (out / "analysis.txt").write_text(text + "\n", encoding="utf-8")
+    out = _report(config, "analysis.txt", "\n\n".join(blocks))
+    if out:
         machine = {
             "strategy": strategy,
             "bin_edges": list(metrics.BIN_EDGES),
@@ -392,15 +467,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (out / "analysis.json").write_text(
             json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        config.write_resolved(str(out / "resolved_config.json"))
-    return 0
+    return out
 
 
-def cmd_dump_traces(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    pairs, strategy = data.read_scored(str(data.require_path(config.scored, "scored dump")))
-    corpus = data.load_corpus(str(data.require_path(config.corpus, "corpus")))
-    queries = {q.id: q for q in data.load_queries(str(data.require_path(config.queries, "queries")))}
+def cmd_dump_traces(config: PipelineConfig) -> Path | None:
+    pairs, strategy = data.read_scored(str(require_path(config.scored, "scored dump")))
+    corpus = data.load_corpus(str(require_path(config.corpus, "corpus")))
+    queries = {q.id: q for q in data.load_queries(str(require_path(config.queries, "queries")))}
     blocks = []
     for p in pairs:
         query_text = queries[p.query_id].text if p.query_id in queries else "(unknown query)"
@@ -426,24 +499,14 @@ def cmd_dump_traces(args: argparse.Namespace) -> int:
         else:
             lines.append("reasoning  : (none)")
         blocks.append("\n".join(lines))
-    text = ("\n" + "-" * 72 + "\n").join(blocks)
-    print(text)
-    if config.out_dir:
-        out = _run_dir(config, "traces")
-        (out / "traces.txt").write_text(text + "\n", encoding="utf-8")
-        config.write_resolved(str(out / "resolved_config.json"))
-    return 0
+    return _report(config, "traces.txt", ("\n" + "-" * 72 + "\n").join(blocks))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        config = _config_from_args(args)
+        out = args.func(config)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -453,6 +516,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BackendError as exc:
         print(f"reranklab: backend failure: {exc}", file=sys.stderr)
         return 3
+    if out is not None:  # last: a failed command leaves no resolved config behind
+        (out / "resolved_config.json").write_text(
+            json.dumps(asdict(config), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+    return 0
 
 
 if __name__ == "__main__":

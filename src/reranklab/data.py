@@ -2,9 +2,10 @@
 
 Line-oriented formats:
 
-* corpus / queries — line-delimited JSON records with ``id`` and ``text``
-  fields (passages can contain anything, so no CSV), or two-column
-  tab-separated ``id <TAB> text``. The two are auto-detected per line.
+* corpus / queries — line-delimited JSON records with a string or integer
+  ``id`` and a string ``text`` (passages can contain anything, so no CSV),
+  or two-column tab-separated ``id <TAB> text``. The two are auto-detected
+  per line.
 * qrels — whitespace-separated ``qid iteration docid grade`` (grades are
   integers, stored exactly as read).
 * run files — ``qid Q0 docid rank score tag`` with scores printed at a
@@ -31,9 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Sequence, get_args, get_type_hints
+from typing import Callable, Sequence
 
 from .types import (
     Corpus,
@@ -107,7 +106,11 @@ def _id_text_records(path: str, what: str, make: Callable, empty: str) -> list:
             record = json.loads(line)
             if "id" not in record or "text" not in record:
                 raise ValidationError("record must have 'id' and 'text' fields")
-            ident, text = str(record["id"]), str(record["text"])
+            ident, text = record["id"], record["text"]
+            if type(ident) is int:  # a bool is not an id
+                ident = str(ident)
+            if type(ident) is not str or type(text) is not str:
+                raise ValidationError("'id' must be a string or an integer and 'text' a string")
         else:
             ident, tab, text = line.rstrip("\n").partition("\t")
             if not tab:
@@ -247,29 +250,48 @@ def write_scored(path: str, pairs: Sequence[ScoredPair], strategy: str) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+_NUMBER = {float, int}  # by exact type, so a JSON true is not a score
+
+
+def _trace(t: dict) -> ReasoningTrace:
+    text, terminated, token_count = t["text"], t["terminated"], t["token_count"]
+    if not (type(text) is str and type(terminated) is bool
+            and type(token_count) is int and token_count >= 0):
+        raise TypeError("a trace needs a string text, a bool terminated "
+                        "and an integer token_count >= 0")
+    return ReasoningTrace(text, terminated, token_count)
+
+
 def read_scored(path: str) -> tuple[list[ScoredPair], str]:
-    """Read a scored-pair dump; returns the pairs and their strategy tag."""
+    """Read a scored-pair dump; returns the pairs and their strategy tag.
+
+    Field types are checked, not coerced: ids, strategy and trace text are
+    strings, ``terminated`` a bool, ``token_count`` an integer >= 0, and the
+    score and per-sample scores numbers (not bools).
+    """
     strategy: str | None = None
 
     def parse(line: str) -> tuple[tuple[str, str], ScoredPair]:
         nonlocal strategy
         record = json.loads(line)
         try:
+            score, samples = record["score"], record.get("per_sample_scores", [])
+            if not (type(score) in _NUMBER and set(map(type, samples)) <= _NUMBER):
+                raise TypeError("score and per_sample_scores must be numbers")
             pair = ScoredPair(
                 query_id=record["query_id"],
                 passage_id=record["passage_id"],
-                score=record["score"],
-                traces=tuple(
-                    ReasoningTrace(t["text"], t["terminated"], t["token_count"])
-                    for t in record.get("traces", [])
-                ),
-                per_sample_scores=tuple(record.get("per_sample_scores", [])),
+                score=score,
+                traces=tuple(map(_trace, record.get("traces", []))),
+                per_sample_scores=tuple(samples),
             )
             if not (isinstance(pair.query_id, str) and isinstance(pair.passage_id, str)):
                 raise TypeError("query_id and passage_id must be strings")
         except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"bad scored record: {exc}") from exc
         line_strategy = record.get("strategy", "")
+        if type(line_strategy) is not str:
+            raise ValidationError(f"strategy must be a string, got {json.dumps(line_strategy)}")
         if strategy is None:
             strategy = line_strategy
         elif strategy != line_strategy:
@@ -280,79 +302,3 @@ def read_scored(path: str) -> tuple[list[ScoredPair], str]:
 
     pairs = read_records(path, parse, "scored pair", "empty scored dump")
     return pairs, strategy or ""
-
-
-@dataclass
-class PipelineConfig:
-    """Resolved settings for a pipeline run; file values then CLI overrides.
-
-    The config file is a JSON object of these fields, each value of its
-    field's type. Every command writes its resolved configuration beside its
-    outputs so a run can be reproduced from the artifacts alone.
-    """
-
-    corpus: str | None = None
-    queries: str | None = None
-    qrels: str | None = None
-    run_in: str | None = None
-    index: str | None = None
-    template: str | None = None
-    out_dir: str | None = None
-    scored: str | None = None
-    backend: str | None = None
-    model: str = ""
-    strategy: str = "direct"
-    samples: int = 8
-    k: int | None = None
-    gain: str = "exponential"
-    grade_rule: str = "gt2"
-    score_threshold: float = 0.5
-    concurrency: int = 1
-    seed: int = 0
-    allow_partial: bool = False
-    tag: str | None = None
-    k1: float = 0.9
-    b: float = 0.4
-    stemmer: str = "none"
-    stopwords: str | None = None
-    no_lowercase: bool = False
-    temperature: float | None = None
-    top_p: float | None = None
-    max_reasoning_tokens: int = 1024
-    max_passage_chars: int = 2048
-    timeout: float = 120.0
-    max_attempts: int = 3
-    capture: str | None = None
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in dataclasses.fields(cls)}
-
-    @classmethod
-    def from_sources(cls, file_values: dict, cli_values: dict) -> "PipelineConfig":
-        unknown = set(file_values) - cls.field_names()
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        hints = get_type_hints(cls)
-        for key, value in file_values.items():
-            kinds = get_args(hints[key]) or (hints[key],)  # int | None: (int, NoneType)
-            if type(value) not in kinds and not (type(value) is int and float in kinds):
-                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-                raise ValidationError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
-        merged = dict(file_values)
-        merged.update({k: v for k, v in cli_values.items() if v is not None})
-        return cls(**{k: v for k, v in merged.items() if k in cls.field_names()})
-
-    def write_resolved(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(self), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-
-def require_path(path: str | None, what: str) -> Path:
-    if not path:
-        raise ValidationError(f"{what} path is required")
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"{what} file not found: {path}")
-    return p

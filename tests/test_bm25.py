@@ -402,6 +402,10 @@ class TestLoadValidation:
         pytest.param(_set([5, 4, 5, 0], "doc_lengths"), "per document", id="lengths-short"),
         pytest.param(_set(["d1", "d2", "d3", "d4", 5], "doc_ids"), "per document",
                      id="id-number"),
+        pytest.param(_set([-3, 4, 5, 0, 6], "doc_lengths"), "doc_lengths entry is negative",
+                     id="length-negative"),
+        pytest.param(_set(["d1", "d1", "d3", "d4", "d5"], "doc_ids"), "doc_ids repeat",
+                     id="id-repeated"),
     ])
     def test_malformed_sections(self, tmp_path, edit, message):
         payload = _golden_payload()

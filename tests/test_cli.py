@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from reranklab.cli import main
+from reranklab.cli import build_parser, main
 
 from conftest import make_corpus, make_queries, write_corpus_file, write_queries_file
 
@@ -446,6 +447,37 @@ MALFORMED = [
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
     ("stopwords", "bad_stopwords.txt", b"\xff\xfe", ": not UTF-8 text",
      lambda ws, bad: ["index", "--corpus", ws / "corpus.jsonl", "--stopwords", bad]),
+    ("corpus-text-null", "bad.jsonl", '{"id": "p1", "text": null}\n',
+     ":1: 'id' must be a string or an integer and 'text' a string",
+     lambda ws, bad: ["index", "--corpus", bad]),
+    ("queries-id-null", "bad.jsonl", '{"id": "q1", "text": "a"}\n{"id": null, "text": "b"}\n',
+     ":2: 'id' must be a string or an integer",
+     lambda ws, bad: ["rerank", "--corpus", ws / "corpus.jsonl", "--queries", bad]),
+    ("scored-trace-text", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 0.5,'
+     ' "traces": [{"text": 5, "terminated": true, "token_count": 3}]}\n',
+     ":1: bad scored record: a trace needs a string text",
+     lambda ws, bad: ["dump-traces", "--scored", bad, "--corpus", ws / "corpus.jsonl",
+                      "--queries", ws / "queries.jsonl"]),
+    ("scored-terminated", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 0.5,'
+     ' "traces": [{"text": "t", "terminated": 1, "token_count": 3}]}\n',
+     ":1: bad scored record: a trace needs", lambda ws, bad: ["analyze", "--scored", bad]),
+    ("scored-token-count", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 0.5,'
+     ' "traces": [{"text": "t", "terminated": false, "token_count": -1}]}\n',
+     ":1: bad scored record: a trace needs", lambda ws, bad: ["analyze", "--scored", bad]),
+    ("scored-score-bool", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": true}\n',
+     ":1: bad scored record: score and per_sample_scores must be numbers",
+     lambda ws, bad: ["analyze", "--scored", bad]),
+    ("scored-sample-bool", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 1.0, "per_sample_scores": [true]}\n',
+     ":1: bad scored record: score and per_sample_scores must be numbers",
+     lambda ws, bad: ["analyze", "--scored", bad]),
+    ("scored-strategy", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 0.5, "strategy": 5}\n',
+     ":1: strategy must be a string, got 5", lambda ws, bad: ["analyze", "--scored", bad]),
 ]
 
 
@@ -552,22 +584,24 @@ class TestRefusedValues:
         assert not log.exists() and not out.exists()
 
 
-class TestEvalAnalyze:
-    @pytest.fixture
-    def reranked(self, workspace, tmp_path):
-        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
-        out = tmp_path / "rr"
-        assert main([
-            "rerank",
-            "--corpus", str(workspace / "corpus.jsonl"),
-            "--queries", str(workspace / "queries.jsonl"),
-            "--run-in", str(run_path),
-            "--strategy", "reason",
-            "--backend", f"mock:{workspace / 'mock.json'}",
-            "--out-dir", str(out),
-        ]) == 0
-        return out
+@pytest.fixture
+def reranked(workspace, tmp_path):
+    """Index, first-stage run and reason rerank; returns the rerank's run dir."""
+    run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+    out = tmp_path / "rr"
+    assert main([
+        "rerank",
+        "--corpus", str(workspace / "corpus.jsonl"),
+        "--queries", str(workspace / "queries.jsonl"),
+        "--run-in", str(run_path),
+        "--strategy", "reason",
+        "--backend", f"mock:{workspace / 'mock.json'}",
+        "--out-dir", str(out),
+    ]) == 0
+    return out
 
+
+class TestEvalAnalyze:
     def test_eval_reports_mean(self, workspace, reranked, tmp_path, capsys):
         out = tmp_path / "eval"
         assert main([
@@ -673,6 +707,68 @@ class TestEvalAnalyze:
         assert json.loads((out / "resolved_config.json").read_text())["scored"] == scored
 
 
+def _commands():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+# command -> (the values it is given over the workspace and a reranked stage, the input
+# that goes missing when it must fail); every command of the parser needs an entry
+GIVEN = {
+    "index": (lambda ws, rr: {"corpus": str(ws / "corpus.jsonl"), "k1": 1.2,
+                              "stemmer": "porter", "no_lowercase": True}, "corpus"),
+    "retrieve": (lambda ws, rr: {"index": str(rr.parent / "stage1" / "bm25_index.json"),
+                                 "queries": str(ws / "queries.jsonl"), "k": 5, "tag": "first"},
+                 "queries"),
+    "rerank": (lambda ws, rr: {"corpus": str(ws / "corpus.jsonl"),
+                               "queries": str(ws / "queries.jsonl"),
+                               "run_in": str(rr.parent / "stage1" / "bm25.run"),
+                               "strategy": "self_consistency", "samples": 2, "seed": 3,
+                               "backend": f"mock:{ws / 'mock.json'}"}, "run_in"),
+    "eval": (lambda ws, rr: {"run_in": str(rr / "reason.run"), "qrels": str(ws / "qrels.txt"),
+                             "k": 5, "gain": "linear"}, "qrels"),
+    "analyze": (lambda ws, rr: {"scored": str(rr / "reason_scored.jsonl"),
+                                "qrels": str(ws / "qrels.txt"), "score_threshold": 0.25,
+                                "grade_rule": "ge2"}, "qrels"),
+    "dump-traces": (lambda ws, rr: {"scored": str(rr / "reason_scored.jsonl"),
+                                    "corpus": str(ws / "corpus.jsonl"),
+                                    "queries": str(ws / "queries.jsonl")}, "queries"),
+}
+
+
+def _argv(command, values, out):
+    flags = [f"--{key.replace('_', '-')}" for key in values]
+    args = [[flag] if value is True else [flag, str(value)]
+            for flag, value in zip(flags, values.values())]
+    return [command, *(a for pair in args for a in pair), "--out-dir", str(out)]
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("command", _commands())
+    def test_resolved_config_records_the_run_and_comes_last(self, workspace, reranked,
+                                                            tmp_path, command):
+        values = GIVEN[command][0](workspace, reranked)
+        out = tmp_path / "out"
+        assert main(_argv(command, values, out)) == 0
+        resolved_path = out / "resolved_config.json"
+        resolved = json.loads(resolved_path.read_text())
+        assert {key: resolved[key] for key in values} == values
+        assert resolved["out_dir"] == str(out)
+        written = [p.stat().st_mtime_ns for p in out.iterdir()]
+        assert len(written) > 1 and resolved_path.stat().st_mtime_ns == max(written)
+
+    @pytest.mark.parametrize("command", _commands())
+    def test_failed_command_leaves_no_resolved_config(self, workspace, reranked, tmp_path,
+                                                      capsys, command):
+        make, missing = GIVEN[command]
+        values = {**make(workspace, reranked), missing: str(workspace / "missing")}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(_argv(command, values, out)) == 2
+        assert "file not found" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestDependencies:
     def test_offline_rerank_runs_without_requests(self, workspace, tmp_path):
         """The package has no runtime dependencies: ``requests`` must not be needed."""
@@ -715,14 +811,13 @@ class TestDependencies:
 
 
 class TestHelp:
-    @pytest.mark.parametrize(
-        "command", ["index", "retrieve", "rerank", "eval", "analyze", "dump-traces"]
-    )
+    @pytest.mark.parametrize("command", _commands())
     def test_help_lists_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        assert "--out-dir" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--out-dir" in out and "--config" in out
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 1

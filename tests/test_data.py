@@ -3,8 +3,8 @@ import json
 import pytest
 
 from reranklab import ReasoningTrace, RunEntry, ScoredPair, ValidationError
+from reranklab.cli import PipelineConfig, main
 from reranklab.data import (
-    PipelineConfig,
     load_corpus,
     load_qrels,
     load_queries,
@@ -25,6 +25,11 @@ class TestCorpus:
         corpus = load_corpus(str(path))
         assert corpus.size == 2
         assert corpus.passage("p2").text == "beta"
+
+    def test_integer_id_reads_as_its_digits(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": 7, "text": "alpha"}\n')
+        assert load_corpus(str(path)).passage("7").text == "alpha"
 
     def test_tsv(self, tmp_path):
         path = tmp_path / "corpus.tsv"
@@ -338,8 +343,13 @@ class TestConfig:
                 PipelineConfig.from_sources({key: value}, {})
 
     def test_resolved_dump_is_deterministic(self, tmp_path):
-        config = PipelineConfig(strategy="direct", k=10)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        config.write_resolved(str(a))
-        config.write_resolved(str(b))
-        assert a.read_bytes() == b.read_bytes()
+        (tmp_path / "corpus.jsonl").write_text('{"id": "p1", "text": "splints"}\n')
+        (tmp_path / "config.json").write_text('{"stemmer": "porter", "k1": 1.2}')
+        argv = ["index", "--corpus", str(tmp_path / "corpus.jsonl"), "--b", "0.5",
+                "--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path / "out")]
+        resolved = tmp_path / "out" / "resolved_config.json"
+        assert main(argv) == 0
+        first = resolved.read_bytes()
+        resolved.unlink()
+        assert main(argv) == 0
+        assert resolved.read_bytes() == first
