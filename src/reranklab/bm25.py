@@ -298,12 +298,14 @@ def load_index(path: str) -> InvertedIndex:
     """Read an index written by :func:`save_index`.
 
     A file that is not JSON, not a v2 index object, or lacks a section
-    raises :class:`ValidationError`, as does a repeated document id, a
-    negative document length, or a postings section whose columns disagree
-    in length, repeat a term, give a term no rows, name an ordinal outside
-    the document table, hold a tf below 1, or list a term's ordinals other
-    than strictly ascending (both scoring paths rely on that order). A v1
-    file is refused with a message to rebuild it.
+    raises :class:`ValidationError`, as does an analyzer ``lowercase`` that
+    is not a bool or ``stopwords`` that are not a list of strings or null, a
+    ``k1`` or ``b`` that is not a number (a bool is not), a repeated
+    document id, a negative document length, or a postings section whose
+    columns disagree in length, repeat a term, give a term no rows, name an
+    ordinal outside the document table, hold a tf below 1, or list a term's
+    ordinals other than strictly ascending (both scoring paths rely on that
+    order). A v1 file is refused with a message to rebuild it.
     """
     payload = read_json_object(path, "index")
     if payload.get("format") != INDEX_FORMAT:
@@ -322,12 +324,15 @@ def load_index(path: str) -> InvertedIndex:
         analyzer_raw = payload["analyzer"]
         if analyzer_raw["token_pattern"] != TOKEN_PATTERN.pattern:  # queries would split otherwise
             raise ValidationError(f"{path}: index token_pattern must be {TOKEN_PATTERN.pattern!r}")
-        analyzer = AnalyzerConfig(
-            lowercase=analyzer_raw["lowercase"],
-            stopwords=frozenset(analyzer_raw["stopwords"] or ()),
-            stemmer=analyzer_raw["stemmer"],
-        )
+        lowercase, stopwords = analyzer_raw["lowercase"], analyzer_raw["stopwords"]
+        if not (type(lowercase) is bool
+                and (stopwords is None or type(stopwords) is list and _all(str, stopwords))):
+            raise ValidationError(f"{path}: index analyzer lowercase must be a bool "
+                                  "and stopwords a list of strings or null")
+        analyzer = AnalyzerConfig(lowercase, frozenset(stopwords or ()), analyzer_raw["stemmer"])
         params = Bm25Params(**payload["params"])
+        if not set(map(type, (params.k1, params.b))) <= {int, float}:  # True passes k1 > 0
+            raise ValidationError(f"{path}: index params k1 and b must be numbers")
         doc_ids = tuple(payload["doc_ids"])
         doc_lengths = tuple(payload["doc_lengths"])
         raw = payload["postings"]

@@ -5,15 +5,19 @@ produced artifacts can be injected at any point: a run file from another
 retriever replaces the built-in first stage, a scored dump from another
 scorer feeds the analysis commands.
 
-Every command runs the same lifecycle in :func:`main`: parse the arguments,
-resolve one :class:`PipelineConfig` (config file, then flags), run the
-command, and write ``resolved_config.json`` into the directory the command
-wrote, last and only if the command succeeded. A command only computes: it
-takes the config and returns its output directory, or ``None`` when it
-wrote nothing (``eval``, ``analyze`` and ``dump-traces`` without
-``--out-dir``).
+Each setting is declared once, as a flag in :func:`build_parser`, with its
+type, choices and default. Every command runs the same lifecycle in
+:func:`main`: parse the arguments; with ``--config``, check each file key
+against the flag that declares it (any command's flag), make the file's
+values the command's defaults and parse again, so flags win; run the
+command; and write ``resolved_config.json`` (every command's settings) into
+the directory the command wrote, last and only if the command succeeded. A
+command only computes: it takes the parsed arguments and returns its output
+directory, or ``None`` when it wrote nothing (``eval``, ``analyze`` and
+``dump-traces`` without ``--out-dir``).
 
-Exit codes: 0 success, 1 usage, 2 data validation, 3 backend failure.
+Exit codes: 0 success, 1 usage, 2 data validation or an unreadable or
+unwritable path, 3 backend failure.
 The only environment variable consulted is RERANKLAB_API_TOKEN, sent as a
 bearer token to HTTP backends.
 """
@@ -25,9 +29,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import Sequence
 
 from . import bm25, data, metrics, prompts
 from .rerank import RerankStrategy, StrategyKind, rerank, score_candidates
@@ -66,12 +70,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("index", help="build and persist a BM25 index")
     _add_common(p)
     p.add_argument("--corpus", help="corpus file (JSONL id/text or TSV)")
-    p.add_argument("--k1", type=float, help="BM25 k1 (default 0.9)")
-    p.add_argument("--b", type=float, help="BM25 b (default 0.4)")
-    p.add_argument("--stemmer", choices=["none", "porter"], help="analyzer stemmer")
+    p.add_argument("--k1", type=float, default=0.9, help="BM25 k1 (default %(default)s)")
+    p.add_argument("--b", type=float, default=0.4, help="BM25 b (default %(default)s)")
+    p.add_argument("--stemmer", choices=["none", "porter"], default="none",
+                   help="analyzer stemmer")
     p.add_argument("--stopwords", help="file with one stopword per line")
     p.add_argument(
-        "--no-lowercase", dest="no_lowercase", action="store_const", const=True,
+        "--no-lowercase", dest="no_lowercase", action="store_true",
         help="keep original case when tokenizing",
     )
     p.set_defaults(func=cmd_index)
@@ -91,23 +96,25 @@ def build_parser() -> _Parser:
     p.add_argument("--run-in", dest="run_in", help="first-stage run file")
     p.add_argument(
         "--strategy",
-        choices=[k.value for k in StrategyKind],
-        help="scoring strategy (default direct)",
+        choices=[k.value for k in StrategyKind], default=StrategyKind.DIRECT.value,
+        help="scoring strategy (default %(default)s)",
     )
-    p.add_argument("--samples", type=int, help="samples for self_consistency (default 8)")
+    p.add_argument("--samples", type=int, default=8,
+                   help="samples for self_consistency (default %(default)s)")
     p.add_argument(
         "--backend",
         help="backend: completions URL, mock:<table.json>, or replay:<capture.jsonl>",
     )
-    p.add_argument("--model", help="model name sent to the backend")
+    p.add_argument("--model", default="", help="model name sent to the backend")
     p.add_argument(
-        "--concurrency", type=int,
-        help="HTTP requests in flight (default 1); mock and replay backends score "
+        "--concurrency", type=int, default=1,
+        help="HTTP requests in flight (default %(default)s); mock and replay backends score "
         "on the calling thread, with identical output at any value",
     )
-    p.add_argument("--seed", type=int, help="base seed for per-sample seed derivation")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base seed for per-sample seed derivation")
     p.add_argument(
-        "--allow-partial", dest="allow_partial", action="store_const", const=True,
+        "--allow-partial", dest="allow_partial", action="store_true",
         help="record pair failures and fall back to first-stage order instead of aborting",
     )
     p.add_argument("--template", help="prompt template override file (JSON)")
@@ -115,15 +122,17 @@ def build_parser() -> _Parser:
     p.add_argument("--temperature", type=float, help="sampling temperature")
     p.add_argument("--top-p", dest="top_p", type=float, help="nucleus sampling cutoff")
     p.add_argument(
-        "--max-reasoning-tokens", dest="max_reasoning_tokens", type=int,
-        help="token budget for reasoning generation (default 1024)",
+        "--max-reasoning-tokens", dest="max_reasoning_tokens", type=int, default=1024,
+        help="token budget for reasoning generation (default %(default)s)",
     )
     p.add_argument(
-        "--max-passage-chars", dest="max_passage_chars", type=int,
-        help="passage truncation before prompting (default 2048; 0 disables)",
+        "--max-passage-chars", dest="max_passage_chars", type=int, default=2048,
+        help="passage truncation before prompting (default %(default)s; 0 disables)",
     )
-    p.add_argument("--timeout", type=float, help="per-request timeout seconds")
-    p.add_argument("--max-attempts", dest="max_attempts", type=int, help="retry attempts")
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="per-request timeout seconds")
+    p.add_argument("--max-attempts", dest="max_attempts", type=int, default=3,
+                   help="retry attempts")
     p.add_argument("--capture", help="mirror HTTP requests/responses to this JSONL file")
     p.set_defaults(func=cmd_rerank)
 
@@ -132,7 +141,8 @@ def build_parser() -> _Parser:
     p.add_argument("--run-in", dest="run_in", help="run file to evaluate")
     p.add_argument("--qrels", help="TREC qrels file")
     p.add_argument("--k", type=int, help="cutoff (default 10)")
-    p.add_argument("--gain", choices=list(metrics.GAIN_MODES), help="gain function")
+    p.add_argument("--gain", choices=list(metrics.GAIN_MODES), default="exponential",
+                   help="gain function")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="score distribution and classification reports")
@@ -140,11 +150,11 @@ def build_parser() -> _Parser:
     p.add_argument("--scored", help="scored-pair dump from rerank")
     p.add_argument("--qrels", help="qrels file (enables the classification report)")
     p.add_argument(
-        "--score-threshold", dest="score_threshold", type=float,
-        help="positive prediction above this score (default 0.5)",
+        "--score-threshold", dest="score_threshold", type=float, default=0.5,
+        help="positive prediction above this score (default %(default)s)",
     )
     p.add_argument("--grade-rule", dest="grade_rule", choices=list(metrics.GRADE_RULES),
-                   help="positive label rule (default gt2)")
+                   default="gt2", help="positive label rule (default %(default)s)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("dump-traces", help="human-readable reasoning trace listing")
@@ -157,66 +167,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-@dataclass
-class PipelineConfig:
-    """Resolved settings for a pipeline run; file values then CLI overrides.
-
-    The config file is a JSON object of these fields, each value of its
-    field's type. :func:`main` writes the resolved configuration beside a
-    command's outputs so a run can be reproduced from the artifacts alone.
-    """
-
-    corpus: str | None = None
-    queries: str | None = None
-    qrels: str | None = None
-    run_in: str | None = None
-    index: str | None = None
-    template: str | None = None
-    out_dir: str | None = None
-    scored: str | None = None
-    backend: str | None = None
-    model: str = ""
-    strategy: str = "direct"
-    samples: int = 8
-    k: int | None = None
-    gain: str = "exponential"
-    grade_rule: str = "gt2"
-    score_threshold: float = 0.5
-    concurrency: int = 1
-    seed: int = 0
-    allow_partial: bool = False
-    tag: str | None = None
-    k1: float = 0.9
-    b: float = 0.4
-    stemmer: str = "none"
-    stopwords: str | None = None
-    no_lowercase: bool = False
-    temperature: float | None = None
-    top_p: float | None = None
-    max_reasoning_tokens: int = 1024
-    max_passage_chars: int = 2048
-    timeout: float = 120.0
-    max_attempts: int = 3
-    capture: str | None = None
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
-    @classmethod
-    def from_sources(cls, file_values: dict, cli_values: dict) -> "PipelineConfig":
-        unknown = set(file_values) - cls.field_names()
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        hints = get_type_hints(cls)
-        for key, value in file_values.items():
-            kinds = get_args(hints[key]) or (hints[key],)  # int | None: (int, NoneType)
-            if type(value) not in kinds and not (type(value) is int and float in kinds):
-                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-                raise ValidationError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
-        merged = dict(file_values)
-        merged.update({k: v for k, v in cli_values.items() if v is not None})
-        return cls(**{k: v for k, v in merged.items() if k in cls.field_names()})
+def _config_defaults(path: str, settings: dict[str, argparse.Action]) -> dict:
+    """The --config file's values, each checked against the flag that declares its key."""
+    values = data.read_json_object(path, "config")
+    unknown = set(values) - set(settings)
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        action = settings[key]
+        kind = bool if action.nargs == 0 else action.type or str  # store_true takes a bool
+        kinds = (kind, type(None)) if action.default is None else (kind,)
+        if type(value) not in kinds and not (type(value) is int and kind is float):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ValidationError(
+                f"{path}: config key {key!r} must be {names}, got {json.dumps(value)}")
+        if action.choices and value not in action.choices:
+            raise ValidationError(f"{path}: config key {key!r} must be one of "
+                                  f"{', '.join(action.choices)}, got {json.dumps(value)}")
+    return values
 
 
 def require_path(path: str | None, what: str) -> Path:
@@ -228,43 +196,30 @@ def require_path(path: str | None, what: str) -> Path:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    file_values = data.read_json_object(args.config, "config") if args.config else {}
-    cli_values = {
-        k: v
-        for k, v in vars(args).items()
-        if k in PipelineConfig.field_names()
-    }
-    try:
-        return PipelineConfig.from_sources(file_values, cli_values)
-    except ValidationError as exc:  # only the file's keys and values are checked there
-        raise ValidationError(f"{args.config}: {exc}") from None
-
-
-def _run_dir(config: PipelineConfig, tag: str) -> Path:
-    if config.out_dir:
-        out = Path(config.out_dir)
+def _run_dir(args: argparse.Namespace, tag: str) -> Path:
+    if args.out_dir:
+        out = Path(args.out_dir)
     else:
         out = Path("runs") / f"{tag}-{time.strftime('%Y%m%d-%H%M%S')}"
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _report(config: PipelineConfig, name: str, text: str) -> Path | None:
+def _report(args: argparse.Namespace, name: str, text: str) -> Path | None:
     """Print a text report; with --out-dir, write it there as ``name`` and return the dir."""
     print(text)
-    if not config.out_dir:
+    if not args.out_dir:
         return None
-    out = Path(config.out_dir)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(text + "\n", encoding="utf-8")
     return out
 
 
-def _analyzer(config: PipelineConfig) -> bm25.AnalyzerConfig:
+def _analyzer(args: argparse.Namespace) -> bm25.AnalyzerConfig:
     stopwords = None
-    if config.stopwords:
-        path = require_path(config.stopwords, "stopwords")
+    if args.stopwords:
+        path = require_path(args.stopwords, "stopwords")
         try:  # not data.read_records: an empty file means no stopwords
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
@@ -272,40 +227,40 @@ def _analyzer(config: PipelineConfig) -> bm25.AnalyzerConfig:
         words = [w.strip() for w in text.splitlines()]
         stopwords = frozenset(w for w in words if w)
     return bm25.AnalyzerConfig(
-        lowercase=not config.no_lowercase,
+        lowercase=not args.no_lowercase,
         stopwords=stopwords,
-        stemmer=config.stemmer,
+        stemmer=args.stemmer,
     )
 
 
-def cmd_index(config: PipelineConfig) -> Path:
-    corpus = data.load_corpus(str(require_path(config.corpus, "corpus")))
-    index = bm25.build_index(corpus, _analyzer(config), bm25.Bm25Params(config.k1, config.b))
-    out = _run_dir(config, "index")
+def cmd_index(args: argparse.Namespace) -> Path:
+    corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
+    index = bm25.build_index(corpus, _analyzer(args), bm25.Bm25Params(args.k1, args.b))
+    out = _run_dir(args, "index")
     index_path = out / "bm25_index.json"
     bm25.save_index(index, str(index_path))
     print(f"indexed {index.doc_count} passages, {len(index.postings)} terms -> {index_path}")
     return out
 
 
-def cmd_retrieve(config: PipelineConfig) -> Path:
-    tag = config.tag or "bm25"
+def cmd_retrieve(args: argparse.Namespace) -> Path:
+    tag = args.tag or "bm25"
     data.check_run_field("tag", tag)
-    index = bm25.load_index(str(require_path(config.index, "index")))
-    queries = data.load_queries(str(require_path(config.queries, "queries")))
-    k = config.k if config.k is not None else 100
+    index = bm25.load_index(str(require_path(args.index, "index")))
+    queries = data.load_queries(str(require_path(args.queries, "queries")))
+    k = args.k if args.k is not None else 100
     entries = [
         replace(c, tag=tag) for query in queries for c in bm25.retrieve_top_k(index, query, k)
     ]
-    out = _run_dir(config, tag)
+    out = _run_dir(args, tag)
     run_path = out / f"{tag}.run"
     data.write_run(str(run_path), entries)
     print(f"retrieved {len(entries)} candidates for {len(queries)} queries -> {run_path}")
     return out
 
 
-def _build_backend(config: PipelineConfig) -> CompletionsBackend:
-    target = config.backend
+def _build_backend(args: argparse.Namespace) -> CompletionsBackend:
+    target = args.backend
     if not target:
         raise ValidationError(
             "--backend is required: a completions URL, mock:<table.json>, "
@@ -313,14 +268,14 @@ def _build_backend(config: PipelineConfig) -> CompletionsBackend:
         )
     base = BackendConfig(
         endpoint=target,
-        model=config.model,
-        timeout=config.timeout,
-        max_in_flight=config.concurrency,
-        max_attempts=config.max_attempts,
-        capture_path=config.capture,
+        model=args.model,
+        timeout=args.timeout,
+        max_in_flight=args.concurrency,
+        max_attempts=args.max_attempts,
+        capture_path=args.capture,
         auth_token=os.environ.get(ENV_TOKEN),
     )
-    if config.capture and target.startswith(("mock:", "replay:")):
+    if args.capture and target.startswith(("mock:", "replay:")):
         raise ValidationError("--capture mirrors HTTP requests; mock: and replay: send none")
     if target.startswith("mock:"):
         path = require_path(target[len("mock:"):], "mock table")
@@ -331,39 +286,39 @@ def _build_backend(config: PipelineConfig) -> CompletionsBackend:
     return HttpCompletionsBackend(base)
 
 
-def _sampling(config: PipelineConfig, kind: StrategyKind) -> SamplingParams:
+def _sampling(args: argparse.Namespace, kind: StrategyKind) -> SamplingParams:
     # greedy by default; self-consistency needs sampling diversity
     if kind is StrategyKind.SELF_CONSISTENCY:
-        temperature = 0.7 if config.temperature is None else config.temperature
-        top_p = 0.95 if config.top_p is None else config.top_p
+        temperature = 0.7 if args.temperature is None else args.temperature
+        top_p = 0.95 if args.top_p is None else args.top_p
     else:
-        temperature = 0.0 if config.temperature is None else config.temperature
-        top_p = 1.0 if config.top_p is None else config.top_p
+        temperature = 0.0 if args.temperature is None else args.temperature
+        top_p = 1.0 if args.top_p is None else args.top_p
     return SamplingParams(
         temperature=temperature,
         top_p=top_p,
-        max_tokens=config.max_reasoning_tokens,
+        max_tokens=args.max_reasoning_tokens,
     )
 
 
-def cmd_rerank(config: PipelineConfig) -> Path:
+def cmd_rerank(args: argparse.Namespace) -> Path:
     # checked before any work: resolved_config.json must not record a value the run ignored
     for name in ("concurrency", "samples"):
-        if getattr(config, name) < 1:
-            raise ValidationError(f"{name} must be >= 1, got {getattr(config, name)}")
-    corpus = data.load_corpus(str(require_path(config.corpus, "corpus")))
-    queries = data.load_queries(str(require_path(config.queries, "queries")))
-    candidates = data.read_run(str(require_path(config.run_in, "first-stage run")))
+        if getattr(args, name) < 1:
+            raise ValidationError(f"{name} must be >= 1, got {getattr(args, name)}")
+    corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
+    queries = data.load_queries(str(require_path(args.queries, "queries")))
+    candidates = data.read_run(str(require_path(args.run_in, "first-stage run")))
 
-    kind = StrategyKind(config.strategy)
-    samples = config.samples if kind is StrategyKind.SELF_CONSISTENCY else 1
+    kind = StrategyKind(args.strategy)
+    samples = args.samples if kind is StrategyKind.SELF_CONSISTENCY else 1
     strategy = RerankStrategy(
-        kind=kind, samples=samples, max_passage_chars=config.max_passage_chars
+        kind=kind, samples=samples, max_passage_chars=args.max_passage_chars
     )
-    template = prompts.load_template(config.template) if config.template else prompts.DEFAULT_TEMPLATE
-    tag = config.tag or kind.value
+    template = prompts.load_template(args.template) if args.template else prompts.DEFAULT_TEMPLATE
+    tag = args.tag or kind.value
     data.check_run_field("tag", tag)
-    backend = _build_backend(config)
+    backend = _build_backend(args)
     try:
         backend.validate_decision_tokens()
         scored, failures = score_candidates(
@@ -373,17 +328,17 @@ def cmd_rerank(config: PipelineConfig) -> Path:
             {q.id: q for q in queries},
             corpus,
             candidates,
-            _sampling(config, kind),
-            base_seed=config.seed,
-            concurrency=config.concurrency,
-            allow_partial=config.allow_partial,
+            _sampling(args, kind),
+            base_seed=args.seed,
+            concurrency=args.concurrency,
+            allow_partial=args.allow_partial,
         )
     finally:
         backend.close()
     failed = frozenset((f.query_id, f.passage_id) for f in failures)
     entries = rerank(candidates, scored, tag, failed=failed)
 
-    out = _run_dir(config, tag)
+    out = _run_dir(args, tag)
     run_path = out / f"{tag}.run"
     data.write_run(str(run_path), entries)
     dump_path = out / f"{tag}_scored.jsonl"
@@ -399,12 +354,12 @@ def cmd_rerank(config: PipelineConfig) -> Path:
     return out
 
 
-def cmd_eval(config: PipelineConfig) -> Path | None:
-    run_entries = data.read_run(str(require_path(config.run_in, "run")))
-    judgments = data.load_qrels(str(require_path(config.qrels, "qrels")))
-    k = config.k if config.k is not None else 10
-    report = metrics.ndcg_at_k(run_entries, judgments, k=k, gain=config.gain)
-    out = _report(config, "eval.txt", report.format())
+def cmd_eval(args: argparse.Namespace) -> Path | None:
+    run_entries = data.read_run(str(require_path(args.run_in, "run")))
+    judgments = data.load_qrels(str(require_path(args.qrels, "qrels")))
+    k = args.k if args.k is not None else 10
+    report = metrics.ndcg_at_k(run_entries, judgments, k=k, gain=args.gain)
+    out = _report(args, "eval.txt", report.format())
     if out:
         with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
             for qid, value in report.per_query.items():
@@ -424,8 +379,8 @@ def cmd_eval(config: PipelineConfig) -> Path | None:
     return out
 
 
-def cmd_analyze(config: PipelineConfig) -> Path | None:
-    pairs, strategy = data.read_scored(str(require_path(config.scored, "scored dump")))
+def cmd_analyze(args: argparse.Namespace) -> Path | None:
+    pairs, strategy = data.read_scored(str(require_path(args.scored, "scored dump")))
     dist = metrics.bin_scores([p.score for p in pairs])
     if sum(dist.counts) != dist.total:  # bin bookkeeping must balance
         raise AssertionError("bin counts do not sum to the sample total")
@@ -435,17 +390,17 @@ def cmd_analyze(config: PipelineConfig) -> Path | None:
         f"bin counts sum {sum(dist.counts)} == total {dist.total}: ok",
     ]
     report = None
-    if config.qrels:
-        judgments = data.load_qrels(str(require_path(config.qrels, "qrels")))
+    if args.qrels:
+        judgments = data.load_qrels(str(require_path(args.qrels, "qrels")))
         report = metrics.classify(
             pairs, judgments,
-            score_threshold=config.score_threshold,
-            grade_rule=config.grade_rule,
+            score_threshold=args.score_threshold,
+            grade_rule=args.grade_rule,
         )
         blocks.append(report.format())
     else:
         blocks.append("no qrels supplied; classification report skipped")
-    out = _report(config, "analysis.txt", "\n\n".join(blocks))
+    out = _report(args, "analysis.txt", "\n\n".join(blocks))
     if out:
         machine = {
             "strategy": strategy,
@@ -470,10 +425,10 @@ def cmd_analyze(config: PipelineConfig) -> Path | None:
     return out
 
 
-def cmd_dump_traces(config: PipelineConfig) -> Path | None:
-    pairs, strategy = data.read_scored(str(require_path(config.scored, "scored dump")))
-    corpus = data.load_corpus(str(require_path(config.corpus, "corpus")))
-    queries = {q.id: q for q in data.load_queries(str(require_path(config.queries, "queries")))}
+def cmd_dump_traces(args: argparse.Namespace) -> Path | None:
+    pairs, strategy = data.read_scored(str(require_path(args.scored, "scored dump")))
+    corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
+    queries = {q.id: q for q in data.load_queries(str(require_path(args.queries, "queries")))}
     blocks = []
     for p in pairs:
         query_text = queries[p.query_id].text if p.query_id in queries else "(unknown query)"
@@ -499,26 +454,34 @@ def cmd_dump_traces(config: PipelineConfig) -> Path | None:
         else:
             lines.append("reasoning  : (none)")
         blocks.append("\n".join(lines))
-    return _report(config, "traces.txt", ("\n" + "-" * 72 + "\n").join(blocks))
+    return _report(args, "traces.txt", ("\n" + "-" * 72 + "\n").join(blocks))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # every command's settings by dest; a dest that several commands share is declared alike
+    settings = {a.dest: a for p in commands.choices.values() for a in p._actions
+                if a.dest not in ("help", "config")}
     try:
-        args = build_parser().parse_args(argv)
-        config = _config_from_args(args)
-        out = args.func(config)
+        args = parser.parse_args(argv)
+        if args.config:  # the file's values become the command's defaults, so flags win
+            commands.choices[args.command].set_defaults(**_config_defaults(args.config, settings))
+            args = parser.parse_args(argv)
+        out = args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"reranklab: {exc}", file=sys.stderr)
         return 2
     except BackendError as exc:
         print(f"reranklab: backend failure: {exc}", file=sys.stderr)
         return 3
     if out is not None:  # last: a failed command leaves no resolved config behind
+        resolved = {key: getattr(args, key, a.default) for key, a in settings.items()}
         (out / "resolved_config.json").write_text(
-            json.dumps(asdict(config), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     return 0
 

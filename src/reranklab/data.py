@@ -20,7 +20,7 @@ repeated key (passage id, query id, judged pair, run pair, scored pair) is
 refused, a file with no records is refused, and every error names the file
 and line. Corpus and query ids must be usable as one run-file column.
 
-JSON object files — the pipeline config, prompt template overrides, mock
+JSON object files — the CLI `--config` file, prompt template overrides, mock
 rule tables and persisted BM25 indexes — are read by
 :func:`read_json_object`, which refuses anything but one JSON object.
 

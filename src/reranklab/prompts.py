@@ -67,22 +67,14 @@ class PromptTemplate:
 
 DEFAULT_TEMPLATE = PromptTemplate()
 
-_PLACEHOLDER = re.compile(r"(\{query\}|\{passage\})")
+_PLACEHOLDER = re.compile(r"\{(query|passage)\}")
 
 
 def _fill(user_template: str, query_text: str, passage_text: str) -> str:
-    # single-pass substitution: placeholder-like text inside the values
-    # must never be re-substituted
-    parts = _PLACEHOLDER.split(user_template)
-    out = []
-    for part in parts:
-        if part == "{query}":
-            out.append(query_text)
-        elif part == "{passage}":
-            out.append(passage_text)
-        else:
-            out.append(part)
-    return "".join(out)
+    # re.sub never rescans the text a replacement inserts, so placeholder-like
+    # text inside the values is never substituted
+    values = {"query": query_text, "passage": passage_text}
+    return _PLACEHOLDER.sub(lambda m: values[m[1]], user_template)
 
 
 def assemble_prompt(

@@ -406,6 +406,12 @@ class TestLoadValidation:
                      id="length-negative"),
         pytest.param(_set(["d1", "d1", "d3", "d4", "d5"], "doc_ids"), "doc_ids repeat",
                      id="id-repeated"),
+        pytest.param(_set("world", "analyzer", "stopwords"), "stopwords a list of strings",
+                     id="stopwords-string"),
+        pytest.param(_set("no", "analyzer", "lowercase"), "lowercase must be a bool",
+                     id="lowercase-string"),
+        pytest.param(_set(True, "params", "k1"), "k1 and b must be numbers", id="k1-bool"),
+        pytest.param(_set(False, "params", "b"), "k1 and b must be numbers", id="b-bool"),
     ])
     def test_malformed_sections(self, tmp_path, edit, message):
         payload = _golden_payload()

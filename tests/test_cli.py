@@ -509,13 +509,20 @@ def _with_mock(ws):
     return [*_rerank_inputs(ws), "--backend", f"mock:{ws / 'mock.json'}"]
 
 
-# (config file content, command over the workspace): a value of the wrong JSON type for its key
+# (config file content, command over the workspace): a value of the wrong JSON type for its
+# key, or one outside its flag's choices
 WRONG_TYPES = [
     ('{"k": "10"}', lambda ws: ["retrieve", "--index", ws / "idx" / "bm25_index.json",
                                 "--queries", ws / "queries.jsonl"]),
     ('{"k1": null}', lambda ws: ["index", "--corpus", ws / "corpus.jsonl"]),
     ('{"concurrency": "2"}', _with_mock),
     ('{"samples": 2.5, "strategy": "self_consistency"}', _with_mock),
+    ('{"strategy": "bogus"}', _with_mock),
+    ('{"gain": "cubic"}', lambda ws: ["eval", "--run-in", ws / "ok.run",
+                                      "--qrels", ws / "qrels.txt"]),
+    ('{"stemmer": "snowball"}', lambda ws: ["index", "--corpus", ws / "corpus.jsonl"]),
+    ('{"grade_rule": "gt9"}', lambda ws: ["analyze", "--scored", ws / "scored.jsonl",
+                                          "--qrels", ws / "qrels.txt"]),
 ]
 
 
@@ -537,6 +544,22 @@ CORRUPTING_NUMBERS = [
 ]
 
 
+# (the input, whether it is a directory or a file, command over the workspace and that path):
+# a path the command cannot read or write
+UNUSABLE_PATHS = [
+    ("corpus", "dir", lambda ws, bad: ["index", "--corpus", bad]),
+    ("index", "dir", lambda ws, bad: ["retrieve", "--index", bad,
+                                      "--queries", ws / "queries.jsonl"]),
+    ("config", "dir", lambda ws, bad: ["eval", "--config", bad]),
+    ("stopwords", "dir", lambda ws, bad: ["index", "--corpus", ws / "corpus.jsonl",
+                                          "--stopwords", bad]),
+    ("template", "dir", lambda ws, bad: [*_with_mock(ws), "--template", bad]),
+    ("replay", "dir", lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
+    ("out-dir", "file", lambda ws, bad: ["index", "--corpus", ws / "corpus.jsonl",
+                                         "--out-dir", bad]),
+]
+
+
 class TestRefusedValues:
     @pytest.fixture
     def ws(self, workspace):
@@ -548,7 +571,9 @@ class TestRefusedValues:
         return workspace
 
     @pytest.mark.parametrize("content, command", WRONG_TYPES,
-                             ids=["k-string", "k1-null", "concurrency-string", "samples-float"])
+                             ids=["k-string", "k1-null", "concurrency-string", "samples-float",
+                                  "strategy-choice", "gain-choice", "stemmer-choice",
+                                  "grade-rule-choice"])
     def test_config_value_of_wrong_type_exits_2(self, ws, tmp_path, capsys, content, command):
         config = ws / "config.json"
         config.write_text(content)
@@ -560,6 +585,19 @@ class TestRefusedValues:
         key = next(iter(json.loads(content)))
         assert f"{config}: config key {key!r} must be" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, made, command", UNUSABLE_PATHS,
+                             ids=[case[0] for case in UNUSABLE_PATHS])
+    def test_unusable_path_exits_2_naming_it(self, ws, tmp_path, capsys, kind, made, command):
+        bad = ws / "unusable"
+        bad.mkdir() if made == "dir" else bad.write_text("x\n")
+        out = tmp_path / "out"
+        argv = [str(arg) for arg in command(ws, bad)]
+        code = main(argv if "--out-dir" in argv else argv + ["--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err
+        assert not out.exists() and not (bad / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("command, setting", CORRUPTING_NUMBERS,
                              ids=["passage-chars-negative", "concurrency-negative",
@@ -707,9 +745,24 @@ class TestEvalAnalyze:
         assert json.loads((out / "resolved_config.json").read_text())["scored"] == scored
 
 
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _commands():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return list(sub.choices)
+    return list(_subparsers())
+
+
+def _declared():
+    """dest -> {command: (type, default, choices, const, nargs)} over the parser's subcommands."""
+    table = {}
+    for command, parser in _subparsers().items():
+        for a in parser._actions:
+            if a.dest not in ("help", "config"):
+                table.setdefault(a.dest, {})[command] = (
+                    a.type, a.default, a.choices and tuple(a.choices), a.const, a.nargs)
+    return table
 
 
 # command -> (the values it is given over the workspace and a reranked stage, the input
@@ -754,6 +807,7 @@ class TestLifecycle:
         resolved = json.loads(resolved_path.read_text())
         assert {key: resolved[key] for key in values} == values
         assert resolved["out_dir"] == str(out)
+        assert sorted(resolved) == sorted(_declared())  # every command records every setting
         written = [p.stat().st_mtime_ns for p in out.iterdir()]
         assert len(written) > 1 and resolved_path.stat().st_mtime_ns == max(written)
 
@@ -767,6 +821,16 @@ class TestLifecycle:
         assert main(_argv(command, values, out)) == 2
         assert "file not found" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+class TestSettingsTable:
+    def test_a_setting_shared_by_commands_is_declared_alike(self):
+        shared = {dest: by_command for dest, by_command in _declared().items()
+                  if len(by_command) > 1}
+        assert {"corpus", "queries", "run_in", "k", "tag", "qrels", "scored",
+                "out_dir"} <= set(shared)
+        for dest, by_command in shared.items():
+            assert len(set(by_command.values())) == 1, (dest, by_command)
 
 
 class TestDependencies:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from reranklab import ReasoningTrace, RunEntry, ScoredPair, ValidationError
-from reranklab.cli import PipelineConfig, main
+from reranklab.cli import main
 from reranklab.data import (
     load_corpus,
     load_qrels,
@@ -318,29 +318,45 @@ class TestReadJsonObject:
 
 
 class TestConfig:
-    def test_file_then_cli_override(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text('{"k": 50, "strategy": "reason", "seed": 3}')
-        config = PipelineConfig.from_sources(
-            read_json_object(str(path), "config"), {"k": 10, "seed": None}
-        )
-        assert config.k == 10          # CLI wins
-        assert config.strategy == "reason"  # file value kept
-        assert config.seed == 3        # None CLI values do not override
+    @pytest.fixture
+    def ws(self, tmp_path):
+        (tmp_path / "a.run").write_text("q1 Q0 p1 1 1.0 t\n")
+        (tmp_path / "qrels.txt").write_text("q1 0 p1 1\n")
+        return tmp_path
 
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text('{"no_such_knob": 1}')
-        with pytest.raises(ValidationError, match="unknown config keys"):
-            PipelineConfig.from_sources(read_json_object(str(path), "config"), {})
+    def _eval(self, ws, config: str, *flags: str):
+        (ws / "config.json").write_text(config)
+        out = ws / "out"
+        code = main(["eval", "--run-in", str(ws / "a.run"), "--qrels", str(ws / "qrels.txt"),
+                     *flags, "--config", str(ws / "config.json"), "--out-dir", str(out)])
+        return code, out
 
-    def test_file_values_follow_the_field_annotations(self):
+    def test_file_then_cli_override(self, ws):
+        code, out = self._eval(ws, '{"k": 50, "strategy": "reason", "seed": 3}', "--k", "10")
+        assert code == 0
+        config = json.loads((out / "resolved_config.json").read_text())
+        assert config["k"] == 10          # CLI wins
+        assert config["strategy"] == "reason"  # file value kept
+        assert config["seed"] == 3        # flags not given do not override
+        assert '"k": 10' in (out / "eval.jsonl").read_text()
+
+    def test_unknown_keys_rejected(self, ws, capsys):
+        code, out = self._eval(ws, '{"no_such_knob": 1}')
+        assert code == 2
+        assert "unknown config keys" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_values_follow_the_flag_types(self, ws, capsys):
         accepted = {"k": None, "k1": 1, "temperature": 0.5, "allow_partial": True, "tag": "t"}
-        assert PipelineConfig.from_sources(accepted, {}).k1 == 1  # an int counts as a float
+        code, out = self._eval(ws, json.dumps(accepted))
+        assert code == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["k1"] == 1 and type(resolved["k1"]) is int  # an int counts as a float
         for key, value in [("k", "10"), ("k1", None), ("seed", True), ("samples", 2.5),
                            ("allow_partial", 1), ("model", None), ("stopwords", ["a"])]:
-            with pytest.raises(ValidationError, match=f"config key '{key}' must be"):
-                PipelineConfig.from_sources({key: value}, {})
+            code, _ = self._eval(ws, json.dumps({key: value}))
+            assert code == 2
+            assert f"config key '{key}' must be" in capsys.readouterr().err
 
     def test_resolved_dump_is_deterministic(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text('{"id": "p1", "text": "splints"}\n')
