@@ -15,20 +15,23 @@ in the ratio. Three transports each supply only ``_complete(payload) -> body``:
 
 Clients are shareable across threads. ``max_in_flight`` bounds the HTTP
 requests in flight, enforced internally; callers must not assume response
-ordering. Backends that answer in process (``answers_in_process``: the mock
-and replay) gain nothing from threads, whose Python work only contends for
-the interpreter lock, so ``rerank.score_candidates`` scores them on the
-calling thread.
+ordering. ``rerank.score_candidates`` runs twice as many worker threads as
+that bound, so a thread that sleeps or parses leaves no connection idle.
+Backends that answer in process (``answers_in_process``: the mock and
+replay) gain nothing from threads, whose Python work only contends for the
+interpreter lock, so ``score_candidates`` scores them on the calling thread.
 
 The HTTP transport is the standard library's ``http.client``. One pool of
-``max_in_flight`` keep-alive connections, opened lazily, is also the
-in-flight gate: a request holds a connection for its whole round trip, and
-a connection that raised is closed and its slot reopened on next use. A
-reused connection that the server dropped while idle is redialled once
-without spending an attempt. 429 and 5xx answers and transport failures are
-retried with exponential backoff; a 429 or 503 carrying ``Retry-After``
-(delta-seconds) waits that long instead, capped at the request timeout. No
-proxy is consulted and no environment variable is read.
+``max_in_flight`` keep-alive connections, opened lazily, is the only
+in-flight gate: a request holds a connection for its round trip alone, and
+returns it before its response is parsed, captured or retried, so a retry
+backoff holds no connection. A connection that raised is closed and its
+slot reopened on next use. A reused connection that the server dropped
+while idle is redialled once without spending an attempt. 429 and 5xx
+answers and transport failures are retried with exponential backoff; a 429
+or 503 carrying ``Retry-After`` (delta-seconds) waits that long instead,
+capped at the request timeout. No proxy is consulted and no environment
+variable is read.
 """
 
 from __future__ import annotations

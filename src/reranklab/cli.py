@@ -25,6 +25,7 @@ bearer token to HTTP backends.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -108,8 +109,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", default="", help="model name sent to the backend")
     p.add_argument(
         "--concurrency", type=int, default=1,
-        help="HTTP requests in flight (default %(default)s); mock and replay backends score "
-        "on the calling thread, with identical output at any value",
+        help="HTTP requests in flight (default %(default)s), scheduled by twice as many workers; "
+        "mock and replay backends score on the calling thread, identically at any value",
     )
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for per-sample seed derivation")
@@ -197,12 +198,19 @@ def require_path(path: str | None, what: str) -> Path:
 
 
 def _run_dir(args: argparse.Namespace, tag: str) -> Path:
+    """``--out-dir`` as given, or a new ``runs/<tag>-<time>[-N]`` that no other run shares."""
     if args.out_dir:
         out = Path(args.out_dir)
-    else:
-        out = Path("runs") / f"{tag}-{time.strftime('%Y%m%d-%H%M%S')}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+    stem = f"runs/{tag}-{time.strftime('%Y%m%d-%H%M%S')}"
+    for n in itertools.count(1):
+        out = Path(stem if n == 1 else f"{stem}-{n}")
+        try:
+            out.mkdir(parents=True)  # raises if a command started in the same second made it
+            return out
+        except FileExistsError:
+            continue
 
 
 def _report(args: argparse.Namespace, name: str, text: str) -> Path | None:
@@ -210,8 +218,7 @@ def _report(args: argparse.Namespace, name: str, text: str) -> Path | None:
     print(text)
     if not args.out_dir:
         return None
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(args, name)
     (out / name).write_text(text + "\n", encoding="utf-8")
     return out
 
@@ -288,15 +295,10 @@ def _build_backend(args: argparse.Namespace) -> CompletionsBackend:
 
 def _sampling(args: argparse.Namespace, kind: StrategyKind) -> SamplingParams:
     # greedy by default; self-consistency needs sampling diversity
-    if kind is StrategyKind.SELF_CONSISTENCY:
-        temperature = 0.7 if args.temperature is None else args.temperature
-        top_p = 0.95 if args.top_p is None else args.top_p
-    else:
-        temperature = 0.0 if args.temperature is None else args.temperature
-        top_p = 1.0 if args.top_p is None else args.top_p
+    sampled = kind is StrategyKind.SELF_CONSISTENCY
     return SamplingParams(
-        temperature=temperature,
-        top_p=top_p,
+        temperature=(0.7 if sampled else 0.0) if args.temperature is None else args.temperature,
+        top_p=(0.95 if sampled else 1.0) if args.top_p is None else args.top_p,
         max_tokens=args.max_reasoning_tokens,
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -231,14 +232,18 @@ def score_candidates(
 ) -> tuple[list[ScoredPair], list[PairFailure]]:
     """Score every candidate pair, with up to ``concurrency`` requests in flight.
 
-    ``concurrency`` bounds the requests a wire backend has in flight; a
-    backend that answers in process is scored on the calling thread at any
-    value, with identical output. Results come back in candidate order
-    regardless of thread scheduling, so a deterministic backend yields a
-    deterministic output. Default error policy is fail-fast (a silent score
-    gap would corrupt downstream metric comparisons); with ``allow_partial``
-    failed pairs are recorded and returned for first-stage fallback
-    placement.
+    A wire backend is scored by ``2 * concurrency`` worker threads, and its
+    own in-flight gate (the HTTP backend's pool of ``max_in_flight``
+    connections) bounds the requests on the wire: a worker asleep in a retry
+    backoff or parsing a response holds no connection, so a spare worker
+    sends the next request meanwhile. A backend that answers in process
+    (mock, replay) is scored on the calling thread at any value, with
+    identical output. Results come back in candidate order regardless of
+    thread scheduling, so a deterministic backend yields a deterministic
+    output. Default error policy is fail-fast (a silent score gap would
+    corrupt downstream metric comparisons): the first failure cancels the
+    pairs no worker has started. With ``allow_partial`` failed pairs are
+    recorded and returned for first-stage fallback placement.
     """
     for c in candidates:
         if c.query_id not in queries:
@@ -246,7 +251,11 @@ def score_candidates(
         if c.passage_id not in corpus:
             raise ValidationError(f"candidate references unknown passage id {c.passage_id!r}")
 
+    stop = threading.Event()  # fail-fast: once a pair has failed, no other pair starts
+
     def attempt(c: RunEntry) -> ScoredPair | PairFailure:
+        if stop.is_set():  # map raises the failure of a pair dequeued before this one
+            raise BackendError("not started: another pair failed first")
         query, passage = queries[c.query_id], corpus.passage(c.passage_id)
         try:
             return score_pair(
@@ -255,22 +264,16 @@ def score_candidates(
         except BackendError as exc:
             if allow_partial:
                 return PairFailure(c.query_id, c.passage_id, str(exc))
+            stop.set()
             raise BackendError(
                 f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}"
             ) from exc
 
     # in-process answers hold the interpreter lock, so threads would only contend for it
-    if concurrency <= 1 or backend.answers_in_process:
+    if backend.answers_in_process:
         outcomes = [attempt(c) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    else:  # twice the backend's slots, so a worker in backoff leaves no slot idle
+        with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
             outcomes = list(pool.map(attempt, candidates))
-
-    scored: list[ScoredPair] = []
-    failures: list[PairFailure] = []
-    for out in outcomes:
-        if isinstance(out, PairFailure):
-            failures.append(out)
-        else:
-            scored.append(out)
-    return scored, failures
+    failures = [out for out in outcomes if isinstance(out, PairFailure)]
+    return [out for out in outcomes if not isinstance(out, PairFailure)], failures

@@ -158,6 +158,27 @@ class TestIndexRetrieve:
             "--out-dir", str(tmp_path / "out"),
         ]) == 2
 
+    def test_runs_in_the_same_second_get_their_own_directories(self, workspace, tmp_path,
+                                                                monkeypatch):
+        out = tmp_path / "out"
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out-dir", str(out)]) == 0
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("time.strftime", lambda fmt: "20260101-000000")
+        retrieve = ["retrieve", "--index", str(out / "bm25_index.json"),
+                    "--queries", str(workspace / "queries.jsonl")]
+        first = tmp_path / "runs" / "bm25-20260101-000000"
+        assert main(retrieve + ["--k", "3"]) == 0
+        first_run = (first / "bm25.run").read_bytes()
+        assert main(retrieve + ["--k", "6"]) == 0
+        second = tmp_path / "runs" / "bm25-20260101-000000-2"
+        assert sorted((tmp_path / "runs").iterdir()) == [first, second]
+        assert (first / "bm25.run").read_bytes() == first_run
+        assert len(first_run.splitlines()) == 4 * 3
+        assert len((second / "bm25.run").read_bytes()) > len(first_run)
+        for run_dir, k in ((first, 3), (second, 6)):
+            assert json.loads((run_dir / "resolved_config.json").read_text())["k"] == k
+
 
 class TestRerankCommand:
     def _rerank(self, ws, out, run_path, strategy, extra=()):

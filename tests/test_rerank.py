@@ -3,6 +3,7 @@ import json
 import math
 import random
 import threading
+import time
 
 import pytest
 
@@ -547,6 +548,36 @@ class _WireFake(CompletionsBackend):
         return {"choices": [{"text": f"thought {h[:4].hex()}", "finish_reason": "stop"}]}
 
 
+class _FailingWireFake(CompletionsBackend):
+    """A wire transport whose first request fails at once; every later one
+    stays in flight for 1 s and then fails too."""
+
+    def __init__(self):
+        self.config = BackendConfig(endpoint="fake:", model="fake")
+        self.prompts = []
+        self._lock = threading.Lock()
+
+    def _complete(self, payload: dict) -> dict:
+        with self._lock:
+            self.prompts.append(payload["prompt"])
+            first = len(self.prompts) == 1
+        if not first:
+            time.sleep(1)
+        raise BackendError("refused")
+
+
+class _ThreadRecordingHttp(HttpCompletionsBackend):
+    """The HTTP backend, noting which threads send its requests."""
+
+    def __init__(self, config: BackendConfig):
+        super().__init__(config)
+        self.threads = set()
+
+    def _complete(self, payload: dict) -> dict:
+        self.threads.add(threading.get_ident())
+        return super()._complete(payload)
+
+
 class TestSchedule:
     def _fixture(self, n=6):
         corpus = Corpus(tuple(Passage(f"p{i}", f"text {i}") for i in range(n)))
@@ -592,6 +623,61 @@ class TestSchedule:
         )
         assert threaded == serial
         assert [s.passage_id for s in threaded] == [c.passage_id for c in cands]
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_connection_pool_bounds_the_requests_in_flight(self, stub_server, concurrency):
+        url, state = stub_server
+        state.stall_s = 0.02  # long enough that every worker is waiting on the pool
+        corpus, queries, cands = self._fixture()
+        strategy = RerankStrategy(StrategyKind.SELF_CONSISTENCY, samples=2)
+        sampling = SamplingParams(max_tokens=16)
+        backend = _ThreadRecordingHttp(
+            BackendConfig(endpoint=url, model="m", max_in_flight=concurrency))
+        try:
+            scored, failures = score_candidates(
+                backend, DEFAULT_TEMPLATE, strategy, queries, corpus, cands, sampling,
+                base_seed=7, concurrency=concurrency,
+            )
+            workers = set(backend.threads)
+            serial = [score_pair(backend, DEFAULT_TEMPLATE, strategy, queries["q1"],
+                                 corpus.passage(c.passage_id), sampling, 7) for c in cands]
+        finally:
+            backend.close()
+        assert failures == [] and scored == serial
+        assert len(workers) == 2 * concurrency
+        assert state.peak_in_flight == concurrency
+
+    def test_retry_backoff_leaves_the_connection_to_another_pair(self, stub_server):
+        url, state = stub_server
+        corpus, queries, cands = self._fixture()
+        config = BackendConfig(endpoint=url, model="m", max_in_flight=1, backoff=0.3)
+        runs = []
+        for refuse in ([], [(503, None)]):  # a 503 without Retry-After: back off 0.3 s
+            state.refuse, state.requests = refuse, []
+            backend = HttpCompletionsBackend(config)
+            try:
+                runs.append(score_candidates(
+                    backend, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands, SamplingParams(),
+                    concurrency=1,
+                ))
+            finally:
+                backend.close()
+        prompts = [r["prompt"] for r in state.requests]  # the run that met the 503
+        retry = prompts.index(prompts[0], 1)
+        assert retry > 1  # another pair's request reached the stub during the backoff
+        assert len(set(prompts)) == len(cands) and len(prompts) == len(cands) + 1
+        assert runs[0] == runs[1]
+
+    def test_fail_fast_starts_no_pair_after_a_failure(self):
+        corpus, queries, cands = self._fixture(50)
+        fake, concurrency = _FailingWireFake(), 2
+        with pytest.raises(BackendError, match="scoring failed for"):
+            score_candidates(
+                fake, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands, SamplingParams(),
+                concurrency=concurrency,
+            )
+        # direct sends one request per pair: only pairs taken before the failure went out
+        assert 1 <= len(fake.prompts) <= 2 * concurrency
 
     def test_in_process_is_fixed_per_class(self):
         assert ReplayBackend.answers_in_process and not HttpCompletionsBackend.answers_in_process
