@@ -5,11 +5,28 @@ so every score is >= 0 and small test corpora cannot produce negative-score
 rank pathologies. Default parameters are k1=0.9, b=0.4.
 
 The index is immutable once built; queries may be evaluated concurrently
-without coordination. Top-k retrieval is exact, with no pruning: it scores
-every matching document term by term, finds the k-th largest score with a
-heap, and sorts only the documents at or above it. Each document's length
-norm ``k1 * (1 - b + b*dl/avgdl)`` is computed once, when the index is made,
-and both scoring paths read it from the same table.
+without coordination. Each term's posting rows are held in memory as a
+:class:`PostingList`, two integer ``array`` columns (ascending document
+ordinals and their term frequencies) rather than one tuple per row, so a
+posting costs a few bytes instead of about 90. Each document's length norm
+``k1 * (1 - b + b*dl/avgdl)`` is computed once, when the index is made, and
+both scoring paths read it from the same table.
+
+Top-k retrieval is exact, with no pruning: it scores every matching document
+term by term, finds the k-th largest score with a heap, and sorts only the
+documents at or above it. A term's per-row impacts
+``idf * tf*(k1+1) / (tf + norm)`` depend on the index alone, so the first
+query that uses the term computes them into a column of doubles and the
+index keeps it, next to the term's ordinal column, which is shared and not
+copied. The cache so costs 8 bytes per posting of the terms some query has
+used (plus a small fixed cost per term), never more than 8 bytes per
+posting in the index, and holds no entry for words the index lacks. It is
+derived state, left out of equality and ``repr``. Threads that fill the
+same term at once compute equal columns and one of them is kept, so no lock
+is needed. Impacts are summed in query-token order, as ``bm25_score`` sums
+its terms, so the two paths agree bit for bit. ``bm25_score`` never reads
+the cache: it recomputes each term from the posting columns, which keeps it
+an independent oracle for the cached path.
 
 Building stems each distinct word once: ``build_index`` keeps a word-to-stem
 memo for the length of that one call and drops it on return, so nothing
@@ -20,7 +37,8 @@ The persisted file is format v2: one JSON object whose header sections
 (analyzer, params, document ids and lengths) are plain JSON and whose
 postings are three packed little-endian integer columns, ``df`` (rows per
 term, in ``terms`` order), ``ordinals`` and ``tfs``, each base64-encoded.
-Loading rebuilds the same in-memory rows that ``build_index`` makes. Files
+Loading slices the unpacked columns into the same in-memory rows that
+``build_index`` makes, each column keeping the file's typecode. Files
 of format v1 (one JSON array per posting row) are refused; rebuild them
 with ``reranklab index``.
 """
@@ -36,10 +54,11 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice
-from operator import itemgetter, le
+from functools import partial
+from itertools import accumulate, chain, compress, count
+from operator import le
 
 from .data import read_json_object
 from .porter import porter_stem
@@ -106,17 +125,55 @@ class _StemMemo(dict):
         return stem
 
 
+class PostingList(Sequence):
+    """One term's posting rows as two columns, ``ordinals`` (ascending) and ``tfs``.
+
+    A read-only sequence of ``(ordinal, tf)`` pairs that compares equal to
+    another posting list or a tuple holding the same pairs, whatever the
+    columns' array typecodes, and whose ``repr`` is that tuple's. It is
+    unhashable, as a list is.
+    """
+
+    __slots__ = ("ordinals", "tfs")
+
+    def __init__(self, ordinals: array, tfs: array) -> None:
+        self.ordinals, self.tfs = ordinals, tfs
+
+    def __len__(self) -> int:
+        return len(self.ordinals)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PostingList(self.ordinals[i], self.tfs[i])
+        return self.ordinals[i], self.tfs[i]
+
+    def __iter__(self):
+        return zip(self.ordinals, self.tfs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PostingList):
+            return self.ordinals == other.ordinals and self.tfs == other.tfs
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class InvertedIndex:
     doc_ids: tuple[str, ...]
     doc_lengths: tuple[int, ...]
-    postings: dict[str, tuple[tuple[int, int], ...]]  # term -> ((ordinal, tf), ...)
+    postings: dict[str, PostingList]  # term -> rows (ordinal, tf), ordinals ascending
     analyzer: AnalyzerConfig
     params: Bm25Params
     avg_doc_length: float = field(init=False)
-    # k1 * (1 - b + b*dl/avgdl) per document ordinal; derived from the fields
-    # above, so equality and repr leave it out
+    # k1 * (1 - b + b*dl/avgdl) per document ordinal, and term -> (ordinals,
+    # impacts) filled by _impacts; derived from the fields above, so equality
+    # and repr leave them out
     length_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _impact_cache: dict[str, tuple[array, array]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.doc_ids:
@@ -129,6 +186,7 @@ class InvertedIndex:
             norms = (k1 * (1.0 - b),) * len(self.doc_lengths)
         object.__setattr__(self, "avg_doc_length", avgdl)
         object.__setattr__(self, "length_norms", norms)
+        object.__setattr__(self, "_impact_cache", {})
 
     @property
     def doc_count(self) -> int:
@@ -141,6 +199,20 @@ class InvertedIndex:
         n = self.doc_count
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
+    def _impacts(self, term: str) -> tuple[array, array] | None:
+        """``(ordinals, impacts)`` of the term's rows, or None if the index lacks it.
+
+        Computed on the term's first use and kept; see the module docstring.
+        """
+        cached = self._impact_cache.get(term)
+        if cached is None and term in self.postings:
+            rows, idf, k1 = self.postings[term], self._idf(term), self.params.k1
+            norms = self.length_norms
+            numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(rows.tfs)}
+            impacts = array("d", [numerators[tf] / (tf + norms[ordinal]) for ordinal, tf in rows])
+            cached = self._impact_cache[term] = (rows.ordinals, impacts)
+        return cached
+
 
 def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> InvertedIndex:
     """Build an immutable inverted index over ``corpus``.
@@ -152,14 +224,16 @@ def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> Inve
         raise ValidationError("cannot index an empty corpus")
     stem = _StemMemo().__getitem__
     doc_lengths = []
-    accumulating: defaultdict[str, list[tuple[int, int]]] = defaultdict(list)
+    ordinals: defaultdict[str, array] = defaultdict(partial(array, "I"))
+    tfs: defaultdict[str, array] = defaultdict(partial(array, "I"))
     for ordinal, passage in enumerate(corpus.passages):
         tokens = _tokenize(passage.text, cfg, stem)
         doc_lengths.append(len(tokens))
         # ordinals only grow, so each term's rows come out in ordinal order
         for term, tf in Counter(tokens).items():
-            accumulating[term].append((ordinal, tf))
-    postings = {term: tuple(rows) for term, rows in sorted(accumulating.items())}
+            ordinals[term].append(ordinal)
+            tfs[term].append(tf)
+    postings = {term: PostingList(ordinals[term], tfs[term]) for term in sorted(ordinals)}
     return InvertedIndex(
         doc_ids=tuple(p.id for p in corpus.passages),
         doc_lengths=tuple(doc_lengths),
@@ -182,11 +256,13 @@ def bm25_score(index: InvertedIndex, query: Query, ordinal: int) -> float:
     k1_norm = index.length_norms[ordinal]
     score = 0.0
     for term in tokenize(query.text, index.analyzer):
-        rows = index.postings.get(term, ())
-        i = bisect_left(rows, ordinal, key=itemgetter(0))  # rows ascend by ordinal
-        if i == len(rows) or rows[i][0] != ordinal:
+        rows = index.postings.get(term)
+        if rows is None:
             continue
-        tf = rows[i][1]
+        i = bisect_left(rows.ordinals, ordinal)  # ordinals ascend
+        if i == len(rows) or rows.ordinals[i] != ordinal:
+            continue
+        tf = rows.tfs[i]
         score += index._idf(term) * tf * (k1 + 1.0) / (tf + k1_norm)
     return score
 
@@ -200,20 +276,16 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[RunEntry]
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    k1 = index.params.k1
-    norms = index.length_norms
     # term-at-a-time accumulation in query-token order: float summation order
     # matches bm25_score exactly, so the two paths agree bit-for-bit
     scores: dict[int, float] = {}
     get = scores.get
     for term in tokenize(query.text, index.analyzer):
-        rows = index.postings.get(term)
-        if not rows:
+        columns = index._impacts(term)
+        if columns is None:
             continue
-        idf = index._idf(term)
-        numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(map(itemgetter(1), rows))}
-        for ordinal, tf in rows:
-            scores[ordinal] = get(ordinal, 0.0) + numerators[tf] / (tf + norms[ordinal])
+        for ordinal, impact in zip(*columns):
+            scores[ordinal] = get(ordinal, 0.0) + impact
     matches = scores.items()
     if len(scores) > k:
         # keep every tie at the k-th score, so the id order below cuts them
@@ -240,7 +312,6 @@ def save_index(index: InvertedIndex, path: str) -> None:
     """
     terms = sorted(index.postings)
     runs = list(map(index.postings.__getitem__, terms))
-    rows = list(chain.from_iterable(runs))
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -257,8 +328,8 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "postings": {
             "terms": terms,
             "df": _pack(list(map(len, runs))),
-            "ordinals": _pack(list(map(itemgetter(0), rows))),
-            "tfs": _pack(list(map(itemgetter(1), rows))),
+            "ordinals": _pack(list(chain.from_iterable(rows.ordinals for rows in runs))),
+            "tfs": _pack(list(chain.from_iterable(rows.tfs for rows in runs))),
         },
     }
     # one json.dumps call runs the C encoder; json.dump would stream the
@@ -361,14 +432,14 @@ def load_index(path: str) -> InvertedIndex:
         raise ValidationError(f"{path}: a posting row names an ordinal outside "
                               f"0..{len(doc_ids) - 1} or a tf below 1")
     # a row whose ordinal does not exceed the one before it must start a term
-    starts = set(accumulate(df))
-    if not set(compress(count(1), map(le, ordinals[1:], ordinals))) <= starts:
+    ends = list(accumulate(df))
+    if not set(compress(count(1), map(le, ordinals[1:], ordinals))) <= set(ends):
         raise ValidationError(f"{path}: a postings term's ordinals repeat or do not ascend")
-    rows = zip(ordinals, tfs)
     return InvertedIndex(
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        postings={term: tuple(islice(rows, n)) for term, n in zip(terms, df)},
+        postings={term: PostingList(ordinals[end - n:end], tfs[end - n:end])
+                  for term, n, end in zip(terms, df, ends)},
         analyzer=analyzer,
         params=params,
     )

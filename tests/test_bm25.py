@@ -1,8 +1,13 @@
 import base64
+import dataclasses
 import json
 import math
 import random
 import struct
+import sys
+import threading
+from array import array
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -23,9 +28,10 @@ from reranklab import (
 )
 
 import reranklab.bm25 as bm25_module
+from reranklab.bm25 import PostingList
 from reranklab.porter import porter_stem
 
-from conftest import make_corpus
+from conftest import make_corpus, make_queries
 
 CFG = AnalyzerConfig()
 PARAMS = Bm25Params()  # k1=0.9, b=0.4
@@ -235,6 +241,122 @@ class TestRetrieve:
         first = retrieve_top_k(build_index(tiny_corpus, CFG, PARAMS), q, 5)
         again = retrieve_top_k(build_index(tiny_corpus, CFG, PARAMS), q, 5)
         assert first == again
+
+
+class TestPostingList:
+    PAIRS = ((0, 2), (3, 1), (7, 5))
+
+    @staticmethod
+    def rows(code="I") -> PostingList:
+        return PostingList(array(code, [0, 3, 7]), array(code, [2, 1, 5]))
+
+    def test_equals_a_tuple_of_pairs_in_both_operand_orders(self):
+        rows = self.rows()
+        assert rows == self.PAIRS and self.PAIRS == rows
+        assert not rows != self.PAIRS and not self.PAIRS != rows
+        assert rows != self.PAIRS[:2] and self.PAIRS[:2] != rows
+        assert rows != ((0, 2), (3, 1), (7, 6)) and rows != list(self.PAIRS)
+        assert rows == self.rows("B") and rows != PostingList(array("I", [0, 3, 8]), rows.tfs)
+
+    def test_reads_as_a_sequence_of_pairs(self):
+        rows = self.rows()
+        assert len(rows) == 3 and dict(rows) == {0: 2, 3: 1, 7: 5}
+        assert list(rows) == list(self.PAIRS) and (3, 1) in rows and (3, 2) not in rows
+        assert rows[0] == (0, 2) and rows[-1] == (7, 5) and rows[-3] == (0, 2)
+        assert rows[1:] == self.PAIRS[1:] and rows[::-1] == self.PAIRS[::-1]
+        assert rows[5:] == ()
+        with pytest.raises(IndexError):
+            rows[3]
+
+    def test_unhashable_with_the_tuples_repr(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(self.rows())
+        assert repr(self.rows()) == repr(self.PAIRS)
+
+    def test_built_equals_loaded_across_typecodes(self, tmp_path, tiny_corpus):
+        built = build_index(tiny_corpus, CFG, PARAMS)
+        path = tmp_path / "index.json"
+        save_index(built, str(path))
+        loaded = load_index(str(path))
+        codes = {(rows.ordinals.typecode, rows.tfs.typecode) for rows in built.postings.values()}
+        assert codes == {("I", "I")}
+        codes = {(rows.ordinals.typecode, rows.tfs.typecode) for rows in loaded.postings.values()}
+        assert codes == {("B", "B")}
+        assert built == loaded and loaded == built
+
+
+class TestImpactCache:
+    QUERIES = (Query("q1", "running cats"), Query("q2", "connections of the caresses"),
+               Query("q3", "cat ponies cat"))
+
+    @pytest.mark.parametrize("side", ["built", "loaded"])
+    def test_queries_leave_the_index_as_it_was(self, tmp_path, side):
+        index = (build_index(GOLDEN_CORPUS, GOLDEN_CFG, PARAMS) if side == "built"
+                 else load_index(str(GOLDEN_INDEX)))
+        before = repr(index)
+        for query in self.QUERIES:
+            assert retrieve_top_k(index, query, 3)
+        assert index._impact_cache  # the queries filled it
+        fresh = load_index(str(GOLDEN_INDEX))
+        assert index == fresh and fresh == index and repr(index) == before
+        path = tmp_path / "index.json"
+        save_index(index, str(path))
+        assert path.read_bytes() == GOLDEN_INDEX.read_bytes()
+
+    def test_only_terms_in_the_index_are_cached(self, tiny_corpus):
+        index = build_index(tiny_corpus, CFG, PARAMS)
+        assert retrieve_top_k(index, Query("q", "xylophone zebra"), 3) == []
+        assert index._impact_cache == {}
+        retrieve_top_k(index, Query("q", "xylophone cat zebra"), 3)
+        assert list(index._impact_cache) == ["cat"]
+
+    def test_replaced_params_score_as_a_fresh_build(self, tiny_corpus):
+        index = build_index(tiny_corpus, CFG, PARAMS)
+        query = Query("q", "the cat dog")
+        warm = retrieve_top_k(index, query, 5)
+        params = Bm25Params(k1=1.5)
+        replaced = dataclasses.replace(index, params=params)
+        got = retrieve_top_k(replaced, query, 5)
+        assert got == retrieve_top_k(build_index(tiny_corpus, CFG, params), query, 5)
+        assert [c.score for c in got] != [c.score for c in warm]
+
+    def test_bm25_score_does_not_read_the_cache(self, monkeypatch, tiny_corpus):
+        index = build_index(tiny_corpus, CFG, PARAMS)
+        query = Query("q", "the cat dog")
+        ranked = retrieve_top_k(index, query, 5)
+
+        def refuse(self, term):
+            raise AssertionError(f"impact cache read for {term!r}")
+
+        monkeypatch.setattr(bm25_module.InvertedIndex, "_impacts", refuse)
+        ordinals = {doc_id: i for i, doc_id in enumerate(index.doc_ids)}
+        assert [bm25_score(index, query, ordinals[c.passage_id]) for c in ranked] == [
+            c.score for c in ranked]
+        with pytest.raises(AssertionError, match="impact cache read"):
+            retrieve_top_k(index, query, 5)
+
+    def test_concurrent_queries_on_a_cold_index_match_a_serial_run(self):
+        # the module docstring promises concurrent queries need no coordination:
+        # eight threads take the same queries in the same order from one cold
+        # index, so they race to fill each term's impacts; a few rounds, each
+        # on a fresh index, because a race need not show in every one
+        corpus, queries = make_corpus(2000, seed=13), make_queries(20, seed=17)
+        serial = [retrieve_top_k(build_index(corpus, CFG, PARAMS), q, 10) for q in queries]
+
+        def run(index, start: threading.Barrier) -> list:
+            start.wait(timeout=30)
+            return [retrieve_top_k(index, q, 10) for q in queries]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared, start = build_index(corpus, CFG, PARAMS), threading.Barrier(8)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(run, shared, start) for _ in range(8)]
+                    assert all(f.result(timeout=60) == serial for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPersistence:
