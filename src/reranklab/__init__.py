@@ -47,7 +47,6 @@ from .rerank import (
 from .types import (
     Corpus,
     DecisionLogits,
-    Judgment,
     Passage,
     Query,
     ReasoningTrace,
@@ -70,7 +69,6 @@ __all__ = [
     "EvalReport",
     "HttpCompletionsBackend",
     "InvertedIndex",
-    "Judgment",
     "MockBackend",
     "Passage",
     "PromptMode",

@@ -53,6 +53,9 @@ from urllib.parse import urlsplit
 from .data import read_json_object, read_records
 from .types import DecisionLogits, ReasoningTrace, ValidationError
 
+# log-probabilities asked for at the decision position; both decision tokens must be among them
+TOP_LOGPROBS = 20
+
 
 class BackendError(RuntimeError):
     """Transport or server failure after the configured retries."""
@@ -71,7 +74,6 @@ class BackendConfig:
     max_attempts: int = 3
     backoff: float = 0.5
     decision_tokens: tuple[str, str] = ("true", "false")
-    top_logprobs: int = 20
     capture_path: str | None = None
     auth_token: str | None = None
 
@@ -89,8 +91,6 @@ class BackendConfig:
             raise ValidationError(
                 f"decision tokens must be two distinct non-empty strings, got {self.decision_tokens!r}"
             )
-        if self.top_logprobs < 2:
-            raise ValidationError(f"top_logprobs must be >= 2, got {self.top_logprobs}")
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class CompletionsBackend:
         cfg = self.config
         body = self._complete({
             "model": cfg.model, "prompt": prompt, "echo": False,
-            "max_tokens": 1, "temperature": 0.0, "logprobs": cfg.top_logprobs,
+            "max_tokens": 1, "temperature": 0.0, "logprobs": TOP_LOGPROBS,
         })
         top = _logprobs(body).get("top_logprobs")
         if not top:
@@ -166,9 +166,8 @@ class CompletionsBackend:
         if true_tok not in table or false_tok not in table:
             missing = [t for t in (true_tok, false_tok) if t not in table]
             raise ProtocolError(
-                f"decision token(s) {missing} absent from the top "
-                f"{cfg.top_logprobs} logprobs; raise top_logprobs in the "
-                "backend config so both decision tokens are always returned"
+                f"decision token(s) {missing} absent from the top {TOP_LOGPROBS} "
+                f"logprobs; choose decision tokens this model ranks in its top {TOP_LOGPROBS}"
             )
         z_true, z_false = table[true_tok], table[false_tok]
         if not (_is_number(z_true) and _is_number(z_false)):

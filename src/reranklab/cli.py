@@ -414,13 +414,7 @@ def cmd_analyze(args: argparse.Namespace) -> Path | None:
             "high_fraction": dist.high_fraction,
         }
         if report is not None:
-            machine["classification"] = {
-                "tp": report.tp, "fp": report.fp, "tn": report.tn, "fn": report.fn,
-                "precision": report.precision, "recall": report.recall, "f1": report.f1,
-                "score_threshold": report.score_threshold,
-                "grade_rule": report.grade_rule,
-                "unjudged": report.unjudged,
-            }
+            machine["classification"] = asdict(report)
         (out / "analysis.json").write_text(
             json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

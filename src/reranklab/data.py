@@ -9,7 +9,8 @@ Line-oriented formats:
 * qrels — whitespace-separated ``qid iteration docid grade`` (grades are
   integers, stored exactly as read).
 * run files — ``qid Q0 docid rank score tag`` with scores printed at a
-  fixed six decimals; reads tolerate arbitrary whitespace.
+  fixed six decimals; reads tolerate arbitrary whitespace. Both directions
+  check the rows as one ranked list with :func:`types.ranked_lists`.
 * scored-pair dumps — line-delimited JSON, one record per pair, traces
   included verbatim (JSON escaping handles newlines).
 * capture logs — line-delimited JSON ``{"request": …, "response": …}``, one
@@ -36,7 +37,6 @@ from typing import Callable, Sequence
 
 from .types import (
     Corpus,
-    Judgment,
     JudgmentMap,
     Passage,
     Query,
@@ -44,6 +44,7 @@ from .types import (
     RunEntry,
     ScoredPair,
     ValidationError,
+    ranked_lists,
     validate_run,
 )
 
@@ -129,7 +130,7 @@ def load_queries(path: str) -> list[Query]:
     return _id_text_records(path, "query id", Query, "no queries")
 
 
-def _judgment(line: str) -> tuple[tuple[str, str], Judgment]:
+def _judgment(line: str) -> tuple[tuple[str, str], tuple[str, str, int]]:
     parts = line.split()
     if len(parts) != 4:
         raise ValidationError(f"expected 'qid iteration docid grade', got {len(parts)} fields")
@@ -138,13 +139,15 @@ def _judgment(line: str) -> tuple[tuple[str, str], Judgment]:
         grade = int(grade_text)
     except ValueError:
         raise ValidationError(f"grade must be an integer, got {grade_text!r}") from None
-    return (qid, pid), Judgment(qid, pid, grade)
+    if grade < 0:
+        raise ValidationError(f"grade must be >= 0, got {grade}")
+    return (qid, pid), (qid, pid, grade)
 
 
 def load_qrels(path: str) -> JudgmentMap:
     judgments: JudgmentMap = {}
-    for j in read_records(path, _judgment, "judgment for", "no judgments"):
-        judgments.setdefault(j.query_id, {})[j.passage_id] = j.grade
+    for qid, pid, grade in read_records(path, _judgment, "judgment for", "no judgments"):
+        judgments.setdefault(qid, {})[pid] = grade
     return judgments
 
 
@@ -174,22 +177,20 @@ def _run_entry(line: str) -> tuple[tuple[str, str], RunEntry]:
 
 
 def read_run(path: str) -> list[RunEntry]:
-    """Read a six-column run file, restoring per-query rank order.
+    """Read a six-column run file as a ranked list, each query's rows in rank order.
 
-    Every score must be a finite number. Scores that are not non-increasing
-    with rank get a warning and the query is re-ranked by score (descending,
-    stable) on the way in.
+    Every score must be a finite number, and the rows must pass
+    :func:`types.ranked_lists`; its errors are prefixed with the path. Scores
+    that are not non-increasing with rank get a warning and the query is
+    re-ranked by score (descending, stable) on the way in.
     """
-    parsed: dict[str, list[RunEntry]] = {}
-    for e in read_records(path, _run_entry, "run entry for", "empty run file"):
-        parsed.setdefault(e.query_id, []).append(e)
-
+    rows = read_records(path, _run_entry, "run entry for", "empty run file")
+    try:
+        lists = ranked_lists(rows)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     entries: list[RunEntry] = []
-    for qid, group in parsed.items():
-        group.sort(key=lambda e: e.rank)
-        ranks = [e.rank for e in group]
-        if ranks != list(range(1, len(group) + 1)):
-            raise ValidationError(f"{path}: query {qid!r} ranks are not contiguous 1..m")
+    for qid, group in lists.items():
         scores = [e.score for e in group]
         if any(b > a for a, b in zip(scores, scores[1:])):
             log.warning(
@@ -214,20 +215,19 @@ def check_run_field(name: str, value: str) -> None:
 
 
 def write_run(path: str, entries: Sequence[RunEntry]) -> None:
-    """Write a six-column run file, refusing rows that would not read back."""
+    """Write a six-column run file, refusing rows that would not read back.
+
+    The rows must pass :func:`types.validate_run` (a ranked list with
+    non-increasing scores), and every id and tag must be one column.
+    """
     validate_run(entries)
-    seen: set[tuple[str, str]] = set()
     for e in entries:
-        pair = (e.query_id, e.passage_id)
-        if pair in seen:
-            raise ValidationError(f"duplicate run entry for {pair}")
-        seen.add(pair)
         try:
             check_run_field("query id", e.query_id)
             check_run_field("passage id", e.passage_id)
             check_run_field("tag", e.tag)
         except ValidationError as exc:
-            raise ValidationError(f"{exc} for {pair}") from None
+            raise ValidationError(f"{exc} for {(e.query_id, e.passage_id)}") from None
     with open(path, "w", encoding="utf-8") as fh:
         for e in entries:
             fh.write(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score:.6f} {e.tag}\n")

@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .types import JudgmentMap, RunEntry, ScoredPair, ValidationError
+from .types import JudgmentMap, RunEntry, ScoredPair, ValidationError, ranked_lists
 
 GAIN_MODES = ("exponential", "linear")
 GRADE_RULES = ("gt2", "ge2")
@@ -71,31 +71,23 @@ def ndcg_at_k(
 ) -> EvalReport:
     """NDCG@k per query and its mean.
 
-    Unjudged passages in the run count as grade 0. Queries absent from the
-    judgments are not evaluated at all; judged queries with an all-zero
-    ideal are reported at 0.0 but excluded from the mean.
+    The run must be a ranked list (:func:`types.ranked_lists`); its order is
+    read from the ranks, never from the scores. Unjudged passages in the run
+    count as grade 0. Queries absent from the judgments are not evaluated at
+    all; judged queries with an all-zero ideal are reported at 0.0 but
+    excluded from the mean.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     _gain(0, gain)  # validate mode
 
-    ranked: dict[str, list[RunEntry]] = {}
-    seen: set[tuple[str, str]] = set()
-    for e in run:
-        key = (e.query_id, e.passage_id)
-        if key in seen:
-            raise ValidationError(f"duplicate run entry for pair {key}")
-        seen.add(key)
-        ranked.setdefault(e.query_id, []).append(e)
-
     per_query: dict[str, float] = {}
     skipped: list[str] = []
     contributing: list[float] = []
-    for qid, entries in ranked.items():
+    for qid, entries in ranked_lists(run).items():
         grades_for_query = judgments.get(qid)
         if grades_for_query is None:
             continue
-        entries = sorted(entries, key=lambda e: e.rank)
         dcg = 0.0
         for i, e in enumerate(entries[:k], start=1):
             g = grades_for_query.get(e.passage_id, 0)

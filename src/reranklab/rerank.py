@@ -24,6 +24,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .backend import BackendError, CompletionsBackend, SamplingParams
@@ -36,6 +37,7 @@ from .types import (
     RunEntry,
     ScoredPair,
     ValidationError,
+    ranked_lists,
 )
 
 
@@ -168,13 +170,13 @@ def rerank(
     tag: str,
     failed: frozenset[tuple[str, str]] = frozenset(),
 ) -> list[RunEntry]:
-    """Reorder candidates by relevance score, descending.
+    """Reorder each query's candidates by relevance score, descending; queries in id order.
 
-    Ties break by ascending first-stage rank, then ascending passage id, so
-    the output is invariant to the input candidate order. Pairs listed in
-    ``failed`` (the allow-partial escape hatch) keep no score and sink to
-    the bottom in first-stage order, with placeholder run scores below any
-    real probability.
+    The candidates must be a ranked list (:func:`types.ranked_lists`). Ties
+    keep first-stage rank order, so the output is invariant to the input
+    candidate order. Pairs listed in ``failed`` (the allow-partial escape
+    hatch) keep no score and sink to the bottom in first-stage order, with
+    placeholder run scores below any real probability.
     """
     by_pair: dict[tuple[str, str], ScoredPair] = {}
     for s in scores:
@@ -183,24 +185,20 @@ def rerank(
             raise ValidationError(f"duplicate score for pair {key}")
         by_pair[key] = s
 
-    by_query: dict[str, list[RunEntry]] = {}
-    for c in candidates:
-        by_query.setdefault(c.query_id, []).append(c)
-
+    lists = ranked_lists(candidates)
     entries: list[RunEntry] = []
-    for qid in sorted(by_query):
+    for qid in sorted(lists):
         scored: list[tuple[float, RunEntry]] = []
         fallback: list[RunEntry] = []
-        for c in by_query[qid]:
-            key = (c.query_id, c.passage_id)
+        for c in lists[qid]:
+            key = (qid, c.passage_id)
             if key in failed:
                 fallback.append(c)
                 continue
             if key not in by_pair:
                 raise ValidationError(f"candidate {key} has no score")
             scored.append((by_pair[key].score, c))
-        scored.sort(key=lambda item: (-item[0], item[1].rank, item[1].passage_id))
-        fallback.sort(key=lambda c: c.rank)
+        scored.sort(key=itemgetter(0), reverse=True)  # stable: ties stay in rank order
         rank = 0
         for score, c in scored:
             rank += 1
@@ -243,8 +241,11 @@ def score_candidates(
     output. Default error policy is fail-fast (a silent score gap would
     corrupt downstream metric comparisons): the first failure cancels the
     pairs no worker has started. With ``allow_partial`` failed pairs are
-    recorded and returned for first-stage fallback placement.
+    recorded and returned for first-stage fallback placement. The candidates
+    must be a ranked list (:func:`types.ranked_lists`) naming known queries
+    and passages; that is checked before any request is sent.
     """
+    ranked_lists(candidates)
     for c in candidates:
         if c.query_id not in queries:
             raise ValidationError(f"candidate references unknown query id {c.query_id!r}")

@@ -4,7 +4,9 @@ Everything here is immutable after construction and safe to share across
 threads. Ids are opaque strings; no numeric parsing is ever applied to them.
 Relevance scores are plain floats in [0, 1], validated where they are
 constructed. ``RunEntry`` is the one ranked-row type: a first-stage candidate
-list and a reranked run are both lists of it.
+list and a reranked run are both lists of it, and :func:`ranked_lists` is the
+one check of such a list (ranks 1..k per query, no passage twice) that every
+reader, writer, reranker and metric goes through.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterable
 
 
 class ValidationError(ValueError):
@@ -99,20 +102,6 @@ class ReasoningTrace:
     token_count: int
 
 
-@dataclass(frozen=True)
-class Judgment:
-    query_id: str
-    passage_id: str
-    grade: int
-
-    def __post_init__(self) -> None:
-        if self.grade < 0:
-            raise ValidationError(
-                f"grade must be >= 0, got {self.grade} "
-                f"for ({self.query_id!r}, {self.passage_id!r})"
-            )
-
-
 # qid -> {passage_id -> grade}; built by data.load_qrels, at most one grade per pair
 JudgmentMap = dict[str, dict[str, int]]
 
@@ -142,33 +131,48 @@ class RunEntry:
                 f"for ({self.query_id!r}, {self.passage_id!r})"
             )
 
-    # the old Candidate field names, kept while bench/ and acceptance read them
+    # the old Candidate field names, kept while bench/workloads.py reads first_stage_rank
     first_stage_rank = property(lambda self: self.rank)
     first_stage_score = property(lambda self: self.score)
 
 
-def validate_run(entries: Sequence[RunEntry]) -> None:
-    """Within each query: ranks 1..k without gaps, scores non-increasing with rank."""
-    by_query: dict[str, list[tuple[int, float]]] = {}
+def ranked_lists(entries: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
+    """Each query's rows in rank order, queries in order of their first row.
+
+    This is the one check of a ranked list: within each query the ranks are
+    1..k without gaps or repeats, and no passage is listed twice.
+    """
+    lists: dict[str, list[RunEntry]] = {}
     for e in entries:
-        by_query.setdefault(e.query_id, []).append((e.rank, e.score))
-    for qid, group in by_query.items():
-        group.sort()  # by rank; a tie on rank fails the contiguity check below
-        ranks = [rank for rank, _ in group]
-        if ranks != list(range(1, len(group) + 1)):
+        lists.setdefault(e.query_id, []).append(e)
+    rank, passage_id = attrgetter("rank"), attrgetter("passage_id")
+    for qid, rows in lists.items():
+        rows.sort(key=rank)
+        ranks = list(map(rank, rows))
+        if ranks != list(range(1, len(rows) + 1)):
             raise ValidationError(f"query {qid!r}: ranks are not contiguous 1..k: {ranks}")
-        for (rank, score), (next_rank, next_score) in zip(group, group[1:]):
-            if next_score > score:
+        pids = list(map(passage_id, rows))
+        if len(set(pids)) < len(pids):
+            repeated = next(pid for i, pid in enumerate(pids) if pid in pids[:i])
+            raise ValidationError(f"duplicate run entry for {(qid, repeated)}")
+    return lists
+
+
+def validate_run(entries: Iterable[RunEntry]) -> None:
+    """A ranked list (:func:`ranked_lists`) whose scores do not increase with rank."""
+    for qid, rows in ranked_lists(entries).items():
+        for row, next_row in zip(rows, rows[1:]):
+            if next_row.score > row.score:
                 raise ValidationError(
-                    f"query {qid!r}: score increases from rank {rank} to {next_rank}"
+                    f"query {qid!r}: score increases from rank {row.rank} to {next_row.rank}"
                 )
 
 
-# the old first-stage validator, kept while bench/ calls it
+# the old first-stage validator, kept while bench/workloads.py and bench/tracer.py call it
 validate_candidate_list = validate_run
 
 
-# the old Candidate constructor and argument order, kept while bench/ and acceptance call it
+# the old Candidate constructor and argument order, kept while bench/workloads.py calls it
 def Candidate(query_id: str, passage_id: str, first_stage_score: float,
               first_stage_rank: int) -> RunEntry:
     return RunEntry(query_id, passage_id, first_stage_rank, first_stage_score)

@@ -76,7 +76,7 @@ class TestHttpBackend:
         url, state = stub_server
         state.logprob_table = {"true": -0.2, "yes": -0.4}  # no "false"
         backend = http_backend(_config(url))
-        with pytest.raises(ProtocolError, match="raise top_logprobs"):
+        with pytest.raises(ProtocolError, match="absent from the top 20 logprobs"):
             backend.score_decision("p")
 
     def test_retry_then_success(self, stub_server, http_backend):

@@ -734,6 +734,19 @@ class TestEvalAnalyze:
         assert sum(machine["bin_counts"]) == machine["total"]
         assert "classification" in machine
 
+    def test_analysis_json_says_when_precision_is_undefined(self, workspace, reranked, tmp_path):
+        # no score is above 1.0, so nothing is predicted positive: precision 0.0 means "undefined"
+        out = tmp_path / "analysis"
+        assert main([
+            "analyze", "--scored", str(reranked / "reason_scored.jsonl"),
+            "--qrels", str(workspace / "qrels.txt"), "--score-threshold", "1.0",
+            "--out-dir", str(out),
+        ]) == 0
+        classification = json.loads((out / "analysis.json").read_text())["classification"]
+        assert classification["precision_undefined"] is True
+        assert classification["precision"] == 0.0
+        assert classification["tp"] == classification["fp"] == 0
+
     def test_analyze_without_qrels(self, reranked, capsys):
         assert main([
             "analyze", "--scored", str(reranked / "reason_scored.jsonl"),

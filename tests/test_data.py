@@ -115,6 +115,12 @@ class TestQrels:
         with pytest.raises(ValidationError, match="integer"):
             load_qrels(str(path))
 
+    def test_negative_grade_rejected(self, tmp_path):
+        path = tmp_path / "q.qrels"
+        path.write_text("q1 0 d1 3\nq1 0 d2 -1\n")
+        with pytest.raises(ValidationError, match=r"q\.qrels:2: grade must be >= 0, got -1"):
+            load_qrels(str(path))
+
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 3\nq1 0 d1 2\n")

@@ -37,6 +37,7 @@ from reranklab import (
     retrieve_top_k,
     save_index,
 )
+from reranklab import types
 from reranklab.backend import _pieces
 from reranklab.bm25 import TOKEN_PATTERN
 from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
@@ -104,6 +105,19 @@ def test_rerank_ignores_candidate_and_score_order(data, shuffle):
     shuffle.shuffle(candidates)
     shuffle.shuffle(scores)
     assert rerank(candidates, scores, "t", failed=failed) == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=ranked_lists(), shuffle=st.randoms(use_true_random=False))
+def test_ranked_lists_restores_rank_order_of_any_shuffle(data, shuffle):
+    run = data[0]
+    shuffled = list(run)
+    shuffle.shuffle(shuffled)
+    lists = types.ranked_lists(shuffled)
+    assert list(lists) == list(dict.fromkeys(e.query_id for e in shuffled))
+    for qid, rows in lists.items():
+        assert rows == sorted((e for e in run if e.query_id == qid), key=lambda e: e.rank)
+    validate_run(shuffled)
 
 
 # A small vocabulary so words repeat within and across passages; inflected

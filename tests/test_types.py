@@ -7,16 +7,24 @@ from reranklab import (
     Bm25Params,
     Corpus,
     DecisionLogits,
-    Judgment,
+    DEFAULT_TEMPLATE,
+    MockBackend,
     Passage,
     Query,
+    RerankStrategy,
     RunEntry,
+    SamplingParams,
     ScoredPair,
+    StrategyKind,
     ValidationError,
     build_index,
+    ndcg_at_k,
+    rerank,
     retrieve_top_k,
+    score_candidates,
 )
-from reranklab.types import Candidate, validate_candidate_list, validate_run
+from reranklab.data import read_run, write_run
+from reranklab.types import Candidate, ranked_lists, validate_candidate_list, validate_run
 
 
 class TestConstructionInvariants:
@@ -44,10 +52,6 @@ class TestConstructionInvariants:
             DecisionLogits(float("nan"), 0.0)
         with pytest.raises(ValidationError):
             DecisionLogits(0.0, float("inf"))
-
-    def test_judgment_rejects_negative_grade(self):
-        with pytest.raises(ValidationError):
-            Judgment("q1", "p1", -1)
 
     def test_scored_pair_score_range(self):
         ScoredPair("q1", "p1", 0.5)
@@ -112,3 +116,66 @@ class TestListInvariants:
         q = Query("q1", "text")
         with pytest.raises(AttributeError):
             q.text = "other"
+
+
+# Lists that are not ranked lists, each after a well-formed query, and ranked_lists' refusal.
+MALFORMED = {
+    "rank-gap": ([("q0", "d0", 1), ("q0", "d1", 3)],
+                 r"query 'q0': ranks are not contiguous 1\.\.k: \[1, 3\]"),
+    "repeated-rank": ([("q0", "d0", 1), ("q0", "d1", 1)],
+                      r"query 'q0': ranks are not contiguous 1\.\.k: \[1, 1\]"),
+    "passage-twice": ([("q0", "d0", 1), ("q0", "d0", 2)],
+                      r"duplicate run entry for \('q0', 'd0'\)"),
+}
+
+
+def _malformed(case):
+    rows, message = MALFORMED[case]
+    good = [RunEntry("q1", "d0", 1, 0.9, "t"), RunEntry("q1", "d1", 2, 0.5, "t")]
+    return good + [RunEntry(q, d, rank, 1.0 / rank, "t") for q, d, rank in rows], message
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+class TestOneRankedListCheck:
+    """Every reader, writer, reranker and metric refuses a malformed list with one message."""
+
+    def test_ranked_lists(self, case):
+        run, message = _malformed(case)
+        with pytest.raises(ValidationError, match=message):
+            ranked_lists(run)
+
+    def test_write_run(self, case, tmp_path):
+        run, message = _malformed(case)
+        with pytest.raises(ValidationError, match=message):
+            write_run(str(tmp_path / "x.run"), run)
+        assert not (tmp_path / "x.run").exists()
+
+    def test_read_run(self, case, tmp_path):
+        run, message = _malformed(case)
+        path = tmp_path / "x.run"
+        path.write_text("".join(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score:.6f} t\n"
+                                for e in run))
+        with pytest.raises(ValidationError, match=r"x\.run:(\d+:)? " + message):
+            read_run(str(path))
+
+    def test_ndcg_at_k(self, case):
+        run, message = _malformed(case)
+        with pytest.raises(ValidationError, match=message):
+            ndcg_at_k(run, {"q0": {"d0": 1}, "q1": {"d1": 2}})
+
+    def test_rerank(self, case):
+        run, message = _malformed(case)
+        scores = {(e.query_id, e.passage_id): ScoredPair(e.query_id, e.passage_id, 0.5)
+                  for e in run}
+        with pytest.raises(ValidationError, match=message):
+            rerank(run, scores.values(), "t")
+
+    def test_score_candidates_sends_no_request(self, case):
+        run, message = _malformed(case)
+        corpus = Corpus((Passage("d0", "zero"), Passage("d1", "one")))
+        queries = {"q0": Query("q0", "a question"), "q1": Query("q1", "another")}
+        mock = MockBackend()
+        with pytest.raises(ValidationError, match=message):
+            score_candidates(mock, DEFAULT_TEMPLATE, RerankStrategy(StrategyKind.REASON),
+                             queries, corpus, run, SamplingParams())
+        assert mock.score_calls == mock.generate_calls == 0
