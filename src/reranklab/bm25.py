@@ -5,10 +5,14 @@ so every score is >= 0 and small test corpora cannot produce negative-score
 rank pathologies. Default parameters are k1=0.9, b=0.4.
 
 The index is immutable once built; queries may be evaluated concurrently
-without coordination. Each term's posting rows are held in memory as a
-:class:`PostingList`, two integer ``array`` columns (ascending document
-ordinals and their term frequencies) rather than one tuple per row, so a
-posting costs a few bytes instead of about 90. Each document's length norm
+without coordination. Its posting rows are held in memory as one pair of
+integer ``array`` columns shared by every term (:class:`Postings`): document
+ordinals and their term frequencies, the terms in sorted order, each term's
+ordinals ascending, with one column of per-term end offsets beside them. A
+posting so costs its two column cells, a few bytes, and a term costs its
+string and one 8-byte end; there is no object per term or per row.
+Looking a term up bisects the sorted terms and returns a copy of its rows as
+a :class:`PostingList`. Each document's length norm
 ``k1 * (1 - b + b*dl/avgdl)`` is computed once, when the index is made, and
 both scoring paths read it from the same table.
 
@@ -17,30 +21,35 @@ term by term, finds the k-th largest score with a heap, and sorts only the
 documents at or above it. A term's per-row impacts
 ``idf * tf*(k1+1) / (tf + norm)`` depend on the index alone, so the first
 query that uses the term computes them into a column of doubles and the
-index keeps it, next to the term's ordinal column, which is shared and not
-copied. The cache so costs 8 bytes per posting of the terms some query has
-used (plus a small fixed cost per term), never more than 8 bytes per
-posting in the index, and holds no entry for words the index lacks. It is
-derived state, left out of equality and ``repr``. Threads that fill the
-same term at once compute equal columns and one of them is kept, so no lock
-is needed. Impacts are summed in query-token order, as ``bm25_score`` sums
-its terms, so the two paths agree bit for bit. ``bm25_score`` never reads
-the cache: it recomputes each term from the posting columns, which keeps it
-an independent oracle for the cached path.
+index keeps it, next to a copy of the term's ordinals (a loop over an array
+runs faster than over a view of the shared column). The cache so costs 8
+bytes plus the ordinal width per posting of the terms some query has used
+(plus a small fixed cost per term), never more than that per posting in the
+index, and holds no entry for words the index lacks. It is derived state,
+left out of equality and ``repr``. Threads that fill the same term at once
+compute equal columns and one of them is kept, so no lock is needed.
+Impacts are summed in query-token order, as ``bm25_score`` sums its terms,
+so the two paths agree bit for bit. ``bm25_score`` never reads the cache: it
+bisects the term's span of the shared columns for the document, which keeps
+it an independent oracle for the cached path.
 
-Building stems each distinct word once: ``build_index`` keeps a word-to-stem
-memo for the length of that one call and drops it on return, so nothing
-stays warm between builds or between a build and later queries. Queries
-stem through ``tokenize`` without a memo.
+Building makes the columns directly, with no column per term: one pass over
+the documents collects a (term, tf) row per distinct term of each document,
+in document order, and a counting pass moves each row to its term's span.
+It stems each distinct word once: ``build_index`` keeps a word-to-stem memo
+for that document pass and drops it after, so nothing stays warm between
+builds or between a build and later queries. Queries stem through
+``tokenize`` without a memo.
 
 The persisted file is format v2: one JSON object whose header sections
 (analyzer, params, document ids and lengths) are plain JSON and whose
 postings are three packed little-endian integer columns, ``df`` (rows per
 term, in ``terms`` order), ``ordinals`` and ``tfs``, each base64-encoded.
-Loading slices the unpacked columns into the same in-memory rows that
-``build_index`` makes, each column keeping the file's typecode. Files
-of format v1 (one JSON array per posting row) are refused; rebuild them
-with ``reranklab index``.
+Saving packs the shared columns as they are, narrowing each to the smallest
+typecode that holds it without a Python int per posting; loading keeps the
+unpacked columns, with the file's typecodes, as the index's own, so a built
+index and its loaded copy hold equal rows. Files of format v1 (one JSON
+array per posting row) are refused; rebuild them with ``reranklab index``.
 """
 
 from __future__ import annotations
@@ -53,12 +62,11 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter, defaultdict
-from collections.abc import Callable, Sequence
+from collections import Counter
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, chain, compress, count
-from operator import le
+from itertools import accumulate, chain, compress, count, islice
+from operator import ge, le, sub
 
 from .data import read_json_object
 from .porter import porter_stem
@@ -125,6 +133,14 @@ class _StemMemo(dict):
         return stem
 
 
+class _TermIds(dict):
+    """Term -> 0, 1, 2, ... in order of first sight."""
+
+    def __missing__(self, term: str) -> int:
+        term_id = self[term] = len(self)
+        return term_id
+
+
 class PostingList(Sequence):
     """One term's posting rows as two columns, ``ordinals`` (ascending) and ``tfs``.
 
@@ -161,11 +177,63 @@ class PostingList(Sequence):
         return repr(tuple(self))
 
 
+class Postings(Mapping):
+    """Term -> :class:`PostingList`, every term's rows in one shared column pair.
+
+    ``terms`` ascend; term ``i``'s rows are ``ordinals[lo:hi]`` and
+    ``tfs[lo:hi]``, where ``hi`` is ``ends[i]`` and ``lo`` the end before it
+    (0 for the first term). Looking a term up returns a copy of its slice, so
+    nothing is held per term beyond its string and its end. A read-only
+    mapping that iterates its terms in sorted order and compares equal to a
+    dict holding the same rows, with that dict's ``repr``.
+    """
+
+    __slots__ = ("terms", "ends", "ordinals", "tfs")
+
+    def __init__(self, terms: tuple[str, ...], ends: array, ordinals: array, tfs: array) -> None:
+        self.terms, self.ends, self.ordinals, self.tfs = terms, ends, ordinals, tfs
+
+    def span(self, term: str) -> tuple[int, int] | None:
+        """``(lo, hi)`` of the term's rows in the columns, or None if it has none."""
+        terms = self.terms
+        i = bisect_left(terms, term)
+        if i == len(terms) or terms[i] != term:
+            return None
+        return (self.ends[i - 1] if i else 0), self.ends[i]
+
+    def __getitem__(self, term: str) -> PostingList:
+        span = self.span(term)
+        if span is None:
+            raise KeyError(term)
+        lo, hi = span
+        return PostingList(self.ordinals[lo:hi], self.tfs[lo:hi])
+
+    def __contains__(self, term) -> bool:
+        return self.span(term) is not None
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Postings):  # equal columns hold equal rows: no slice per term
+            return (self.terms == other.terms and self.ends == other.ends
+                    and self.ordinals == other.ordinals and self.tfs == other.tfs)
+        return super().__eq__(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class InvertedIndex:
     doc_ids: tuple[str, ...]
     doc_lengths: tuple[int, ...]
-    postings: dict[str, PostingList]  # term -> rows (ordinal, tf), ordinals ascending
+    postings: Postings  # term -> rows (ordinal, tf), ordinals ascending, in shared columns
     analyzer: AnalyzerConfig
     params: Bm25Params
     avg_doc_length: float = field(init=False)
@@ -193,10 +261,10 @@ class InvertedIndex:
         return len(self.doc_ids)
 
     def _idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        if df == 0:
+        span = self.postings.span(term)
+        if span is None:
             return 0.0
-        n = self.doc_count
+        df, n = span[1] - span[0], self.doc_count
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def _impacts(self, term: str) -> tuple[array, array] | None:
@@ -205,12 +273,18 @@ class InvertedIndex:
         Computed on the term's first use and kept; see the module docstring.
         """
         cached = self._impact_cache.get(term)
-        if cached is None and term in self.postings:
-            rows, idf, k1 = self.postings[term], self._idf(term), self.params.k1
-            norms = self.length_norms
-            numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(rows.tfs)}
-            impacts = array("d", [numerators[tf] / (tf + norms[ordinal]) for ordinal, tf in rows])
-            cached = self._impact_cache[term] = (rows.ordinals, impacts)
+        if cached is None:
+            span = self.postings.span(term)
+            if span is None:
+                return None
+            lo, hi = span
+            # a copied slice: iterating an array is faster than a memoryview of one
+            ordinals, tfs = self.postings.ordinals[lo:hi], self.postings.tfs[lo:hi]
+            idf, k1, norms = self._idf(term), self.params.k1, self.length_norms
+            numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(tfs)}
+            impacts = array("d", [numerators[tf] / (tf + norms[ordinal])
+                                  for ordinal, tf in zip(ordinals, tfs)])
+            cached = self._impact_cache[term] = (ordinals, impacts)
         return cached
 
 
@@ -224,23 +298,44 @@ def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> Inve
         raise ValidationError("cannot index an empty corpus")
     stem = _StemMemo().__getitem__
     doc_lengths = []
-    ordinals: defaultdict[str, array] = defaultdict(partial(array, "I"))
-    tfs: defaultdict[str, array] = defaultdict(partial(array, "I"))
-    for ordinal, passage in enumerate(corpus.passages):
+    ids = _TermIds()  # term -> id in row_terms
+    # one row per (document, term), in document order
+    row_terms, row_tfs, row_counts = array("I"), array("I"), array("I")
+    for passage in corpus.passages:
         tokens = _tokenize(passage.text, cfg, stem)
         doc_lengths.append(len(tokens))
-        # ordinals only grow, so each term's rows come out in ordinal order
-        for term, tf in Counter(tokens).items():
-            ordinals[term].append(ordinal)
-            tfs[term].append(tf)
-    postings = {term: PostingList(ordinals[term], tfs[term]) for term in sorted(ordinals)}
+        counts = Counter(tokens)
+        row_terms.extend(map(ids.__getitem__, counts))
+        row_tfs.extend(counts.values())
+        row_counts.append(len(counts))
+    del stem  # the memo is done with; free it before the columns are made
     return InvertedIndex(
         doc_ids=tuple(p.id for p in corpus.passages),
         doc_lengths=tuple(doc_lengths),
-        postings=postings,
+        postings=_invert(ids, row_terms, row_tfs, row_counts),
         analyzer=cfg,
         params=params,
     )
+
+
+def _invert(ids: dict[str, int], row_terms: array, row_tfs: array, row_counts: array) -> Postings:
+    """Postings from rows in document order, the first ``row_counts[0]`` of
+    them document 0's, and so on; ``ids`` maps each term to its id in ``row_terms``.
+    """
+    terms = tuple(sorted(ids))
+    # a term's rows end where the row counts of the terms up to it sum to
+    ends = array("Q", accumulate(map(Counter(row_terms).__getitem__, map(ids.__getitem__, terms))))
+    next_row = [0] * len(ids)  # term id -> where its next row goes
+    for term, start in zip(terms, chain((0,), ends)):
+        next_row[ids[term]] = start
+    ordinals, tfs = array("I", bytes(4 * len(row_terms))), array("I", bytes(4 * len(row_terms)))
+    rows = zip(row_terms, row_tfs)
+    # documents come in ordinal order, so each term's ordinals come out ascending
+    for ordinal, n in enumerate(row_counts):
+        for term_id, tf in islice(rows, n):
+            i = next_row[term_id]
+            ordinals[i], tfs[i], next_row[term_id] = ordinal, tf, i + 1
+    return Postings(terms, ends, ordinals, tfs)
 
 
 def bm25_score(index: InvertedIndex, query: Query, ordinal: int) -> float:
@@ -254,15 +349,17 @@ def bm25_score(index: InvertedIndex, query: Query, ordinal: int) -> float:
         raise ValidationError(f"ordinal {ordinal} out of range 0..{index.doc_count - 1}")
     k1 = index.params.k1
     k1_norm = index.length_norms[ordinal]
+    postings = index.postings
     score = 0.0
     for term in tokenize(query.text, index.analyzer):
-        rows = index.postings.get(term)
-        if rows is None:
+        span = postings.span(term)
+        if span is None:
             continue
-        i = bisect_left(rows.ordinals, ordinal)  # ordinals ascend
-        if i == len(rows) or rows.ordinals[i] != ordinal:
+        lo, hi = span
+        i = bisect_left(postings.ordinals, ordinal, lo, hi)  # a term's ordinals ascend
+        if i == hi or postings.ordinals[i] != ordinal:
             continue
-        tf = rows.tfs[i]
+        tf = postings.tfs[i]
         score += index._idf(term) * tf * (k1 + 1.0) / (tf + k1_norm)
     return score
 
@@ -310,8 +407,7 @@ def save_index(index: InvertedIndex, path: str) -> None:
     narrowest of ``B``/``H``/``I``/``Q`` that holds its maximum, so the bytes
     are the same on any host. The same index always writes the same bytes.
     """
-    terms = sorted(index.postings)
-    runs = list(map(index.postings.__getitem__, terms))
+    postings = index.postings
     payload = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -326,10 +422,11 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "doc_ids": index.doc_ids,
         "doc_lengths": index.doc_lengths,
         "postings": {
-            "terms": terms,
-            "df": _pack(list(map(len, runs))),
-            "ordinals": _pack(list(chain.from_iterable(rows.ordinals for rows in runs))),
-            "tfs": _pack(list(chain.from_iterable(rows.tfs for rows in runs))),
+            "terms": postings.terms,
+            # each term's row count is its end less the end before it
+            "df": _pack(array("Q", map(sub, postings.ends, chain((0,), postings.ends)))),
+            "ordinals": _pack(postings.ordinals),
+            "tfs": _pack(postings.tfs),
         },
     }
     # one json.dumps call runs the C encoder; json.dump would stream the
@@ -340,10 +437,13 @@ def save_index(index: InvertedIndex, path: str) -> None:
         fh.write("\n")
 
 
-def _pack(values: list[int]) -> dict:
-    top = max(values, default=0)
+def _pack(column: array) -> dict:
+    top = max(column, default=0)
     code = next(c for c in _TYPECODES if top >> 8 * array(c).itemsize == 0)
-    column = array(code, values)
+    if code != column.typecode or sys.byteorder == "big":
+        # narrowed item by item, with no list of ints; a copy, so the byteswap
+        # below leaves the index's own column alone
+        column = array(code, column)
     if sys.byteorder == "big":
         column.byteswap()
     return {"type": code, "base64": base64.b64encode(column.tobytes()).decode("ascii")}
@@ -373,10 +473,11 @@ def load_index(path: str) -> InvertedIndex:
     is not a bool or ``stopwords`` that are not a list of strings or null, a
     ``k1`` or ``b`` that is not a number (a bool is not), a repeated
     document id, a negative document length, or a postings section whose
-    columns disagree in length, repeat a term, give a term no rows, name an
-    ordinal outside the document table, hold a tf below 1, or list a term's
-    ordinals other than strictly ascending (both scoring paths rely on that
-    order). A v1 file is refused with a message to rebuild it.
+    columns disagree in length, list the terms other than strictly ascending
+    (lookups bisect them), give a term no rows, name an ordinal outside the
+    document table, hold a tf below 1, or list a term's ordinals other than
+    strictly ascending (both scoring paths rely on that order). A v1 file is
+    refused with a message to rebuild it.
     """
     payload = read_json_object(path, "index")
     if payload.get("format") != INDEX_FORMAT:
@@ -420,8 +521,8 @@ def load_index(path: str) -> InvertedIndex:
         raise ValidationError(f"{path}: doc_ids repeat")
     if not (type(terms) is list and _all(str, terms)):
         raise ValidationError(f"{path}: postings terms must be a list of strings")
-    if len(set(terms)) != len(terms):
-        raise ValidationError(f"{path}: postings terms repeat")
+    if any(map(ge, terms, islice(terms, 1, None))):
+        raise ValidationError(f"{path}: postings terms repeat or do not ascend")
     if not (len(terms) == len(df) and sum(df) == len(ordinals) == len(tfs)):
         raise ValidationError(
             f"{path}: postings columns disagree: {len(terms)} terms, {len(df)} df, "
@@ -431,15 +532,16 @@ def load_index(path: str) -> InvertedIndex:
     if not (max(ordinals, default=-1) < len(doc_ids) and min(tfs, default=1) >= 1):
         raise ValidationError(f"{path}: a posting row names an ordinal outside "
                               f"0..{len(doc_ids) - 1} or a tf below 1")
-    # a row whose ordinal does not exceed the one before it must start a term
-    ends = list(accumulate(df))
-    if not set(compress(count(1), map(le, ordinals[1:], ordinals))) <= set(ends):
+    # a row whose ordinal does not exceed the one before it must start a term,
+    # that is, be where the term before it ends
+    ends = array("Q", accumulate(df))
+    breaks = compress(count(1), map(le, islice(ordinals, 1, None), ordinals))
+    if not all(ends[bisect_left(ends, row)] == row for row in breaks):
         raise ValidationError(f"{path}: a postings term's ordinals repeat or do not ascend")
     return InvertedIndex(
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        postings={term: PostingList(ordinals[end - n:end], tfs[end - n:end])
-                  for term, n, end in zip(terms, df, ends)},
+        postings=Postings(tuple(terms), ends, ordinals, tfs),
         analyzer=analyzer,
         params=params,
     )

@@ -150,7 +150,10 @@ def ranked_lists(entries: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
         rows.sort(key=rank)
         ranks = list(map(rank, rows))
         if ranks != list(range(1, len(rows) + 1)):
-            raise ValidationError(f"query {qid!r}: ranks are not contiguous 1..k: {ranks}")
+            # the first place k where the sorted ranks (each >= 1) leave 1..k
+            k = next(k for k, r in enumerate(ranks, start=1) if r != k)
+            fault = f"rank {k - 1} is repeated" if ranks[k - 1] < k else f"rank {k} is missing"
+            raise ValidationError(f"query {qid!r}: ranks are not contiguous 1..k: {fault}")
         pids = list(map(passage_id, rows))
         if len(set(pids)) < len(pids):
             repeated = next(pid for i, pid in enumerate(pids) if pid in pids[:i])

@@ -167,7 +167,7 @@ class TestRunFiles:
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "a.run"
         path.write_text("q1 Q0 d1 1 0.9 t\nq1 Q0 d2 3 0.5 t\n")
-        with pytest.raises(ValidationError, match="contiguous"):
+        with pytest.raises(ValidationError, match="contiguous 1..k: rank 2 is missing$"):
             read_run(str(path))
 
     def test_duplicate_pair_rejected(self, tmp_path):

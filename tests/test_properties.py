@@ -194,6 +194,41 @@ def test_index_file_round_trip_is_exact(texts, ids, lowercase, stopwords, stemme
     assert all(e.score == bm25_score(loaded, q, ordinals[e.passage_id]) for e in got)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(st.lists(st.sampled_from(WORDS), max_size=10).map(" ".join),
+                   min_size=1, max_size=8),
+    order=st.randoms(use_true_random=False),
+    stopwords=st.frozensets(st.sampled_from(("the", "a", "cats", "x")), max_size=3),
+    stemmer=st.sampled_from(("porter", "none")),
+    query=st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+)
+def test_shared_columns_round_trip_and_rank_as_the_naive_rows(texts, order, stopwords, stemmer,
+                                                              query):
+    doc_ids = [f"d{i}" for i in range(len(texts))]
+    order.shuffle(doc_ids)  # so ties do not break in ordinal order
+    corpus = Corpus(tuple(Passage(i, t) for i, t in zip(doc_ids, texts)))
+    cfg = AnalyzerConfig(stopwords=stopwords, stemmer=stemmer)
+    built = build_index(corpus, cfg, Bm25Params())
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        save_index(built, first)
+        loaded = load_index(first)
+        save_index(loaded, second)
+        with open(first, "rb") as fh1, open(second, "rb") as fh2:
+            assert fh1.read() == fh2.read()
+    assert built == loaded and loaded == built
+    expected = naive_postings(corpus, cfg)
+    q = Query("q", query)
+    for index in (built, loaded):
+        assert dict(index.postings.items()) == expected
+        scored = ((bm25_score(index, q, i), index.doc_ids[i]) for i in range(index.doc_count))
+        ranked = sorted(((s, d) for s, d in scored if s > 0.0), key=lambda t: (-t[0], t[1]))
+        for k in sorted({1, max(1, len(ranked) - 1), len(ranked) + 1}):
+            got = retrieve_top_k(index, q, k)
+            assert [(c.score, c.passage_id) for c in got] == ranked[:k]
+
+
 @st.composite
 def tied_retrievals(draw):
     """A corpus over 3-5 words, so equal scores are common; a query; k in 1..N+2."""

@@ -100,6 +100,18 @@ class TestListInvariants:
         with pytest.raises(ValidationError, match="contiguous"):
             validate_candidate_list([Candidate("q1", "p1", 2.0, 2)])
 
+    @pytest.mark.parametrize("ranks, fault", [
+        ([2, 3], "rank 1 is missing"),
+        ([1, 2, 4], "rank 3 is missing"),
+        ([3, 1, 2, 2], "rank 2 is repeated"),
+        ([*range(1, 50), *range(51, 102)], "rank 50 is missing"),  # 100 rows, one gap
+    ])
+    def test_contiguity_error_names_the_first_broken_rank(self, ranks, fault):
+        rows = [RunEntry("q0", f"d{i}", rank, 1.0 / rank, "t") for i, rank in enumerate(ranks)]
+        with pytest.raises(ValidationError) as info:
+            ranked_lists(rows)
+        assert str(info.value) == f"query 'q0': ranks are not contiguous 1..k: {fault}"
+
     def test_candidate_scores_non_increasing(self):
         bad = [Candidate("q1", "p1", 1.0, 1), Candidate("q1", "p2", 2.0, 2)]
         with pytest.raises(ValidationError, match="score increases"):
@@ -121,9 +133,9 @@ class TestListInvariants:
 # Lists that are not ranked lists, each after a well-formed query, and ranked_lists' refusal.
 MALFORMED = {
     "rank-gap": ([("q0", "d0", 1), ("q0", "d1", 3)],
-                 r"query 'q0': ranks are not contiguous 1\.\.k: \[1, 3\]"),
+                 r"query 'q0': ranks are not contiguous 1\.\.k: rank 2 is missing$"),
     "repeated-rank": ([("q0", "d0", 1), ("q0", "d1", 1)],
-                      r"query 'q0': ranks are not contiguous 1\.\.k: \[1, 1\]"),
+                      r"query 'q0': ranks are not contiguous 1\.\.k: rank 1 is repeated$"),
     "passage-twice": ([("q0", "d0", 1), ("q0", "d0", 2)],
                       r"duplicate run entry for \('q0', 'd0'\)"),
 }
