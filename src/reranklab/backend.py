@@ -15,11 +15,11 @@ in the ratio. Three transports each supply only ``_complete(payload) -> body``:
 
 Clients are shareable across threads. ``max_in_flight`` bounds the HTTP
 requests in flight, enforced internally; callers must not assume response
-ordering. ``rerank.score_candidates`` runs twice as many worker threads as
+ordering. ``rerank.iter_scores`` runs twice as many worker threads as
 that bound, so a thread that sleeps or parses leaves no connection idle.
 Backends that answer in process (``answers_in_process``: the mock and
 replay) gain nothing from threads, whose Python work only contends for the
-interpreter lock, so ``score_candidates`` scores them on the calling thread.
+interpreter lock, so ``iter_scores`` scores them on the calling thread.
 
 The HTTP transport is the standard library's ``http.client``. One pool of
 ``max_in_flight`` keep-alive connections, opened lazily, is the only

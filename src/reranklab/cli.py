@@ -25,6 +25,7 @@ bearer token to HTTP backends.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import bm25, data, metrics, prompts
-from .rerank import RerankStrategy, StrategyKind, rerank, score_candidates
+from .rerank import PairFailure, RerankStrategy, StrategyKind, iter_scores, rerank
 from .backend import (
     BackendConfig,
     BackendError,
@@ -45,7 +46,7 @@ from .backend import (
     SamplingParams,
     load_mock_table,
 )
-from .types import ValidationError
+from .types import ScoredPair, ValidationError
 
 ENV_TOKEN = "RERANKLAB_API_TOKEN"
 
@@ -213,6 +214,40 @@ def _run_dir(args: argparse.Namespace, tag: str) -> Path:
             continue
 
 
+@contextlib.contextmanager
+def _run_dir_or_nothing(args: argparse.Namespace, tag: str):
+    """:func:`_run_dir`, and ``stage(name)``, the path the body writes ``name`` to.
+
+    That path is a temporary ``<name>.partial``. Once the body succeeds, each
+    staged file takes its name, so a file of an earlier run in ``--out-dir``
+    stays as it was until then. If the body fails, the staged files are
+    removed and then each directory made for the run, deepest first, so a
+    failed command leaves nothing behind and changes nothing it found.
+    """
+    root = Path(args.out_dir or "runs")
+    made = [d for d in (root, *root.parents) if not d.exists()]
+    out = _run_dir(args, tag)
+    if out != root:  # a new runs/<tag>-<time> directory
+        made.insert(0, out)
+    staged: dict[Path, Path] = {}
+
+    def stage(name: str) -> Path:
+        staged[out / name] = out / f"{name}.partial"
+        return staged[out / name]
+
+    try:
+        yield out, stage
+    except BaseException:
+        for partial in staged.values():
+            partial.unlink(missing_ok=True)
+        for d in made:
+            with contextlib.suppress(OSError):  # not empty: another command wrote there
+                d.rmdir()
+        raise
+    for path, partial in staged.items():
+        os.replace(partial, path)
+
+
 def _report(args: argparse.Namespace, name: str, text: str) -> Path | None:
     """Print a text report; with --out-dir, write it there as ``name`` and return the dir."""
     print(text)
@@ -323,7 +358,7 @@ def cmd_rerank(args: argparse.Namespace) -> Path:
     backend = _build_backend(args)
     try:
         backend.validate_decision_tokens()
-        scored, failures = score_candidates(
+        outcomes = iter_scores(
             backend,
             template,
             strategy,
@@ -335,22 +370,32 @@ def cmd_rerank(args: argparse.Namespace) -> Path:
             concurrency=args.concurrency,
             allow_partial=args.allow_partial,
         )
+        # each pair goes to the dump as it is scored; only its ids and score are kept
+        scores: list[ScoredPair] = []
+        failures: list[PairFailure] = []
+
+        def scored_pairs():
+            for o in outcomes:
+                if isinstance(o, PairFailure):
+                    failures.append(o)
+                else:
+                    scores.append(ScoredPair(o.query_id, o.passage_id, o.score))
+                    yield o
+
+        with _run_dir_or_nothing(args, tag) as (out, stage), contextlib.closing(outcomes):
+            data.write_scored(str(stage(f"{tag}_scored.jsonl")), scored_pairs(), kind.value)
+            failed = frozenset((f.query_id, f.passage_id) for f in failures)
+            entries = rerank(candidates, scores, tag, failed=failed)
+            data.write_run(str(stage(f"{tag}.run")), entries)
+            if failures:
+                with open(stage(f"{tag}_failures.jsonl"), "w", encoding="utf-8") as fh:
+                    for f in failures:
+                        fh.write(json.dumps(asdict(f)) + "\n")
     finally:
         backend.close()
-    failed = frozenset((f.query_id, f.passage_id) for f in failures)
-    entries = rerank(candidates, scored, tag, failed=failed)
-
-    out = _run_dir(args, tag)
     run_path = out / f"{tag}.run"
-    data.write_run(str(run_path), entries)
-    dump_path = out / f"{tag}_scored.jsonl"
-    data.write_scored(str(dump_path), scored, kind.value)
-    if failures:
-        with open(out / f"{tag}_failures.jsonl", "w", encoding="utf-8") as fh:
-            for f in failures:
-                fh.write(json.dumps(asdict(f)) + "\n")
     print(
-        f"scored {len(scored)} pairs ({len(failures)} failed) with {kind.value} "
+        f"scored {len(scores)} pairs ({len(failures)} failed) with {kind.value} "
         f"-> {run_path}"
     )
     return out
@@ -382,7 +427,10 @@ def cmd_eval(args: argparse.Namespace) -> Path | None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> Path | None:
-    pairs, strategy = data.read_scored(str(require_path(args.scored, "scored dump")))
+    pairs: list[ScoredPair] = []
+    strategy = ""
+    for pair, strategy in data.iter_scored(str(require_path(args.scored, "scored dump"))):
+        pairs.append(ScoredPair(pair.query_id, pair.passage_id, pair.score))  # traces dropped
     dist = metrics.bin_scores([p.score for p in pairs])
     if sum(dist.counts) != dist.total:  # bin bookkeeping must balance
         raise AssertionError("bin counts do not sum to the sample total")

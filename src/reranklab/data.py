@@ -16,10 +16,15 @@ Line-oriented formats:
 * capture logs — line-delimited JSON ``{"request": …, "response": …}``, one
   line per answered backend request (read by ``backend.ReplayBackend``).
 
-All of them are read by :func:`read_records`: blank lines are skipped, a
-repeated key (passage id, query id, judged pair, run pair, scored pair) is
-refused, a file with no records is refused, and every error names the file
-and line. Corpus and query ids must be usable as one run-file column.
+All of them are read by :func:`iter_records`, which parses one line at a
+time and yields each record as it is read, or by its list form
+:func:`read_records`: blank lines are skipped, a repeated key (passage id,
+query id, judged pair, run pair, scored pair) is refused, a file with no
+records is refused, and every error names the file and line. A scored dump
+is read record by record by :func:`iter_scored` (``read_scored`` is its list
+form), so a reader that keeps only ids and scores never holds the traces;
+likewise :func:`write_scored` writes the pairs as they come. Corpus and
+query ids must be usable as one run-file column.
 
 JSON object files — the CLI `--config` file, prompt template overrides, mock
 rule tables and persisted BM25 indexes — are read by
@@ -33,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .types import (
     Corpus,
@@ -51,18 +56,18 @@ from .types import (
 log = logging.getLogger(__name__)
 
 
-def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str) -> list:
-    """Parse each non-blank line of a text file into one record.
+def iter_records(path: str, parse: Callable[[str], tuple], what: str, empty: str) -> Iterator:
+    """Parse each non-blank line of a text file into one record, yielded as it is read.
 
     ``parse(line)`` gets the raw line, newline included, and returns
     ``(key, record)``; a key seen on an earlier line is refused as a
     duplicate ``what``, and a key of ``None`` is not checked. Invalid JSON
     and :class:`ValidationError` from ``parse`` are re-raised with the
-    ``path:line:`` prefix. A file with no records raises ``path: <empty>``.
+    ``path:line:`` prefix. A file with no records raises ``path: <empty>``
+    once it has been read to the end. Only the keys are kept between lines.
     """
-    records = []
     first_seen: dict = {}
-    line_no = 0
+    line_no = records = 0
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -75,7 +80,8 @@ def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str
                         raise ValidationError(
                             f"duplicate {what} {key!r} (first seen on line {first})"
                         )
-                records.append(record)
+                records += 1
+                yield record
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
     except ValidationError as exc:
@@ -84,7 +90,11 @@ def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if not records:
         raise ValidationError(f"{path}: {empty}")
-    return records
+
+
+def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str) -> list:
+    """:func:`iter_records` as a list."""
+    return list(iter_records(path, parse, what, empty))
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -233,7 +243,8 @@ def write_run(path: str, entries: Sequence[RunEntry]) -> None:
             fh.write(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score:.6f} {e.tag}\n")
 
 
-def write_scored(path: str, pairs: Sequence[ScoredPair], strategy: str) -> None:
+def write_scored(path: str, pairs: Iterable[ScoredPair], strategy: str) -> None:
+    """Write a scored-pair dump, one line per pair as the pairs come."""
     with open(path, "w", encoding="utf-8") as fh:
         for p in pairs:
             record = {
@@ -262,16 +273,17 @@ def _trace(t: dict) -> ReasoningTrace:
     return ReasoningTrace(text, terminated, token_count)
 
 
-def read_scored(path: str) -> tuple[list[ScoredPair], str]:
-    """Read a scored-pair dump; returns the pairs and their strategy tag.
+def iter_scored(path: str) -> Iterator[tuple[ScoredPair, str]]:
+    """Each pair of a scored-pair dump with its strategy tag, read one line at a time.
 
     Field types are checked, not coerced: ids, strategy and trace text are
     strings, ``terminated`` a bool, ``token_count`` an integer >= 0, and the
-    score and per-sample scores numbers (not bools).
+    score and per-sample scores numbers (not bools). Every line must carry
+    the first line's strategy.
     """
     strategy: str | None = None
 
-    def parse(line: str) -> tuple[tuple[str, str], ScoredPair]:
+    def parse(line: str) -> tuple[tuple[str, str], tuple[ScoredPair, str]]:
         nonlocal strategy
         record = json.loads(line)
         try:
@@ -298,7 +310,14 @@ def read_scored(path: str) -> tuple[list[ScoredPair], str]:
             raise ValidationError(
                 f"mixed strategies in one dump ({strategy!r} vs {line_strategy!r})"
             )
-        return (pair.query_id, pair.passage_id), pair
+        return (pair.query_id, pair.passage_id), (pair, line_strategy)
 
-    pairs = read_records(path, parse, "scored pair", "empty scored dump")
-    return pairs, strategy or ""
+    return iter_records(path, parse, "scored pair", "empty scored dump")
+
+
+def read_scored(path: str) -> tuple[list[ScoredPair], str]:
+    """:func:`iter_scored` as a list: the dump's pairs and their strategy tag."""
+    pairs, strategy = [], ""
+    for pair, strategy in iter_scored(path):
+        pairs.append(pair)
+    return pairs, strategy

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backend import BackendError, CompletionsBackend, SamplingParams
 from .prompts import PromptMode, PromptTemplate, assemble_prompt
@@ -216,7 +216,7 @@ class PairFailure:
     error: str
 
 
-def score_candidates(
+def iter_scores(
     backend: CompletionsBackend,
     template: PromptTemplate,
     strategy: RerankStrategy,
@@ -227,23 +227,29 @@ def score_candidates(
     base_seed: int = 0,
     concurrency: int = 1,
     allow_partial: bool = False,
-) -> tuple[list[ScoredPair], list[PairFailure]]:
-    """Score every candidate pair, with up to ``concurrency`` requests in flight.
+) -> Iterator[ScoredPair | PairFailure]:
+    """Score every candidate pair, yielding each outcome in candidate order.
 
-    A wire backend is scored by ``2 * concurrency`` worker threads, and its
-    own in-flight gate (the HTTP backend's pool of ``max_in_flight``
-    connections) bounds the requests on the wire: a worker asleep in a retry
-    backoff or parsing a response holds no connection, so a spare worker
-    sends the next request meanwhile. A backend that answers in process
-    (mock, replay) is scored on the calling thread at any value, with
-    identical output. Results come back in candidate order regardless of
+    Each pair's outcome is yielded as soon as it and every earlier pair are
+    done, so a caller that writes each one out and keeps no traces holds
+    only the traces of pairs it has not yet taken, whatever the run's size.
+    Up to ``concurrency`` requests are in flight. A wire backend is scored
+    by ``2 * concurrency`` worker threads, and its own in-flight gate (the
+    HTTP backend's pool of ``max_in_flight`` connections) bounds the
+    requests on the wire: a worker asleep in a retry backoff or parsing a
+    response holds no connection, so a spare worker sends the next request
+    meanwhile. A backend that answers in process (mock, replay) is scored on
+    the calling thread at any value, with identical output, each pair when
+    the caller takes it. Outcomes come in candidate order regardless of
     thread scheduling, so a deterministic backend yields a deterministic
-    output. Default error policy is fail-fast (a silent score gap would
+    stream. Default error policy is fail-fast (a silent score gap would
     corrupt downstream metric comparisons): the first failure cancels the
-    pairs no worker has started. With ``allow_partial`` failed pairs are
-    recorded and returned for first-stage fallback placement. The candidates
+    pairs no worker has started and is raised from the stream. With
+    ``allow_partial`` a failed pair is yielded as a :class:`PairFailure` for
+    first-stage fallback placement. Closing the stream early starts no
+    further pair and waits for the pairs already started. The candidates
     must be a ranked list (:func:`types.ranked_lists`) naming known queries
-    and passages; that is checked before any request is sent.
+    and passages; that is checked by this call, before any request is sent.
     """
     ranked_lists(candidates)
     for c in candidates:
@@ -270,11 +276,35 @@ def score_candidates(
                 f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}"
             ) from exc
 
-    # in-process answers hold the interpreter lock, so threads would only contend for it
-    if backend.answers_in_process:
-        outcomes = [attempt(c) for c in candidates]
-    else:  # twice the backend's slots, so a worker in backoff leaves no slot idle
-        with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
-            outcomes = list(pool.map(attempt, candidates))
+    def outcomes() -> Iterator[ScoredPair | PairFailure]:
+        # in-process answers hold the interpreter lock, so threads would only contend for it
+        if backend.answers_in_process:
+            yield from map(attempt, candidates)
+        else:  # twice the backend's slots, so a worker in backoff leaves no slot idle
+            with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
+                # closing map's iterator cancels the pairs no worker has started
+                yield from pool.map(attempt, candidates)
+
+    return outcomes()
+
+
+def score_candidates(
+    backend: CompletionsBackend,
+    template: PromptTemplate,
+    strategy: RerankStrategy,
+    queries: Mapping[str, Query],
+    corpus: Corpus,
+    candidates: Sequence[RunEntry],
+    sampling: SamplingParams,
+    base_seed: int = 0,
+    concurrency: int = 1,
+    allow_partial: bool = False,
+) -> tuple[list[ScoredPair], list[PairFailure]]:
+    """:func:`iter_scores` as lists: the scored pairs and the failed ones, each in
+    candidate order. It holds every pair's traces until it returns."""
+    outcomes = list(iter_scores(
+        backend, template, strategy, queries, corpus, candidates, sampling,
+        base_seed, concurrency, allow_partial,
+    ))
     failures = [out for out in outcomes if isinstance(out, PairFailure)]
     return [out for out in outcomes if not isinstance(out, PairFailure)], failures

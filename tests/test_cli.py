@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,45 @@ class TestRerankCommand:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("where", ["made", "new", "runs", "prior"])
+    def test_failed_rerank_leaves_nothing_behind(self, workspace, tmp_path, monkeypatch, where):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        # fail the third-ranked passage, so the first pairs reach the dump before the failure
+        victim = run_path.read_text().splitlines()[2].split()[2]
+        corpus_rows = {
+            row["id"]: row["text"]
+            for row in map(json.loads, (workspace / "corpus.jsonl").read_text().splitlines())
+        }
+        table = {
+            "single_token_vocab": ["true", "false"],
+            "rules": [{"contains": [f"Passage: {corpus_rows[victim]}"], "fail": True}],
+        }
+        (workspace / "failing.json").write_text(json.dumps(table))
+        monkeypatch.chdir(tmp_path)
+        out = {"made": tmp_path / "made", "new": tmp_path / "new" / "deeper", "runs": None,
+               "prior": tmp_path / "prior"}[where]
+        argv = [
+            "rerank",
+            "--corpus", str(workspace / "corpus.jsonl"),
+            "--queries", str(workspace / "queries.jsonl"),
+            "--run-in", str(run_path),
+            "--strategy", "reason",
+            "--backend", f"mock:{workspace / 'failing.json'}",
+            *(["--out-dir", str(out)] if out else []),
+        ]
+        if where == "made":
+            out.mkdir()
+        if where == "prior":  # an earlier run of the same tag, failures file included
+            assert main([*argv, "--allow-partial"]) == 0
+        found = {f.name: f.read_bytes() for f in out.iterdir()} if where == "prior" else {}
+        assert where != "prior" or {"reason.run", "reason_scored.jsonl",
+                                    "reason_failures.jsonl"} <= found.keys()
+        assert main(argv) == 3
+        assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "new").exists()
+        if out and out.exists():
+            assert {f.name: f.read_bytes() for f in out.iterdir()} == found
+
     def test_allow_partial_records_failures(self, workspace, tmp_path):
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
         # fail exactly the pairs mentioning the first-ranked passage's text
@@ -437,6 +477,12 @@ MALFORMED = [
     ("scored", "bad_scored.jsonl", '{"query_id": "q00", "score": 0.5}\n',
      ":1: bad scored record",
      lambda ws, bad: ["analyze", "--scored", bad]),
+    ("scored-third-record", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 0.5}\n'
+     '{"query_id": "q00", "passage_id": "p0001", "score": 0.25}\n'
+     '{"query_id": "q00", "passage_id": "p0002"}\n',
+     ":3: bad scored record",
+     lambda ws, bad: ["analyze", "--scored", bad, "--qrels", ws / "qrels.txt"]),
     ("config", "bad_config.json", '{"k": 10,}', ": invalid JSON config",
      lambda ws, bad: ["eval", "--config", bad]),
     ("template", "bad_template.json", '{"user": 5}', ": template field 'user'",
@@ -855,6 +901,56 @@ class TestLifecycle:
         assert main(_argv(command, values, out)) == 2
         assert "file not found" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+def _traced_peak_mb(argv) -> float:
+    tracemalloc.start()
+    try:
+        assert main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """rerank and analyze hold one pair's traces at a time, not the run's."""
+
+    def test_self_consistency_peaks_like_direct(self, tmp_path, capsys):
+        # 20 queries x 20 candidates = 400 pairs; 8 traces of ~700 characters per pair
+        write_corpus_file(tmp_path / "corpus.jsonl", make_corpus(200, seed=3))
+        write_queries_file(tmp_path / "queries.jsonl", make_queries(20, seed=4))
+        reasoning = "Okay, sample {seed} " + "weighs the passage against the query; " * 18
+        (tmp_path / "mock.json").write_text(json.dumps({
+            "single_token_vocab": ["true", "false"], "default_logits": "hash",
+            "default_reasoning": reasoning + "</think>",
+        }))
+        assert main(["index", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--out-dir", str(tmp_path / "idx")]) == 0
+        assert main(["retrieve", "--index", str(tmp_path / "idx" / "bm25_index.json"),
+                     "--queries", str(tmp_path / "queries.jsonl"), "--k", "20",
+                     "--out-dir", str(tmp_path / "idx")]) == 0
+        assert len((tmp_path / "idx" / "bm25.run").read_text().splitlines()) == 400
+        peaks = {}
+        for strategy, extra in (("direct", []), ("self_consistency", ["--samples", "8"])):
+            out = tmp_path / strategy
+            peaks[f"rerank.{strategy}"] = _traced_peak_mb([
+                "rerank", "--corpus", tmp_path / "corpus.jsonl",
+                "--queries", tmp_path / "queries.jsonl", "--run-in", tmp_path / "idx" / "bm25.run",
+                "--strategy", strategy, "--backend", f"mock:{tmp_path / 'mock.json'}",
+                "--out-dir", out, *extra,
+            ])
+            peaks[f"analyze.{strategy}"] = _traced_peak_mb([
+                "analyze", "--scored", out / f"{strategy}_scored.jsonl",
+                "--out-dir", out / "analyze",
+            ])
+        capsys.readouterr()
+        dump = tmp_path / "self_consistency" / "self_consistency_scored.jsonl"
+        assert dump.stat().st_size > 2e6  # the traces the commands must not hold
+        # one pair's traces and the JSON of its line are all a stage may add over direct;
+        # holding every trace to the end peaks near 3.3 MB (rerank) and 3.1 MB (analyze),
+        # against about 0.37 and 0.18 MB for direct
+        assert peaks["rerank.self_consistency"] < 1.1 * peaks["rerank.direct"] + 0.2, peaks
+        assert peaks["analyze.self_consistency"] < 1.1 * peaks["analyze.direct"] + 0.2, peaks
 
 
 class TestSettingsTable:

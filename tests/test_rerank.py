@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import json
 import math
 import random
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -34,6 +37,7 @@ from reranklab import (
     score_pair,
 )
 from reranklab.backend import CompletionsBackend
+from reranklab.rerank import iter_scores
 
 Q = Query("q1", "how to help a jammed finger")
 P = Passage("p1", "A broken finger is often more painful than a jammed finger.")
@@ -566,6 +570,24 @@ class _FailingWireFake(CompletionsBackend):
         raise BackendError("refused")
 
 
+class _HeldWireFake(_WireFake):
+    """A :class:`_WireFake` whose first request answers at once; every later
+    one is held until ``release`` is set. ``sent`` counts the requests."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = 0
+        self.release = threading.Event()
+
+    def _complete(self, payload: dict) -> dict:
+        with self._lock:
+            self.sent += 1
+            first = self.sent == 1
+        if not first:
+            self.release.wait(timeout=10)
+        return super()._complete(payload)
+
+
 class _ThreadRecordingHttp(HttpCompletionsBackend):
     """The HTTP backend, noting which threads send its requests."""
 
@@ -678,6 +700,50 @@ class TestSchedule:
             )
         # direct sends one request per pair: only pairs taken before the failure went out
         assert 1 <= len(fake.prompts) <= 2 * concurrency
+
+    def _consume_first_then_fail(self, stream):
+        # the consumer fails after the first pair, as a failed dump write would
+        with pytest.raises(OSError, match="disk full"), contextlib.closing(stream):
+            for _ in stream:
+                raise OSError("disk full")
+
+    def test_closing_the_wire_stream_starts_no_further_pair(self, monkeypatch):
+        corpus, queries, cands = self._fixture(50)
+        fake, concurrency = _HeldWireFake(), 2
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                # the stream is closed, so its unstarted pairs are cancelled: free the held ones
+                fake.release.set()
+                super().shutdown(*args, **kwargs)
+
+        # by module: the package's ``rerank`` attribute is the function
+        monkeypatch.setattr(sys.modules["reranklab.rerank"], "ThreadPoolExecutor", Pool)
+        self._consume_first_then_fail(iter_scores(
+            fake, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands, SamplingParams(),
+            concurrency=concurrency,
+        ))
+        assert fake.release.is_set()
+        # direct sends one request per pair: the first, one held on each other worker,
+        # and one the first pair's worker took next; none once the stream is closed
+        assert 1 <= fake.sent <= 2 * concurrency + 1
+
+    def test_closing_the_in_process_stream_starts_no_further_pair(self):
+        corpus, queries, cands = self._fixture(50)
+        mock = MockBackend()
+        self._consume_first_then_fail(iter_scores(
+            mock, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands, SamplingParams(),
+            concurrency=4,
+        ))
+        assert mock.score_calls == 1
+
+    def test_stream_checks_candidates_before_it_is_read(self):
+        corpus, queries, cands = self._fixture()
+        mock = MockBackend()
+        bad = [*cands, RunEntry("q9", "p0", 1, 1.0)]
+        with pytest.raises(ValidationError, match="unknown query id 'q9'"):
+            iter_scores(mock, DEFAULT_TEMPLATE, DIRECT, queries, corpus, bad, SamplingParams())
+        assert mock.score_calls == 0
 
     def test_in_process_is_fixed_per_class(self):
         assert ReplayBackend.answers_in_process and not HttpCompletionsBackend.answers_in_process
