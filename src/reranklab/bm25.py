@@ -34,22 +34,31 @@ bisects the term's span of the shared columns for the document, which keeps
 it an independent oracle for the cached path.
 
 Building makes the columns directly, with no column per term: one pass over
-the documents collects a (term, tf) row per distinct term of each document,
-in document order, and a counting pass moves each row to its term's span.
-It stems each distinct word once: ``build_index`` keeps a word-to-stem memo
-for that document pass and drops it after, so nothing stays warm between
-builds or between a build and later queries. Queries stem through
-``tokenize`` without a memo.
+the documents collects a (term id, tf) row per distinct term of each
+document, in document order, and a counting pass moves each row to its
+term's span. The row columns start at one byte and widen only when a value
+overflows them; the df count is a list indexed by term id. The output
+``tfs`` column takes the rows' typecode, and ``ordinals`` the narrowest that
+holds the last ordinal with a row, so a built index's columns have the
+typecodes of its saved and loaded copy, and the build holds, beyond what it
+keeps, about the rows (3 bytes a posting when terms need 2-byte ids) and a
+few words per term. It stems each distinct word once: ``build_index`` keeps
+a word-to-stem memo for that document pass and drops it after, so nothing
+stays warm between builds or between a build and later queries. Queries
+stem through ``tokenize`` without a memo.
 
 The persisted file is format v2: one JSON object whose header sections
 (analyzer, params, document ids and lengths) are plain JSON and whose
 postings are three packed little-endian integer columns, ``df`` (rows per
-term, in ``terms`` order), ``ordinals`` and ``tfs``, each base64-encoded.
-Saving packs the shared columns as they are, narrowing each to the smallest
-typecode that holds it without a Python int per posting; loading keeps the
-unpacked columns, with the file's typecodes, as the index's own, so a built
-index and its loaded copy hold equal rows. Files of format v1 (one JSON
-array per posting row) are refused; rebuild them with ``reranklab index``.
+term, in ``terms`` order), ``ordinals`` and ``tfs``, each base64-encoded in
+the narrowest typecode that holds it. Saving streams the file: each list
+and each column is written a chunk of items at a time, so the save holds
+no text as long as the file, only a chunk's worth beside the index. Its
+bytes are those of one ``json.dumps`` call with sorted keys over the whole
+object. Loading frees each column's base64 text once it is unpacked and
+keeps the columns, with the file's typecodes, as the index's own. Files of
+format v1 (one JSON array per posting row) are refused; rebuild them with
+``reranklab index``.
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ TOKEN_PATTERN = re.compile(r"[^\W_]+")  # runs of alphanumerics
 _SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
 _COLUMNS = ("df", "ordinals", "tfs")
 _TYPECODES = ("B", "H", "I", "Q")  # unsigned, 1, 2, 4 and 8 bytes
+_CHUNK = 3 << 8  # items of a list or column written at a time
 
 
 @dataclass(frozen=True)
@@ -299,14 +309,15 @@ def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> Inve
     stem = _StemMemo().__getitem__
     doc_lengths = []
     ids = _TermIds()  # term -> id in row_terms
-    # one row per (document, term), in document order
-    row_terms, row_tfs, row_counts = array("I"), array("I"), array("I")
+    # one row per (document, term), in document order; the term and tf
+    # columns start at one byte and widen when a value overflows them
+    row_terms, row_tfs, row_counts = array("B"), array("B"), array("I")
     for passage in corpus.passages:
         tokens = _tokenize(passage.text, cfg, stem)
         doc_lengths.append(len(tokens))
         counts = Counter(tokens)
-        row_terms.extend(map(ids.__getitem__, counts))
-        row_tfs.extend(counts.values())
+        row_terms = _extended(row_terms, list(map(ids.__getitem__, counts)))
+        row_tfs = _extended(row_tfs, list(counts.values()))
         row_counts.append(len(counts))
     del stem  # the memo is done with; free it before the columns are made
     return InvertedIndex(
@@ -318,17 +329,51 @@ def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> Inve
     )
 
 
+def _narrowest(top: int) -> str:
+    """The narrowest of ``_TYPECODES`` that holds ``top``."""
+    return next(c for c in _TYPECODES if top >> 8 * array(c).itemsize == 0)
+
+
+def _extended(column: array, values: list[int]) -> array:
+    """``column`` with ``values`` appended, widened first if one of them overflows it.
+
+    ``fromlist`` appends nothing when an item does not fit, and a list is
+    copied in faster than any other iterable. Widening copies the column into
+    the narrowest typecode that holds the largest value, so a column that
+    ends with maximum ``top`` has ``_narrowest(top)`` and was copied at most
+    three times.
+    """
+    try:
+        column.fromlist(values)
+    except OverflowError:
+        column = array(_narrowest(max(values)), column)
+        column.fromlist(values)
+    return column
+
+
+def _zeros(code: str, n: int) -> array:
+    return array(code, bytes(array(code).itemsize * n))
+
+
 def _invert(ids: dict[str, int], row_terms: array, row_tfs: array, row_counts: array) -> Postings:
     """Postings from rows in document order, the first ``row_counts[0]`` of
     them document 0's, and so on; ``ids`` maps each term to its id in ``row_terms``.
+
+    The output columns take the typecodes :func:`save_index` writes: ``tfs``
+    that of ``row_tfs``, and ``ordinals`` the narrowest that holds the last
+    ordinal with a row.
     """
     terms = tuple(sorted(ids))
+    df = [0] * len(ids)  # term id -> rows; a list counts twice as fast as an array
+    for term_id in row_terms:
+        df[term_id] += 1
     # a term's rows end where the row counts of the terms up to it sum to
-    ends = array("Q", accumulate(map(Counter(row_terms).__getitem__, map(ids.__getitem__, terms))))
-    next_row = [0] * len(ids)  # term id -> where its next row goes
+    ends = array("Q", accumulate(map(df.__getitem__, map(ids.__getitem__, terms))))
+    next_row = df  # term id -> where its next row goes; the counts are done with
     for term, start in zip(terms, chain((0,), ends)):
         next_row[ids[term]] = start
-    ordinals, tfs = array("I", bytes(4 * len(row_terms))), array("I", bytes(4 * len(row_terms)))
+    last = max(compress(count(), row_counts), default=0)  # the last ordinal with a row
+    ordinals, tfs = _zeros(_narrowest(last), len(row_terms)), _zeros(row_tfs.typecode, len(row_tfs))
     rows = zip(row_terms, row_tfs)
     # documents come in ordinal order, so each term's ordinals come out ascending
     for ordinal, n in enumerate(row_counts):
@@ -424,29 +469,61 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "postings": {
             "terms": postings.terms,
             # each term's row count is its end less the end before it
-            "df": _pack(array("Q", map(sub, postings.ends, chain((0,), postings.ends)))),
-            "ordinals": _pack(postings.ordinals),
-            "tfs": _pack(postings.tfs),
+            "df": array("Q", map(sub, postings.ends, chain((0,), postings.ends))),
+            "ordinals": postings.ordinals,
+            "tfs": postings.tfs,
         },
     }
-    # one json.dumps call runs the C encoder; json.dump would stream the
-    # file through the pure-Python one
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        _write_json(fh, payload)
         fh.write("\n")
 
 
-def _pack(column: array) -> dict:
-    top = max(column, default=0)
-    code = next(c for c in _TYPECODES if top >> 8 * array(c).itemsize == 0)
-    if code != column.typecode or sys.byteorder == "big":
-        # narrowed item by item, with no list of ints; a copy, so the byteswap
-        # below leaves the index's own column alone
-        column = array(code, column)
-    if sys.byteorder == "big":
-        column.byteswap()
-    return {"type": code, "base64": base64.b64encode(column.tobytes()).decode("ascii")}
+def _write_json(fh, value) -> None:
+    """Write ``value`` as ``json.dumps(value, sort_keys=True, ensure_ascii=False)``
+    would, with each ``array`` in it as a packed column.
+
+    Dicts are walked here, and lists, tuples and columns written ``_CHUNK``
+    items at a time, so no text longer than a chunk's is made. Each chunk of
+    a list is one ``json.dumps`` call, which runs the C encoder: its cost,
+    a string object per item and separator, stays bounded by the chunk.
+    """
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write_json(fh, value[key])
+        fh.write("}")
+    elif isinstance(value, array):
+        _write_column(fh, value)
+    elif isinstance(value, (list, tuple)):  # one json.dumps per chunk of items
+        fh.write("[")
+        for start in range(0, len(value), _CHUNK):
+            text = json.dumps(value[start:start + _CHUNK], sort_keys=True, ensure_ascii=False)
+            fh.write(f"{', ' if start else ''}{text[1:-1]}")
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value, sort_keys=True, ensure_ascii=False))
+
+
+def _write_column(fh, column: array) -> None:
+    """Write ``{"base64": <little-endian bytes>, "type": <code>}`` for ``column``.
+
+    The code is the narrowest that holds the column's maximum. The column is
+    converted and encoded ``_CHUNK`` items at a time, a multiple of 3, so
+    each chunk's bytes are whole base64 groups and the chunks join into the
+    encoding of the whole column with no padding between them.
+    """
+    code = _narrowest(max(column, default=0))
+    fh.write('{"base64": "')
+    for start in range(0, len(column), _CHUNK):
+        chunk = column[start:start + _CHUNK]
+        if code != chunk.typecode:
+            chunk = array(code, chunk)  # narrowed item by item, with no list of ints
+        if sys.byteorder == "big":
+            chunk.byteswap()
+        fh.write(base64.b64encode(chunk.tobytes()).decode("ascii"))
+    fh.write(f'", "type": "{code}"}}')
 
 
 def _unpack(path: str, name: str, raw: dict) -> array:
@@ -509,7 +586,8 @@ def load_index(path: str) -> InvertedIndex:
         doc_lengths = tuple(payload["doc_lengths"])
         raw = payload["postings"]
         terms = raw["terms"]
-        df, ordinals, tfs = (_unpack(path, name, raw[name]) for name in _COLUMNS)
+        # popped, so each column's base64 text is freed once it is unpacked
+        df, ordinals, tfs = (_unpack(path, name, raw.pop(name)) for name in _COLUMNS)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed index: {exc!r}") from exc
     if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):

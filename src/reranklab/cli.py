@@ -393,6 +393,8 @@ def cmd_rerank(args: argparse.Namespace) -> Path:
                         fh.write(json.dumps(asdict(f)) + "\n")
     finally:
         backend.close()
+    if not failures:  # an earlier run's failures must not sit beside this run
+        (out / f"{tag}_failures.jsonl").unlink(missing_ok=True)
     run_path = out / f"{tag}.run"
     print(
         f"scored {len(scores)} pairs ({len(failures)} failed) with {kind.value} "

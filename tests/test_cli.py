@@ -351,6 +351,25 @@ class TestRerankCommand:
             r[2] == victim_pid and float(r[4]) < 0 for r in rows
         )
 
+    def test_clean_rerun_removes_an_earlier_failures_file(self, workspace, tmp_path):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        victim = run_path.read_text().splitlines()[0].split()[2]
+        text = {row["id"]: row["text"] for row in
+                map(json.loads, (workspace / "corpus.jsonl").read_text().splitlines())}[victim]
+        table = {"single_token_vocab": ["true", "false"],
+                 "rules": [{"contains": [f"Passage: {text}"], "fail": True}]}
+        (workspace / "flaky.json").write_text(json.dumps(table))
+        out = tmp_path / "out"
+        argv = ["rerank", "--corpus", str(workspace / "corpus.jsonl"),
+                "--queries", str(workspace / "queries.jsonl"), "--run-in", str(run_path),
+                "--strategy", "direct", "--out-dir", str(out)]
+        assert main([*argv, "--backend", f"mock:{workspace / 'flaky.json'}",
+                     "--allow-partial"]) == 0
+        assert (out / "direct_failures.jsonl").read_text()
+        assert main([*argv, "--backend", f"mock:{workspace / 'mock.json'}"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "direct.run", "direct_scored.jsonl", "resolved_config.json"]
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_temperature_is_data_error(self, workspace, tmp_path, capsys, value):
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")

@@ -5,6 +5,7 @@ placeholder once, and the mock transport answers as the old in-process mock
 did."""
 
 import itertools
+import json
 import math
 import os
 import string
@@ -185,8 +186,14 @@ def test_index_file_round_trip_is_exact(texts, ids, lowercase, stopwords, stemme
         save_index(index, second)
         with open(first, "rb") as fh1, open(second, "rb") as fh2:
             assert fh1.read() == fh2.read()
+        with open(first, encoding="utf-8") as fh:
+            text = fh.read()
         loaded = load_index(first)
+    # the streamed file is the one json.dumps call over the parsed object would write
+    assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False) + "\n"
     assert loaded == index
+    assert ((loaded.postings.ordinals.typecode, loaded.postings.tfs.typecode)
+            == (index.postings.ordinals.typecode, index.postings.tfs.typecode))
     q = Query("q", query)
     got = retrieve_top_k(loaded, q, len(texts))
     assert got == retrieve_top_k(index, q, len(texts))
