@@ -50,7 +50,7 @@ from functools import partial
 from typing import Callable, ClassVar
 from urllib.parse import urlsplit
 
-from .data import read_json_object, read_records
+from .data import iter_record_offsets, read_json_object
 from .types import DecisionLogits, ReasoningTrace, ValidationError
 
 # log-probabilities asked for at the decision position; both decision tokens must be among them
@@ -544,21 +544,41 @@ def _capture_record(line: str) -> tuple[None, tuple[str, dict]]:
 
 
 class ReplayBackend(CompletionsBackend):
-    """Serves responses recorded in a capture log instead of going on the wire."""
+    """Serves responses recorded in a capture log instead of going on the wire.
+
+    Made, it reads and checks every record of the log, but keeps only a
+    digest of each request's canonical JSON and the byte offset of its line;
+    a request recorded again keeps its later line. A lookup opens the log,
+    reads that one line back and checks that its request is the one asked
+    for, so no prompt or response is held between calls and no file stays
+    open.
+    """
 
     answers_in_process = True
 
     def __init__(self, capture_path: str, config: BackendConfig | None = None):
         self.config = config or BackendConfig(endpoint="replay:", model="replay")
-        self._responses = dict(
-            read_records(capture_path, _capture_record, "request", "empty capture log")
-        )
+        self._path = capture_path
+        self._offsets = {
+            _request_digest(key): offset for offset, (key, _) in
+            iter_record_offsets(capture_path, _capture_record, "request", "empty capture log")
+        }
 
     def _complete(self, payload: dict) -> dict:
         key = json.dumps(payload, sort_keys=True)
-        try:
-            return self._responses[key]
-        except KeyError:
-            raise BackendError(
-                "no recorded response for this request; re-record the capture log"
-            ) from None
+        offset = self._offsets.get(_request_digest(key))
+        if offset is not None:
+            with open(self._path, "rb") as fh:
+                fh.seek(offset)
+                line = fh.readline()
+            try:
+                recorded, response = _capture_record(line.decode("utf-8"))[1]
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, ValidationError
+                raise BackendError(f"{self._path}: capture log changed during replay: {exc}") from exc
+            if recorded == key:  # not a digest collision
+                return response
+        raise BackendError("no recorded response for this request; re-record the capture log")
+
+
+def _request_digest(key: str) -> bytes:
+    return hashlib.blake2b(key.encode("utf-8"), digest_size=16).digest()

@@ -55,10 +55,16 @@ the narrowest typecode that holds it. Saving streams the file: each list
 and each column is written a chunk of items at a time, so the save holds
 no text as long as the file, only a chunk's worth beside the index. Its
 bytes are those of one ``json.dumps`` call with sorted keys over the whole
-object. Loading frees each column's base64 text once it is unpacked and
-keeps the columns, with the file's typecodes, as the index's own. Files of
-format v1 (one JSON array per posting row) are refused; rebuild them with
-``reranklab index``.
+object. Loading streams it too: the file is read a chunk at a time, and
+each ``"base64"`` string is decoded as it arrives, in whole 4-character
+groups, so only the text outside those strings (the header sections and
+the terms, which the index keeps anyway) is held whole and parsed by
+``json.loads``. The columns keep the file's typecodes. A file in any JSON
+layout loads; one the stream cannot take (not UTF-8 JSON holding one
+object, or a base64 string holding an escape or other text) is read by
+``json.load`` instead, which loads it or says why it is not an index, as
+before. Files of format v1 (one JSON array per posting row) are refused;
+rebuild them with ``reranklab index``.
 """
 
 from __future__ import annotations
@@ -90,6 +96,20 @@ _SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
 _COLUMNS = ("df", "ordinals", "tfs")
 _TYPECODES = ("B", "H", "I", "Q")  # unsigned, 1, 2, 4 and 8 bytes
 _CHUNK = 3 << 8  # items of a list or column written at a time
+_READ = 1 << 16  # characters of an index file read at a time
+
+# how JSON may spell the key "base64": any character as its \u escape (all
+# six escapes have decimal hex digits, so there is no case to vary)
+_KEY_NAME = "".join(rf"(?:{c}|\\u{ord(c):04x})" for c in "base64")
+_KEY = re.compile(rf'"{_KEY_NAME}"[ \t\n\r]*:[ \t\n\r]*"')  # up to a string value's quote
+_KEY_STRING = re.compile(rf'"{_KEY_NAME}"')
+_KEY_UNDECIDED = re.compile(r"[ \t\n\r]*(?::[ \t\n\r]*)?")  # may yet run on into a value
+# text outside strings and whole strings, escapes included, up to a string
+# spelling "base64" or one not complete in the text; possessive, so a match
+# keeps no backtracking state
+_SKIP = re.compile(
+    rf'[^"]*+(?:"(?!{_KEY_NAME}")[^"\\]*+(?:\\.[^"\\]*+)*+"[^"]*+)*+', re.DOTALL)
+_BASE64_RUN = re.compile(r"[A-Za-z0-9+/=]*")
 
 
 @dataclass(frozen=True)
@@ -526,14 +546,95 @@ def _write_column(fh, column: array) -> None:
     fh.write(f'", "type": "{code}"}}')
 
 
-def _unpack(path: str, name: str, raw: dict) -> array:
+def _read_streamed(path: str) -> tuple[dict, list[bytearray]] | None:
+    """The index file's JSON object, each string under a ``"base64"`` key decoded as it is read.
+
+    The file is read ``_READ`` characters at a time. The text outside those
+    strings goes to one ``json.loads``, with each string replaced by the
+    number, as a string, of its entry in the returned list: its bytes. A string
+    spelling "base64" is always found whole, so every string left under such
+    a key is a number. Returns None where ``json.load`` must read the file
+    instead: it is not UTF-8 JSON holding one object, or a base64 string
+    holds an escape, a character base64 lacks, padding before its end, or
+    text ``b64decode`` refuses.
+    """
+    out, columns = [], []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text, start, pos = fh.read(_READ), 0, 0
+            while True:
+                pos = _SKIP.match(text, pos).end()
+                key = _KEY.match(text, pos)
+                if key is not None:
+                    decoded = _decode_string(fh, text, key.end())
+                    if decoded is None:
+                        return None
+                    out.append(f"{text[start:key.end()]}{len(columns)}\"")
+                    column, text, pos = decoded
+                    columns.append(column)
+                    start = pos
+                    continue
+                name = _KEY_STRING.match(text, pos)
+                if name is not None and not _KEY_UNDECIDED.fullmatch(text, name.end()):
+                    pos = name.end()  # a "base64" that is no key of a string
+                    continue
+                # the text is used up, or ends inside a string or after a "base64"
+                out.append(text[start:pos])
+                more = fh.read(_READ)
+                if not more:
+                    out.append(text[pos:])
+                    break
+                text, start, pos = text[pos:] + more, 0, 0
+        payload = json.loads("".join(out))
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError, binascii.Error
+        return None
+    return (payload, columns) if isinstance(payload, dict) else None
+
+
+def _decode_string(fh, text: str, pos: int) -> tuple[bytearray, str, int] | None:
+    """Decode the base64 string whose text starts at ``text[pos]`` and may run on in ``fh``.
+
+    Returns its bytes, the text last read and the position just past the
+    closing quote; None if the string holds anything but base64 characters
+    with padding at its end, or the file ends inside it.
+    """
+    column, pending = bytearray(), ""
+    while True:
+        end = _BASE64_RUN.match(text, pos).end()
+        data = pending + text[pos:end]
+        if end < len(text):  # the closing quote, or a character base64 lacks
+            if text[end] != '"':
+                return None
+            column += base64.b64decode(data, validate=True)
+            return column, text, end + 1
+        whole = len(data) - len(data) % 4
+        pad = data.find("=")
+        if pad >= 0:  # padding ends a base64 string: decode its group with the end
+            if data[pad:] not in ("=", "=="):
+                return None
+            whole = pad - pad % 4
+        column += base64.b64decode(data[:whole], validate=True)
+        pending = data[whole:]
+        text, pos = fh.read(_READ), 0
+        if not text:
+            return None
+
+
+def _unpack(path: str, name: str, raw: dict, columns: list[bytearray] | None) -> array:
+    """Column ``name`` from its section ``raw``: its base64 text, or, for a
+    streamed file, the number of its decoded bytes in ``columns``."""
     code = raw["type"]
     if code not in _TYPECODES:
         raise ValidationError(f"{path}: postings column {name!r} has typecode {code!r}, "
                               f"not one of {', '.join(_TYPECODES)}")
+    data = raw["base64"]
     column = array(code)
     try:
-        column.frombytes(base64.b64decode(raw["base64"], validate=True))
+        if columns is not None and type(data) is str:
+            column.frombytes(columns[int(data)])
+            columns[int(data)] = None  # freed once copied
+        else:
+            column.frombytes(base64.b64decode(data, validate=True))
     except ValueError as exc:  # bad base64 (binascii.Error), or a partial integer
         raise ValidationError(f"{path}: postings column {name!r} is not base64 of "
                               f"{code!r} integers: {exc}") from exc
@@ -556,7 +657,11 @@ def load_index(path: str) -> InvertedIndex:
     strictly ascending (both scoring paths rely on that order). A v1 file is
     refused with a message to rebuild it.
     """
-    payload = read_json_object(path, "index")
+    streamed = _read_streamed(path)
+    if streamed is None:  # json.load reads it whole, and says why it is not an index
+        payload, columns = read_json_object(path, "index"), None
+    else:
+        payload, columns = streamed
     if payload.get("format") != INDEX_FORMAT:
         raise ValidationError(f"{path}: not a {INDEX_FORMAT} file")
     if payload.get("version") == 1:
@@ -586,8 +691,7 @@ def load_index(path: str) -> InvertedIndex:
         doc_lengths = tuple(payload["doc_lengths"])
         raw = payload["postings"]
         terms = raw["terms"]
-        # popped, so each column's base64 text is freed once it is unpacked
-        df, ordinals, tfs = (_unpack(path, name, raw.pop(name)) for name in _COLUMNS)
+        df, ordinals, tfs = (_unpack(path, name, raw[name], columns) for name in _COLUMNS)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed index: {exc!r}") from exc
     if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):
@@ -611,10 +715,14 @@ def load_index(path: str) -> InvertedIndex:
         raise ValidationError(f"{path}: a posting row names an ordinal outside "
                               f"0..{len(doc_ids) - 1} or a tf below 1")
     # a row whose ordinal does not exceed the one before it must start a term,
-    # that is, be where the term before it ends
+    # that is, be where the term before it ends: there are as many such rows
+    # as such term starts (distinct rows, as every df is at least 1)
     ends = array("Q", accumulate(df))
-    breaks = compress(count(1), map(le, islice(ordinals, 1, None), ordinals))
-    if not all(ends[bisect_left(ends, row)] == row for row in breaks):
+    starts = len(ends) - 1 if ends else 0  # the ends but the last
+    drops = sum(map(le, islice(ordinals, 1, None), ordinals))
+    drops_at_starts = sum(map(le, map(ordinals.__getitem__, islice(ends, starts)),
+                              map(ordinals.__getitem__, map((-1).__add__, islice(ends, starts)))))
+    if drops != drops_at_starts:
         raise ValidationError(f"{path}: a postings term's ordinals repeat or do not ascend")
     return InvertedIndex(
         doc_ids=doc_ids,

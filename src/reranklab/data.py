@@ -14,7 +14,9 @@ Line-oriented formats:
 * scored-pair dumps — line-delimited JSON, one record per pair, traces
   included verbatim (JSON escaping handles newlines).
 * capture logs — line-delimited JSON ``{"request": …, "response": …}``, one
-  line per answered backend request (read by ``backend.ReplayBackend``).
+  line per answered backend request (read by ``backend.ReplayBackend``
+  through :func:`iter_record_offsets`, which pairs each record with its
+  line's byte offset).
 
 All of them are read by :func:`iter_records`, which parses one line at a
 time and yields each record as it is read, or by its list form
@@ -26,9 +28,10 @@ form), so a reader that keeps only ids and scores never holds the traces;
 likewise :func:`write_scored` writes the pairs as they come. Corpus and
 query ids must be usable as one run-file column.
 
-JSON object files — the CLI `--config` file, prompt template overrides, mock
-rule tables and persisted BM25 indexes — are read by
-:func:`read_json_object`, which refuses anything but one JSON object.
+JSON object files — the CLI `--config` file, prompt template overrides and
+mock rule tables — are read by :func:`read_json_object`, which refuses
+anything but one JSON object. ``bm25.load_index`` streams its own files,
+and hands one to it only when it cannot (see there).
 
 Parsers reject malformed input rather than coercing it.
 """
@@ -66,22 +69,49 @@ def iter_records(path: str, parse: Callable[[str], tuple], what: str, empty: str
     ``path:line:`` prefix. A file with no records raises ``path: <empty>``
     once it has been read to the end. Only the keys are kept between lines.
     """
+    with open(path, encoding="utf-8") as fh:
+        yield from _parse_lines(path, fh, parse, what, empty)
+
+
+def iter_record_offsets(path: str, parse: Callable[[str], tuple], what: str,
+                        empty: str) -> Iterator[tuple[int, object]]:
+    """:func:`iter_records`, each record paired with the byte offset of its line.
+
+    The file is read as bytes and split at ``\\n`` alone, so ``seek(offset)``
+    and ``readline()`` on it in binary mode read the record's line again.
+    """
+    offset = 0
+
+    def lines(fh) -> Iterator[str]:
+        nonlocal offset
+        end = 0
+        for raw in fh:
+            offset, end = end, end + len(raw)
+            yield raw.decode("utf-8")
+
+    with open(path, "rb") as fh:
+        for record in _parse_lines(path, lines(fh), parse, what, empty):
+            yield offset, record  # the line just parsed is the last one read
+
+
+def _parse_lines(path: str, lines: Iterable[str], parse: Callable[[str], tuple], what: str,
+                 empty: str) -> Iterator:
+    """The body of :func:`iter_records`, over the lines of ``path``."""
     first_seen: dict = {}
     line_no = records = 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
-                key, record = parse(line)
-                if key is not None:
-                    first = first_seen.setdefault(key, line_no)
-                    if first != line_no:
-                        raise ValidationError(
-                            f"duplicate {what} {key!r} (first seen on line {first})"
-                        )
-                records += 1
-                yield record
+        for line_no, line in enumerate(lines, start=1):
+            if line.isspace():
+                continue
+            key, record = parse(line)
+            if key is not None:
+                first = first_seen.setdefault(key, line_no)
+                if first != line_no:
+                    raise ValidationError(
+                        f"duplicate {what} {key!r} (first seen on line {first})"
+                    )
+            records += 1
+            yield record
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
     except ValidationError as exc:
@@ -98,7 +128,7 @@ def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str
 
 
 def read_json_object(path: str, what: str) -> dict:
-    """Read a file that holds one JSON object (config, template, mock table, index)."""
+    """Read a file that holds one JSON object (config, template, mock table)."""
     try:
         with open(path, encoding="utf-8") as fh:
             value = json.load(fh)

@@ -77,22 +77,44 @@ _STEP3 = sorted(
 
 _STEP4 = sorted(
     [
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-        "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+        (suffix, "") for suffix in (
+            "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+            "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+        )
     ],
-    key=len,
-    reverse=True,
+    key=lambda rule: -len(rule[0]),
 )
 
 
-def _apply_table(word: str, table, min_measure: int) -> str:
-    for suffix, replacement in table:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) > min_measure:
-                return stem + replacement
-            return word
-    return word
+def _by_last_letter(table: list[tuple[str, str]]) -> dict[str, tuple[tuple[str, str], ...]]:
+    """``table``'s rules grouped by their suffix's last letter, each group in table order.
+
+    A word can only end with a suffix that ends in its own last letter, so
+    the first rule of its group that it matches is the first of the table.
+    """
+    groups: dict[str, list[tuple[str, str]]] = {}
+    for rule in table:
+        groups.setdefault(rule[0][-1], []).append(rule)
+    return {letter: tuple(rules) for letter, rules in groups.items()}
+
+
+_STEP2_RULES, _STEP3_RULES, _STEP4_RULES = map(_by_last_letter, (_STEP2, _STEP3, _STEP4))
+
+
+def _first_rule(word: str, rules: dict[str, tuple[tuple[str, str], ...]]) -> tuple[str, str] | None:
+    """The first rule of a :func:`_by_last_letter` table whose suffix ends ``word``."""
+    for rule in rules.get(word[-1:], ()):
+        if word.endswith(rule[0]):
+            return rule
+    return None
+
+
+def _apply_table(word: str, rules, min_measure: int) -> str:
+    rule = _first_rule(word, rules)
+    if rule is None:
+        return word
+    stem = word[: -len(rule[0])]
+    return stem + rule[1] if _measure(stem) > min_measure else word
 
 
 def porter_stem(word: str) -> str:
@@ -134,16 +156,15 @@ def porter_stem(word: str) -> str:
     if w.endswith("y") and _has_vowel(w[:-1]):
         w = w[:-1] + "i"
 
-    w = _apply_table(w, _STEP2, 0)
-    w = _apply_table(w, _STEP3, 0)
+    w = _apply_table(w, _STEP2_RULES, 0)
+    w = _apply_table(w, _STEP3_RULES, 0)
 
     # step 4: drop residual suffixes when m > 1
-    for suffix in _STEP4:
-        if w.endswith(suffix):
-            stem = w[: -len(suffix)]
-            if _measure(stem) > 1 and (suffix != "ion" or stem[-1:] in ("s", "t")):
-                w = stem
-            break
+    rule = _first_rule(w, _STEP4_RULES)
+    if rule is not None:
+        stem = w[: -len(rule[0])]
+        if _measure(stem) > 1 and (rule[0] != "ion" or stem[-1:] in ("s", "t")):
+            w = stem
 
     # step 5a: tidy final e
     if w.endswith("e"):

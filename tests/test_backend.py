@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -26,6 +27,7 @@ from reranklab import (
     relevance_from_logits,
     score_pair,
 )
+import reranklab.backend as backend_module
 from reranklab.backend import CompletionsBackend
 
 
@@ -333,6 +335,60 @@ class TestCaptureReplay:
             for text in ("first", "second")
         ))
         assert ReplayBackend(str(capture))._complete(request)["choices"][0]["text"] == "second"
+
+    RETAINED_PER_RECORD = 400  # bytes; holding each request and response takes over 2 KB
+
+    def test_replay_holds_no_recorded_text(self, tmp_path):
+        capture = tmp_path / "capture.jsonl"
+        requests = [{"model": "m", "prompt": f"prompt {i} " + "q" * 300, "seed": i}
+                    for i in range(2000)]
+        with open(capture, "w", encoding="utf-8") as fh:
+            for i, request in enumerate(requests):
+                trace = f"trace {i} " + "r" * 2048
+                fh.write(json.dumps({"request": request,
+                                     "response": {"choices": [{"text": trace}]}}) + "\n")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            replay = ReplayBackend(str(capture))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / len(requests) < self.RETAINED_PER_RECORD
+        for i in (0, 977, 1999):
+            assert replay._complete(requests[i])["choices"][0]["text"] == f"trace {i} " + "r" * 2048
+
+    def test_each_line_is_read_back_at_its_offset(self, tmp_path):
+        # CRLF endings, blank lines and multi-byte text shift the byte offsets
+        capture = tmp_path / "capture.jsonl"
+        requests = [{"prompt": text} for text in ("naïve", "", "日本語", "x" * 70000)]
+        capture.write_bytes(b"\r\n".join(
+            json.dumps({"request": r, "response": {"choices": [{"text": f"a{i}"}]}},
+                       ensure_ascii=False).encode("utf-8") + b"\r\n\n"
+            for i, r in enumerate(requests)))
+        replay = ReplayBackend(str(capture))
+        for i, request in reversed(list(enumerate(requests))):
+            assert replay._complete(request)["choices"][0]["text"] == f"a{i}"
+
+    def test_a_digest_collision_is_a_miss_not_another_answer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backend_module, "_request_digest", lambda key: b"same")
+        capture = tmp_path / "capture.jsonl"
+        capture.write_text("".join(
+            json.dumps({"request": {"prompt": p}, "response": {"choices": [{"text": p}]}}) + "\n"
+            for p in ("first", "second")
+        ))
+        replay = ReplayBackend(str(capture))
+        assert replay._complete({"prompt": "second"})["choices"][0]["text"] == "second"
+        with pytest.raises(BackendError, match="no recorded response"):
+            replay._complete({"prompt": "first"})
+
+    def test_a_log_changed_during_replay_is_a_backend_error(self, tmp_path):
+        capture = tmp_path / "capture.jsonl"
+        capture.write_text(json.dumps({"request": {"prompt": "p"}, "response": {}}) + "\n")
+        replay = ReplayBackend(str(capture))
+        capture.write_text("not json\n")
+        with pytest.raises(BackendError, match="capture log changed during replay"):
+            replay._complete({"prompt": "p"})
 
 
 class TestProtocolLayering:

@@ -6,7 +6,10 @@ later steps keep stripping, e.g. agreed -> agree -> agre at step 5a).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reranklab import porter
 from reranklab.porter import porter_stem
 
 CASES = [
@@ -118,3 +121,33 @@ def test_never_grows_and_deterministic():
         out = porter_stem(w)
         assert len(out) <= len(w) + 1  # +1 for the -e restorations in 1b
         assert porter_stem(w) == out
+
+
+# each step table in its order, and the same table keyed by last letter
+TABLES = [(porter._STEP2, porter._STEP2_RULES), (porter._STEP3, porter._STEP3_RULES),
+          (porter._STEP4, porter._STEP4_RULES)]
+SUFFIXES = sorted({suffix for table, _ in TABLES for suffix, _ in table})
+
+
+def linear_first_rule(word, table):
+    """The reference lookup: scan the ordered table for the first suffix ending ``word``."""
+    for rule in table:
+        if word.endswith(rule[0]):
+            return rule
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(stem=st.text(alphabet="abceilnorstuvyz", max_size=8),
+       suffixes=st.lists(st.sampled_from(SUFFIXES), max_size=3))
+def test_keyed_tables_find_the_first_rule_of_the_ordered_table(stem, suffixes):
+    word = stem + "".join(suffixes)  # suffix-heavy, so rules nest and overlap
+    for table, keyed in TABLES:
+        assert porter._first_rule(word, keyed) == linear_first_rule(word, table)
+
+
+def test_keyed_tables_keep_every_rule_in_order():
+    for table, keyed in TABLES:
+        for letter, rules in keyed.items():
+            assert list(rules) == [rule for rule in table if rule[0].endswith(letter)]
+        assert sum(map(len, keyed.values())) == len(table)
