@@ -104,11 +104,14 @@ _KEY_NAME = "".join(rf"(?:{c}|\\u{ord(c):04x})" for c in "base64")
 _KEY = re.compile(rf'"{_KEY_NAME}"[ \t\n\r]*:[ \t\n\r]*"')  # up to a string value's quote
 _KEY_STRING = re.compile(rf'"{_KEY_NAME}"')
 _KEY_UNDECIDED = re.compile(r"[ \t\n\r]*(?::[ \t\n\r]*)?")  # may yet run on into a value
-# text outside strings and whole strings, escapes included, up to a string
-# spelling "base64" or one not complete in the text; possessive, so a match
-# keeps no backtracking state
-_SKIP = re.compile(
-    rf'[^"]*+(?:"(?!{_KEY_NAME}")[^"\\]*+(?:\\.[^"\\]*+)*+"[^"]*+)*+', re.DOTALL)
+# text outside strings and up to 64 whole strings with no escape, up to a
+# string spelling "base64", holding an escape or not complete in the text.
+# A regex repeat of a group keeps backtracking state for each pass (Python
+# 3.10 has no possessive or atomic repeat to drop it), so the passes are
+# bounded and escapes are left to _string_end, which steps over the strings
+# this stops at
+_SKIP = re.compile(rf'[^"]*(?:"(?!{_KEY_NAME}")[^"\\]*"[^"]*){{0,64}}')
+_QUOTE_OR_BACKSLASH = re.compile(r'["\\]')
 _BASE64_RUN = re.compile(r"[A-Za-z0-9+/=]*")
 
 
@@ -575,7 +578,12 @@ def _read_streamed(path: str) -> tuple[dict, list[bytearray]] | None:
                     start = pos
                     continue
                 name = _KEY_STRING.match(text, pos)
-                if name is not None and not _KEY_UNDECIDED.fullmatch(text, name.end()):
+                if name is None:
+                    end = _string_end(text, pos)
+                    if end is not None:  # a string with an escape, or the 65th
+                        pos = end
+                        continue
+                elif not _KEY_UNDECIDED.fullmatch(text, name.end()):
                     pos = name.end()  # a "base64" that is no key of a string
                     continue
                 # the text is used up, or ends inside a string or after a "base64"
@@ -589,6 +597,18 @@ def _read_streamed(path: str) -> tuple[dict, list[bytearray]] | None:
     except ValueError:  # JSONDecodeError, UnicodeDecodeError, binascii.Error
         return None
     return (payload, columns) if isinstance(payload, dict) else None
+
+
+def _string_end(text: str, pos: int) -> int | None:
+    """The position just past the string whose quote is ``text[pos]``; None
+    if the text ends first. One search per escape, with no regex state."""
+    while True:
+        found = _QUOTE_OR_BACKSLASH.search(text, pos + 1)
+        if found is None:
+            return None
+        if found[0] == '"':
+            return found.end()
+        pos = found.start() + 1  # the escaped character, passed over by the next search
 
 
 def _decode_string(fh, text: str, pos: int) -> tuple[bytearray, str, int] | None:
@@ -691,7 +711,8 @@ def load_index(path: str) -> InvertedIndex:
         doc_lengths = tuple(payload["doc_lengths"])
         raw = payload["postings"]
         terms = raw["terms"]
-        df, ordinals, tfs = (_unpack(path, name, raw[name], columns) for name in _COLUMNS)
+        # popped, so a column's base64 text read by json.load is freed once it is unpacked
+        df, ordinals, tfs = (_unpack(path, name, raw.pop(name), columns) for name in _COLUMNS)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed index: {exc!r}") from exc
     if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):
@@ -715,14 +736,10 @@ def load_index(path: str) -> InvertedIndex:
         raise ValidationError(f"{path}: a posting row names an ordinal outside "
                               f"0..{len(doc_ids) - 1} or a tf below 1")
     # a row whose ordinal does not exceed the one before it must start a term,
-    # that is, be where the term before it ends: there are as many such rows
-    # as such term starts (distinct rows, as every df is at least 1)
+    # that is, be where the term before it ends
     ends = array("Q", accumulate(df))
-    starts = len(ends) - 1 if ends else 0  # the ends but the last
-    drops = sum(map(le, islice(ordinals, 1, None), ordinals))
-    drops_at_starts = sum(map(le, map(ordinals.__getitem__, islice(ends, starts)),
-                              map(ordinals.__getitem__, map((-1).__add__, islice(ends, starts)))))
-    if drops != drops_at_starts:
+    breaks = compress(count(1), map(le, islice(ordinals, 1, None), ordinals))
+    if not all(ends[bisect_left(ends, row)] == row for row in breaks):
         raise ValidationError(f"{path}: a postings term's ordinals repeat or do not ascend")
     return InvertedIndex(
         doc_ids=doc_ids,

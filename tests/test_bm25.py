@@ -793,6 +793,33 @@ class TestStreamedLoad:
                 loaded = _streamed_load(str(path))
             assert loaded == built and _typecodes(loaded) == ("B", "H")
 
+    @pytest.mark.parametrize("read", [7, 100, 1 << 16])
+    def test_many_strings_and_escapes_in_one_read(self, read):
+        # more strings in a read than one regex match passes, some with escapes
+        ids = [("d\"{}", "d\\{}", "base64{}", "d{}")[i % 4].format(i) for i in range(400)]
+        built = build_index(Corpus(tuple(Passage(i, "base64 cat") for i in ids)), CFG, PARAMS)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(bm25_module, "_READ", read):
+            path = os.path.join(tmp, "index.json")
+            save_index(built, path)
+            assert _streamed_load(path) == built
+
+    # a section the index does not read, whose parsed form is small: one key
+    # repeated, or one string of escaped quotes
+    @pytest.mark.parametrize("section", ['{' + ', '.join(['"k": 0'] * 30_000) + '}',
+                                         '"' + '\\"' * 30_000 + '"'],
+                             ids=["many-strings", "many-escapes"])
+    def test_passing_over_strings_keeps_no_state_per_string(self, tmp_path, section):
+        # the file's text is held about twice over while it is parsed; at 140
+        # bytes or more of regex backtracking state a string or escape, a read
+        # of these would peak at 12 times the file's size or more
+        path = tmp_path / "index.json"
+        path.write_text('{"notes": ' + section + ", " + GOLDEN_INDEX.read_text(encoding="utf-8")[1:],
+                        encoding="utf-8")
+        loaded, kept, peak = _traced(lambda: _streamed_load(str(path)))
+        assert loaded == load_index(str(GOLDEN_INDEX))
+        assert peak - kept <= 5 * path.stat().st_size
+
     @pytest.mark.parametrize("read", [1, 3, 1 << 16])
     def test_a_key_spelled_with_escapes_is_a_key(self, tmp_path, read):
         text = GOLDEN_INDEX.read_text(encoding="utf-8").replace('"base64"', '"b\\u0061se\\u00364"')
