@@ -11,8 +11,8 @@ ordinals and their term frequencies, the terms in sorted order, each term's
 ordinals ascending, with one column of per-term end offsets beside them. A
 posting so costs its two column cells, a few bytes, and a term costs its
 string and one 8-byte end; there is no object per term or per row.
-Looking a term up bisects the sorted terms and returns a copy of its rows as
-a :class:`PostingList`. Each document's length norm
+Looking a term up bisects the sorted terms and returns its rows as a tuple
+of ``(ordinal, tf)`` pairs. Each document's length norm
 ``k1 * (1 - b + b*dl/avgdl)`` is computed once, when the index is made, and
 both scoring paths read it from the same table.
 
@@ -47,29 +47,24 @@ a word-to-stem memo for that document pass and drops it after, so nothing
 stays warm between builds or between a build and later queries. Queries
 stem through ``tokenize`` without a memo.
 
-The persisted file is format v2: one JSON object whose header sections
-(analyzer, params, document ids and lengths) are plain JSON and whose
-postings are three packed little-endian integer columns, ``df`` (rows per
-term, in ``terms`` order), ``ordinals`` and ``tfs``, each base64-encoded in
-the narrowest typecode that holds it. Saving streams the file: each list
-and each column is written a chunk of items at a time, so the save holds
-no text as long as the file, only a chunk's worth beside the index. Its
-bytes are those of one ``json.dumps`` call with sorted keys over the whole
-object. Loading streams it too: the file is read a chunk at a time, and
-each ``"base64"`` string is decoded as it arrives, in whole 4-character
-groups, so only the text outside those strings (the header sections and
-the terms, which the index keeps anyway) is held whole and parsed by
-``json.loads``. The columns keep the file's typecodes. A file in any JSON
-layout loads; one the stream cannot take (not UTF-8 JSON holding one
-object, or a base64 string holding an escape or other text) is read by
-``json.load`` instead, which loads it or says why it is not an index, as
-before. Files of format v1 (one JSON array per posting row) are refused;
-rebuild them with ``reranklab index``.
+The persisted file is format v3: one line of JSON holding the header
+sections (analyzer, params, document ids and lengths, the sorted terms, and
+each posting column's typecode and item count), then the raw little-endian
+bytes of three integer columns, ``df`` (rows per term, in ``terms`` order),
+``ordinals`` and ``tfs``, each in the narrowest typecode that holds it.
+Saving streams the file: each list in the header and each column is written
+a chunk of items at a time, so the save holds no text as long as the file,
+only a chunk's worth beside the index. The header's bytes are those of one
+``json.dumps`` call with sorted keys. Loading reads the header line with
+``json.loads`` and each column a chunk of items at a time into an array of
+the file's typecode, so it holds nothing beyond what the index keeps but the
+header's text and one chunk. Files of format v1 (one JSON array per posting
+row) and v2 (base64 columns inside one JSON object) are refused; rebuild
+them with ``reranklab index``.
 """
 
 from __future__ import annotations
 
-import base64
 import heapq
 import json
 import math
@@ -78,41 +73,23 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice
 from operator import ge, le, sub
 
-from .data import read_json_object
 from .porter import porter_stem
 from .types import Corpus, Query, RunEntry, ValidationError
 
 INDEX_FORMAT = "reranklab-bm25-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 _STEMMERS = ("none", "porter")
 TOKEN_PATTERN = re.compile(r"[^\W_]+")  # runs of alphanumerics
 _SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
 _COLUMNS = ("df", "ordinals", "tfs")
 _TYPECODES = ("B", "H", "I", "Q")  # unsigned, 1, 2, 4 and 8 bytes
-_CHUNK = 3 << 8  # items of a list or column written at a time
-_READ = 1 << 16  # characters of an index file read at a time
-
-# how JSON may spell the key "base64": any character as its \u escape (all
-# six escapes have decimal hex digits, so there is no case to vary)
-_KEY_NAME = "".join(rf"(?:{c}|\\u{ord(c):04x})" for c in "base64")
-_KEY = re.compile(rf'"{_KEY_NAME}"[ \t\n\r]*:[ \t\n\r]*"')  # up to a string value's quote
-_KEY_STRING = re.compile(rf'"{_KEY_NAME}"')
-_KEY_UNDECIDED = re.compile(r"[ \t\n\r]*(?::[ \t\n\r]*)?")  # may yet run on into a value
-# text outside strings and up to 64 whole strings with no escape, up to a
-# string spelling "base64", holding an escape or not complete in the text.
-# A regex repeat of a group keeps backtracking state for each pass (Python
-# 3.10 has no possessive or atomic repeat to drop it), so the passes are
-# bounded and escapes are left to _string_end, which steps over the strings
-# this stops at
-_SKIP = re.compile(rf'[^"]*(?:"(?!{_KEY_NAME}")[^"\\]*"[^"]*){{0,64}}')
-_QUOTE_OR_BACKSLASH = re.compile(r'["\\]')
-_BASE64_RUN = re.compile(r"[A-Za-z0-9+/=]*")
+_CHUNK = 3 << 8  # items of a list or column written or read at a time
 
 
 @dataclass(frozen=True)
@@ -174,51 +151,15 @@ class _TermIds(dict):
         return term_id
 
 
-class PostingList(Sequence):
-    """One term's posting rows as two columns, ``ordinals`` (ascending) and ``tfs``.
-
-    A read-only sequence of ``(ordinal, tf)`` pairs that compares equal to
-    another posting list or a tuple holding the same pairs, whatever the
-    columns' array typecodes, and whose ``repr`` is that tuple's. It is
-    unhashable, as a list is.
-    """
-
-    __slots__ = ("ordinals", "tfs")
-
-    def __init__(self, ordinals: array, tfs: array) -> None:
-        self.ordinals, self.tfs = ordinals, tfs
-
-    def __len__(self) -> int:
-        return len(self.ordinals)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PostingList(self.ordinals[i], self.tfs[i])
-        return self.ordinals[i], self.tfs[i]
-
-    def __iter__(self):
-        return zip(self.ordinals, self.tfs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PostingList):
-            return self.ordinals == other.ordinals and self.tfs == other.tfs
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class Postings(Mapping):
-    """Term -> :class:`PostingList`, every term's rows in one shared column pair.
+    """Term -> its ``(ordinal, tf)`` rows, every term's rows in one shared column pair.
 
     ``terms`` ascend; term ``i``'s rows are ``ordinals[lo:hi]`` and
     ``tfs[lo:hi]``, where ``hi`` is ``ends[i]`` and ``lo`` the end before it
-    (0 for the first term). Looking a term up returns a copy of its slice, so
-    nothing is held per term beyond its string and its end. A read-only
-    mapping that iterates its terms in sorted order and compares equal to a
-    dict holding the same rows, with that dict's ``repr``.
+    (0 for the first term). Looking a term up returns its rows as a new
+    tuple of pairs, so nothing is held per term beyond its string and its
+    end. A read-only mapping that iterates its terms in sorted order and
+    compares equal to a dict holding the same rows, with that dict's ``repr``.
     """
 
     __slots__ = ("terms", "ends", "ordinals", "tfs")
@@ -234,12 +175,12 @@ class Postings(Mapping):
             return None
         return (self.ends[i - 1] if i else 0), self.ends[i]
 
-    def __getitem__(self, term: str) -> PostingList:
+    def __getitem__(self, term: str) -> tuple[tuple[int, int], ...]:
         span = self.span(term)
         if span is None:
             raise KeyError(term)
         lo, hi = span
-        return PostingList(self.ordinals[lo:hi], self.tfs[lo:hi])
+        return tuple(zip(self.ordinals[lo:hi], self.tfs[lo:hi]))
 
     def __contains__(self, term) -> bool:
         return self.span(term) is not None
@@ -465,18 +406,26 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[RunEntry]
 
 
 def save_index(index: InvertedIndex, path: str) -> None:
-    """Persist as a single self-describing JSON file, format v2.
+    """Persist as one self-describing file, format v3.
 
-    Keys are sorted, non-ASCII text is written as is, and the file ends in
-    one newline. ``postings`` holds the sorted ``terms`` and three integer
-    columns built from the rows in that term order: ``df`` (each term's row
-    count), ``ordinals`` and ``tfs``. Each column is
-    ``{"type": <array typecode>, "base64": <little-endian bytes>}``, with the
-    narrowest of ``B``/``H``/``I``/``Q`` that holds its maximum, so the bytes
-    are the same on any host. The same index always writes the same bytes.
+    The first line is a JSON header with sorted keys and non-ASCII text as
+    is. ``postings`` holds the sorted ``terms`` and, for each of three integer
+    columns built from the rows in that term order, ``df`` (each term's row
+    count), ``ordinals`` and ``tfs``, ``{"count": <items>, "type": <array
+    typecode>}``, with the narrowest of ``B``/``H``/``I``/``Q`` that holds the
+    column's maximum. The columns' little-endian bytes follow the header's
+    newline in that order, so the bytes are the same on any host. The same
+    index always writes the same bytes.
     """
     postings = index.postings
-    payload = {
+    columns = {
+        # each term's row count is its end less the end before it
+        "df": array("Q", map(sub, postings.ends, chain((0,), postings.ends))),
+        "ordinals": postings.ordinals,
+        "tfs": postings.tfs,
+    }
+    codes = {name: _narrowest(max(column, default=0)) for name, column in columns.items()}
+    header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "analyzer": {
@@ -491,25 +440,25 @@ def save_index(index: InvertedIndex, path: str) -> None:
         "doc_lengths": index.doc_lengths,
         "postings": {
             "terms": postings.terms,
-            # each term's row count is its end less the end before it
-            "df": array("Q", map(sub, postings.ends, chain((0,), postings.ends))),
-            "ordinals": postings.ordinals,
-            "tfs": postings.tfs,
+            **{name: {"count": len(column), "type": codes[name]}
+               for name, column in columns.items()},
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, payload)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_json(fh, header)
         fh.write("\n")
+        fh.flush()  # the columns go to the byte stream under the text
+        for name, column in columns.items():
+            _write_column(fh.buffer, column, codes[name])
 
 
 def _write_json(fh, value) -> None:
-    """Write ``value`` as ``json.dumps(value, sort_keys=True, ensure_ascii=False)``
-    would, with each ``array`` in it as a packed column.
+    """Write ``value`` as ``json.dumps(value, sort_keys=True, ensure_ascii=False)`` would.
 
-    Dicts are walked here, and lists, tuples and columns written ``_CHUNK``
-    items at a time, so no text longer than a chunk's is made. Each chunk of
-    a list is one ``json.dumps`` call, which runs the C encoder: its cost,
-    a string object per item and separator, stays bounded by the chunk.
+    Dicts are walked here, and lists and tuples written ``_CHUNK`` items at a
+    time, so no text longer than a chunk's is made. Each chunk of a list is
+    one ``json.dumps`` call, which runs the C encoder: its cost, a string
+    object per item and separator, stays bounded by the chunk.
     """
     if isinstance(value, dict):
         fh.write("{")
@@ -517,8 +466,6 @@ def _write_json(fh, value) -> None:
             fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
             _write_json(fh, value[key])
         fh.write("}")
-    elif isinstance(value, array):
-        _write_column(fh, value)
     elif isinstance(value, (list, tuple)):  # one json.dumps per chunk of items
         fh.write("[")
         for start in range(0, len(value), _CHUNK):
@@ -529,173 +476,97 @@ def _write_json(fh, value) -> None:
         fh.write(json.dumps(value, sort_keys=True, ensure_ascii=False))
 
 
-def _write_column(fh, column: array) -> None:
-    """Write ``{"base64": <little-endian bytes>, "type": <code>}`` for ``column``.
-
-    The code is the narrowest that holds the column's maximum. The column is
-    converted and encoded ``_CHUNK`` items at a time, a multiple of 3, so
-    each chunk's bytes are whole base64 groups and the chunks join into the
-    encoding of the whole column with no padding between them.
-    """
-    code = _narrowest(max(column, default=0))
-    fh.write('{"base64": "')
+def _write_column(fh, column: array, code: str) -> None:
+    """Write ``column``'s items as little-endian ``code`` integers, ``_CHUNK`` at a time."""
     for start in range(0, len(column), _CHUNK):
         chunk = column[start:start + _CHUNK]
         if code != chunk.typecode:
             chunk = array(code, chunk)  # narrowed item by item, with no list of ints
         if sys.byteorder == "big":
             chunk.byteswap()
-        fh.write(base64.b64encode(chunk.tobytes()).decode("ascii"))
-    fh.write(f'", "type": "{code}"}}')
+        chunk.tofile(fh)
 
 
-def _read_streamed(path: str) -> tuple[dict, list[bytearray]] | None:
-    """The index file's JSON object, each string under a ``"base64"`` key decoded as it is read.
-
-    The file is read ``_READ`` characters at a time. The text outside those
-    strings goes to one ``json.loads``, with each string replaced by the
-    number, as a string, of its entry in the returned list: its bytes. A string
-    spelling "base64" is always found whole, so every string left under such
-    a key is a number. Returns None where ``json.load`` must read the file
-    instead: it is not UTF-8 JSON holding one object, or a base64 string
-    holds an escape, a character base64 lacks, padding before its end, or
-    text ``b64decode`` refuses.
-    """
-    out, columns = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text, start, pos = fh.read(_READ), 0, 0
-            while True:
-                pos = _SKIP.match(text, pos).end()
-                key = _KEY.match(text, pos)
-                if key is not None:
-                    decoded = _decode_string(fh, text, key.end())
-                    if decoded is None:
-                        return None
-                    out.append(f"{text[start:key.end()]}{len(columns)}\"")
-                    column, text, pos = decoded
-                    columns.append(column)
-                    start = pos
-                    continue
-                name = _KEY_STRING.match(text, pos)
-                if name is None:
-                    end = _string_end(text, pos)
-                    if end is not None:  # a string with an escape, or the 65th
-                        pos = end
-                        continue
-                elif not _KEY_UNDECIDED.fullmatch(text, name.end()):
-                    pos = name.end()  # a "base64" that is no key of a string
-                    continue
-                # the text is used up, or ends inside a string or after a "base64"
-                out.append(text[start:pos])
-                more = fh.read(_READ)
-                if not more:
-                    out.append(text[pos:])
-                    break
-                text, start, pos = text[pos:] + more, 0, 0
-        payload = json.loads("".join(out))
-    except ValueError:  # JSONDecodeError, UnicodeDecodeError, binascii.Error
-        return None
-    return (payload, columns) if isinstance(payload, dict) else None
-
-
-def _string_end(text: str, pos: int) -> int | None:
-    """The position just past the string whose quote is ``text[pos]``; None
-    if the text ends first. One search per escape, with no regex state."""
-    while True:
-        found = _QUOTE_OR_BACKSLASH.search(text, pos + 1)
-        if found is None:
-            return None
-        if found[0] == '"':
-            return found.end()
-        pos = found.start() + 1  # the escaped character, passed over by the next search
-
-
-def _decode_string(fh, text: str, pos: int) -> tuple[bytearray, str, int] | None:
-    """Decode the base64 string whose text starts at ``text[pos]`` and may run on in ``fh``.
-
-    Returns its bytes, the text last read and the position just past the
-    closing quote; None if the string holds anything but base64 characters
-    with padding at its end, or the file ends inside it.
-    """
-    column, pending = bytearray(), ""
-    while True:
-        end = _BASE64_RUN.match(text, pos).end()
-        data = pending + text[pos:end]
-        if end < len(text):  # the closing quote, or a character base64 lacks
-            if text[end] != '"':
-                return None
-            column += base64.b64decode(data, validate=True)
-            return column, text, end + 1
-        whole = len(data) - len(data) % 4
-        pad = data.find("=")
-        if pad >= 0:  # padding ends a base64 string: decode its group with the end
-            if data[pad:] not in ("=", "=="):
-                return None
-            whole = pad - pad % 4
-        column += base64.b64decode(data[:whole], validate=True)
-        pending = data[whole:]
-        text, pos = fh.read(_READ), 0
-        if not text:
-            return None
-
-
-def _unpack(path: str, name: str, raw: dict, columns: list[bytearray] | None) -> array:
-    """Column ``name`` from its section ``raw``: its base64 text, or, for a
-    streamed file, the number of its decoded bytes in ``columns``."""
-    code = raw["type"]
+def _read_column(path: str, fh, name: str, raw: dict) -> array:
+    """Column ``name``, described by its header section ``raw``, read from ``fh``
+    ``_CHUNK`` items at a time."""
+    code, n = raw["type"], raw["count"]
     if code not in _TYPECODES:
         raise ValidationError(f"{path}: postings column {name!r} has typecode {code!r}, "
                               f"not one of {', '.join(_TYPECODES)}")
-    data = raw["base64"]
+    if not (type(n) is int and n >= 0):
+        raise ValidationError(f"{path}: postings column {name!r} count must be an integer "
+                              f">= 0, got {n!r}")
     column = array(code)
     try:
-        if columns is not None and type(data) is str:
-            column.frombytes(columns[int(data)])
-            columns[int(data)] = None  # freed once copied
-        else:
-            column.frombytes(base64.b64decode(data, validate=True))
-    except ValueError as exc:  # bad base64 (binascii.Error), or a partial integer
-        raise ValidationError(f"{path}: postings column {name!r} is not base64 of "
-                              f"{code!r} integers: {exc}") from exc
+        while len(column) < n:
+            column.fromfile(fh, min(_CHUNK, n - len(column)))
+    except EOFError:
+        raise ValidationError(f"{path}: the file ends inside postings column {name!r}, "
+                              f"after {len(column)} of its {n} items") from None
     if sys.byteorder == "big":
         column.byteswap()
     return column
 
 
+def _ascend_per_term(ordinals: array, ends: array) -> bool:
+    """Each term's ordinals strictly ascend, given ``ends`` that strictly ascend.
+
+    A row whose ordinal does not exceed the one before it must start a term,
+    so there are as many such rows in all as at the term starts.
+    """
+    drops = sum(map(le, islice(ordinals, 1, None), ordinals))
+    starts = ends[:-1]  # the last end is the column's length
+    return drops == sum(ordinals[i] <= ordinals[i - 1] for i in starts)
+
+
+def _read_header(path: str, fh) -> dict:
+    """The header line of the index file open as ``fh``, checked to be a v3 index's."""
+    try:
+        header = json.loads(fh.readline())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(f"{path}: invalid JSON index: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}: index must be a JSON object")
+    if header.get("format") != INDEX_FORMAT:
+        raise ValidationError(f"{path}: not a {INDEX_FORMAT} file")
+    if header.get("version") in (1, 2):
+        raise ValidationError(f"{path}: index format v{header['version']} is no longer read; "
+                              "re-run `reranklab index` to rebuild it")
+    if header.get("version") != INDEX_VERSION:
+        raise ValidationError(
+            f"{path}: unsupported index version {header.get('version')!r}"
+        )
+    missing = [key for key in _SECTIONS if key not in header]
+    if missing:
+        raise ValidationError(f"{path}: index lacks {', '.join(missing)}")
+    return header
+
+
 def load_index(path: str) -> InvertedIndex:
     """Read an index written by :func:`save_index`.
 
-    A file that is not JSON, not a v2 index object, or lacks a section
-    raises :class:`ValidationError`, as does an analyzer ``lowercase`` that
-    is not a bool or ``stopwords`` that are not a list of strings or null, a
-    ``k1`` or ``b`` that is not a number (a bool is not), a repeated
-    document id, a negative document length, or a postings section whose
+    A file whose first line is not a JSON object, that is not a v3 index or
+    lacks a section raises :class:`ValidationError`, as does an analyzer
+    ``lowercase`` that is not a bool or ``stopwords`` that are not a list of
+    strings or null, a ``k1`` or ``b`` that is not a number (a bool is not), a
+    repeated document id, a negative document length, a column whose bytes
+    end before its count or are followed by more, or a postings section whose
     columns disagree in length, list the terms other than strictly ascending
     (lookups bisect them), give a term no rows, name an ordinal outside the
     document table, hold a tf below 1, or list a term's ordinals other than
-    strictly ascending (both scoring paths rely on that order). A v1 file is
-    refused with a message to rebuild it.
+    strictly ascending (both scoring paths rely on that order). A v1 or v2
+    file is refused with a message to rebuild it.
     """
-    streamed = _read_streamed(path)
-    if streamed is None:  # json.load reads it whole, and says why it is not an index
-        payload, columns = read_json_object(path, "index"), None
-    else:
-        payload, columns = streamed
-    if payload.get("format") != INDEX_FORMAT:
-        raise ValidationError(f"{path}: not a {INDEX_FORMAT} file")
-    if payload.get("version") == 1:
-        raise ValidationError(f"{path}: index format v1 is no longer read; "
-                              "re-run `reranklab index` to rebuild it")
-    if payload.get("version") != INDEX_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported index version {payload.get('version')!r}"
-        )
-    missing = [key for key in _SECTIONS if key not in payload]
-    if missing:
-        raise ValidationError(f"{path}: index lacks {', '.join(missing)}")
     try:
-        analyzer_raw = payload["analyzer"]
+        with open(path, "rb") as fh:
+            header = _read_header(path, fh)
+            raw = header["postings"]
+            terms = raw["terms"]
+            df, ordinals, tfs = (_read_column(path, fh, name, raw[name]) for name in _COLUMNS)
+            if fh.read(1):
+                raise ValidationError(f"{path}: the file runs on after postings column 'tfs'")
+        analyzer_raw = header["analyzer"]
         if analyzer_raw["token_pattern"] != TOKEN_PATTERN.pattern:  # queries would split otherwise
             raise ValidationError(f"{path}: index token_pattern must be {TOKEN_PATTERN.pattern!r}")
         lowercase, stopwords = analyzer_raw["lowercase"], analyzer_raw["stopwords"]
@@ -704,15 +575,11 @@ def load_index(path: str) -> InvertedIndex:
             raise ValidationError(f"{path}: index analyzer lowercase must be a bool "
                                   "and stopwords a list of strings or null")
         analyzer = AnalyzerConfig(lowercase, frozenset(stopwords or ()), analyzer_raw["stemmer"])
-        params = Bm25Params(**payload["params"])
+        params = Bm25Params(**header["params"])
         if not set(map(type, (params.k1, params.b))) <= {int, float}:  # True passes k1 > 0
             raise ValidationError(f"{path}: index params k1 and b must be numbers")
-        doc_ids = tuple(payload["doc_ids"])
-        doc_lengths = tuple(payload["doc_lengths"])
-        raw = payload["postings"]
-        terms = raw["terms"]
-        # popped, so a column's base64 text read by json.load is freed once it is unpacked
-        df, ordinals, tfs = (_unpack(path, name, raw.pop(name), columns) for name in _COLUMNS)
+        doc_ids = tuple(header["doc_ids"])
+        doc_lengths = tuple(header["doc_lengths"])
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: malformed index: {exc!r}") from exc
     if not (_all(str, doc_ids) and _all(int, doc_lengths) and len(doc_ids) == len(doc_lengths)):
@@ -735,11 +602,8 @@ def load_index(path: str) -> InvertedIndex:
     if not (max(ordinals, default=-1) < len(doc_ids) and min(tfs, default=1) >= 1):
         raise ValidationError(f"{path}: a posting row names an ordinal outside "
                               f"0..{len(doc_ids) - 1} or a tf below 1")
-    # a row whose ordinal does not exceed the one before it must start a term,
-    # that is, be where the term before it ends
     ends = array("Q", accumulate(df))
-    breaks = compress(count(1), map(le, islice(ordinals, 1, None), ordinals))
-    if not all(ends[bisect_left(ends, row)] == row for row in breaks):
+    if not _ascend_per_term(ordinals, ends):
         raise ValidationError(f"{path}: a postings term's ordinals repeat or do not ascend")
     return InvertedIndex(
         doc_ids=doc_ids,

@@ -30,8 +30,9 @@ query ids must be usable as one run-file column.
 
 JSON object files — the CLI `--config` file, prompt template overrides and
 mock rule tables — are read by :func:`read_json_object`, which refuses
-anything but one JSON object. ``bm25.load_index`` streams its own files,
-and hands one to it only when it cannot (see there).
+anything but one JSON object. The BM25 index file is not one of them: it is
+a JSON header line followed by raw posting columns, which
+``bm25.load_index`` reads itself.
 
 Parsers reject malformed input rather than coercing it.
 """

@@ -1,14 +1,10 @@
-import base64
 import dataclasses
 import gc
 import json
 import math
-import os
 import random
-import re
 import struct
 import sys
-import tempfile
 import threading
 import tracemalloc
 from array import array
@@ -18,8 +14,6 @@ from types import FunctionType, ModuleType
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from reranklab import (
     AnalyzerConfig,
@@ -37,7 +31,7 @@ from reranklab import (
 )
 
 import reranklab.bm25 as bm25_module
-from reranklab.bm25 import InvertedIndex, PostingList, Postings
+from reranklab.bm25 import Postings
 from reranklab.porter import porter_stem
 
 from conftest import make_corpus, make_queries
@@ -45,7 +39,7 @@ from conftest import make_corpus, make_queries
 CFG = AnalyzerConfig()
 PARAMS = Bm25Params()  # k1=0.9, b=0.4
 
-# tiny_index.json pins the v2 file bytes for this corpus and analyzer: stemming
+# tiny_index.json pins the v3 file bytes for this corpus and analyzer: stemming
 # merges words, stopwords drop (d4 keeps no token at all), d3 has non-ASCII text.
 GOLDEN_INDEX = Path(__file__).parent / "golden" / "tiny_index.json"
 GOLDEN_CFG = AnalyzerConfig(stopwords=frozenset({"the", "a", "of", "on"}), stemmer="porter")
@@ -253,19 +247,22 @@ class TestRetrieve:
 
 
 class TestPostingList:
+    """A term's rows, ``postings[term]``: a tuple of ``(ordinal, tf)`` pairs."""
+
     PAIRS = ((0, 2), (3, 1), (7, 5))
 
     @staticmethod
-    def rows(code="I") -> PostingList:
-        return PostingList(array(code, [0, 3, 7]), array(code, [2, 1, 5]))
+    def rows(code="I", ordinals=(0, 3, 7)) -> tuple:
+        return Postings(("x",), array("Q", [3]), array(code, ordinals), array(code, [2, 1, 5]))["x"]
 
     def test_equals_a_tuple_of_pairs_in_both_operand_orders(self):
         rows = self.rows()
+        assert type(rows) is tuple and repr(rows) == repr(self.PAIRS)
         assert rows == self.PAIRS and self.PAIRS == rows
         assert not rows != self.PAIRS and not self.PAIRS != rows
         assert rows != self.PAIRS[:2] and self.PAIRS[:2] != rows
         assert rows != ((0, 2), (3, 1), (7, 6)) and rows != list(self.PAIRS)
-        assert rows == self.rows("B") and rows != PostingList(array("I", [0, 3, 8]), rows.tfs)
+        assert rows == self.rows("B") and rows != self.rows("I", (0, 3, 8))
 
     def test_reads_as_a_sequence_of_pairs(self):
         rows = self.rows()
@@ -276,11 +273,6 @@ class TestPostingList:
         assert rows[5:] == ()
         with pytest.raises(IndexError):
             rows[3]
-
-    def test_unhashable_with_the_tuples_repr(self):
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(self.rows())
-        assert repr(self.rows()) == repr(self.PAIRS)
 
     def test_built_equals_loaded_across_typecodes(self, tmp_path, tiny_corpus):
         # the shared columns: built in the file's narrowest codes, and loaded in them
@@ -450,15 +442,17 @@ class TestMemory:
     """Peak traced bytes of building, saving and loading, beyond what they must hold.
 
     2000 passages of 40 words drawn by a Zipf law from 3000: 63,405 postings
-    over 2,980 terms, a 312,517-byte file. Turning every ordinal and tf into
-    a Python int on save costs 37 bytes per posting here; a term's own posting
-    list and two arrays on load, 27. The shared columns take 16 and 13; built
-    in 4-byte rows and columns beside a ``Counter`` of term ids, the build
-    takes 16.4 beyond what it keeps, and 8.0 with narrow ones. Saving the file
-    as one JSON text peaks at 4.3 times the file's size; streamed, at 0.37.
-    Loading through ``json.load`` peaks at 0.96 of the file's size beyond
-    what the index keeps, since it holds the text and every base64 string;
-    decoding each column as the file is read, at 0.37.
+    over 2,980 terms, a 247,129-byte file (312,517 bytes in format v2, whose
+    columns were base64 text). Turning every ordinal and tf into a Python int
+    on save costs 37 bytes per posting here; a term's own posting list and
+    two arrays on load, 27. The shared columns take 16 and 13; built in
+    4-byte rows and columns beside a ``Counter`` of term ids, the build takes
+    16.4 beyond what it keeps, and 8.0 with narrow ones. Saving a v2 file as
+    one JSON text peaked at 4.3 times its size; streamed, the save peaks at
+    117 KB, 0.47 of the v3 file's size. Loading a v2 file through
+    ``json.load`` peaked at 0.96 of its size beyond what the index keeps,
+    since it held the text and every base64 string; a v3 load, which holds
+    the header line and one chunk of a column, at 117 KB, 0.47 of the file.
     """
 
     BUILD_BEYOND_KEPT = 10  # bytes per posting
@@ -494,16 +488,16 @@ class TestMemory:
         path = tmp_path / "index.json"
         _, _, peak = _traced(lambda: save_index(built, str(path)))
         assert peak <= self.SAVE_PEAK_OF_FILE * path.stat().st_size
-        # every column and the terms span several chunks, and join into one JSON text
+        # every column and the terms span several chunks, and join into one JSON header
         assert len(built.postings) > 3 * bm25_module._CHUNK
-        text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False) + "\n"
+        header = path.read_bytes().split(b"\n", 1)[0].decode("utf-8")
+        assert header == json.dumps(json.loads(header), sort_keys=True, ensure_ascii=False)
         assert load_index(str(path)) == built
 
     def test_load_never_holds_the_file_text(self, tmp_path, built):
         path = tmp_path / "index.json"
         save_index(built, str(path))
-        assert path.stat().st_size > 4 * bm25_module._READ  # read in several pieces
+        assert len(built.postings.ordinals) > 4 * bm25_module._CHUNK  # read in several pieces
         loaded, kept, peak = _traced(lambda: load_index(str(path)))
         assert peak - kept <= self.LOAD_BEYOND_KEPT_OF_FILE * path.stat().st_size
         assert loaded == built
@@ -550,12 +544,13 @@ class TestPersistence:
         save_index(index, str(path))
         assert load_index(str(path)) == index
 
-    def test_golden_v2_bytes(self, tmp_path):
+    def test_golden_v3_bytes(self, tmp_path):
         index = build_index(GOLDEN_CORPUS, GOLDEN_CFG, PARAMS)
         path = tmp_path / "index.json"
         save_index(index, str(path))
         assert path.read_bytes() == GOLDEN_INDEX.read_bytes()
-        assert _golden_payload()["postings"] == _postings(GOLDEN_ROWS)
+        assert GOLDEN_INDEX.read_bytes() == _index_file({**GOLDEN_HEADER,
+                                                         "postings": _postings(GOLDEN_ROWS)})
         assert load_index(str(GOLDEN_INDEX)) == index
         assert index.postings == {t: tuple(map(tuple, rows)) for t, rows in GOLDEN_ROWS.items()}
 
@@ -567,9 +562,8 @@ class TestPersistence:
         index = build_index(corpus, CFG, PARAMS)
         path = tmp_path / "index.json"
         save_index(index, str(path))
-        postings = json.loads(path.read_text(encoding="utf-8"))["postings"]
         rows = {term: index.postings[term] for term in sorted(index.postings)}
-        assert postings == _postings(rows, codes=("H", "H", "I"))
+        assert _payload(path)["postings"] == _postings(rows, codes=("H", "H", "I"))
         assert load_index(str(path)) == index
         assert _typecodes(load_index(str(path))) == _typecodes(index) == ("H", "I")
 
@@ -597,19 +591,30 @@ class TestPersistence:
         assert _typecodes(load_index(str(path))) == (code, "B")
 
 
-# the rows tiny_index.json holds; _postings encodes them independently of save_index
+# the header and rows tiny_index.json holds; _index_file encodes them
+# independently of save_index
+GOLDEN_HEADER = {
+    "format": "reranklab-bm25-index", "version": 3,
+    "analyzer": {"lowercase": True, "stemmer": "porter", "stopwords": ["a", "of", "on", "the"],
+                 "token_pattern": "[^\\W_]+"},
+    "params": {"k1": 0.9, "b": 0.4},
+    "doc_ids": ["d1", "d2", "d3", "d4", "d5"], "doc_lengths": [5, 4, 5, 0, 6],
+}
 GOLDEN_ROWS = {
     "and": [[4, 1]], "café": [[2, 1]], "caress": [[4, 1]], "cat": [[4, 1]],
     "connect": [[1, 4]], "gener": [[2, 2]], "hope": [[4, 1]], "naïv": [[2, 1]],
     "poni": [[4, 1]], "relat": [[4, 1]], "run": [[0, 2]], "runner": [[0, 2]],
     "résumé": [[2, 1]], "were": [[0, 1]],
 }
-_WIDTHS = {"B": 1, "H": 2, "I": 4, "b": 1}
+_WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8, "b": 1}
+_COLUMNS = ("df", "ordinals", "tfs")
 
 
 def _column(values, code="B") -> dict:
+    """A column's header section, with its little-endian bytes under "bytes"."""
+    values = list(values)
     raw = b"".join(v.to_bytes(_WIDTHS[code], "little", signed=code.islower()) for v in values)
-    return {"type": code, "base64": base64.b64encode(raw).decode("ascii")}
+    return {"count": len(values), "type": code, "bytes": raw}
 
 
 def _postings(rows: dict, codes=("B", "B", "B")) -> dict:
@@ -622,8 +627,31 @@ def _postings(rows: dict, codes=("B", "B", "B")) -> dict:
     }
 
 
+def _index_file(payload: dict) -> bytes:
+    """The file for ``payload``: its JSON header line, then the "bytes" each
+    column section holds (taken out of ``payload``), in ``_COLUMNS`` order."""
+    body = b""
+    postings = payload.get("postings")
+    for name in _COLUMNS:
+        section = postings.get(name) if isinstance(postings, dict) else None
+        if isinstance(section, dict):
+            body += section.pop("bytes", b"")
+    return json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8") + b"\n" + body
+
+
+def _payload(path) -> dict:
+    """An index file's header, each column's section holding its bytes under "bytes"."""
+    header, body = Path(path).read_bytes().split(b"\n", 1)
+    payload = json.loads(header)
+    for name in _COLUMNS:
+        section = payload["postings"][name]
+        size = section["count"] * _WIDTHS[section["type"]]
+        section["bytes"], body = body[:size], body[size:]
+    return payload
+
+
 def _golden_payload() -> dict:
-    return json.loads(GOLDEN_INDEX.read_text(encoding="utf-8"))
+    return _payload(GOLDEN_INDEX)
 
 
 def _rows(**changed):
@@ -666,6 +694,7 @@ class TestLoadValidation:
         *[pytest.param(_without(key), f"lacks {key}", id=f"no-{key}") for key in
           ("analyzer", "params", "doc_ids", "doc_lengths", "postings")],
         pytest.param(_set(1, "version"), "re-run `reranklab index`", id="v1-file"),
+        pytest.param(_set(2, "version"), "v2 is no longer read; re-run", id="v2-file"),
         pytest.param(_set({"lowercase": True}, "analyzer"), "malformed", id="analyzer-fields"),
         pytest.param(_set(r"\w+", "analyzer", "token_pattern"), r"token_pattern must be",
                      id="other-token-pattern"),
@@ -676,15 +705,18 @@ class TestLoadValidation:
         pytest.param(_set(7, "postings", "ordinals"), "malformed", id="rows-number"),
         pytest.param(_set("ab", "postings", "ordinals"), "malformed", id="rows-string"),
         pytest.param(_set(None, "postings", "tfs"), "malformed", id="row-null"),
-        pytest.param(_set({"type": "B", "base64": 3}, "postings", "tfs"), "malformed",
+        pytest.param(_set("14", "postings", "tfs", "count"), "'tfs' count must be an integer",
                      id="row-number"),
-        pytest.param(_set("!!!!", "postings", "tfs", "base64"), "not base64", id="bad-base64"),
-        pytest.param(_set({"type": "H", "base64": "AAEC"}, "postings", "tfs"),
-                     "not base64 of 'H' integers", id="partial-integer"),
+        pytest.param(_set(b"\x01" * 13, "postings", "tfs", "bytes"),
+                     "ends inside postings column 'tfs', after 13 of its 14 items",
+                     id="column-cut-short"),
+        pytest.param(_set(b"\x01" * 15, "postings", "tfs", "bytes"),
+                     "runs on after postings column 'tfs'", id="trailing-bytes"),
+        pytest.param(_set(15, "postings", "df", "count"), "ends inside postings column 'tfs'",
+                     id="count-disagrees"),
         pytest.param(_set("x", "postings", "tfs", "type"), "typecode", id="typecode-unknown"),
-        pytest.param(_set({"type": "d", "base64": base64.b64encode(struct.pack("<d", 0.0))
-                           .decode("ascii")}, "postings", "ordinals"), "typecode 'd'",
-                     id="ordinal-float"),
+        pytest.param(_set({"type": "d", "count": 1, "bytes": struct.pack("<d", 0.0)},
+                          "postings", "ordinals"), "typecode 'd'", id="ordinal-float"),
         pytest.param(_set(_column([-1], "b"), "postings", "ordinals"), "typecode 'b'",
                      id="ordinal-negative"),
         pytest.param(_set(["run", 5], "postings", "terms"), "list of strings", id="term-number"),
@@ -722,146 +754,17 @@ class TestLoadValidation:
         payload = _golden_payload()
         edit(payload)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_bytes(_index_file(payload))
         with pytest.raises(ValidationError, match=message):
             load_index(str(path))
 
-
-def _reversed_keys(value):
-    """``value`` with every dict's keys in reverse order, so a column's type precedes its base64."""
-    if isinstance(value, dict):
-        return {key: _reversed_keys(value[key]) for key in reversed(value)}
-    return value
-
-
-# json.dumps keyword sets writing the same object in other layouts than save_index's
-_LAYOUTS = {
-    "reversed-keys": dict(sort_keys=False),
-    "indent": dict(indent=1),
-    "compact": dict(separators=(",", ":")),
-    "ascii-escapes": dict(ensure_ascii=True),
-}
-
-
-def _streamed_load(path: str) -> InvertedIndex:
-    """``load_index(path)``, failing if the file is handed to ``json.load`` instead."""
-    with mock.patch.object(bm25_module, "read_json_object",
-                           side_effect=AssertionError("not streamed")):
-        return load_index(path)
-
-
-class TestStreamedLoad:
-    """``load_index`` decodes each base64 string as the file is read, in any layout."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        texts=st.lists(st.lists(st.sampled_from(("cat", "dog", "base64", "naïve", "x" * 40,
-                                                 "w1", "w2", "w3")), max_size=30).map(" ".join),
-                       min_size=1, max_size=6),
-        ids=st.lists(st.sampled_from(('d"base64": "', "dé", "base64", "d\\", "d1", "d2")),
-                     min_size=6, max_size=6, unique=True),
-        read=st.integers(min_value=1, max_value=9),
-        layout=st.sampled_from(sorted(_LAYOUTS)),
-    )
-    def test_any_layout_loads_the_built_index(self, texts, ids, read, layout):
-        built = build_index(Corpus(tuple(map(Passage, ids, texts))), CFG, PARAMS)
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(bm25_module, "_READ", read):  # keys and values straddle reads
-            path = os.path.join(tmp, "index.json")
-            save_index(built, path)
-            assert _streamed_load(path) == built
-            with open(path, encoding="utf-8") as fh:
-                payload = _reversed_keys(json.load(fh))
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, **{"ensure_ascii": False, **_LAYOUTS[layout]})
-            assert _streamed_load(path) == built
-
-    @pytest.mark.parametrize("n", [8, 9])
-    def test_every_read_size_streams(self, tmp_path, n):
-        # one passage repeats a word 300 times, so the tfs column holds 2-byte items
-        corpus = make_corpus(n)
-        built = build_index(Corpus((*corpus.passages, Passage("big", "alpha " * 300))),
-                            CFG, PARAMS)
-        assert _typecodes(built) == ("B", "H")
-        path = tmp_path / "index.json"
-        save_index(built, str(path))
-        values = re.findall(r'"base64": "([^"]*)"', path.read_text(encoding="utf-8"))
-        # each value spans reads, and its last group holds padding
-        assert all(len(v) > 40 and v.endswith("=") for v in values)
-        for read in range(1, 100):  # every value, padding included, split at every point
-            with mock.patch.object(bm25_module, "_READ", read):
-                loaded = _streamed_load(str(path))
-            assert loaded == built and _typecodes(loaded) == ("B", "H")
-
-    @pytest.mark.parametrize("read", [7, 100, 1 << 16])
-    def test_many_strings_and_escapes_in_one_read(self, read):
-        # more strings in a read than one regex match passes, some with escapes
-        ids = [("d\"{}", "d\\{}", "base64{}", "d{}")[i % 4].format(i) for i in range(400)]
-        built = build_index(Corpus(tuple(Passage(i, "base64 cat") for i in ids)), CFG, PARAMS)
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(bm25_module, "_READ", read):
-            path = os.path.join(tmp, "index.json")
-            save_index(built, path)
-            assert _streamed_load(path) == built
-
-    # a section the index does not read, whose parsed form is small: one key
-    # repeated, or one string of escaped quotes
-    @pytest.mark.parametrize("section", ['{' + ', '.join(['"k": 0'] * 30_000) + '}',
-                                         '"' + '\\"' * 30_000 + '"'],
-                             ids=["many-strings", "many-escapes"])
-    def test_passing_over_strings_keeps_no_state_per_string(self, tmp_path, section):
-        # the file's text is held about twice over while it is parsed; at 140
-        # bytes or more of regex backtracking state a string or escape, a read
-        # of these would peak at 12 times the file's size or more
-        path = tmp_path / "index.json"
-        path.write_text('{"notes": ' + section + ", " + GOLDEN_INDEX.read_text(encoding="utf-8")[1:],
-                        encoding="utf-8")
-        loaded, kept, peak = _traced(lambda: _streamed_load(str(path)))
-        assert loaded == load_index(str(GOLDEN_INDEX))
-        assert peak - kept <= 5 * path.stat().st_size
-
-    @pytest.mark.parametrize("read", [1, 3, 1 << 16])
-    def test_a_key_spelled_with_escapes_is_a_key(self, tmp_path, read):
-        text = GOLDEN_INDEX.read_text(encoding="utf-8").replace('"base64"', '"b\\u0061se\\u00364"')
-        path = tmp_path / "index.json"
-        path.write_text(text, encoding="utf-8")
-        with mock.patch.object(bm25_module, "_READ", read):
-            assert _streamed_load(str(path)) == load_index(str(GOLDEN_INDEX))
-
-    @pytest.mark.parametrize("read", [1, 5, 1 << 16])
-    def test_every_truncation_is_refused(self, tmp_path, read):
-        content = GOLDEN_INDEX.read_bytes().rstrip()
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 16])
+    def test_every_truncation_is_refused(self, tmp_path, chunk):
+        content = GOLDEN_INDEX.read_bytes()
         path = tmp_path / "bad.json"
-        with mock.patch.object(bm25_module, "_READ", read):
+        with mock.patch.object(bm25_module, "_CHUNK", chunk):
             for cut in range(len(content)):
                 path.write_bytes(content[:cut])
-                with pytest.raises(ValidationError, match=r"bad\.json: invalid JSON index"):
+                with pytest.raises(ValidationError, match=r"bad\.json: (invalid JSON index|"
+                                                          r"the file ends inside postings column)"):
                     load_index(str(path))
-
-    def test_unterminated_base64_is_refused(self, tmp_path):
-        content = GOLDEN_INDEX.read_text(encoding="utf-8")
-        path = tmp_path / "bad.json"
-        path.write_text(content[:content.index("AQEBAQQC") + 6], encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"bad\.json: invalid JSON index: "
-                                                  r"Unterminated string starting at"):
-            load_index(str(path))
-
-    @pytest.mark.parametrize("read", [1, 7, 1 << 16])
-    @pytest.mark.parametrize("bad", ["\\n", "\\u0021", "!", " ", "é", "AQ==", "-"],
-                             ids=["escaped-newline", "escaped-bang", "bang", "space",
-                                  "non-ascii", "inner-padding", "urlsafe"])
-    def test_base64_holding_other_text_is_refused(self, tmp_path, read, bad):
-        content = GOLDEN_INDEX.read_text(encoding="utf-8")
-        at = content.index("AQEBAQQC") + 4  # inside the tfs column's string
-        path = tmp_path / "bad.json"
-        path.write_text(content[:at] + bad + content[at:], encoding="utf-8")
-        with mock.patch.object(bm25_module, "_READ", read), \
-                pytest.raises(ValidationError,
-                              match=r"bad\.json: postings column 'tfs' is not base64 of 'B'"):
-            load_index(str(path))
-
-    def test_escapes_that_stand_for_base64_text_load(self, tmp_path):
-        content = GOLDEN_INDEX.read_text(encoding="utf-8")
-        path = tmp_path / "index.json"
-        path.write_text(content.replace('"AQEBAQQC', '"\\u0041QEBAQQC'), encoding="utf-8")
-        assert load_index(str(path)) == load_index(str(GOLDEN_INDEX))

@@ -112,20 +112,22 @@ class TestIndexRetrieve:
 
     def test_v1_index_asks_for_a_rebuild(self, workspace, tmp_path, capsys):
         old = tmp_path / "bm25_index.json"
-        old.write_text(json.dumps({
-            "format": "reranklab-bm25-index", "version": 1, "doc_ids": ["p0"], "doc_lengths": [1],
-            "analyzer": {"lowercase": True, "token_pattern": "[^\\W_]+", "stopwords": None,
-                         "stemmer": "none"},
-            "params": {"k1": 0.9, "b": 0.4}, "postings": {"cat": [[0, 1]]},
-        }))
-        code = main([
-            "retrieve", "--index", str(old),
-            "--queries", str(workspace / "queries.jsonl"),
-            "--out-dir", str(tmp_path / "out"),
-        ])
-        assert code == 2
-        assert f"{old}: index format v1 is no longer read; re-run `reranklab index`" in (
-            capsys.readouterr().err)
+        for version in (1, 2):  # refused by the version alone, whatever the postings hold
+            old.write_text(json.dumps({
+                "format": "reranklab-bm25-index", "version": version, "doc_ids": ["p0"],
+                "doc_lengths": [1],
+                "analyzer": {"lowercase": True, "token_pattern": "[^\\W_]+", "stopwords": None,
+                             "stemmer": "none"},
+                "params": {"k1": 0.9, "b": 0.4}, "postings": {"cat": [[0, 1]]},
+            }))
+            code = main([
+                "retrieve", "--index", str(old),
+                "--queries", str(workspace / "queries.jsonl"),
+                "--out-dir", str(tmp_path / "out"),
+            ])
+            assert code == 2
+            assert (f"{old}: index format v{version} is no longer read; re-run `reranklab index`"
+                    in capsys.readouterr().err)
 
     def test_tag_with_whitespace_is_data_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"

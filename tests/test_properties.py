@@ -1,15 +1,17 @@
 """Property-based invariants: file formats (the index file included) round-trip
-exactly, reranking ignores input order, the index build, BM25 top-k and NDCG
-match naive references, bins add up, the prompt fill substitutes each
+exactly, reranking ignores input order, the index build, its load-time ascent
+check, BM25 top-k and NDCG match naive references, bins add up, the prompt fill substitutes each
 placeholder once, and the mock transport answers as the old in-process mock
 did."""
 
 import itertools
 import json
 import math
+import operator
 import os
 import string
 import tempfile
+from array import array
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,7 @@ from reranklab import (
 )
 from reranklab import types
 from reranklab.backend import _pieces
-from reranklab.bm25 import TOKEN_PATTERN
+from reranklab.bm25 import TOKEN_PATTERN, _ascend_per_term
 from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
 from reranklab.porter import porter_stem
 from reranklab.types import ValidationError, validate_run
@@ -186,11 +188,11 @@ def test_index_file_round_trip_is_exact(texts, ids, lowercase, stopwords, stemme
         save_index(index, second)
         with open(first, "rb") as fh1, open(second, "rb") as fh2:
             assert fh1.read() == fh2.read()
-        with open(first, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(first, "rb") as fh:
+            header = fh.readline().decode("utf-8")
         loaded = load_index(first)
-    # the streamed file is the one json.dumps call over the parsed object would write
-    assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False) + "\n"
+    # the streamed header is the line one json.dumps call over the parsed object would write
+    assert header == json.dumps(json.loads(header), sort_keys=True, ensure_ascii=False) + "\n"
     assert loaded == index
     assert ((loaded.postings.ordinals.typecode, loaded.postings.tfs.typecode)
             == (index.postings.ordinals.typecode, index.postings.tfs.typecode))
@@ -234,6 +236,19 @@ def test_shared_columns_round_trip_and_rank_as_the_naive_rows(texts, order, stop
         for k in sorted({1, max(1, len(ranked) - 1), len(ranked) + 1}):
             got = retrieve_top_k(index, q, k)
             assert [(c.score, c.passage_id) for c in got] == ranked[:k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4),
+                  max_size=5),
+    code=st.sampled_from("BHIQ"),
+)
+def test_ascent_check_matches_a_per_term_check(runs, code):
+    ordinals = array(code, [o for run in runs for o in run])
+    ends = array("Q", itertools.accumulate(map(len, runs)))
+    per_term = all(all(map(operator.lt, run, run[1:])) for run in runs)
+    assert _ascend_per_term(ordinals, ends) == per_term
 
 
 @st.composite
