@@ -9,12 +9,15 @@ Each setting is declared once, as a flag in :func:`build_parser`, with its
 type, choices and default. Every command runs the same lifecycle in
 :func:`main`: parse the arguments; with ``--config``, check each file key
 against the flag that declares it (any command's flag), make the file's
-values the command's defaults and parse again, so flags win; run the
-command; and write ``resolved_config.json`` (every command's settings) into
-the directory the command wrote, last and only if the command succeeded. A
-command only computes: it takes the parsed arguments and returns its output
-directory, or ``None`` when it wrote nothing (``eval``, ``analyze`` and
-``dump-traces`` without ``--out-dir``).
+values the command's defaults and parse again, so flags win; then run the
+command inside :func:`_staging`. A command only computes: it takes the
+parsed arguments and ``stage(name, tag)``, and writes each output to the
+temporary path that ``stage`` returns. Once the command returns,
+``resolved_config.json`` (every command's settings) is staged last and
+every staged file takes its name; if anything fails, no staged file is
+published and every directory made for the run is removed. ``eval``,
+``analyze`` and ``dump-traces`` stage nothing without ``--out-dir``, so
+they then write nothing.
 
 Exit codes: 0 success, 1 usage, 2 data validation or an unreadable or
 unwritable path, 3 backend failure.
@@ -26,14 +29,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import bm25, data, metrics, prompts
 from .rerank import PairFailure, RerankStrategy, StrategyKind, iter_scores, rerank
@@ -49,6 +54,7 @@ from .backend import (
 from .types import ScoredPair, ValidationError
 
 ENV_TOKEN = "RERANKLAB_API_TOKEN"
+_Stage = Callable[[str, str], Path]  # stage(name, tag), see _staging
 
 
 class UsageError(Exception):
@@ -183,6 +189,9 @@ def _config_defaults(path: str, settings: dict[str, argparse.Action]) -> dict:
             names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
             raise ValidationError(
                 f"{path}: config key {key!r} must be {names}, got {json.dumps(value)}")
+        if type(value) is float and not math.isfinite(value):  # NaN is not valid JSON
+            raise ValidationError(f"{path}: config key {key!r} must be a finite number, "
+                                  f"got {json.dumps(value)}")
         if action.choices and value not in action.choices:
             raise ValidationError(f"{path}: config key {key!r} must be one of "
                                   f"{', '.join(action.choices)}, got {json.dumps(value)}")
@@ -198,45 +207,54 @@ def require_path(path: str | None, what: str) -> Path:
     return p
 
 
-def _run_dir(args: argparse.Namespace, tag: str) -> Path:
-    """``--out-dir`` as given, or a new ``runs/<tag>-<time>[-N]`` that no other run shares."""
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return out
-    stem = f"runs/{tag}-{time.strftime('%Y%m%d-%H%M%S')}"
-    for n in itertools.count(1):
-        out = Path(stem if n == 1 else f"{stem}-{n}")
-        try:
-            out.mkdir(parents=True)  # raises if a command started in the same second made it
-            return out
-        except FileExistsError:
-            continue
-
-
 @contextlib.contextmanager
-def _run_dir_or_nothing(args: argparse.Namespace, tag: str):
-    """:func:`_run_dir`, and ``stage(name)``, the path the body writes ``name`` to.
+def _staging(args: argparse.Namespace, resolved: dict):
+    """``stage(name, tag)`` for the body: the path it writes ``name`` to, ``<name>.partial``.
 
-    That path is a temporary ``<name>.partial``. Once the body succeeds, each
-    staged file takes its name, so a file of an earlier run in ``--out-dir``
-    stays as it was until then. If the body fails, the staged files are
-    removed and then each directory made for the run, deepest first, so a
-    failed command leaves nothing behind and changes nothing it found.
+    The first call makes the run directory: ``--out-dir`` as given, or a new
+    ``runs/<tag>-<time>[-N]`` that no other run shares. Once the body
+    succeeds, ``resolved_config.json`` is staged last and each staged file
+    takes its name, so a file of an earlier run in ``--out-dir`` stays as it
+    was until then; a name staged but not written removes the earlier file of
+    that name. If anything fails, the staged files are removed and then each
+    directory made for the run, deepest first, so a failed command leaves
+    nothing behind and changes nothing it found.
     """
-    root = Path(args.out_dir or "runs")
-    made = [d for d in (root, *root.parents) if not d.exists()]
-    out = _run_dir(args, tag)
-    if out != root:  # a new runs/<tag>-<time> directory
-        made.insert(0, out)
+    made: list[Path] = []
     staged: dict[Path, Path] = {}
 
-    def stage(name: str) -> Path:
+    def stage(name: str, tag: str) -> Path:
+        if staged:
+            out = next(iter(staged)).parent
+        else:
+            out = Path(args.out_dir or "runs")
+            made.extend(d for d in (out, *out.parents) if not d.exists())
+            if args.out_dir:
+                out.mkdir(parents=True, exist_ok=True)
+            else:
+                stem = f"runs/{tag}-{time.strftime('%Y%m%d-%H%M%S')}"
+                for n in itertools.count(1):
+                    out = Path(stem if n == 1 else f"{stem}-{n}")
+                    with contextlib.suppress(FileExistsError):  # made by a command this second
+                        out.mkdir(parents=True)
+                        break
+                made.insert(0, out)
+        if (out / name).is_dir():  # refused now, so that no rename fails once others are done
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
         staged[out / name] = out / f"{name}.partial"
+        staged[out / name].unlink(missing_ok=True)  # one a killed run left must not be published
         return staged[out / name]
 
     try:
-        yield out, stage
+        yield stage
+        if staged:
+            stage("resolved_config.json", "").write_text(
+                json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        for path, partial in staged.items():
+            if partial.exists():
+                os.replace(partial, path)
+            else:
+                path.unlink(missing_ok=True)
     except BaseException:
         for partial in staged.values():
             partial.unlink(missing_ok=True)
@@ -244,18 +262,13 @@ def _run_dir_or_nothing(args: argparse.Namespace, tag: str):
             with contextlib.suppress(OSError):  # not empty: another command wrote there
                 d.rmdir()
         raise
-    for path, partial in staged.items():
-        os.replace(partial, path)
 
 
-def _report(args: argparse.Namespace, name: str, text: str) -> Path | None:
-    """Print a text report; with --out-dir, write it there as ``name`` and return the dir."""
+def _report(args: argparse.Namespace, stage: _Stage, name: str, text: str) -> None:
+    """Print a text report; with --out-dir, also write it there as ``name``."""
     print(text)
-    if not args.out_dir:
-        return None
-    out = _run_dir(args, name)
-    (out / name).write_text(text + "\n", encoding="utf-8")
-    return out
+    if args.out_dir:
+        stage(name, name).write_text(text + "\n", encoding="utf-8")
 
 
 def _analyzer(args: argparse.Namespace) -> bm25.AnalyzerConfig:
@@ -275,17 +288,16 @@ def _analyzer(args: argparse.Namespace) -> bm25.AnalyzerConfig:
     )
 
 
-def cmd_index(args: argparse.Namespace) -> Path:
+def cmd_index(args: argparse.Namespace, stage: _Stage) -> None:
     corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
     index = bm25.build_index(corpus, _analyzer(args), bm25.Bm25Params(args.k1, args.b))
-    out = _run_dir(args, "index")
-    index_path = out / "bm25_index.json"
+    index_path = stage("bm25_index.json", "index")
     bm25.save_index(index, str(index_path))
-    print(f"indexed {index.doc_count} passages, {len(index.postings)} terms -> {index_path}")
-    return out
+    print(f"indexed {index.doc_count} passages, {len(index.postings)} terms "
+          f"-> {index_path.with_suffix('')}")
 
 
-def cmd_retrieve(args: argparse.Namespace) -> Path:
+def cmd_retrieve(args: argparse.Namespace, stage: _Stage) -> None:
     tag = args.tag or "bm25"
     data.check_run_field("tag", tag)
     index = bm25.load_index(str(require_path(args.index, "index")))
@@ -294,11 +306,10 @@ def cmd_retrieve(args: argparse.Namespace) -> Path:
     entries = [
         replace(c, tag=tag) for query in queries for c in bm25.retrieve_top_k(index, query, k)
     ]
-    out = _run_dir(args, tag)
-    run_path = out / f"{tag}.run"
+    run_path = stage(f"{tag}.run", tag)
     data.write_run(str(run_path), entries)
-    print(f"retrieved {len(entries)} candidates for {len(queries)} queries -> {run_path}")
-    return out
+    print(f"retrieved {len(entries)} candidates for {len(queries)} queries "
+          f"-> {run_path.with_suffix('')}")
 
 
 def _build_backend(args: argparse.Namespace) -> CompletionsBackend:
@@ -338,7 +349,7 @@ def _sampling(args: argparse.Namespace, kind: StrategyKind) -> SamplingParams:
     )
 
 
-def cmd_rerank(args: argparse.Namespace) -> Path:
+def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> None:
     # checked before any work: resolved_config.json must not record a value the run ignored
     for name in ("concurrency", "samples"):
         if getattr(args, name) < 1:
@@ -355,8 +366,7 @@ def cmd_rerank(args: argparse.Namespace) -> Path:
     template = prompts.load_template(args.template) if args.template else prompts.DEFAULT_TEMPLATE
     tag = args.tag or kind.value
     data.check_run_field("tag", tag)
-    backend = _build_backend(args)
-    try:
+    with contextlib.closing(_build_backend(args)) as backend:
         backend.validate_decision_tokens()
         outcomes = iter_scores(
             backend,
@@ -382,35 +392,31 @@ def cmd_rerank(args: argparse.Namespace) -> Path:
                     scores.append(ScoredPair(o.query_id, o.passage_id, o.score))
                     yield o
 
-        with _run_dir_or_nothing(args, tag) as (out, stage), contextlib.closing(outcomes):
-            data.write_scored(str(stage(f"{tag}_scored.jsonl")), scored_pairs(), kind.value)
-            failed = frozenset((f.query_id, f.passage_id) for f in failures)
-            entries = rerank(candidates, scores, tag, failed=failed)
-            data.write_run(str(stage(f"{tag}.run")), entries)
-            if failures:
-                with open(stage(f"{tag}_failures.jsonl"), "w", encoding="utf-8") as fh:
-                    for f in failures:
-                        fh.write(json.dumps(asdict(f)) + "\n")
-    finally:
-        backend.close()
-    if not failures:  # an earlier run's failures must not sit beside this run
-        (out / f"{tag}_failures.jsonl").unlink(missing_ok=True)
-    run_path = out / f"{tag}.run"
+        with contextlib.closing(outcomes):
+            data.write_scored(str(stage(f"{tag}_scored.jsonl", tag)), scored_pairs(), kind.value)
+    failed = frozenset((f.query_id, f.passage_id) for f in failures)
+    run_path = stage(f"{tag}.run", tag)
+    data.write_run(str(run_path), rerank(candidates, scores, tag, failed=failed))
+    # staged even when empty: an earlier run's failures must not sit beside this run
+    failures_path = stage(f"{tag}_failures.jsonl", tag)
+    if failures:
+        with open(failures_path, "w", encoding="utf-8") as fh:
+            for f in failures:
+                fh.write(json.dumps(asdict(f)) + "\n")
     print(
         f"scored {len(scores)} pairs ({len(failures)} failed) with {kind.value} "
-        f"-> {run_path}"
+        f"-> {run_path.with_suffix('')}"
     )
-    return out
 
 
-def cmd_eval(args: argparse.Namespace) -> Path | None:
+def cmd_eval(args: argparse.Namespace, stage: _Stage) -> None:
     run_entries = data.read_run(str(require_path(args.run_in, "run")))
     judgments = data.load_qrels(str(require_path(args.qrels, "qrels")))
     k = args.k if args.k is not None else 10
     report = metrics.ndcg_at_k(run_entries, judgments, k=k, gain=args.gain)
-    out = _report(args, "eval.txt", report.format())
-    if out:
-        with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
+    _report(args, stage, "eval.txt", report.format())
+    if args.out_dir:
+        with open(stage("eval.jsonl", "eval.jsonl"), "w", encoding="utf-8") as fh:
             for qid, value in report.per_query.items():
                 fh.write(json.dumps({"query_id": qid, f"ndcg@{k}": value}) + "\n")
             fh.write(
@@ -425,10 +431,12 @@ def cmd_eval(args: argparse.Namespace) -> Path | None:
                 )
                 + "\n"
             )
-    return out
 
 
-def cmd_analyze(args: argparse.Namespace) -> Path | None:
+def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> None:
+    # checked before any work: resolved_config.json must hold valid JSON
+    if not math.isfinite(args.score_threshold):
+        raise ValidationError(f"score_threshold must be finite, got {args.score_threshold}")
     pairs: list[ScoredPair] = []
     strategy = ""
     for pair, strategy in data.iter_scored(str(require_path(args.scored, "scored dump"))):
@@ -452,8 +460,8 @@ def cmd_analyze(args: argparse.Namespace) -> Path | None:
         blocks.append(report.format())
     else:
         blocks.append("no qrels supplied; classification report skipped")
-    out = _report(args, "analysis.txt", "\n\n".join(blocks))
-    if out:
+    _report(args, stage, "analysis.txt", "\n\n".join(blocks))
+    if args.out_dir:
         machine = {
             "strategy": strategy,
             "bin_edges": list(metrics.BIN_EDGES),
@@ -465,13 +473,12 @@ def cmd_analyze(args: argparse.Namespace) -> Path | None:
         }
         if report is not None:
             machine["classification"] = asdict(report)
-        (out / "analysis.json").write_text(
+        stage("analysis.json", "analysis.json").write_text(
             json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    return out
 
 
-def cmd_dump_traces(args: argparse.Namespace) -> Path | None:
+def cmd_dump_traces(args: argparse.Namespace, stage: _Stage) -> None:
     pairs, strategy = data.read_scored(str(require_path(args.scored, "scored dump")))
     corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
     queries = {q.id: q for q in data.load_queries(str(require_path(args.queries, "queries")))}
@@ -500,7 +507,7 @@ def cmd_dump_traces(args: argparse.Namespace) -> Path | None:
         else:
             lines.append("reasoning  : (none)")
         blocks.append("\n".join(lines))
-    return _report(args, "traces.txt", ("\n" + "-" * 72 + "\n").join(blocks))
+    _report(args, stage, "traces.txt", ("\n" + "-" * 72 + "\n").join(blocks))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -514,7 +521,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.config:  # the file's values become the command's defaults, so flags win
             commands.choices[args.command].set_defaults(**_config_defaults(args.config, settings))
             args = parser.parse_args(argv)
-        out = args.func(args)
+        resolved = {key: getattr(args, key, a.default) for key, a in settings.items()}
+        with _staging(args, resolved) as stage:
+            args.func(args, stage)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -524,11 +533,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BackendError as exc:
         print(f"reranklab: backend failure: {exc}", file=sys.stderr)
         return 3
-    if out is not None:  # last: a failed command leaves no resolved config behind
-        resolved = {key: getattr(args, key, a.default) for key, a in settings.items()}
-        (out / "resolved_config.json").write_text(
-            json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
     return 0
 
 

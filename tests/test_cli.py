@@ -1,8 +1,12 @@
 import argparse
+import builtins
+import errno
+import io
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +39,8 @@ def workspace(tmp_path):
         "default_reasoning": "Okay, sample {seed} weighs the passage. Done.</think>",
     }
     (tmp_path / "mock.json").write_text(json.dumps(table))
+    (tmp_path / "flaky.json").write_text(json.dumps(  # fails every pair of the first query
+        {**table, "rules": [{"contains": [f"Query: {queries[0].text}\n"], "fail": True}]}))
     return tmp_path
 
 
@@ -267,45 +273,7 @@ class TestRerankCommand:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert code == 3
-
-    @pytest.mark.parametrize("where", ["made", "new", "runs", "prior"])
-    def test_failed_rerank_leaves_nothing_behind(self, workspace, tmp_path, monkeypatch, where):
-        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
-        # fail the third-ranked passage, so the first pairs reach the dump before the failure
-        victim = run_path.read_text().splitlines()[2].split()[2]
-        corpus_rows = {
-            row["id"]: row["text"]
-            for row in map(json.loads, (workspace / "corpus.jsonl").read_text().splitlines())
-        }
-        table = {
-            "single_token_vocab": ["true", "false"],
-            "rules": [{"contains": [f"Passage: {corpus_rows[victim]}"], "fail": True}],
-        }
-        (workspace / "failing.json").write_text(json.dumps(table))
-        monkeypatch.chdir(tmp_path)
-        out = {"made": tmp_path / "made", "new": tmp_path / "new" / "deeper", "runs": None,
-               "prior": tmp_path / "prior"}[where]
-        argv = [
-            "rerank",
-            "--corpus", str(workspace / "corpus.jsonl"),
-            "--queries", str(workspace / "queries.jsonl"),
-            "--run-in", str(run_path),
-            "--strategy", "reason",
-            "--backend", f"mock:{workspace / 'failing.json'}",
-            *(["--out-dir", str(out)] if out else []),
-        ]
-        if where == "made":
-            out.mkdir()
-        if where == "prior":  # an earlier run of the same tag, failures file included
-            assert main([*argv, "--allow-partial"]) == 0
-        found = {f.name: f.read_bytes() for f in out.iterdir()} if where == "prior" else {}
-        assert where != "prior" or {"reason.run", "reason_scored.jsonl",
-                                    "reason_failures.jsonl"} <= found.keys()
-        assert main(argv) == 3
-        assert not (tmp_path / "runs").exists()
-        assert not (tmp_path / "new").exists()
-        if out and out.exists():
-            assert {f.name: f.read_bytes() for f in out.iterdir()} == found
+        assert not (tmp_path / "out").exists()  # the dump was begun, then removed with its dir
 
     def test_allow_partial_records_failures(self, workspace, tmp_path):
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
@@ -611,6 +579,8 @@ WRONG_TYPES = [
     ('{"stemmer": "snowball"}', lambda ws: ["index", "--corpus", ws / "corpus.jsonl"]),
     ('{"grade_rule": "gt9"}', lambda ws: ["analyze", "--scored", ws / "scored.jsonl",
                                           "--qrels", ws / "qrels.txt"]),
+    ('{"k1": NaN, "temperature": Infinity}', lambda ws: [
+        "retrieve", "--index", ws / "idx" / "bm25_index.json", "--queries", ws / "queries.jsonl"]),
 ]
 
 
@@ -629,6 +599,8 @@ CORRUPTING_NUMBERS = [
     (lambda ws: ["index", "--corpus", ws / "corpus.jsonl", "--k1", "inf"], "k1"),
     (lambda ws: ["analyze", "--scored", ws / "scored.jsonl", "--qrels", ws / "qrels.txt",
                  "--score-threshold", "nan"], "score_threshold"),
+    (lambda ws: ["analyze", "--scored", ws / "scored.jsonl", "--score-threshold", "nan"],
+     "score_threshold"),
 ]
 
 
@@ -661,7 +633,7 @@ class TestRefusedValues:
     @pytest.mark.parametrize("content, command", WRONG_TYPES,
                              ids=["k-string", "k1-null", "concurrency-string", "samples-float",
                                   "strategy-choice", "gain-choice", "stemmer-choice",
-                                  "grade-rule-choice"])
+                                  "grade-rule-choice", "k1-nan-in-retrieve"])
     def test_config_value_of_wrong_type_exits_2(self, ws, tmp_path, capsys, content, command):
         config = ws / "config.json"
         config.write_text(content)
@@ -689,7 +661,8 @@ class TestRefusedValues:
 
     @pytest.mark.parametrize("command, setting", CORRUPTING_NUMBERS,
                              ids=["passage-chars-negative", "concurrency-negative",
-                                  "samples-zero-in-config", "k1-nan", "k1-inf", "threshold-nan"])
+                                  "samples-zero-in-config", "k1-nan", "k1-inf", "threshold-nan",
+                                  "threshold-nan-no-qrels"])
     def test_corrupting_number_exits_2(self, ws, tmp_path, capsys, command, setting):
         out = tmp_path / "out"
         code = main([str(arg) for arg in command(ws)] + ["--out-dir", str(out)])
@@ -878,7 +851,8 @@ GIVEN = {
                                "queries": str(ws / "queries.jsonl"),
                                "run_in": str(rr.parent / "stage1" / "bm25.run"),
                                "strategy": "self_consistency", "samples": 2, "seed": 3,
-                               "backend": f"mock:{ws / 'mock.json'}"}, "run_in"),
+                               "backend": f"mock:{ws / 'flaky.json'}",
+                               "allow_partial": True}, "run_in"),
     "eval": (lambda ws, rr: {"run_in": str(rr / "reason.run"), "qrels": str(ws / "qrels.txt"),
                              "k": 5, "gain": "linear"}, "qrels"),
     "analyze": (lambda ws, rr: {"scored": str(rr / "reason_scored.jsonl"),
@@ -921,6 +895,105 @@ class TestLifecycle:
         out.mkdir()
         assert main(_argv(command, values, out)) == 2
         assert "file not found" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+_OPEN = io.open
+
+
+def _writes(monkeypatch, fail_at: int = 0) -> list[str]:
+    """The names of the files opened for writing from now on; the ``fail_at``-th (from 1)
+    is opened and then fails with OSError, as a full disk would."""
+    names = []
+
+    def open_(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            names.append(Path(file).name)
+            if len(names) == fail_at:
+                _OPEN(file, mode, *args, **kwargs).close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+        return _OPEN(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)  # pathlib opens through io.open
+    return names
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+class TestFailureAtomicity:
+    """A failed command changes nothing it found and leaves nothing behind: no output, no
+    ``.partial`` file, no directory. ``made``: ``--out-dir`` exists and is empty; ``new``: it
+    and its parent do not exist; ``runs``: no ``--out-dir``; ``prior``: an earlier run of the
+    command is there (``rerank``'s holds a failures file). Those four fail at the command's
+    last write. ``resolved-dir`` and ``last-dir``: an earlier run is there, with
+    ``resolved_config.json`` or the command's last output replaced by a directory."""
+
+    @pytest.mark.parametrize("where", ["made", "new", "runs", "prior", "resolved-dir",
+                                       "last-dir"])
+    @pytest.mark.parametrize("command", _commands())
+    def test_failed_command_leaves_nothing_behind(self, workspace, reranked, tmp_path,
+                                                  monkeypatch, capsys, command, where):
+        monkeypatch.chdir(tmp_path)
+        out = None if where == "runs" else tmp_path / ("new/deeper" if where == "new" else "out")
+        argv = _argv(command, GIVEN[command][0](workspace, reranked), out)
+        argv = argv[:-2] if out is None else argv
+        written = _writes(monkeypatch)
+        assert main(argv) == 0  # counts the command's writes
+        if not written:
+            pytest.skip(f"{command} writes nothing without --out-dir")
+        assert written[-1].startswith("resolved_config.json")
+        count, last = len(written), written[-2].removesuffix(".partial")
+        if where in ("made", "new", "runs"):
+            shutil.rmtree(tmp_path / ("runs" if out is None else out.relative_to(tmp_path).parts[0]))
+            if where == "made":
+                out.mkdir()
+        else:
+            for f in out.iterdir():  # distinct bytes, so that a file written over in place shows
+                f.write_bytes(f"earlier {f.name}\n".encode())
+            if where != "prior":
+                doomed = out / ("resolved_config.json" if where == "resolved-dir" else last)
+                doomed.unlink()
+                doomed.mkdir()
+        found = _tree(tmp_path)
+        capsys.readouterr()
+        _writes(monkeypatch, fail_at=0 if where.endswith("-dir") else count - 1)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("reranklab: ") and "Traceback" not in err, err
+        assert _tree(tmp_path) == found
+
+
+def _float_flags():
+    """(command, dest, option) for every float flag the parser declares."""
+    return [(command, a.dest, a.option_strings[0]) for command, parser in _subparsers().items()
+            for a in parser._actions if a.type is float]
+
+
+class TestNonFinite:
+    """NaN is not valid JSON, so no float setting may carry it into resolved_config.json."""
+
+    @pytest.mark.parametrize("given", ["config", "flag"])
+    @pytest.mark.parametrize("command, dest, option", _float_flags(),
+                             ids=[f"{c}-{d}" for c, d, _ in _float_flags()])
+    def test_nan_exits_2_and_writes_nothing(self, workspace, reranked, tmp_path, capsys,
+                                            command, dest, option, given):
+        values = {k: v for k, v in GIVEN[command][0](workspace, reranked).items() if k != dest}
+        out = tmp_path / "out"
+        out.mkdir()
+        config = tmp_path / "nan.json"
+        config.write_text(f'{{"{dest}": NaN}}')
+        extra = ["--config", str(config)] if given == "config" else [option, "nan"]
+        capsys.readouterr()
+        assert main(_argv(command, values, out) + extra) == 2
+        err = capsys.readouterr().err
+        expected = (f"{config}: config key {dest!r} must be a finite number, got NaN"
+                    if given == "config" else f"{dest} must be")
+        assert expected in err, err
         assert list(out.iterdir()) == []
 
 
