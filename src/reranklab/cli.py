@@ -11,11 +11,12 @@ type, choices and default. Every command runs the same lifecycle in
 against the flag that declares it (any command's flag), make the file's
 values the command's defaults and parse again, so flags win; then run the
 command inside :func:`_staging`. A command only computes: it takes the
-parsed arguments and ``stage(name, tag)``, and writes each output to the
-temporary path that ``stage`` returns. Once the command returns,
-``resolved_config.json`` (every command's settings) is staged last and
-every staged file takes its name; if anything fails, no staged file is
-published and every directory made for the run is removed. ``eval``,
+parsed arguments and ``stage(name, tag)``, writes each output to the
+temporary path that ``stage`` returns, and returns its stdout text. Once
+the command returns, ``resolved_config.json`` (every command's settings) is
+staged last and every staged file takes its name; only then is the text
+printed. If anything fails, no staged file is published, every directory
+made for the run is removed and nothing is printed on stdout. ``eval``,
 ``analyze`` and ``dump-traces`` stage nothing without ``--out-dir``, so
 they then write nothing.
 
@@ -265,8 +266,7 @@ def _staging(args: argparse.Namespace, resolved: dict):
 
 
 def _report(args: argparse.Namespace, stage: _Stage, name: str, text: str) -> None:
-    """Print a text report; with --out-dir, also write it there as ``name``."""
-    print(text)
+    """With --out-dir, write a text report there as ``name``."""
     if args.out_dir:
         stage(name, name).write_text(text + "\n", encoding="utf-8")
 
@@ -275,7 +275,7 @@ def _analyzer(args: argparse.Namespace) -> bm25.AnalyzerConfig:
     stopwords = None
     if args.stopwords:
         path = require_path(args.stopwords, "stopwords")
-        try:  # not data.read_records: an empty file means no stopwords
+        try:  # not data.iter_records: an empty file means no stopwords
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
@@ -288,16 +288,16 @@ def _analyzer(args: argparse.Namespace) -> bm25.AnalyzerConfig:
     )
 
 
-def cmd_index(args: argparse.Namespace, stage: _Stage) -> None:
+def cmd_index(args: argparse.Namespace, stage: _Stage) -> str:
     corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
     index = bm25.build_index(corpus, _analyzer(args), bm25.Bm25Params(args.k1, args.b))
     index_path = stage("bm25_index.json", "index")
     bm25.save_index(index, str(index_path))
-    print(f"indexed {index.doc_count} passages, {len(index.postings)} terms "
-          f"-> {index_path.with_suffix('')}")
+    return (f"indexed {index.doc_count} passages, {len(index.postings)} terms "
+            f"-> {index_path.with_suffix('')}")
 
 
-def cmd_retrieve(args: argparse.Namespace, stage: _Stage) -> None:
+def cmd_retrieve(args: argparse.Namespace, stage: _Stage) -> str:
     tag = args.tag or "bm25"
     data.check_run_field("tag", tag)
     index = bm25.load_index(str(require_path(args.index, "index")))
@@ -308,8 +308,8 @@ def cmd_retrieve(args: argparse.Namespace, stage: _Stage) -> None:
     ]
     run_path = stage(f"{tag}.run", tag)
     data.write_run(str(run_path), entries)
-    print(f"retrieved {len(entries)} candidates for {len(queries)} queries "
-          f"-> {run_path.with_suffix('')}")
+    return (f"retrieved {len(entries)} candidates for {len(queries)} queries "
+            f"-> {run_path.with_suffix('')}")
 
 
 def _build_backend(args: argparse.Namespace) -> CompletionsBackend:
@@ -349,7 +349,7 @@ def _sampling(args: argparse.Namespace, kind: StrategyKind) -> SamplingParams:
     )
 
 
-def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> None:
+def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
     # checked before any work: resolved_config.json must not record a value the run ignored
     for name in ("concurrency", "samples"):
         if getattr(args, name) < 1:
@@ -381,40 +381,38 @@ def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> None:
             allow_partial=args.allow_partial,
         )
         # each pair goes to the dump as it is scored; only its ids and score are kept
-        scores: list[ScoredPair] = []
-        failures: list[PairFailure] = []
+        kept: list[ScoredPair | PairFailure] = []
 
         def scored_pairs():
             for o in outcomes:
                 if isinstance(o, PairFailure):
-                    failures.append(o)
+                    kept.append(o)
                 else:
-                    scores.append(ScoredPair(o.query_id, o.passage_id, o.score))
+                    kept.append(ScoredPair(o.query_id, o.passage_id, o.score))
                     yield o
 
         with contextlib.closing(outcomes):
             data.write_scored(str(stage(f"{tag}_scored.jsonl", tag)), scored_pairs(), kind.value)
-    failed = frozenset((f.query_id, f.passage_id) for f in failures)
     run_path = stage(f"{tag}.run", tag)
-    data.write_run(str(run_path), rerank(candidates, scores, tag, failed=failed))
+    data.write_run(str(run_path), rerank(candidates, kept, tag))
+    failures = [o for o in kept if isinstance(o, PairFailure)]
     # staged even when empty: an earlier run's failures must not sit beside this run
     failures_path = stage(f"{tag}_failures.jsonl", tag)
     if failures:
         with open(failures_path, "w", encoding="utf-8") as fh:
             for f in failures:
                 fh.write(json.dumps(asdict(f)) + "\n")
-    print(
-        f"scored {len(scores)} pairs ({len(failures)} failed) with {kind.value} "
-        f"-> {run_path.with_suffix('')}"
-    )
+    return (f"scored {len(kept) - len(failures)} pairs ({len(failures)} failed) "
+            f"with {kind.value} -> {run_path.with_suffix('')}")
 
 
-def cmd_eval(args: argparse.Namespace, stage: _Stage) -> None:
+def cmd_eval(args: argparse.Namespace, stage: _Stage) -> str:
     run_entries = data.read_run(str(require_path(args.run_in, "run")))
     judgments = data.load_qrels(str(require_path(args.qrels, "qrels")))
     k = args.k if args.k is not None else 10
     report = metrics.ndcg_at_k(run_entries, judgments, k=k, gain=args.gain)
-    _report(args, stage, "eval.txt", report.format())
+    text = report.format()
+    _report(args, stage, "eval.txt", text)
     if args.out_dir:
         with open(stage("eval.jsonl", "eval.jsonl"), "w", encoding="utf-8") as fh:
             for qid, value in report.per_query.items():
@@ -431,9 +429,10 @@ def cmd_eval(args: argparse.Namespace, stage: _Stage) -> None:
                 )
                 + "\n"
             )
+    return text
 
 
-def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> None:
+def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> str:
     # checked before any work: resolved_config.json must hold valid JSON
     if not math.isfinite(args.score_threshold):
         raise ValidationError(f"score_threshold must be finite, got {args.score_threshold}")
@@ -460,7 +459,8 @@ def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> None:
         blocks.append(report.format())
     else:
         blocks.append("no qrels supplied; classification report skipped")
-    _report(args, stage, "analysis.txt", "\n\n".join(blocks))
+    text = "\n\n".join(blocks)
+    _report(args, stage, "analysis.txt", text)
     if args.out_dir:
         machine = {
             "strategy": strategy,
@@ -476,14 +476,15 @@ def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> None:
         stage("analysis.json", "analysis.json").write_text(
             json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+    return text
 
 
-def cmd_dump_traces(args: argparse.Namespace, stage: _Stage) -> None:
-    pairs, strategy = data.read_scored(str(require_path(args.scored, "scored dump")))
+def cmd_dump_traces(args: argparse.Namespace, stage: _Stage) -> str:
+    scored = str(require_path(args.scored, "scored dump"))
     corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
     queries = {q.id: q for q in data.load_queries(str(require_path(args.queries, "queries")))}
     blocks = []
-    for p in pairs:
+    for p, strategy in data.iter_scored(scored):
         query_text = queries[p.query_id].text if p.query_id in queries else "(unknown query)"
         passage_text = (
             corpus.passage(p.passage_id).text if p.passage_id in corpus else "(unknown passage)"
@@ -507,7 +508,9 @@ def cmd_dump_traces(args: argparse.Namespace, stage: _Stage) -> None:
         else:
             lines.append("reasoning  : (none)")
         blocks.append("\n".join(lines))
-    _report(args, stage, "traces.txt", ("\n" + "-" * 72 + "\n").join(blocks))
+    text = ("\n" + "-" * 72 + "\n").join(blocks)
+    _report(args, stage, "traces.txt", text)
+    return text
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -523,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         resolved = {key: getattr(args, key, a.default) for key, a in settings.items()}
         with _staging(args, resolved) as stage:
-            args.func(args, stage)
+            text = args.func(args, stage)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -533,6 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BackendError as exc:
         print(f"reranklab: backend failure: {exc}", file=sys.stderr)
         return 3
+    print(text)  # only once every output is in place
     return 0
 
 

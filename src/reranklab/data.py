@@ -19,14 +19,14 @@ Line-oriented formats:
   line's byte offset).
 
 All of them are read by :func:`iter_records`, which parses one line at a
-time and yields each record as it is read, or by its list form
-:func:`read_records`: blank lines are skipped, a repeated key (passage id,
-query id, judged pair, run pair, scored pair) is refused, a file with no
-records is refused, and every error names the file and line. A scored dump
-is read record by record by :func:`iter_scored` (``read_scored`` is its list
-form), so a reader that keeps only ids and scores never holds the traces;
-likewise :func:`write_scored` writes the pairs as they come. Corpus and
-query ids must be usable as one run-file column.
+time and yields each record as it is read: blank lines are skipped, a
+repeated key (passage id, query id, judged pair, run pair, scored pair) is
+refused, a file with no records is refused, and every error names the file
+and line. Each reader here iterates it and keeps what it needs. A scored
+dump is read record by record by :func:`iter_scored`, so a reader that
+keeps only ids and scores never holds the traces; likewise
+:func:`write_scored` writes the pairs as they come. Corpus and query ids
+must be usable as one run-file column.
 
 JSON object files — the CLI `--config` file, prompt template overrides and
 mock rule tables — are read by :func:`read_json_object`, which refuses
@@ -123,11 +123,6 @@ def _parse_lines(path: str, lines: Iterable[str], parse: Callable[[str], tuple],
         raise ValidationError(f"{path}: {empty}")
 
 
-def read_records(path: str, parse: Callable[[str], tuple], what: str, empty: str) -> list:
-    """:func:`iter_records` as a list."""
-    return list(iter_records(path, parse, what, empty))
-
-
 def read_json_object(path: str, what: str) -> dict:
     """Read a file that holds one JSON object (config, template, mock table)."""
     try:
@@ -140,7 +135,7 @@ def read_json_object(path: str, what: str) -> dict:
     return value
 
 
-def _id_text_records(path: str, what: str, make: Callable, empty: str) -> list:
+def _id_text_records(path: str, what: str, make: Callable, empty: str) -> Iterator:
     """``make(id, text)`` per line of a JSONL or TSV id/text file, keyed by id."""
 
     def parse(line: str) -> tuple:
@@ -160,7 +155,7 @@ def _id_text_records(path: str, what: str, make: Callable, empty: str) -> list:
         check_run_field(what, ident)
         return ident, make(ident, text)
 
-    return read_records(path, parse, what, empty)
+    return iter_records(path, parse, what, empty)
 
 
 def load_corpus(path: str) -> Corpus:
@@ -168,7 +163,7 @@ def load_corpus(path: str) -> Corpus:
 
 
 def load_queries(path: str) -> list[Query]:
-    return _id_text_records(path, "query id", Query, "no queries")
+    return list(_id_text_records(path, "query id", Query, "no queries"))
 
 
 def _judgment(line: str) -> tuple[tuple[str, str], tuple[str, str, int]]:
@@ -187,16 +182,9 @@ def _judgment(line: str) -> tuple[tuple[str, str], tuple[str, str, int]]:
 
 def load_qrels(path: str) -> JudgmentMap:
     judgments: JudgmentMap = {}
-    for qid, pid, grade in read_records(path, _judgment, "judgment for", "no judgments"):
+    for qid, pid, grade in iter_records(path, _judgment, "judgment for", "no judgments"):
         judgments.setdefault(qid, {})[pid] = grade
     return judgments
-
-
-def write_qrels(path: str, judgments: JudgmentMap) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid in judgments:
-            for pid, grade in judgments[qid].items():
-                fh.write(f"{qid} 0 {pid} {grade}\n")
 
 
 def _run_entry(line: str) -> tuple[tuple[str, str], RunEntry]:
@@ -225,7 +213,7 @@ def read_run(path: str) -> list[RunEntry]:
     that are not non-increasing with rank get a warning and the query is
     re-ranked by score (descending, stable) on the way in.
     """
-    rows = read_records(path, _run_entry, "run entry for", "empty run file")
+    rows = list(iter_records(path, _run_entry, "run entry for", "empty run file"))
     try:
         lists = ranked_lists(rows)
     except ValidationError as exc:
@@ -344,11 +332,3 @@ def iter_scored(path: str) -> Iterator[tuple[ScoredPair, str]]:
         return (pair.query_id, pair.passage_id), (pair, line_strategy)
 
     return iter_records(path, parse, "scored pair", "empty scored dump")
-
-
-def read_scored(path: str) -> tuple[list[ScoredPair], str]:
-    """:func:`iter_scored` as a list: the dump's pairs and their strategy tag."""
-    pairs, strategy = [], ""
-    for pair, strategy in iter_scored(path):
-        pairs.append(pair)
-    return pairs, strategy

@@ -21,28 +21,19 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .types import JudgmentMap, RunEntry, ScoredPair, ValidationError, ranked_lists
 
-GAIN_MODES = ("exponential", "linear")
-GRADE_RULES = ("gt2", "ge2")
-
-
-def _gain(grade: int, mode: str) -> float:
-    if mode == "exponential":
-        return float(2**grade - 1)
-    if mode == "linear":
-        return float(grade)
-    raise ValidationError(f"gain must be one of {GAIN_MODES}, got {mode!r}")
-
-
-def grade_is_positive(grade: int, rule: str) -> bool:
-    if rule == "gt2":
-        return grade > 2
-    if rule == "ge2":
-        return grade >= 2
-    raise ValidationError(f"grade rule must be one of {GRADE_RULES}, got {rule!r}")
+# each convention by name, in the order the CLI offers them
+GAIN_MODES: dict[str, Callable[[int], float]] = {
+    "exponential": lambda grade: float(2**grade - 1),
+    "linear": float,
+}
+GRADE_RULES: dict[str, Callable[[int], bool]] = {
+    "gt2": lambda grade: grade > 2,
+    "ge2": lambda grade: grade >= 2,
+}
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,9 @@ def ndcg_at_k(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    _gain(0, gain)  # validate mode
+    if gain not in GAIN_MODES:
+        raise ValidationError(f"gain must be one of {tuple(GAIN_MODES)}, got {gain!r}")
+    gain_of = GAIN_MODES[gain]
 
     per_query: dict[str, float] = {}
     skipped: list[str] = []
@@ -91,11 +84,11 @@ def ndcg_at_k(
         dcg = 0.0
         for i, e in enumerate(entries[:k], start=1):
             g = grades_for_query.get(e.passage_id, 0)
-            dcg += _gain(g, gain) / math.log2(i + 1)
+            dcg += gain_of(g) / math.log2(i + 1)
         ideal_grades = sorted(grades_for_query.values(), reverse=True)
         idcg = 0.0
         for i, g in enumerate(ideal_grades[:k], start=1):
-            idcg += _gain(g, gain) / math.log2(i + 1)
+            idcg += gain_of(g) / math.log2(i + 1)
         if idcg == 0.0:
             per_query[qid] = 0.0
             skipped.append(qid)
@@ -135,7 +128,7 @@ class ClassificationReport:
         return self.tp + self.fp + self.tn + self.fn
 
     def format(self) -> str:
-        other = "ge2" if self.grade_rule == "gt2" else "gt2"
+        other = " or ".join(rule for rule in GRADE_RULES if rule != self.grade_rule)
         lines = [
             f"relevance classification  (predict positive when score > {self.score_threshold})",
             f"positive grades: {self.grade_rule}  (the {other} convention also exists; "
@@ -162,7 +155,10 @@ def classify(
     Prediction is the strict inequality score > threshold. Pairs without a
     judgment are excluded from the counts and tallied separately.
     """
-    grade_is_positive(0, grade_rule)  # validate rule
+    if grade_rule not in GRADE_RULES:
+        raise ValidationError(
+            f"grade rule must be one of {tuple(GRADE_RULES)}, got {grade_rule!r}")
+    is_positive = GRADE_RULES[grade_rule]
     if not math.isfinite(score_threshold):  # score > NaN is never true
         raise ValidationError(f"score_threshold must be finite, got {score_threshold}")
     tp = fp = tn = fn = unjudged = 0
@@ -172,7 +168,7 @@ def classify(
             unjudged += 1
             continue
         predicted = pair.score > score_threshold
-        actual = grade_is_positive(grade, grade_rule)
+        actual = is_positive(grade)
         if predicted and actual:
             tp += 1
         elif predicted:

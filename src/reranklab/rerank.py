@@ -164,21 +164,29 @@ def score_pair(
     )
 
 
+@dataclass(frozen=True)
+class PairFailure:
+    query_id: str
+    passage_id: str
+    error: str
+
+
 def rerank(
     candidates: Sequence[RunEntry],
-    scores: Iterable[ScoredPair],
+    scores: Iterable[ScoredPair | PairFailure],
     tag: str,
-    failed: frozenset[tuple[str, str]] = frozenset(),
 ) -> list[RunEntry]:
     """Reorder each query's candidates by relevance score, descending; queries in id order.
 
-    The candidates must be a ranked list (:func:`types.ranked_lists`). Ties
-    keep first-stage rank order, so the output is invariant to the input
-    candidate order. Pairs listed in ``failed`` (the allow-partial escape
-    hatch) keep no score and sink to the bottom in first-stage order, with
-    placeholder run scores below any real probability.
+    The candidates must be a ranked list (:func:`types.ranked_lists`), and
+    ``scores`` must give each candidate pair once, as a :class:`ScoredPair`
+    or, under allow-partial, as a :class:`PairFailure`: the outcomes of
+    :func:`iter_scores`, in any order. Ties keep first-stage rank order, so
+    the output is invariant to the input candidate order. Failed pairs keep
+    no score and sink below the scored ones in first-stage order, with the
+    placeholder run score ``-rank``, below any real probability.
     """
-    by_pair: dict[tuple[str, str], ScoredPair] = {}
+    by_pair: dict[tuple[str, str], ScoredPair | PairFailure] = {}
     for s in scores:
         key = (s.query_id, s.passage_id)
         if key in by_pair:
@@ -191,13 +199,13 @@ def rerank(
         scored: list[tuple[float, RunEntry]] = []
         fallback: list[RunEntry] = []
         for c in lists[qid]:
-            key = (qid, c.passage_id)
-            if key in failed:
+            outcome = by_pair.get((qid, c.passage_id))
+            if outcome is None:
+                raise ValidationError(f"candidate {(qid, c.passage_id)} has no score")
+            if isinstance(outcome, PairFailure):
                 fallback.append(c)
-                continue
-            if key not in by_pair:
-                raise ValidationError(f"candidate {key} has no score")
-            scored.append((by_pair[key].score, c))
+            else:
+                scored.append((outcome.score, c))
         scored.sort(key=itemgetter(0), reverse=True)  # stable: ties stay in rank order
         rank = 0
         for score, c in scored:
@@ -207,13 +215,6 @@ def rerank(
             rank += 1
             entries.append(RunEntry(qid, c.passage_id, rank, -float(c.rank), tag))
     return entries
-
-
-@dataclass(frozen=True)
-class PairFailure:
-    query_id: str
-    passage_id: str
-    error: str
 
 
 def iter_scores(
@@ -245,11 +246,13 @@ def iter_scores(
     stream. Default error policy is fail-fast (a silent score gap would
     corrupt downstream metric comparisons): the first failure cancels the
     pairs no worker has started and is raised from the stream. With
-    ``allow_partial`` a failed pair is yielded as a :class:`PairFailure` for
-    first-stage fallback placement. Closing the stream early starts no
-    further pair and waits for the pairs already started. The candidates
-    must be a ranked list (:func:`types.ranked_lists`) naming known queries
-    and passages; that is checked by this call, before any request is sent.
+    ``allow_partial`` a failed pair is yielded as a :class:`PairFailure`,
+    which :func:`rerank` sinks below the scored pairs in first-stage order:
+    the stream's outcomes, with or without their traces, are ``rerank``'s
+    ``scores`` as they come. Closing the stream early starts no further pair
+    and waits for the pairs already started. The candidates must be a ranked
+    list (:func:`types.ranked_lists`) naming known queries and passages;
+    that is checked by this call, before any request is sent.
     """
     ranked_lists(candidates)
     for c in candidates:
@@ -301,7 +304,8 @@ def score_candidates(
     allow_partial: bool = False,
 ) -> tuple[list[ScoredPair], list[PairFailure]]:
     """:func:`iter_scores` as lists: the scored pairs and the failed ones, each in
-    candidate order. It holds every pair's traces until it returns."""
+    candidate order. It holds every pair's traces until it returns. The CLI
+    reads the stream itself; :func:`rerank` takes the two lists joined."""
     outcomes = list(iter_scores(
         backend, template, strategy, queries, corpus, candidates, sampling,
         base_seed, concurrency, allow_partial,

@@ -50,6 +50,12 @@ def write_queries_file(path, queries) -> None:
             fh.write(json.dumps({"id": q.id, "text": q.text}) + "\n")
 
 
+def write_qrels_file(path, judgments) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for qid, grades in judgments.items():
+            fh.writelines(f"{qid} 0 {pid} {grade}\n" for pid, grade in grades.items())
+
+
 @pytest.fixture
 def tiny_corpus() -> Corpus:
     return Corpus(

@@ -927,11 +927,12 @@ def _tree(root: Path) -> dict:
 
 class TestFailureAtomicity:
     """A failed command changes nothing it found and leaves nothing behind: no output, no
-    ``.partial`` file, no directory. ``made``: ``--out-dir`` exists and is empty; ``new``: it
-    and its parent do not exist; ``runs``: no ``--out-dir``; ``prior``: an earlier run of the
-    command is there (``rerank``'s holds a failures file). Those four fail at the command's
-    last write. ``resolved-dir`` and ``last-dir``: an earlier run is there, with
-    ``resolved_config.json`` or the command's last output replaced by a directory."""
+    ``.partial`` file, no directory, no line on stdout. ``made``: ``--out-dir`` exists and
+    is empty; ``new``: it and its parent do not exist; ``runs``: no ``--out-dir``;
+    ``prior``: an earlier run of the command is there (``rerank``'s holds a failures file).
+    Those four fail at the command's last write. ``resolved-dir`` and ``last-dir``: an
+    earlier run is there, with ``resolved_config.json`` or the command's last output
+    replaced by a directory."""
 
     @pytest.mark.parametrize("where", ["made", "new", "runs", "prior", "resolved-dir",
                                        "last-dir"])
@@ -963,8 +964,9 @@ class TestFailureAtomicity:
         capsys.readouterr()
         _writes(monkeypatch, fail_at=0 if where.endswith("-dir") else count - 1)
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("reranklab: ") and "Traceback" not in err, err
+        assert out == ""  # nothing names an output that was not published
         assert _tree(tmp_path) == found
 
 

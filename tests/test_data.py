@@ -5,17 +5,18 @@ import pytest
 from reranklab import ReasoningTrace, RunEntry, ScoredPair, ValidationError
 from reranklab.cli import main
 from reranklab.data import (
+    iter_records,
+    iter_scored,
     load_corpus,
     load_qrels,
     load_queries,
     read_json_object,
-    read_records,
     read_run,
-    read_scored,
-    write_qrels,
     write_run,
     write_scored,
 )
+
+from conftest import write_qrels_file
 
 
 class TestCorpus:
@@ -130,7 +131,7 @@ class TestQrels:
     def test_roundtrip(self, tmp_path):
         qrels = {"q1": {"d1": 3, "d2": 0}, "q2": {"d9": 2}}
         path = tmp_path / "qrels.txt"
-        write_qrels(str(path), qrels)
+        write_qrels_file(path, qrels)
         assert load_qrels(str(path)) == qrels
 
 
@@ -227,9 +228,7 @@ class TestScoredDump:
         ]
         path = tmp_path / "dump.jsonl"
         write_scored(str(path), pairs, "reason")
-        loaded, strategy = read_scored(str(path))
-        assert strategy == "reason"
-        assert loaded == pairs
+        assert list(iter_scored(str(path))) == [(p, "reason") for p in pairs]
 
     def test_mixed_strategies_rejected(self, tmp_path):
         path = tmp_path / "dump.jsonl"
@@ -239,7 +238,7 @@ class TestScoredDump:
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(ValidationError, match="mixed strategies"):
-            read_scored(str(path))
+            list(iter_scored(str(path)))
 
     def test_repeated_pair_rejected(self, tmp_path):
         path = tmp_path / "dump.jsonl"
@@ -251,7 +250,7 @@ class TestScoredDump:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(ValidationError, match=r"dump\.jsonl:3: duplicate scored pair "
                                                   r"\('q', 'a'\) \(first seen on line 1\)"):
-            read_scored(str(path))
+            list(iter_scored(str(path)))
 
     @pytest.mark.parametrize("row", [
         '{"query_id": 7, "passage_id": "a", "score": 0.5}', "[1, 2]", "null",
@@ -260,14 +259,14 @@ class TestScoredDump:
         path = tmp_path / "dump.jsonl"
         path.write_text(row + "\n")
         with pytest.raises(ValidationError, match=r"dump\.jsonl:1: bad scored record"):
-            read_scored(str(path))
+            list(iter_scored(str(path)))
 
     def test_score_floats_roundtrip_exactly(self, tmp_path):
         value = 0.12345678901234567
         path = tmp_path / "dump.jsonl"
         write_scored(str(path), [ScoredPair("q", "p", value)], "direct")
-        loaded, _ = read_scored(str(path))
-        assert loaded[0].score == value
+        [(loaded, _)] = iter_scored(str(path))
+        assert loaded.score == value
 
 
 def _word(line):
@@ -281,7 +280,7 @@ class TestReadRecords:
     def test_blank_lines_skipped_and_none_keys_unchecked(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("a\n\n  \t\n~x\n~x\nb")
-        assert read_records(str(path), _word, "word", "no words") == ["a", "~x", "~x", "b"]
+        assert list(iter_records(str(path), _word, "word", "no words")) == ["a", "~x", "~x", "b"]
 
     @pytest.mark.parametrize("content, message", [
         ("a\n\nb\na\n", r"words\.txt:4: duplicate word 'a' \(first seen on line 1\)"),
@@ -293,19 +292,19 @@ class TestReadRecords:
         path = tmp_path / "words.txt"
         path.write_text(content)
         with pytest.raises(ValidationError, match=message):
-            read_records(str(path), _word, "word", "no words")
+            list(iter_records(str(path), _word, "word", "no words"))
 
     def test_invalid_json_named_once(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n{"a": \n')
         with pytest.raises(ValidationError, match=r"^[^:]*rows\.jsonl:2: invalid JSON: Expecting"):
-            read_records(str(path), lambda line: (None, json.loads(line)), "row", "no rows")
+            list(iter_records(str(path), lambda line: (None, json.loads(line)), "row", "no rows"))
 
     def test_not_utf8_is_validation_error(self, tmp_path):
         path = tmp_path / "rows.txt"
         path.write_bytes(b"ok\n\xff\xfe\n")
         with pytest.raises(ValidationError, match=r"rows\.txt: not UTF-8 text"):
-            read_records(str(path), _word, "word", "no words")
+            list(iter_records(str(path), _word, "word", "no words"))
 
 
 class TestReadJsonObject:

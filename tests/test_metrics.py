@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -129,6 +130,11 @@ class TestNdcg:
         with pytest.raises(ValidationError, match="duplicate"):
             ndcg_at_k(run, _qrels_of([1, 2]), k=10)
 
+    def test_unknown_gain_names_the_choices(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "gain must be one of ('exponential', 'linear'), got 'log'")):
+            ndcg_at_k(_run_of([1, 2]), _qrels_of([1, 2]), k=10, gain="log")
+
     def test_adjacent_swap_low_high_never_decreases(self):
         # putting the higher grade first never lowers NDCG@k
         rng = random.Random(4)
@@ -184,6 +190,12 @@ class TestClassify:
         ge2 = classify(pairs, qrels, grade_rule="ge2")
         assert (gt2.tp, gt2.fp) == (1, 1)
         assert (ge2.tp, ge2.fp) == (2, 0)
+        assert "positive grades: ge2  (the gt2 convention also exists" in ge2.format()
+
+    def test_unknown_grade_rule_names_the_choices(self):
+        with pytest.raises(ValidationError, match=re.escape(
+                "grade rule must be one of ('gt2', 'ge2'), got 'gt3'")):
+            classify(_pairs([("q", "a", 0.9)]), {"q": {"a": 3}}, grade_rule="gt3")
 
     def test_unjudged_excluded_and_counted(self):
         pairs = _pairs([("q", "judged", 0.9), ("q", "mystery", 0.9)])

@@ -43,9 +43,12 @@ from reranklab import (
 from reranklab import types
 from reranklab.backend import _pieces
 from reranklab.bm25 import TOKEN_PATTERN, _ascend_per_term
-from reranklab.data import load_qrels, read_run, read_scored, write_qrels, write_run, write_scored
+from reranklab.data import iter_scored, load_qrels, read_run, write_run, write_scored
 from reranklab.porter import porter_stem
+from reranklab.rerank import PairFailure
 from reranklab.types import ValidationError, validate_run
+
+from conftest import write_qrels_file
 
 ids = st.text(min_size=1, max_size=8)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -78,14 +81,15 @@ def test_scored_dump_roundtrip_is_exact(pairs, strategy):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scored.jsonl")
         write_scored(path, pairs, strategy)
-        assert read_scored(path) == (pairs, strategy)
+        assert list(iter_scored(path)) == [(p, strategy) for p in pairs]
 
 
 @st.composite
 def ranked_lists(draw):
     """Candidates for a few queries with ranks 1..k and non-increasing first-stage
-    scores, a relevance score per pair (ties likely) and a subset of failed pairs."""
-    candidates, scores, failed = [], [], set()
+    scores, and one outcome per pair: a relevance score (ties likely) or, for some
+    pairs, a failure."""
+    candidates, outcomes = [], []
     for qid in draw(st.lists(ids, min_size=1, max_size=3, unique=True)):
         pids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
         stage1 = sorted(draw(st.lists(st.integers(0, 5), min_size=len(pids), max_size=len(pids))),
@@ -93,21 +97,38 @@ def ranked_lists(draw):
         for rank, (pid, first_stage) in enumerate(zip(pids, stage1), start=1):
             candidates.append(RunEntry(qid, pid, rank, float(first_stage)))
             if draw(st.booleans()) and draw(st.booleans()):
-                failed.add((qid, pid))
+                outcomes.append(PairFailure(qid, pid, "backend failure"))
             else:
-                scores.append(ScoredPair(qid, pid, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))))
-    return candidates, scores, frozenset(failed)
+                outcomes.append(ScoredPair(qid, pid, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))))
+    return candidates, outcomes
+
+
+def naive_rerank(candidates, outcomes, tag):
+    """Per query in id order: scored pairs by (-score, rank), then failed pairs by rank,
+    each failed pair scored -rank."""
+    rank = {(c.query_id, c.passage_id): c.rank for c in candidates}
+    entries = []
+    for qid in sorted({c.query_id for c in candidates}):
+        mine = [o for o in outcomes if o.query_id == qid]
+        scored = sorted((-o.score, rank[qid, o.passage_id], o.passage_id)
+                        for o in mine if isinstance(o, ScoredPair))
+        failed = sorted((rank[qid, o.passage_id], o.passage_id)
+                        for o in mine if isinstance(o, PairFailure))
+        rows = [(pid, -neg) for neg, _, pid in scored] + [(pid, -float(r)) for r, pid in failed]
+        entries += [RunEntry(qid, pid, i, score, tag) for i, (pid, score) in enumerate(rows, 1)]
+    return entries
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=ranked_lists(), shuffle=st.randoms(use_true_random=False))
 def test_rerank_ignores_candidate_and_score_order(data, shuffle):
-    candidates, scores, failed = data
-    reference = rerank(candidates, scores, "t", failed=failed)
-    candidates, scores = list(candidates), list(scores)
+    candidates, outcomes = data
+    reference = naive_rerank(candidates, outcomes, "t")
+    assert rerank(candidates, outcomes, "t") == reference
+    candidates, outcomes = list(candidates), list(outcomes)
     shuffle.shuffle(candidates)
-    shuffle.shuffle(scores)
-    assert rerank(candidates, scores, "t", failed=failed) == reference
+    shuffle.shuffle(outcomes)
+    assert rerank(candidates, outcomes, "t") == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -386,7 +407,7 @@ def test_read_run_accepts_only_ranked_lists_with_finite_scores(lines):
 def test_qrels_roundtrip_is_exact(judgments):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "qrels.txt")
-        write_qrels(path, judgments)
+        write_qrels_file(path, judgments)
         assert load_qrels(path) == judgments
 
 

@@ -37,7 +37,7 @@ from reranklab import (
     score_pair,
 )
 from reranklab.backend import CompletionsBackend
-from reranklab.rerank import iter_scores
+from reranklab.rerank import PairFailure, iter_scores
 
 Q = Query("q1", "how to help a jammed finger")
 P = Passage("p1", "A broken finger is often more painful than a jammed finger.")
@@ -381,15 +381,14 @@ class TestRerank:
             rerank(_candidates(), _scores({"p1": 0.9}), "t")
 
     def test_duplicate_score_rejected(self):
-        scores = _scores({"p1": 0.9, "p2": 0.5, "p3": 0.1}) + [ScoredPair("q1", "p1", 0.2)]
-        with pytest.raises(ValidationError, match="duplicate"):
-            rerank(_candidates(), scores, "t")
+        scores = _scores({"p1": 0.9, "p2": 0.5, "p3": 0.1})
+        for again in (ScoredPair("q1", "p1", 0.2), PairFailure("q1", "p1", "timeout")):
+            with pytest.raises(ValidationError, match=r"duplicate score for pair \('q1', 'p1'\)"):
+                rerank(_candidates(), scores + [again], "t")  # scored twice; scored and failed
 
     def test_failed_pairs_sink_in_first_stage_order(self):
-        scores = _scores({"p2": 0.4})
-        entries = rerank(
-            _candidates(), scores, "t", failed=frozenset({("q1", "p1"), ("q1", "p3")})
-        )
+        scores = [PairFailure("q1", "p3", "timeout")] + _scores({"p2": 0.4})
+        entries = rerank(_candidates(), scores + [PairFailure("q1", "p1", "timeout")], "t")
         assert [e.passage_id for e in entries] == ["p2", "p1", "p3"]
         assert entries[0].score == 0.4
         assert entries[1].score > entries[2].score  # placeholder scores keep order

@@ -51,3 +51,36 @@ def test_no_pattern_needs_python_3_11(module):
     for pattern in patterns:
         found = set(_opcodes(re._parser.parse(pattern.pattern, pattern.flags)))
         assert not found & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_definitions(tree: ast.Module):
+    """Each public top-level name a module defines, with the statement that defines it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in found if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in targets if not name.startswith("_"))
+
+
+def test_every_public_name_has_a_program_caller():
+    # an import or an __all__ entry is not a use; tests do not count as callers
+    files = [*ROOT.glob("src/**/*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    uses = [(path, node, node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for module in sorted(ROOT.glob("src/reranklab/*.py")):
+        for name, definition in _public_definitions(trees[module]):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(used == name and not (path == module and id(node) in inside)
+                       for path, node, used in uses):
+                unused.append(f"{module.stem}.{name}")
+    assert unused == []
