@@ -5,20 +5,22 @@ produced artifacts can be injected at any point: a run file from another
 retriever replaces the built-in first stage, a scored dump from another
 scorer feeds the analysis commands.
 
-Each setting is declared once, as a flag in :func:`build_parser`, with its
-type, choices and default. Every command runs the same lifecycle in
-:func:`main`: parse the arguments; with ``--config``, check each file key
-against the flag that declares it (any command's flag), make the file's
-values the command's defaults and parse again, so flags win; then run the
-command inside :func:`_staging`. A command only computes: it takes the
-parsed arguments and ``stage(name, tag)``, writes each output to the
-temporary path that ``stage`` returns, and returns its stdout text. Once
-the command returns, ``resolved_config.json`` (every command's settings) is
-staged last and every staged file takes its name; only then is the text
-printed. If anything fails, no staged file is published, every directory
-made for the run is removed and nothing is printed on stdout. ``eval``,
-``analyze`` and ``dump-traces`` stage nothing without ``--out-dir``, so
-they then write nothing.
+Each setting is a flag in :func:`build_parser`, with its type, choices and
+default; a setting that several commands take is declared in each of them,
+alike. Every command runs the same lifecycle in :func:`main`: parse the
+arguments; with ``--config``, check each file key against the flag that
+declares it (any command's flag), make the file's values the command's
+defaults and parse again, so flags win; then run the command inside
+:func:`_staging`. A command only computes: it takes the parsed arguments
+and ``stage(name, tag)``, writes each output to the temporary path that
+``stage`` returns, and returns its stdout text. Once the command returns,
+``resolved_config.json`` (every command's settings) is staged last and
+every staged file takes its name; only then is the text printed. If
+anything fails, no staged file is published, every directory made for the
+run is removed and nothing is printed on stdout. The report commands
+``eval``, ``analyze`` and ``dump-traces`` write only through
+:func:`_report`, which stages their files under ``--out-dir`` and writes
+nothing without it.
 
 Exit codes: 0 success, 1 usage, 2 data validation or an unreadable or
 unwritable path, 3 backend failure.
@@ -265,10 +267,11 @@ def _staging(args: argparse.Namespace, resolved: dict):
         raise
 
 
-def _report(args: argparse.Namespace, stage: _Stage, name: str, text: str) -> None:
-    """With --out-dir, write a text report there as ``name``."""
+def _report(args: argparse.Namespace, stage: _Stage, files: dict[str, str]) -> None:
+    """With --out-dir, stage and write each ``{name: text}`` there in order; else nothing."""
     if args.out_dir:
-        stage(name, name).write_text(text + "\n", encoding="utf-8")
+        for name, text in files.items():
+            stage(name, name).write_text(text + "\n", encoding="utf-8")
 
 
 def _analyzer(args: argparse.Namespace) -> bm25.AnalyzerConfig:
@@ -412,23 +415,10 @@ def cmd_eval(args: argparse.Namespace, stage: _Stage) -> str:
     k = args.k if args.k is not None else 10
     report = metrics.ndcg_at_k(run_entries, judgments, k=k, gain=args.gain)
     text = report.format()
-    _report(args, stage, "eval.txt", text)
-    if args.out_dir:
-        with open(stage("eval.jsonl", "eval.jsonl"), "w", encoding="utf-8") as fh:
-            for qid, value in report.per_query.items():
-                fh.write(json.dumps({"query_id": qid, f"ndcg@{k}": value}) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "mean_ndcg": report.mean,
-                        "evaluated_queries": report.evaluated,
-                        "skipped_queries": list(report.skipped),
-                        "gain": report.gain,
-                        "k": report.k,
-                    }
-                )
-                + "\n"
-            )
+    rows = [{"query_id": qid, f"ndcg@{k}": value} for qid, value in report.per_query.items()]
+    rows.append({"mean_ndcg": report.mean, "evaluated_queries": report.evaluated,
+                 "skipped_queries": report.skipped, "gain": report.gain, "k": report.k})
+    _report(args, stage, {"eval.txt": text, "eval.jsonl": "\n".join(map(json.dumps, rows))})
     return text
 
 
@@ -441,14 +431,14 @@ def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> str:
     for pair, strategy in data.iter_scored(str(require_path(args.scored, "scored dump"))):
         pairs.append(ScoredPair(pair.query_id, pair.passage_id, pair.score))  # traces dropped
     dist = metrics.bin_scores([p.score for p in pairs])
-    if sum(dist.counts) != dist.total:  # bin bookkeeping must balance
+    if sum(dist.bin_counts) != dist.total:  # bin bookkeeping must balance
         raise AssertionError("bin counts do not sum to the sample total")
     blocks = [
         f"strategy: {strategy}",
         dist.format(),
-        f"bin counts sum {sum(dist.counts)} == total {dist.total}: ok",
+        f"bin counts sum {sum(dist.bin_counts)} == total {dist.total}: ok",
     ]
-    report = None
+    machine = {"strategy": strategy, "bin_edges": metrics.BIN_EDGES, **asdict(dist)}
     if args.qrels:
         judgments = data.load_qrels(str(require_path(args.qrels, "qrels")))
         report = metrics.classify(
@@ -457,25 +447,12 @@ def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> str:
             grade_rule=args.grade_rule,
         )
         blocks.append(report.format())
+        machine["classification"] = asdict(report)
     else:
         blocks.append("no qrels supplied; classification report skipped")
     text = "\n\n".join(blocks)
-    _report(args, stage, "analysis.txt", text)
-    if args.out_dir:
-        machine = {
-            "strategy": strategy,
-            "bin_edges": list(metrics.BIN_EDGES),
-            "bin_counts": list(dist.counts),
-            "total": dist.total,
-            "low_fraction": dist.low_fraction,
-            "partial_fraction": dist.partial_fraction,
-            "high_fraction": dist.high_fraction,
-        }
-        if report is not None:
-            machine["classification"] = asdict(report)
-        stage("analysis.json", "analysis.json").write_text(
-            json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    _report(args, stage, {"analysis.txt": text,
+                          "analysis.json": json.dumps(machine, indent=2, sort_keys=True)})
     return text
 
 
@@ -509,7 +486,7 @@ def cmd_dump_traces(args: argparse.Namespace, stage: _Stage) -> str:
             lines.append("reasoning  : (none)")
         blocks.append("\n".join(lines))
     text = ("\n" + "-" * 72 + "\n").join(blocks)
-    _report(args, stage, "traces.txt", text)
+    _report(args, stage, {"traces.txt": text})
     return text
 
 

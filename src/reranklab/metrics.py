@@ -38,7 +38,7 @@ GRADE_RULES: dict[str, Callable[[int], bool]] = {
 
 @dataclass(frozen=True)
 class EvalReport:
-    per_query: dict[str, float]  # every judged query, including skipped ones at 0.0
+    per_query: dict[str, float]  # every judged query in the run, skipped ones at 0.0
     mean: float                  # over judged queries with a nonzero ideal DCG
     evaluated: int
     skipped: tuple[str, ...]     # judged queries with no relevant documents
@@ -65,8 +65,10 @@ def ndcg_at_k(
     The run must be a ranked list (:func:`types.ranked_lists`); its order is
     read from the ranks, never from the scores. Unjudged passages in the run
     count as grade 0. Queries absent from the judgments are not evaluated at
-    all; judged queries with an all-zero ideal are reported at 0.0 but
-    excluded from the mean.
+    all, and neither are judged queries with no rows in the run: as in
+    trec_eval without ``-c``, they are in neither ``per_query`` nor the mean.
+    Judged queries with an all-zero ideal are reported at 0.0 but excluded
+    from the mean.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -204,7 +206,7 @@ BIN_EDGES = tuple(i / 10 for i in range(11))
 
 @dataclass(frozen=True)
 class ScoreDistribution:
-    counts: tuple[int, ...]  # ten bins: [0,0.1), ..., [0.8,0.9), [0.9,1.0]
+    bin_counts: tuple[int, ...]  # ten bins: [0,0.1), ..., [0.8,0.9), [0.9,1.0]
     total: int
     low_fraction: float      # [0, 0.1)
     partial_fraction: float  # [0.1, 0.9)
@@ -212,7 +214,7 @@ class ScoreDistribution:
 
     def format(self) -> str:
         lines = ["score distribution (10 bins; last bin closed at 1.0)"]
-        for i, count in enumerate(self.counts):
+        for i, count in enumerate(self.bin_counts):
             left, right = BIN_EDGES[i], BIN_EDGES[i + 1]
             closer = "]" if i == 9 else ")"
             lines.append(f"[{left:.1f}, {right:.1f}{closer}\t{count}\t{count / self.total:.4f}")
@@ -236,7 +238,7 @@ def bin_scores(scores: Sequence[float]) -> ScoreDistribution:
         counts[min(idx, 9)] += 1
     total = len(scores)
     return ScoreDistribution(
-        counts=tuple(counts),
+        bin_counts=tuple(counts),
         total=total,
         low_fraction=counts[0] / total,
         partial_fraction=sum(counts[1:9]) / total,

@@ -140,7 +140,7 @@ def score_pair(
     sampled = strategy.kind is StrategyKind.SELF_CONSISTENCY
     traces = []
     per_sample = []
-    failures = []
+    failure = None
     for i in range(strategy.samples):
         seed = derive_seed(base_seed, query.id, passage.id, i)
         try:
@@ -149,12 +149,12 @@ def score_pair(
         except BackendError as exc:
             if not (average_over_successes and sampled):
                 raise
-            failures.append(exc)
+            failure = exc
             continue
         traces.append(trace)
         per_sample.append(relevance_from_logits(logits))
     if not per_sample:
-        raise BackendError(f"all {strategy.samples} samples failed; last error: {failures[-1]}")
+        raise BackendError(f"all {strategy.samples} samples failed; last error: {failure}")
     return ScoredPair(
         query.id,
         passage.id,

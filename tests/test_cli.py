@@ -819,6 +819,188 @@ class TestEvalAnalyze:
         assert json.loads((out / "resolved_config.json").read_text())["scored"] == scored
 
 
+# q1: grades (0, 3, 1) at ranks 1..3, exponential gain, k=3:
+# DCG = 7/log2(3) + 1/2, IDCG = 7 + 1/log2(3) -> 0.6442869262030828;
+# q2 is judged with no relevant passage, so it is reported at 0.0 and skipped
+TOY_RUN = ("q1 Q0 a 1 0.900000 t\nq1 Q0 b 2 0.500000 t\nq1 Q0 c 3 0.100000 t\n"
+           "q2 Q0 d 1 0.700000 t\n")
+TOY_QRELS = "q1 0 a 0\nq1 0 b 3\nq1 0 c 1\nq2 0 d 0\n"
+EVAL_TXT = ("ndcg@3  gain=exponential\n"
+            "q1\t0.6443\n"
+            "q2\t0.0000  (skipped: no relevant docs)\n"
+            "mean\t0.6443  (1 queries)\n")
+EVAL_JSONL = ('{"query_id": "q1", "ndcg@3": 0.6442869262030828}\n'
+              '{"query_id": "q2", "ndcg@3": 0.0}\n'
+              '{"mean_ndcg": 0.6442869262030828, "evaluated_queries": 1, '
+              '"skipped_queries": ["q2"], "gain": "exponential", "k": 3}\n')
+
+# scores 1.0, 0.0, 0.6 and 0.05 fall in bins 9, 0, 6 and 0; with grades a=3, b=0, c=2
+# and d unjudged, gt2 at threshold 0.5 gives a tp, a tn and an fp (c: 0.6 > 0.5, grade 2)
+TOY_SCORES = {"a": 1.0, "b": 0.0, "c": 0.6, "d": 0.05}
+TOY_GRADES = "q1 0 a 3\nq1 0 b 0\nq1 0 c 2\n"
+DISTRIBUTION_TXT = """\
+strategy: direct
+
+score distribution (10 bins; last bin closed at 1.0)
+[0.0, 0.1)\t2\t0.5000
+[0.1, 0.2)\t0\t0.0000
+[0.2, 0.3)\t0\t0.0000
+[0.3, 0.4)\t0\t0.0000
+[0.4, 0.5)\t0\t0.0000
+[0.5, 0.6)\t0\t0.0000
+[0.6, 0.7)\t1\t0.2500
+[0.7, 0.8)\t0\t0.0000
+[0.8, 0.9)\t0\t0.0000
+[0.9, 1.0]\t1\t0.2500
+total\t4
+regions: low=0.5000 partial=0.2500 high=0.2500
+
+bin counts sum 4 == total 4: ok
+
+"""
+CLASSIFICATION_TXT = """\
+relevance classification  (predict positive when score > 0.5)
+positive grades: gt2  (the ge2 convention also exists; see --grade-rule)
+tp=1 fp=1 tn=1 fn=0  judged=3 unjudged=1
+precision=0.5000
+recall=1.0000
+f1=0.6667
+"""
+DISTRIBUTION_JSON = """\
+{
+  "bin_counts": [
+    2,
+    0,
+    0,
+    0,
+    0,
+    0,
+    1,
+    0,
+    0,
+    1
+  ],
+  "bin_edges": [
+    0.0,
+    0.1,
+    0.2,
+    0.3,
+    0.4,
+    0.5,
+    0.6,
+    0.7,
+    0.8,
+    0.9,
+    1.0
+  ],
+"""
+CLASSIFICATION_JSON = """\
+  "classification": {
+    "f1": 0.6666666666666666,
+    "fn": 0,
+    "fp": 1,
+    "grade_rule": "gt2",
+    "precision": 0.5,
+    "precision_undefined": false,
+    "recall": 1.0,
+    "recall_undefined": false,
+    "score_threshold": 0.5,
+    "tn": 1,
+    "tp": 1,
+    "unjudged": 1
+  },
+"""
+REGIONS_JSON = """\
+  "high_fraction": 0.25,
+  "low_fraction": 0.5,
+  "partial_fraction": 0.25,
+  "strategy": "direct",
+  "total": 4
+}
+"""
+
+# two pairs of a reason dump, one with a trace; passage c is not in the corpus
+TRACES_TXT = """\
+query      [q1]: what ranks passages
+passage    [a]: bm25 ranks passages
+strategy   : reason
+relevance  : 0.750000
+reasoning  (5 tokens):
+The passage names bm25.
+------------------------------------------------------------------------
+query      [q1]: what ranks passages
+passage    [c]: (unknown passage)
+strategy   : reason
+relevance  : 0.250000
+reasoning  : (none)
+"""
+
+
+class TestReportBytes:
+    """Every report file, and stdout, byte for byte on inputs small enough to check by hand."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # so that a runs/ directory made without --out-dir shows
+
+    @staticmethod
+    def _check(argv, out_dir, capsys, stdout, files):
+        """Run ``argv``: it prints ``stdout``; with --out-dir it writes exactly ``files``
+        ({name: text}) and resolved_config.json there, and without it writes nothing."""
+        found = sorted(Path.cwd().iterdir())
+        out = Path.cwd() / "out"
+        assert main(argv + (["--out-dir", str(out)] if out_dir else [])) == 0
+        assert capsys.readouterr().out == stdout
+        if out_dir:
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                [*files, "resolved_config.json"])
+            for name, text in files.items():
+                assert (out / name).read_bytes() == text.encode(), name
+        else:
+            assert sorted(Path.cwd().iterdir()) == found
+
+    @pytest.mark.parametrize("out_dir", [True, False])
+    def test_eval(self, tmp_path, capsys, out_dir):
+        (tmp_path / "toy.run").write_text(TOY_RUN)
+        (tmp_path / "toy.qrels").write_text(TOY_QRELS)
+        argv = ["eval", "--run-in", str(tmp_path / "toy.run"),
+                "--qrels", str(tmp_path / "toy.qrels"), "--k", "3"]
+        self._check(argv, out_dir, capsys, EVAL_TXT,
+                    {"eval.txt": EVAL_TXT, "eval.jsonl": EVAL_JSONL})
+
+    @pytest.mark.parametrize("out_dir", [True, False])
+    @pytest.mark.parametrize("qrels", [True, False])
+    def test_analyze(self, tmp_path, capsys, qrels, out_dir):
+        (tmp_path / "direct_scored.jsonl").write_text("".join(
+            json.dumps({"query_id": "q1", "passage_id": pid, "score": score,
+                        "per_sample_scores": [], "traces": [], "strategy": "direct"}) + "\n"
+            for pid, score in TOY_SCORES.items()))
+        (tmp_path / "toy.qrels").write_text(TOY_GRADES)
+        argv = ["analyze", "--scored", str(tmp_path / "direct_scored.jsonl")]
+        argv += ["--qrels", str(tmp_path / "toy.qrels")] if qrels else []
+        text = DISTRIBUTION_TXT + (CLASSIFICATION_TXT if qrels else
+                                   "no qrels supplied; classification report skipped\n")
+        machine = DISTRIBUTION_JSON + (CLASSIFICATION_JSON if qrels else "") + REGIONS_JSON
+        self._check(argv, out_dir, capsys, text,
+                    {"analysis.txt": text, "analysis.json": machine})
+
+    @pytest.mark.parametrize("out_dir", [True, False])
+    def test_dump_traces(self, tmp_path, capsys, out_dir):
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"id": "a", "text": "bm25 ranks passages"}\n'
+            '{"id": "b", "text": "porter stems words"}\n')
+        (tmp_path / "queries.jsonl").write_text('{"id": "q1", "text": "what ranks passages"}\n')
+        trace = {"text": "The passage names bm25.\n", "terminated": True, "token_count": 5}
+        (tmp_path / "reason_scored.jsonl").write_text("".join(
+            json.dumps({"query_id": "q1", "passage_id": pid, "score": score,
+                        "per_sample_scores": [], "traces": traces, "strategy": "reason"}) + "\n"
+            for pid, score, traces in (("a", 0.75, [trace]), ("c", 0.25, []))))
+        argv = ["dump-traces", "--scored", str(tmp_path / "reason_scored.jsonl"),
+                "--corpus", str(tmp_path / "corpus.jsonl"),
+                "--queries", str(tmp_path / "queries.jsonl")]
+        self._check(argv, out_dir, capsys, TRACES_TXT, {"traces.txt": TRACES_TXT})
+
+
 def _subparsers():
     parser = build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -828,14 +1010,16 @@ def _commands():
     return list(_subparsers())
 
 
-def _declared():
-    """dest -> {command: (type, default, choices, const, nargs)} over the parser's subcommands."""
+def _declared(skip=("help", "config")):
+    """dest -> {command: (type, default, choices, const, nargs, required)} over the parser's
+    subcommands."""
     table = {}
     for command, parser in _subparsers().items():
         for a in parser._actions:
-            if a.dest not in ("help", "config"):
+            if a.dest not in skip:
                 table.setdefault(a.dest, {})[command] = (
-                    a.type, a.default, a.choices and tuple(a.choices), a.const, a.nargs)
+                    a.type, a.default, a.choices and tuple(a.choices), a.const, a.nargs,
+                    a.required)
     return table
 
 
@@ -1051,9 +1235,10 @@ class TestStreaming:
 
 class TestSettingsTable:
     def test_a_setting_shared_by_commands_is_declared_alike(self):
-        shared = {dest: by_command for dest, by_command in _declared().items()
+        # main keeps one action per dest, for --config checks and resolved_config.json
+        shared = {dest: by_command for dest, by_command in _declared(skip=("help",)).items()
                   if len(by_command) > 1}
-        assert {"corpus", "queries", "run_in", "k", "tag", "qrels", "scored",
+        assert {"corpus", "queries", "run_in", "k", "tag", "qrels", "scored", "config",
                 "out_dir"} <= set(shared)
         for dest, by_command in shared.items():
             assert len(set(by_command.values())) == 1, (dest, by_command)

@@ -88,6 +88,14 @@ class TestNdcg:
         report = ndcg_at_k(run, _qrels_of([3, 1]), k=10)
         assert "q_unjudged" not in report.per_query
 
+    def test_judged_query_absent_from_the_run_is_not_evaluated(self):
+        # as trec_eval without -c: the query counts neither per query nor in the mean
+        qrels = {**_qrels_of([3, 1]), **_qrels_of([2], qid="q2")}
+        report = ndcg_at_k(_run_of([3, 1]), qrels, k=10)
+        assert list(report.per_query) == ["q1"]
+        assert report.evaluated == 1 and report.skipped == ()
+        assert report.mean == report.per_query["q1"] == 1.0
+
     def test_unjudged_passages_are_grade_zero(self):
         run = _run_of([3, 0, 2])
         qrels = {"q1": {"p0": 3, "p2": 2}}  # p1 unjudged
@@ -248,20 +256,20 @@ class TestBinScores:
 
     def test_boundaries(self):
         dist = bin_scores([0.0, 0.1, 1.0])
-        assert dist.counts[0] == 1  # 0.0 in the first bin
-        assert dist.counts[1] == 1  # 0.1 opens the second bin
-        assert dist.counts[9] == 1  # 1.0 closes the last bin
+        assert dist.bin_counts[0] == 1  # 0.0 in the first bin
+        assert dist.bin_counts[1] == 1  # 0.1 opens the second bin
+        assert dist.bin_counts[9] == 1  # 1.0 closes the last bin
 
     def test_every_decimal_edge(self):
         edges = [i / 10 for i in range(10)]
         dist = bin_scores(edges)
-        assert dist.counts == tuple([1] * 10)
+        assert dist.bin_counts == tuple([1] * 10)
 
     def test_counts_sum_and_fractions(self):
         rng = random.Random(2)
         scores = [rng.random() for _ in range(1000)]
         dist = bin_scores(scores)
-        assert sum(dist.counts) == dist.total == 1000
+        assert sum(dist.bin_counts) == dist.total == 1000
         total = dist.low_fraction + dist.partial_fraction + dist.high_fraction
         assert abs(total - 1.0) < 1e-12
 

@@ -415,7 +415,7 @@ def test_qrels_roundtrip_is_exact(judgments):
 @given(scores=st.lists(unit, min_size=1, max_size=50))
 def test_bin_counts_sum_to_total(scores):
     dist = bin_scores(scores)
-    assert sum(dist.counts) == dist.total == len(scores)
+    assert sum(dist.bin_counts) == dist.total == len(scores)
     assert math.isclose(dist.low_fraction + dist.partial_fraction + dist.high_fraction, 1.0)
     assert dist.low_fraction == sum(s < 0.1 for s in scores) / len(scores)
     assert dist.high_fraction == sum(s >= 0.9 for s in scores) / len(scores)

@@ -330,6 +330,18 @@ class TestSelfConsistency:
         assert len(pair.per_sample_scores) == 2
         assert pair.score == 0.5
 
+    def test_all_samples_failing_names_the_last_error(self):
+        calls = {"n": 0}
+
+        def generate_fn(prompt, seed):
+            calls["n"] += 1
+            raise BackendError(f"boom {calls['n']}")
+
+        mock = MockBackend(generate_fn=generate_fn)
+        with pytest.raises(BackendError, match=r"^all 3 samples failed; last error: boom 3$"):
+            score_pair(mock, DEFAULT_TEMPLATE, _sc(3), Q, P, SamplingParams(max_tokens=8),
+                       average_over_successes=True)
+
 
 def _candidates():
     return [

@@ -84,3 +84,12 @@ def test_every_public_name_has_a_program_caller():
                        for path, node, used in uses):
                 unused.append(f"{module.stem}.{name}")
     assert unused == []
+
+
+def test_only_staging_and_report_read_out_dir():
+    # a report command writes through _report, so the --out-dir rule is stated in one place
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    readers = {function.name for function in tree.body if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Attribute) and node.attr == "out_dir"}
+    assert sorted(readers) == ["_report", "_staging"]
