@@ -56,6 +56,9 @@ with tempfile.TemporaryDirectory() as tmp:
          "--qrels", str(root / "qrels.txt"), "--out-dir", str(out)],
         ["analyze", "--scored", str(out / "self_consistency_scored.jsonl"),
          "--qrels", str(root / "qrels.txt"), "--out-dir", str(out)],
+        ["dump-traces", "--scored", str(out / "self_consistency_scored.jsonl"),
+         "--corpus", str(root / "corpus.jsonl"), "--queries", str(root / "queries.jsonl"),
+         "--out-dir", str(out)],
     ]
     for argv in steps:
         print(f"\n$ reranklab {' '.join(argv)}")

@@ -159,7 +159,7 @@ class Postings(Mapping):
     (0 for the first term). Looking a term up returns its rows as a new
     tuple of pairs, so nothing is held per term beyond its string and its
     end. A read-only mapping that iterates its terms in sorted order and
-    compares equal to a dict holding the same rows, with that dict's ``repr``.
+    compares equal to another :class:`Postings` with the same columns.
     """
 
     __slots__ = ("terms", "ends", "ordinals", "tfs")
@@ -191,23 +191,20 @@ class Postings(Mapping):
     def __iter__(self):
         return iter(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Postings):  # equal columns hold equal rows: no slice per term
-            return (self.terms == other.terms and self.ends == other.ends
-                    and self.ordinals == other.ordinals and self.tfs == other.tfs)
-        return super().__eq__(other)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+    def __eq__(self, other) -> bool:  # equal columns hold equal rows: no slice per term
+        if not isinstance(other, Postings):
+            return NotImplemented
+        return (self.terms == other.terms and self.ends == other.ends
+                and self.ordinals == other.ordinals and self.tfs == other.tfs)
 
 
 @dataclass(frozen=True)
 class InvertedIndex:
     doc_ids: tuple[str, ...]
     doc_lengths: tuple[int, ...]
-    postings: Postings  # term -> rows (ordinal, tf), ordinals ascending, in shared columns
+    # term -> rows (ordinal, tf), ordinals ascending, in shared columns; left out of repr,
+    # which would otherwise show the object's address
+    postings: Postings = field(repr=False)
     analyzer: AnalyzerConfig
     params: Bm25Params
     avg_doc_length: float = field(init=False)
@@ -234,12 +231,9 @@ class InvertedIndex:
     def doc_count(self) -> int:
         return len(self.doc_ids)
 
-    def _idf(self, term: str) -> float:
-        span = self.postings.span(term)
-        if span is None:
-            return 0.0
-        df, n = span[1] - span[0], self.doc_count
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    def _idf(self, df: int) -> float:
+        """The idf of a term with ``df`` rows, the length of its span."""
+        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
     def _impacts(self, term: str) -> tuple[array, array] | None:
         """``(ordinals, impacts)`` of the term's rows, or None if the index lacks it.
@@ -254,7 +248,7 @@ class InvertedIndex:
             lo, hi = span
             # a copied slice: iterating an array is faster than a memoryview of one
             ordinals, tfs = self.postings.ordinals[lo:hi], self.postings.tfs[lo:hi]
-            idf, k1, norms = self._idf(term), self.params.k1, self.length_norms
+            idf, k1, norms = self._idf(hi - lo), self.params.k1, self.length_norms
             numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(tfs)}
             impacts = array("d", [numerators[tf] / (tf + norms[ordinal])
                                   for ordinal, tf in zip(ordinals, tfs)])
@@ -369,7 +363,7 @@ def bm25_score(index: InvertedIndex, query: Query, ordinal: int) -> float:
         if i == hi or postings.ordinals[i] != ordinal:
             continue
         tf = postings.tfs[i]
-        score += index._idf(term) * tf * (k1 + 1.0) / (tf + k1_norm)
+        score += index._idf(hi - lo) * tf * (k1 + 1.0) / (tf + k1_norm)
     return score
 
 

@@ -300,9 +300,17 @@ def cmd_index(args: argparse.Namespace, stage: _Stage) -> str:
             f"-> {index_path.with_suffix('')}")
 
 
-def cmd_retrieve(args: argparse.Namespace, stage: _Stage) -> str:
-    tag = args.tag or "bm25"
+def _tag(args: argparse.Namespace, default: str) -> str:
+    """The run's tag, refused unless it is one run-file column and one file name."""
+    tag = args.tag or default
     data.check_run_field("tag", tag)
+    if set(tag) & {"/", os.sep, os.altsep}:  # would name a file in another directory
+        raise ValidationError(f"tag must not hold a path separator, got {tag!r}")
+    return tag
+
+
+def cmd_retrieve(args: argparse.Namespace, stage: _Stage) -> str:
+    tag = _tag(args, "bm25")
     index = bm25.load_index(str(require_path(args.index, "index")))
     queries = data.load_queries(str(require_path(args.queries, "queries")))
     k = args.k if args.k is not None else 100
@@ -353,7 +361,7 @@ def _sampling(args: argparse.Namespace, kind: StrategyKind) -> SamplingParams:
 
 
 def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
-    # checked before any work: resolved_config.json must not record a value the run ignored
+    # an out-of-range value is refused before any input is read or request sent
     for name in ("concurrency", "samples"):
         if getattr(args, name) < 1:
             raise ValidationError(f"{name} must be >= 1, got {getattr(args, name)}")
@@ -367,8 +375,7 @@ def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
         kind=kind, samples=samples, max_passage_chars=args.max_passage_chars
     )
     template = prompts.load_template(args.template) if args.template else prompts.DEFAULT_TEMPLATE
-    tag = args.tag or kind.value
-    data.check_run_field("tag", tag)
+    tag = _tag(args, kind.value)
     with contextlib.closing(_build_backend(args)) as backend:
         backend.validate_decision_tokens()
         outcomes = iter_scores(

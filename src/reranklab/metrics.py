@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 from .types import JudgmentMap, RunEntry, ScoredPair, ValidationError, ranked_lists
@@ -83,14 +84,14 @@ def ndcg_at_k(
         grades_for_query = judgments.get(qid)
         if grades_for_query is None:
             continue
-        dcg = 0.0
-        for i, e in enumerate(entries[:k], start=1):
-            g = grades_for_query.get(e.passage_id, 0)
-            dcg += gain_of(g) / math.log2(i + 1)
-        ideal_grades = sorted(grades_for_query.values(), reverse=True)
-        idcg = 0.0
-        for i, g in enumerate(ideal_grades[:k], start=1):
-            idcg += gain_of(g) / math.log2(i + 1)
+        ranked = [grades_for_query.get(e.passage_id, 0) for e in entries[:k]]
+        ideal = sorted(grades_for_query.values(), reverse=True)[:k]
+        dcg = idcg = 0.0
+        # the shorter list is padded with grade 0, whose gain adds +0.0 and changes no sum
+        for i, (g, ideal_g) in enumerate(zip_longest(ranked, ideal, fillvalue=0), start=1):
+            discount = math.log2(i + 1)
+            dcg += gain_of(g) / discount
+            idcg += gain_of(ideal_g) / discount
         if idcg == 0.0:
             per_query[qid] = 0.0
             skipped.append(qid)

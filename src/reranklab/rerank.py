@@ -196,24 +196,20 @@ def rerank(
     lists = ranked_lists(candidates)
     entries: list[RunEntry] = []
     for qid in sorted(lists):
+        # (run score, candidate): the scored pairs, then the failed ones at -rank
         scored: list[tuple[float, RunEntry]] = []
-        fallback: list[RunEntry] = []
+        failed: list[tuple[float, RunEntry]] = []
         for c in lists[qid]:
             outcome = by_pair.get((qid, c.passage_id))
             if outcome is None:
                 raise ValidationError(f"candidate {(qid, c.passage_id)} has no score")
             if isinstance(outcome, PairFailure):
-                fallback.append(c)
+                failed.append((-float(c.rank), c))
             else:
                 scored.append((outcome.score, c))
         scored.sort(key=itemgetter(0), reverse=True)  # stable: ties stay in rank order
-        rank = 0
-        for score, c in scored:
-            rank += 1
-            entries.append(RunEntry(qid, c.passage_id, rank, score, tag))
-        for c in fallback:
-            rank += 1
-            entries.append(RunEntry(qid, c.passage_id, rank, -float(c.rank), tag))
+        entries += [RunEntry(qid, c.passage_id, rank, score, tag)
+                    for rank, (score, c) in enumerate(scored + failed, start=1)]
     return entries
 
 

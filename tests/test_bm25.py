@@ -107,7 +107,7 @@ class TestBuildIndex:
         # every word is a stopword: no postings, average length 0
         cfg = AnalyzerConfig(stopwords=frozenset({"the", "of"}))
         index = build_index(Corpus((Passage("a", "the"), Passage("b", "of the"))), cfg, PARAMS)
-        assert index.avg_doc_length == 0.0 and index.postings == {}
+        assert index.avg_doc_length == 0.0 and dict(index.postings.items()) == {}
         assert retrieve_top_k(index, Query("q", "the cat"), 5) == []
         assert bm25_score(index, Query("q", "the cat"), 1) == 0.0
 
@@ -160,7 +160,7 @@ class TestScore:
             )
             index = build_index(corpus, CFG, PARAMS)
             scores.append(bm25_score(index, Query("q", "cat"), 0))
-            bound = index._idf("cat") * (PARAMS.k1 + 1.0)
+            bound = index._idf(len(index.postings["cat"])) * (PARAMS.k1 + 1.0)
             assert scores[-1] < bound
         assert all(b >= a for a, b in zip(scores, scores[1:]))
 
@@ -309,13 +309,7 @@ class TestPostings:
         assert postings.get("xylophone", ()) == () and dict(postings.items()) == rows
         with pytest.raises(KeyError):
             postings["xylophone"]
-        assert repr(postings) == repr(rows)
-
-    def test_equals_a_dict_with_the_same_rows_in_both_operand_orders(self, postings):
-        rows = {t: tuple(map(tuple, r)) for t, r in GOLDEN_ROWS.items()}
-        assert postings == rows and rows == postings and not postings != rows
-        assert postings != {**rows, "cat": ((4, 2),)} and {**rows, "zebra": ((0, 1),)} != postings
-        assert postings != list(rows.items())
+        assert postings != rows and rows != postings  # only another Postings compares equal
 
     @pytest.mark.parametrize("texts, other", [
         (("cat", "dog"), ("dog", "cat")),  # only the ordinals differ
@@ -552,7 +546,8 @@ class TestPersistence:
         assert GOLDEN_INDEX.read_bytes() == _index_file({**GOLDEN_HEADER,
                                                          "postings": _postings(GOLDEN_ROWS)})
         assert load_index(str(GOLDEN_INDEX)) == index
-        assert index.postings == {t: tuple(map(tuple, rows)) for t, rows in GOLDEN_ROWS.items()}
+        assert dict(index.postings.items()) == {t: tuple(map(tuple, rows))
+                                               for t, rows in GOLDEN_ROWS.items()}
 
     def test_columns_are_narrowest_little_endian(self, tmp_path):
         # 300 documents share "common" (df and ordinals need 2 bytes); one
@@ -574,7 +569,7 @@ class TestPersistence:
         corpus = Corpus((Passage("a", "cat dog"), Passage("b", "cat " * tf + "dog")))
         index = build_index(corpus, CFG, PARAMS)
         assert _typecodes(index) == ("B", code)
-        assert index.postings == {"cat": ((0, 1), (1, tf)), "dog": ((0, 1), (1, 1))}
+        assert dict(index.postings.items()) == {"cat": ((0, 1), (1, tf)), "dog": ((0, 1), (1, 1))}
         path = tmp_path / "index.json"
         save_index(index, str(path))
         assert _typecodes(load_index(str(path))) == ("B", code)

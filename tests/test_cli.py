@@ -1160,6 +1160,28 @@ def _float_flags():
             for a in parser._actions if a.type is float]
 
 
+class TestTagPathSeparator:
+    """A tag names one run-file column and one file, so a tag that holds a path separator is
+    refused before anything is written, with or without ``--out-dir``."""
+
+    @pytest.mark.parametrize("out", [None, "out"])
+    @pytest.mark.parametrize("tag", ["a/b", "../escaped"])
+    @pytest.mark.parametrize("command", ["retrieve", "rerank"])
+    def test_refused_and_nothing_written(self, workspace, reranked, tmp_path, monkeypatch,
+                                         capsys, command, tag, out):
+        work = tmp_path / "work"  # so that a file "../" would place stays in the tree compared
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = _argv(command, {**GIVEN[command][0](workspace, reranked), "tag": tag}, out)
+        argv = argv[:-2] if out is None else argv
+        found = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"reranklab: tag must not hold a path separator, got {tag!r}\n")
+        assert _tree(tmp_path) == found
+
+
 class TestNonFinite:
     """NaN is not valid JSON, so no float setting may carry it into resolved_config.json."""
 

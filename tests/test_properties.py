@@ -301,8 +301,11 @@ def test_retrieve_top_k_equals_full_sort_of_bm25_score(data):
 
 
 def oracle_dcg(grades, k, gain):
-    return sum((2**g - 1 if gain == "exponential" else g) / math.log2(i + 1)
-               for i, g in enumerate(grades[:k], start=1))
+    # added in rank order: from Python 3.12, sum() of floats compensates its rounding
+    total = 0.0
+    for i, g in enumerate(grades[:k], start=1):
+        total += (2**g - 1 if gain == "exponential" else g) / math.log2(i + 1)
+    return total
 
 
 @st.composite
@@ -332,6 +335,10 @@ def test_ndcg_in_unit_interval_and_matches_brute_force(data, k, gain):
         want = oracle_dcg(ranked, k, gain) / ideal if ideal else 0.0
         assert 0.0 <= report.per_query[qid] <= 1.0
         assert math.isclose(report.per_query[qid], want, rel_tol=1e-12, abs_tol=1e-12)
+        if ideal:  # exactly: each DCG summed in rank order, the ideal over the sorted grades
+            assert report.per_query[qid] == (
+                oracle_dcg(ranked, k, gain) / oracle_dcg(sorted(grades.values(), reverse=True),
+                                                         k, gain))
     assert 0.0 <= report.mean <= 1.0
     assert report.evaluated == len(judgments) - len(report.skipped)
 
