@@ -65,7 +65,7 @@ class ProtocolError(BackendError):
     """The server answered, but not in a usable shape."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackendConfig:
     endpoint: str = ""
     model: str = ""
@@ -93,7 +93,7 @@ class BackendConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingParams:
     """Decoding controls for reasoning generation; temperature 0 means greedy decoding."""
 

@@ -92,7 +92,7 @@ _TYPECODES = ("B", "H", "I", "Q")  # unsigned, 1, 2, 4 and 8 bytes
 _CHUNK = 3 << 8  # items of a list or column written or read at a time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyzerConfig:
     """Deterministic text-to-token rules shared by indexing and querying."""
 
@@ -108,7 +108,7 @@ class AnalyzerConfig:
             object.__setattr__(self, "stopwords", None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bm25Params:
     k1: float = 0.9
     b: float = 0.4
@@ -198,7 +198,7 @@ class Postings(Mapping):
                 and self.ordinals == other.ordinals and self.tfs == other.tfs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvertedIndex:
     doc_ids: tuple[str, ...]
     doc_lengths: tuple[int, ...]

@@ -54,7 +54,7 @@ from .backend import (
     SamplingParams,
     load_mock_table,
 )
-from .types import ScoredPair, ValidationError
+from .types import RunEntry, ScoredPair, ValidationError, ranked_lists
 
 ENV_TOKEN = "RERANKLAB_API_TOKEN"
 _Stage = Callable[[str, str], Path]  # stage(name, tag), see _staging
@@ -390,29 +390,38 @@ def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
             concurrency=args.concurrency,
             allow_partial=args.allow_partial,
         )
-        # each pair goes to the dump as it is scored; only its ids and score are kept
-        kept: list[ScoredPair | PairFailure] = []
+        # each pair goes to the dump as it is scored, and only its ids and score are kept
+        # until its query's last outcome comes: rerank is called once per query, on those
+        lists = ranked_lists(candidates)
+        open_queries: dict[str, list[ScoredPair | PairFailure]] = {}
+        reranked: dict[str, list[RunEntry]] = {}
+        failures: list[PairFailure] = []
 
         def scored_pairs():
             for o in outcomes:
-                if isinstance(o, PairFailure):
-                    kept.append(o)
-                else:
-                    kept.append(ScoredPair(o.query_id, o.passage_id, o.score))
+                failed = isinstance(o, PairFailure)
+                if failed:
+                    failures.append(o)
+                got = open_queries.setdefault(o.query_id, [])
+                got.append(o if failed else ScoredPair(o.query_id, o.passage_id, o.score))
+                if len(got) == len(lists[o.query_id]):
+                    reranked[o.query_id] = rerank(lists[o.query_id], open_queries.pop(o.query_id),
+                                                  tag)
+                if not failed:
                     yield o
 
         with contextlib.closing(outcomes):
             data.write_scored(str(stage(f"{tag}_scored.jsonl", tag)), scored_pairs(), kind.value)
     run_path = stage(f"{tag}.run", tag)
-    data.write_run(str(run_path), rerank(candidates, kept, tag))
-    failures = [o for o in kept if isinstance(o, PairFailure)]
+    # queries in id order, as one rerank of the whole run writes them
+    data.write_run(str(run_path), [e for qid in sorted(reranked) for e in reranked[qid]])
     # staged even when empty: an earlier run's failures must not sit beside this run
     failures_path = stage(f"{tag}_failures.jsonl", tag)
     if failures:
         with open(failures_path, "w", encoding="utf-8") as fh:
             for f in failures:
                 fh.write(json.dumps(asdict(f)) + "\n")
-    return (f"scored {len(kept) - len(failures)} pairs ({len(failures)} failed) "
+    return (f"scored {len(candidates) - len(failures)} pairs ({len(failures)} failed) "
             f"with {kind.value} -> {run_path.with_suffix('')}")
 
 

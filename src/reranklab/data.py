@@ -187,7 +187,8 @@ def load_qrels(path: str) -> JudgmentMap:
     return judgments
 
 
-def _run_entry(line: str) -> tuple[tuple[str, str], RunEntry]:
+def _run_entry(line: str, shared: dict[str, str]) -> tuple[tuple[str, str], RunEntry]:
+    """One run-file row; its query id and tag are the first equal strings in ``shared``."""
     parts = line.split()
     if len(parts) != 6:
         raise ValidationError(
@@ -202,6 +203,7 @@ def _run_entry(line: str) -> tuple[tuple[str, str], RunEntry]:
         score = float(score_text)
     except ValueError:
         raise ValidationError(f"score must be a finite number, got {score_text!r}") from None
+    qid, tag = shared.setdefault(qid, qid), shared.setdefault(tag, tag)
     return (qid, pid), RunEntry(qid, pid, rank, score, tag)
 
 
@@ -211,9 +213,12 @@ def read_run(path: str) -> list[RunEntry]:
     Every score must be a finite number, and the rows must pass
     :func:`types.ranked_lists`; its errors are prefixed with the path. Scores
     that are not non-increasing with rank get a warning and the query is
-    re-ranked by score (descending, stable) on the way in.
+    re-ranked by score (descending, stable) on the way in. All rows of a
+    query share one query-id string, and all rows of the run one tag string.
     """
-    rows = list(iter_records(path, _run_entry, "run entry for", "empty run file"))
+    shared: dict[str, str] = {}
+    rows = list(iter_records(path, lambda line: _run_entry(line, shared), "run entry for",
+                             "empty run file"))
     try:
         lists = ranked_lists(rows)
     except ValidationError as exc:
@@ -298,26 +303,29 @@ def iter_scored(path: str) -> Iterator[tuple[ScoredPair, str]]:
     Field types are checked, not coerced: ids, strategy and trace text are
     strings, ``terminated`` a bool, ``token_count`` an integer >= 0, and the
     score and per-sample scores numbers (not bools). Every line must carry
-    the first line's strategy.
+    the first line's strategy. All pairs of a query share one query-id
+    string, and all pairs the one strategy string.
     """
     strategy: str | None = None
+    query_ids: dict[str, str] = {}
 
     def parse(line: str) -> tuple[tuple[str, str], tuple[ScoredPair, str]]:
         nonlocal strategy
         record = json.loads(line)
         try:
+            query_id, passage_id = record["query_id"], record["passage_id"]
+            if not (isinstance(query_id, str) and isinstance(passage_id, str)):
+                raise TypeError("query_id and passage_id must be strings")
             score, samples = record["score"], record.get("per_sample_scores", [])
             if not (type(score) in _NUMBER and set(map(type, samples)) <= _NUMBER):
                 raise TypeError("score and per_sample_scores must be numbers")
             pair = ScoredPair(
-                query_id=record["query_id"],
-                passage_id=record["passage_id"],
+                query_id=query_ids.setdefault(query_id, query_id),
+                passage_id=passage_id,
                 score=score,
                 traces=tuple(map(_trace, record.get("traces", []))),
                 per_sample_scores=tuple(samples),
             )
-            if not (isinstance(pair.query_id, str) and isinstance(pair.passage_id, str)):
-                raise TypeError("query_id and passage_id must be strings")
         except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"bad scored record: {exc}") from exc
         line_strategy = record.get("strategy", "")
@@ -329,6 +337,6 @@ def iter_scored(path: str) -> Iterator[tuple[ScoredPair, str]]:
             raise ValidationError(
                 f"mixed strategies in one dump ({strategy!r} vs {line_strategy!r})"
             )
-        return (pair.query_id, pair.passage_id), (pair, line_strategy)
+        return (pair.query_id, pair.passage_id), (pair, strategy)
 
     return iter_records(path, parse, "scored pair", "empty scored dump")

@@ -37,7 +37,7 @@ GRADE_RULES: dict[str, Callable[[int], bool]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     per_query: dict[str, float]  # every judged query in the run, skipped ones at 0.0
     mean: float                  # over judged queries with a nonzero ideal DCG
@@ -111,7 +111,7 @@ def ndcg_at_k(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
     tp: int
     fp: int
@@ -205,7 +205,7 @@ def classify(
 BIN_EDGES = tuple(i / 10 for i in range(11))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreDistribution:
     bin_counts: tuple[int, ...]  # ten bins: [0,0.1), ..., [0.8,0.9), [0.9,1.0]
     total: int

@@ -38,7 +38,7 @@ class PromptMode(str, Enum):
     FORCED_THINK = "forced_think"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptTemplate:
     system: str = DEFAULT_SYSTEM
     user: str = DEFAULT_USER

@@ -21,9 +21,11 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -48,7 +50,7 @@ class StrategyKind(str, Enum):
     SELF_CONSISTENCY = "self_consistency"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RerankStrategy:
     kind: StrategyKind
     samples: int = 1
@@ -164,7 +166,7 @@ def score_pair(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairFailure:
     query_id: str
     passage_id: str
@@ -184,7 +186,9 @@ def rerank(
     :func:`iter_scores`, in any order. Ties keep first-stage rank order, so
     the output is invariant to the input candidate order. Failed pairs keep
     no score and sink below the scored ones in first-stage order, with the
-    placeholder run score ``-rank``, below any real probability.
+    placeholder run score ``-rank``, below any real probability. The CLI
+    calls it once per query, with that query's candidates and outcomes, as
+    soon as the stream has yielded the query's last outcome.
     """
     by_pair: dict[tuple[str, str], ScoredPair | PairFailure] = {}
     for s in scores:
@@ -213,6 +217,9 @@ def rerank(
     return entries
 
 
+_WINDOW_PER_WORKER = 8  # pairs handed to the pool ahead of the caller, per worker
+
+
 def iter_scores(
     backend: CompletionsBackend,
     template: PromptTemplate,
@@ -231,7 +238,8 @@ def iter_scores(
     done, so a caller that writes each one out and keeps no traces holds
     only the traces of pairs it has not yet taken, whatever the run's size.
     Up to ``concurrency`` requests are in flight. A wire backend is scored
-    by ``2 * concurrency`` worker threads, and its own in-flight gate (the
+    by ``2 * concurrency`` worker threads, which are handed pairs at most
+    ``8 * workers`` ahead of the caller, and its own in-flight gate (the
     HTTP backend's pool of ``max_in_flight`` connections) bounds the
     requests on the wire: a worker asleep in a retry backoff or parsing a
     response holds no connection, so a spare worker sends the next request
@@ -260,7 +268,7 @@ def iter_scores(
     stop = threading.Event()  # fail-fast: once a pair has failed, no other pair starts
 
     def attempt(c: RunEntry) -> ScoredPair | PairFailure:
-        if stop.is_set():  # map raises the failure of a pair dequeued before this one
+        if stop.is_set():  # the stream raises the failure of a pair dequeued before this one
             raise BackendError("not started: another pair failed first")
         query, passage = queries[c.query_id], corpus.passage(c.passage_id)
         try:
@@ -279,10 +287,19 @@ def iter_scores(
         # in-process answers hold the interpreter lock, so threads would only contend for it
         if backend.answers_in_process:
             yield from map(attempt, candidates)
-        else:  # twice the backend's slots, so a worker in backoff leaves no slot idle
-            with ThreadPoolExecutor(max_workers=2 * concurrency) as pool:
-                # closing map's iterator cancels the pairs no worker has started
-                yield from pool.map(attempt, candidates)
+            return
+        workers = 2 * concurrency  # twice the backend's slots: a worker in backoff leaves none idle
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            submitted = (pool.submit(attempt, c) for c in candidates)
+            window = deque(islice(submitted, _WINDOW_PER_WORKER * workers))
+            try:
+                while window:
+                    outcome = window.popleft().result()
+                    window.extend(islice(submitted, 1))
+                    yield outcome
+            finally:  # closed or failed: no worker starts a pair still waiting
+                for future in window:
+                    future.cancel()
 
     return outcomes()
 

@@ -7,6 +7,11 @@ constructed. ``RunEntry`` is the one ranked-row type: a first-stage candidate
 list and a reranked run are both lists of it, and :func:`ranked_lists` is the
 one check of such a list (ranks 1..k per query, no passage twice) that every
 reader, writer, reranker and metric goes through.
+
+The row and pair types are slotted dataclasses, with no per-instance
+``__dict__``, so a run row costs its fields alone. The readers in ``data``
+(``read_run``, ``iter_scored``) give all rows of a query one shared
+query-id string and all rows of a run one tag string.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ class ValidationError(ValueError):
     """Raised when input data violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     id: str
     text: str
@@ -34,7 +39,7 @@ class Query:
             raise ValidationError(f"query {self.id!r} has empty text")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     id: str
     text: str
@@ -75,7 +80,7 @@ class Corpus:
             raise ValidationError(f"unknown passage id {passage_id!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionLogits:
     """Log-scale model scores for the two decision tokens at one position."""
 
@@ -88,7 +93,7 @@ class DecisionLogits:
                 raise ValidationError(f"{name} must be finite, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReasoningTrace:
     """A generated reasoning continuation.
 
@@ -106,7 +111,7 @@ class ReasoningTrace:
 JudgmentMap = dict[str, dict[str, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunEntry:
     """One row of a ranked list: a first-stage candidate or a reranked run row.
 
@@ -181,7 +186,7 @@ def Candidate(query_id: str, passage_id: str, first_stage_score: float,
     return RunEntry(query_id, passage_id, first_stage_rank, first_stage_score)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredPair:
     """The relevance score a strategy assigned to one (query, passage) pair.
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from reranklab import data
 from reranklab.cli import build_parser, main
 
 from conftest import make_corpus, make_queries, write_corpus_file, write_queries_file
@@ -1253,6 +1255,36 @@ class TestStreaming:
         # against about 0.37 and 0.18 MB for direct
         assert peaks["rerank.self_consistency"] < 1.1 * peaks["rerank.direct"] + 0.2, peaks
         assert peaks["analyze.self_consistency"] < 1.1 * peaks["analyze.direct"] + 0.2, peaks
+
+
+    def test_rerank_holds_compact_rows_beyond_its_inputs(self, tmp_path, capsys):
+        # 40 queries x 100 candidates; a whole-run list of outcomes, a pair-keyed dict of
+        # them and rows with their own id strings held about 330 B a pair beyond the inputs
+        corpus, queries = make_corpus(300, seed=3), make_queries(40, seed=4)
+        write_corpus_file(tmp_path / "corpus.jsonl", corpus)
+        write_queries_file(tmp_path / "queries.jsonl", queries)
+        rng = random.Random(5)
+        (tmp_path / "first.run").write_text("".join(
+            f"{q.id} Q0 {p.id} {rank} {1 - rank / 1000:.6f} bm25\n" for q in queries
+            for rank, p in enumerate(rng.sample(corpus.passages, 100), start=1)))
+        (tmp_path / "mock.json").write_text(json.dumps({
+            "single_token_vocab": ["true", "false"], "default_logits": "hash"}))
+        tracemalloc.start()
+        try:
+            inputs = (data.load_corpus(str(tmp_path / "corpus.jsonl")),
+                      data.load_queries(str(tmp_path / "queries.jsonl")),
+                      data.read_run(str(tmp_path / "first.run")))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del inputs
+        peak = _traced_peak_mb([
+            "rerank", "--corpus", tmp_path / "corpus.jsonl", "--queries", tmp_path / "queries.jsonl",
+            "--run-in", tmp_path / "first.run", "--strategy", "direct",
+            "--backend", f"mock:{tmp_path / 'mock.json'}", "--out-dir", tmp_path / "out",
+        ]) * 1e6
+        capsys.readouterr()
+        assert (peak - held) / 4000 <= 200, (peak - held) / 4000
 
 
 class TestSettingsTable:

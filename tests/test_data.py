@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -192,6 +193,21 @@ class TestRunFiles:
         assert "re-ranking by score" in caplog.text
         assert [e.passage_id for e in entries] == ["high", "low"]
         assert [e.rank for e in entries] == [1, 2]
+
+    def test_read_holds_compact_rows(self, tmp_path):
+        # 100 queries x 100 rows; a row with its own query-id and tag strings held about 317 B
+        path = tmp_path / "first.run"
+        path.write_text("".join(f"q{q:03d} Q0 p{(q * 37 + r) % 5000:05d} {r} {1 - r / 1000:.6f} "
+                                f"bm25\n" for q in range(100) for r in range(1, 101)))
+        tracemalloc.start()
+        try:
+            rows = read_run(str(path))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10_000
+        assert held / len(rows) <= 200, held / len(rows)
+        assert len({id(e.query_id) for e in rows}) == 100 and len({id(e.tag) for e in rows}) == 1
 
     def test_write_validates_invariants(self, tmp_path):
         bad = [RunEntry("q1", "d1", 1, 0.1, "t"), RunEntry("q1", "d2", 2, 0.9, "t")]

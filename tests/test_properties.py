@@ -1,9 +1,12 @@
 """Property-based invariants: file formats (the index file included) round-trip
 exactly, reranking ignores input order, the index build, its load-time ascent
 check, BM25 top-k and NDCG match naive references, bins add up, the prompt fill substitutes each
-placeholder once, and the mock transport answers as the old in-process mock
-did."""
+placeholder once, the mock transport answers as the old in-process mock
+did, and the CLI's per-query rerank writes what one whole-run rerank writes."""
 
+import contextlib
+import dataclasses
+import io
 import itertools
 import json
 import math
@@ -12,6 +15,7 @@ import os
 import string
 import tempfile
 from array import array
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,9 +31,11 @@ from reranklab import (
     PromptTemplate,
     Query,
     ReasoningTrace,
+    RerankStrategy,
     RunEntry,
     SamplingParams,
     ScoredPair,
+    StrategyKind,
     assemble_prompt,
     bin_scores,
     bm25_score,
@@ -40,12 +46,20 @@ from reranklab import (
     retrieve_top_k,
     save_index,
 )
-from reranklab import types
-from reranklab.backend import _pieces
+from reranklab import cli, types
+from reranklab.backend import _pieces, load_mock_table
 from reranklab.bm25 import TOKEN_PATTERN, _ascend_per_term
-from reranklab.data import iter_scored, load_qrels, read_run, write_run, write_scored
+from reranklab.data import (
+    iter_scored,
+    load_corpus,
+    load_qrels,
+    load_queries,
+    read_run,
+    write_run,
+    write_scored,
+)
 from reranklab.porter import porter_stem
-from reranklab.rerank import PairFailure
+from reranklab.rerank import PairFailure, iter_scores
 from reranklab.types import ValidationError, validate_run
 
 from conftest import write_qrels_file
@@ -492,3 +506,59 @@ logits = st.floats(allow_nan=False, allow_infinity=False)
 def test_mock_score_decision_returns_the_score_fn_logits_exactly(z, prompt):
     read = MockBackend(score_fn=lambda p: z).score_decision(prompt)
     assert (read.true_logit.hex(), read.false_logit.hex()) == (z[0].hex(), z[1].hex())
+
+
+@st.composite
+def interleaved_runs(draw):
+    """A first-stage run file's lines, its queries interleaved and out of id order, and the
+    mock rules: some passages fail, some share fixed logits so their scores tie."""
+    qids = draw(st.lists(st.sampled_from("qzabcm") | st.text("0123456789q", min_size=1,
+                                                                  max_size=3),
+                         min_size=1, max_size=4, unique=True))
+    rows = []
+    for qid in qids:
+        pids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True))
+        rows += [(qid, f"p{pid}", rank) for rank, pid in enumerate(pids, start=1)]
+    order = draw(st.permutations(rows))
+    lines = [f"{qid} Q0 {pid} {rank} {100 - rank:.6f} bm25\n" for qid, pid, rank in order]
+    rules = [{"contains": [f"Passage: about p{pid} here\n"], "fail": True}
+             for pid in draw(st.sets(st.integers(0, 9), max_size=4))]
+    rules += [{"contains": [f"Passage: about p{pid} here\n"], "logits": [1.0, 0.0]}
+              for pid in draw(st.sets(st.integers(0, 9), max_size=4))]
+    return lines, qids, rules
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=interleaved_runs())
+def test_cli_per_query_rerank_writes_what_one_whole_run_rerank_writes(run):
+    lines, qids, rules = run
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "corpus.jsonl").write_text("".join(
+            json.dumps({"id": f"p{i}", "text": f"about p{i} here"}) + "\n" for i in range(10)))
+        (d / "queries.jsonl").write_text("".join(
+            json.dumps({"id": qid, "text": f"question {qid}"}) + "\n" for qid in qids))
+        (d / "first.run").write_text("".join(lines))
+        (d / "mock.json").write_text(json.dumps({
+            "single_token_vocab": ["true", "false"], "default_logits": "hash", "rules": rules}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["rerank", "--corpus", str(d / "corpus.jsonl"),
+                             "--queries", str(d / "queries.jsonl"),
+                             "--run-in", str(d / "first.run"), "--strategy", "direct",
+                             "--backend", f"mock:{d / 'mock.json'}", "--allow-partial",
+                             "--out-dir", str(d / "out")]) == 0
+
+        candidates = read_run(str(d / "first.run"))
+        outcomes = list(iter_scores(
+            load_mock_table(str(d / "mock.json")), DEFAULT_TEMPLATE,
+            RerankStrategy(StrategyKind.DIRECT), {q.id: q for q in load_queries(
+                str(d / "queries.jsonl"))},
+            load_corpus(str(d / "corpus.jsonl")), candidates, SamplingParams(),
+            allow_partial=True,
+        ))
+        write_run(str(d / "whole.run"), rerank(candidates, outcomes, "direct"))
+        assert (d / "out" / "direct.run").read_bytes() == (d / "whole.run").read_bytes()
+        failures = "".join(json.dumps(dataclasses.asdict(o)) + "\n" for o in outcomes
+                           if isinstance(o, PairFailure))
+        written = d / "out" / "direct_failures.jsonl"
+        assert (written.read_text() if written.exists() else "") == failures

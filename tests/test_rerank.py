@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -747,6 +748,39 @@ class TestSchedule:
             concurrency=4,
         ))
         assert mock.score_calls == 1
+
+    def test_wire_stream_beyond_its_window_keeps_candidate_order(self):
+        # 100 pairs against a window of 8 x 4 workers at concurrency 2
+        corpus, queries, cands = self._fixture(100)
+        threaded, _ = score_candidates(
+            _WireFake(), DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands, SamplingParams(),
+            concurrency=2,
+        )
+        serial = [score_pair(_WireFake(), DEFAULT_TEMPLATE, DIRECT, queries["q1"],
+                             corpus.passage(c.passage_id), SamplingParams()) for c in cands]
+        assert threaded == serial
+
+    def test_wire_stream_holds_a_bounded_window_of_pairs(self):
+        # 200 queries x 100 candidates, the stream held open after its first outcome;
+        # submitting every pair at once holds about 1.8 KB of future and work item per pair
+        corpus = Corpus(tuple(Passage(f"p{i}", f"text {i}") for i in range(100)))
+        queries = {f"q{j}": Query(f"q{j}", f"question {j}") for j in range(200)}
+        cands = [RunEntry(f"q{j}", f"p{i}", i + 1, float(100 - i))
+                 for j in range(200) for i in range(100)]
+        fake, concurrency = _WireFake(), 2
+        tracemalloc.start()
+        try:
+            stream = iter_scores(fake, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands,
+                                 SamplingParams(), concurrency=concurrency)
+            with contextlib.closing(stream):
+                first = next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (first.query_id, first.passage_id) == ("q0", "p0")
+        assert peak < 1e6, peak
+        # direct sends one request per pair: the window, and the pair taken in its first's place
+        assert fake._calls <= 8 * 2 * concurrency + 1
 
     def test_stream_checks_candidates_before_it_is_read(self):
         corpus, queries, cands = self._fixture()

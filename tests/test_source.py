@@ -93,3 +93,30 @@ def test_only_staging_and_report_read_out_dir():
                for node in ast.walk(function)
                if isinstance(node, ast.Attribute) and node.attr == "out_dir"}
     assert sorted(readers) == ["_report", "_staging"]
+
+
+
+# a dataclass left without slots, with the reason it needs an instance __dict__
+UNSLOTTED = {
+    "types.Corpus": "its cached_property stores the id lookup in the instance __dict__",
+}
+
+
+def _dataclasses(tree: ast.Module):
+    """Each class decorated ``@dataclass(...)``, with whether it passes ``slots=True``."""
+    for node in ast.walk(tree):
+        for decorator in node.decorator_list if isinstance(node, ast.ClassDef) else ():
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                yield node.name, any(
+                    k.arg == "slots" and isinstance(k.value, ast.Constant) and k.value.value is True
+                    for k in (call.keywords if call else ()))
+
+
+def test_every_dataclass_declares_slots():
+    # a row type without slots carries a __dict__ per instance, about twice its size
+    unslotted = [f"{module.stem}.{name}" for module in sorted(PACKAGE.glob("*.py"))
+                 for name, slotted in _dataclasses(ast.parse(module.read_text(encoding="utf-8")))
+                 if not slotted]
+    assert sorted(unslotted) == sorted(UNSLOTTED)
