@@ -22,7 +22,7 @@ import hashlib
 import math
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -217,7 +217,7 @@ def rerank(
     return entries
 
 
-_WINDOW_PER_WORKER = 8  # pairs handed to the pool ahead of the caller, per worker
+_UNFINISHED_PER_WORKER = 8  # pairs handed to the pool and not yet done, per worker
 
 
 def iter_scores(
@@ -238,8 +238,8 @@ def iter_scores(
     done, so a caller that writes each one out and keeps no traces holds
     only the traces of pairs it has not yet taken, whatever the run's size.
     Up to ``concurrency`` requests are in flight. A wire backend is scored
-    by ``2 * concurrency`` worker threads, which are handed pairs at most
-    ``8 * workers`` ahead of the caller, and its own in-flight gate (the
+    by ``2 * concurrency`` worker threads, which hold at most ``8 * workers``
+    unfinished pairs, and its own in-flight gate (the
     HTTP backend's pool of ``max_in_flight`` connections) bounds the
     requests on the wire: a worker asleep in a retry backoff or parsing a
     response holds no connection, so a spare worker sends the next request
@@ -253,7 +253,10 @@ def iter_scores(
     ``allow_partial`` a failed pair is yielded as a :class:`PairFailure`,
     which :func:`rerank` sinks below the scored pairs in first-stage order:
     the stream's outcomes, with or without their traces, are ``rerank``'s
-    ``scores`` as they come. Closing the stream early starts no further pair
+    ``scores`` as they come. While the caller waits on a slow pair, the pairs
+    after it go on being scored and their outcomes wait for it, as
+    ``Executor.map``'s do; a caller that stops taking outcomes hands the
+    workers no more pairs. Closing the stream early starts no further pair
     and waits for the pairs already started. The candidates must be a ranked
     list (:func:`types.ranked_lists`) naming known queries and passages;
     that is checked by this call, before any request is sent.
@@ -289,13 +292,26 @@ def iter_scores(
             yield from map(attempt, candidates)
             return
         workers = 2 * concurrency  # twice the backend's slots: a worker in backoff leaves none idle
+        todo = iter(candidates)
+        window: deque[Future] = deque()  # submitted and not yet yielded, in candidate order
+        unfinished: set[Future] = set()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            submitted = (pool.submit(attempt, c) for c in candidates)
-            window = deque(islice(submitted, _WINDOW_PER_WORKER * workers))
+
+            def top_up() -> None:  # no pair starts after a failure
+                unfinished.difference_update([f for f in unfinished if f.done()])
+                room = 0 if stop.is_set() else _UNFINISHED_PER_WORKER * workers - len(unfinished)
+                for c in islice(todo, room):
+                    window.append(pool.submit(attempt, c))
+                    unfinished.add(window[-1])
+
             try:
+                top_up()
                 while window:
+                    while not window[0].done():  # the pairs behind a slow one keep the workers busy
+                        wait(unfinished, return_when=FIRST_COMPLETED)
+                        top_up()
                     outcome = window.popleft().result()
-                    window.extend(islice(submitted, 1))
+                    top_up()
                     yield outcome
             finally:  # closed or failed: no worker starts a pair still waiting
                 for future in window:

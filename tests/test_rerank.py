@@ -564,6 +564,28 @@ class _WireFake(CompletionsBackend):
         return {"choices": [{"text": f"thought {h[:4].hex()}", "finish_reason": "stop"}]}
 
 
+class _SlowFirstWireFake(_WireFake):
+    """A wire transport whose first request is answered only after ``behind``
+    later ones have arrived, or after 5 s."""
+
+    def __init__(self, behind: int):
+        super().__init__()
+        self._behind = behind
+        self._seen = 0
+        self._others = threading.Event()
+        self.first_answered_after_the_rest = False
+
+    def _complete(self, payload: dict) -> dict:
+        with self._lock:
+            self._seen += 1
+            seen = self._seen
+        if seen == 1:
+            self.first_answered_after_the_rest = self._others.wait(timeout=5)
+        elif seen == self._behind + 1:
+            self._others.set()
+        return super()._complete(payload)
+
+
 class _FailingWireFake(CompletionsBackend):
     """A wire transport whose first request fails at once; every later one
     stays in flight for 1 s and then fails too."""
@@ -774,13 +796,31 @@ class TestSchedule:
                                  SamplingParams(), concurrency=concurrency)
             with contextlib.closing(stream):
                 first = next(stream)
+                taken = fake._calls
+                time.sleep(0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (first.query_id, first.passage_id) == ("q0", "p0")
         assert peak < 1e6, peak
-        # direct sends one request per pair: the window, and the pair taken in its first's place
-        assert fake._calls <= 8 * 2 * concurrency + 1
+        # direct sends one request per pair: only the pairs unfinished when the first was
+        # taken are sent while the stream is held
+        assert fake._calls <= taken + 8 * 2 * concurrency
+
+    def test_wire_stream_scores_on_behind_a_slow_pair(self):
+        # the first pair is answered only once 100 later ones have arrived, more than the
+        # 8 x 4 workers unfinished at concurrency 2: a window of pairs submitted ahead of
+        # the caller would leave the workers idle behind it until the fake's 5 s timeout
+        corpus, queries, cands = self._fixture(200)
+        fake = _SlowFirstWireFake(behind=100)
+        scored, _ = score_candidates(
+            fake, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands, SamplingParams(),
+            concurrency=2,
+        )
+        assert fake.first_answered_after_the_rest
+        serial = [score_pair(_WireFake(), DEFAULT_TEMPLATE, DIRECT, queries["q1"],
+                             corpus.passage(c.passage_id), SamplingParams()) for c in cands]
+        assert scored == serial
 
     def test_stream_checks_candidates_before_it_is_read(self):
         corpus, queries, cands = self._fixture()
