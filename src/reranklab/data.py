@@ -20,13 +20,13 @@ Line-oriented formats:
 
 All of them are read by :func:`iter_records`, which parses one line at a
 time and yields each record as it is read: blank lines are skipped, a
-repeated key (passage id, query id, judged pair, run pair, scored pair) is
-refused, a file with no records is refused, and every error names the file
-and line. Each reader here iterates it and keeps what it needs. A scored
-dump is read record by record by :func:`iter_scored`, so a reader that
-keeps only ids and scores never holds the traces; likewise
-:func:`write_scored` writes the pairs as they come. Corpus and query ids
-must be usable as one run-file column.
+repeated key (passage id, query id, judged pair, scored pair) is refused, a
+file with no records is refused, and every error names the file and line.
+Each reader here iterates it and keeps what it needs. A scored dump is read
+record by record by :func:`iter_scored`, so a reader that keeps only ids
+and scores never holds the traces; likewise :func:`write_scored` writes the
+pairs as they come. Corpus and query ids must be usable as one run-file
+column.
 
 JSON object files — the CLI `--config` file, prompt template overrides and
 mock rule tables — are read by :func:`read_json_object`, which refuses
@@ -187,7 +187,7 @@ def load_qrels(path: str) -> JudgmentMap:
     return judgments
 
 
-def _run_entry(line: str, shared: dict[str, str]) -> tuple[tuple[str, str], RunEntry]:
+def _run_entry(line: str, shared: dict[str, str]) -> tuple[None, RunEntry]:
     """One run-file row; its query id and tag are the first equal strings in ``shared``."""
     parts = line.split()
     if len(parts) != 6:
@@ -204,7 +204,7 @@ def _run_entry(line: str, shared: dict[str, str]) -> tuple[tuple[str, str], RunE
     except ValueError:
         raise ValidationError(f"score must be a finite number, got {score_text!r}") from None
     qid, tag = shared.setdefault(qid, qid), shared.setdefault(tag, tag)
-    return (qid, pid), RunEntry(qid, pid, rank, score, tag)
+    return None, RunEntry(qid, pid, rank, score, tag)  # ranked_lists refuses a repeated pair
 
 
 def read_run(path: str) -> list[RunEntry]:

@@ -11,8 +11,8 @@ Assembly modes:
                      token is the first thing the model says.
 * ``open_think``   — ends immediately after the think-open marker, leaving
                      the model to produce its reasoning.
-* ``forced_think`` — ends after a complete, pre-filled think block, so the
-                     model can only answer.
+* ``forced_think`` — the ``open_think`` prompt, the fixed ``forced_body`` line
+                     and the think-close marker, so the model can only answer.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class PromptTemplate:
         if not self.think_open or not self.think_close:
             raise ValidationError("think markers must be non-empty")
 
+    @property
+    def forced_think_text(self) -> str:  # forced_think's think text, in place of a trace
+        return f"\n{self.forced_body}\n"
+
 
 DEFAULT_TEMPLATE = PromptTemplate()
 
@@ -99,8 +103,14 @@ def assemble_prompt(
     if mode is PromptMode.OPEN_THINK:
         return base + t.think_open
     if mode is PromptMode.FORCED_THINK:
-        return base + f"{t.think_open}\n{t.forced_body}\n{t.think_close}"
+        return base + t.think_open + t.forced_think_text + t.think_close
     raise ValidationError(f"unknown prompt mode {mode!r}")
+
+
+def decision_prompt(template: PromptTemplate, open_prompt: str, think_text: str) -> str:
+    """The prompt of a decision read after a think block holding ``think_text`` (a
+    trace, or the fixed ``forced_think_text``), closed, then the answer scaffold."""
+    return open_prompt + think_text + template.think_close + template.answer_scaffold
 
 
 def load_template(path: str) -> PromptTemplate:

@@ -5,8 +5,8 @@ Four strategies produce a relevance probability per (query, passage) pair:
 * ``direct``            — one decision-logit read at the assistant turn.
 * ``reason``            — generate a reasoning chain inside a think block,
                           then read the decision logits after it.
-* ``forced_no_reason``  — pre-fill the think block with a fixed sentence so
-                          the model must answer immediately; exactly one
+* ``forced_no_reason``  — the ``reason`` read after fixed think text, the
+                          template's ``forced_body`` (the paper's RR-NR); one
                           scoring call per pair, no generation.
 * ``self_consistency``  — n sampled reasoning chains; the pair's score is
                           the arithmetic mean of the n probabilities (not a
@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .backend import BackendError, CompletionsBackend, SamplingParams
-from .prompts import PromptMode, PromptTemplate, assemble_prompt
+from .prompts import PromptMode, PromptTemplate, assemble_prompt, decision_prompt
 from .types import (
     Corpus,
     DecisionLogits,
@@ -89,20 +89,6 @@ def derive_seed(base_seed: int, query_id: str, passage_id: str, sample_index: in
     return int.from_bytes(digest[:8], "big") >> 1  # non-negative 63-bit
 
 
-_PROMPT_MODES = {
-    StrategyKind.DIRECT: PromptMode.DIRECT,
-    StrategyKind.FORCED_NO_REASON: PromptMode.FORCED_THINK,
-    StrategyKind.REASON: PromptMode.OPEN_THINK,
-    StrategyKind.SELF_CONSISTENCY: PromptMode.OPEN_THINK,
-}
-
-
-def _truncate(text: str, max_chars: int) -> str:
-    if max_chars and len(text) > max_chars:
-        return text[:max_chars]
-    return text
-
-
 def score_pair(
     backend: CompletionsBackend,
     template: PromptTemplate,
@@ -115,12 +101,12 @@ def score_pair(
 ) -> ScoredPair:
     """Score one pair under any strategy; every decision read is taken here.
 
-    ``direct`` reads at the end of the assembled prompt, and
-    ``forced_no_reason`` after its pre-filled think block plus the template's
-    answer scaffold. ``reason`` and ``self_consistency`` generate a trace up
-    to the template's end-of-think marker, then read at prompt + trace +
-    marker + answer scaffold: the marker is re-appended whether or not the
-    model emitted it, so a budget-exhausted trace still scores. They average
+    ``direct`` reads at the end of the direct prompt; every other read is
+    :func:`prompts.decision_prompt` after a think text. ``forced_no_reason``
+    is the reasoned read with fixed think text (the paper's RR-NR).
+    ``reason`` and ``self_consistency`` read after a trace generated up to
+    the end-of-think marker, which is re-appended whether or not the model
+    emitted it, so a budget-exhausted trace still scores. They average
     ``strategy.samples`` such reads, the i-th seeded with
     ``derive_seed(base_seed, query, passage, i)``, so ``reason`` is
     ``self_consistency`` with n=1. Only ``self_consistency`` reports
@@ -128,17 +114,17 @@ def score_pair(
     ``average_over_successes`` a self-consistency pair takes the mean over the
     samples that succeeded.
     """
-    mode = _PROMPT_MODES[strategy.kind]
+    direct = strategy.kind is StrategyKind.DIRECT
     prompt = assemble_prompt(
-        template, query.text, _truncate(passage.text, strategy.max_passage_chars), mode
+        template, query.text, passage.text[: strategy.max_passage_chars or None],
+        PromptMode.DIRECT if direct else PromptMode.OPEN_THINK,
     )
-    if mode is not PromptMode.OPEN_THINK:
-        if mode is PromptMode.FORCED_THINK:
-            prompt += template.answer_scaffold
+    if strategy.kind is StrategyKind.FORCED_NO_REASON:
+        prompt = decision_prompt(template, prompt, template.forced_think_text)
+    if direct or strategy.kind is StrategyKind.FORCED_NO_REASON:
         logits = backend.score_decision(prompt)
         return ScoredPair(query.id, passage.id, relevance_from_logits(logits))
 
-    close = template.think_close
     sampled = strategy.kind is StrategyKind.SELF_CONSISTENCY
     traces = []
     per_sample = []
@@ -146,8 +132,8 @@ def score_pair(
     for i in range(strategy.samples):
         seed = derive_seed(base_seed, query.id, passage.id, i)
         try:
-            trace = backend.generate(prompt, sampling, close, seed)
-            logits = backend.score_decision(prompt + trace.text + close + template.answer_scaffold)
+            trace = backend.generate(prompt, sampling, template.think_close, seed)
+            logits = backend.score_decision(decision_prompt(template, prompt, trace.text))
         except BackendError as exc:
             if not (average_over_successes and sampled):
                 raise

@@ -209,6 +209,26 @@ class TestRunFiles:
         assert held / len(rows) <= 200, held / len(rows)
         assert len({id(e.query_id) for e in rows}) == 100 and len({id(e.tag) for e in rows}) == 1
 
+    def test_read_peaks_near_what_it_holds(self, tmp_path):
+        # a per-row (query id, passage id) key kept for a duplicate check peaked at about 273 B
+        path = tmp_path / "first.run"
+        path.write_text("".join(f"q{q:03d} Q0 p{(q * 37 + r) % 5000:05d} {r} {1 - r / 1000:.6f} "
+                                f"bm25\n" for q in range(100) for r in range(1, 101)))
+        tracemalloc.start()
+        try:
+            rows = read_run(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(rows) <= 220, peak / len(rows)
+
+    def test_repeated_pair_is_refused_once_the_file_is_read(self, tmp_path):
+        path = tmp_path / "dup.run"
+        path.write_text("q0 Q0 d0 1 0.9 t\nq0 Q0 d1 2 0.5 t\nq0 Q0 d0 3 0.1 t\n")
+        with pytest.raises(ValidationError,
+                           match=r"dup\.run: duplicate run entry for \('q0', 'd0'\)$"):
+            read_run(str(path))
+
     def test_write_validates_invariants(self, tmp_path):
         bad = [RunEntry("q1", "d1", 1, 0.1, "t"), RunEntry("q1", "d2", 2, 0.9, "t")]
         with pytest.raises(ValidationError):

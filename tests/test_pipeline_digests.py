@@ -1,8 +1,8 @@
-"""The CLI loop's artifacts, byte for byte, on a fixed tiny world.
+"""The CLI loop's artifacts and the requests it sends, byte for byte, on a fixed tiny world.
 
 A change meant to keep every result (a refactor, a faster path) must leave
-each digest below as it is. When a change is meant to alter an artifact,
-record the new digests and say which files changed and why.
+each digest below as it is. When a change is meant to alter an artifact or
+a request, record the new digests and say which files changed and why.
 """
 
 import hashlib
@@ -113,3 +113,35 @@ def test_cli_loop_artifacts_keep_their_digests(tmp_path, monkeypatch, capsys):
                if p.is_file() and p.name not in inputs}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == DIGESTS
+
+
+# sha256 of each strategy's captured request objects, as sorted canonical JSON lines
+REQUEST_DIGESTS = {
+    "direct": "152a16d2fd099489748d033030ba37a4be96ccae72ab08c73df3ae0889ec30c9",
+    "forced_no_reason": "b4ad415964abf155f8c3047576ac203728f4873cba5d43c5688f27e74484d23b",
+    "reason": "51ae350b4a47b6a089ad160df34aac3fbed39469535262db922c3165a17941a3",
+    "self_consistency": "0b04a72b47b2f9ac901c975cc250b01c275c30ebcf3ec1bf01279f8b22dd402b",
+}
+
+
+def test_wire_requests_keep_their_digests(tmp_path, monkeypatch, stub_server):
+    url, _ = stub_server
+    monkeypatch.chdir(tmp_path)
+    corpus = make_corpus(6, seed=3)
+    write_corpus_file("corpus.jsonl", corpus)
+    write_queries_file("queries.jsonl", make_queries(2, seed=13))
+    (tmp_path / "first.run").write_text("".join(
+        f"q{q:02d} Q0 {p.id} {rank} {1 - rank / 10:.6f} bm25\n"
+        for q in range(2) for rank, p in enumerate(corpus.passages[3 * q:3 * q + 3], start=1)))
+    digests = {}
+    for s in STRATEGIES:
+        argv = ["rerank", "--corpus", "corpus.jsonl", "--queries", "queries.jsonl",
+                "--run-in", "first.run", "--strategy", s, "--samples", "2",
+                "--concurrency", "2", "--backend", url, "--capture", f"{s}.capture",
+                "--out-dir", s]
+        assert main(argv) == 0, argv
+        # workers append in completion order, so the requests are compared in sorted order
+        lines = sorted(json.dumps(json.loads(line)["request"], sort_keys=True)
+                       for line in (tmp_path / f"{s}.capture").read_text().splitlines())
+        digests[s] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == REQUEST_DIGESTS

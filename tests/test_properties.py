@@ -1,8 +1,9 @@
 """Property-based invariants: file formats (the index file included) round-trip
 exactly, reranking ignores input order, the index build, its load-time ascent
 check, BM25 top-k and NDCG match naive references, bins add up, the prompt fill substitutes each
-placeholder once, the mock transport answers as the old in-process mock
-did, and the CLI's per-query rerank writes what one whole-run rerank writes."""
+placeholder once, the forced read is the open-think read after fixed think text,
+the mock transport answers as the old in-process mock did, and the CLI's
+per-query rerank writes what one whole-run rerank writes."""
 
 import contextlib
 import dataclasses
@@ -59,7 +60,8 @@ from reranklab.data import (
     write_scored,
 )
 from reranklab.porter import porter_stem
-from reranklab.rerank import PairFailure, iter_scores
+from reranklab.prompts import decision_prompt
+from reranklab.rerank import PairFailure, iter_scores, score_pair
 from reranklab.types import ValidationError, validate_run
 
 from conftest import write_qrels_file
@@ -475,6 +477,30 @@ def test_prompt_fill_is_a_single_literal_pass(parts, query_first, query_text, pa
     segment = prompt.split("<|im_start|>user\n", 1)[1]
     segment = segment.rsplit("\n<|im_end|>\n<|im_start|>assistant\n", 1)[0]
     assert segment == partition_fill(user, query_text, passage_text)
+
+
+marker = st.text(alphabet="<>/think \n", min_size=1, max_size=8)
+block_text = st.text(alphabet="ab<>/ \n{}", max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(think_open=marker, think_close=marker, forced_body=block_text,
+       answer_scaffold=block_text, query_text=fill_values.filter(bool), passage_text=fill_values)
+def test_forced_read_is_the_open_think_read_after_fixed_text(
+        think_open, think_close, forced_body, answer_scaffold, query_text, passage_text):
+    template = PromptTemplate(think_open=think_open, think_close=think_close,
+                              forced_body=forced_body, answer_scaffold=answer_scaffold)
+    read = decision_prompt(
+        template, assemble_prompt(template, query_text, passage_text, PromptMode.OPEN_THINK),
+        "\n" + forced_body + "\n",
+    )
+    forced = assemble_prompt(template, query_text, passage_text, PromptMode.FORCED_THINK)
+    assert forced + answer_scaffold == read
+    seen = []
+    mock = MockBackend(score_fn=lambda prompt: (seen.append(prompt), (0.0, 0.0))[1])
+    score_pair(mock, template, RerankStrategy(StrategyKind.FORCED_NO_REASON, max_passage_chars=0),
+               Query("q", query_text), Passage("p", passage_text), SamplingParams())
+    assert seen == [read]
 
 
 STOP = DEFAULT_TEMPLATE.think_close

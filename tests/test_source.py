@@ -95,6 +95,17 @@ def test_only_staging_and_report_read_out_dir():
     assert sorted(readers) == ["_report", "_staging"]
 
 
+def test_only_decision_prompt_reads_the_answer_scaffold():
+    # every read after a think block is assembled in one place, so no second read path can
+    # come back with its own scaffold
+    readers = {f"{module.stem}.{getattr(definition, 'name', definition.lineno)}"
+               for module in sorted(PACKAGE.glob("*.py"))
+               for definition in ast.parse(module.read_text(encoding="utf-8")).body
+               for node in ast.walk(definition)
+               if isinstance(node, ast.Attribute) and node.attr == "answer_scaffold"}
+    assert sorted(readers) == ["prompts.decision_prompt"]
+
+
 
 # a dataclass left without slots, with the reason it needs an instance __dict__
 UNSLOTTED = {
