@@ -380,8 +380,8 @@ def _default_score_fn(prompt: str) -> tuple[float, float]:
 
 def _default_generate_fn(prompt: str, seed: int | None) -> str:
     h = hashlib.sha256(f"{seed}:{prompt}".encode("utf-8")).hexdigest()
-    words = " ".join(f"w{h[i:i + 4]}" for i in range(0, 32, 4))
-    return f"Okay, considering {words}. Done.</think>"
+    return (f"Okay, considering w{h[:4]} w{h[4:8]} w{h[8:12]} w{h[12:16]} w{h[16:20]}"
+            f" w{h[20:24]} w{h[24:28]} w{h[28:32]}. Done.</think>")
 
 
 class MockBackend(CompletionsBackend):
@@ -390,8 +390,10 @@ class MockBackend(CompletionsBackend):
     It builds answers, not requests. ``score_fn`` maps a prompt to
     (true_logit, false_logit); ``generate_fn`` maps (prompt, seed) to the raw
     continuation the model would emit, which ``_complete`` cuts at the stop
-    marker and the token budget as a server would. Call counters count score
-    and generate requests.
+    marker and the token budget as a server would. Left out, they are the
+    hash mock's functions, which a rule-free ``"hash"`` table also holds.
+    Every answer goes through ``_complete`` and the protocol's readers. Call
+    counters count score and generate requests.
     """
 
     answers_in_process = True
@@ -419,13 +421,15 @@ class MockBackend(CompletionsBackend):
             with self._lock:
                 self.generate_calls += 1
             head, marker, _ = raw.partition(payload["stop"][0])
-            pieces = _pieces(head)
-            if marker and len(pieces) <= payload["max_tokens"]:
+            # len(_pieces(head)), unbuilt: one piece per word, one more for leading space
+            count = len(head.split()) + head[:1].isspace()
+            if marker and count <= payload["max_tokens"]:
                 choice = {"text": head, "finish_reason": "stop"}
             else:
-                pieces = pieces[: payload["max_tokens"]]
+                pieces = _pieces(head)[: payload["max_tokens"]]
+                count = len(pieces)
                 choice = {"text": "".join(pieces), "finish_reason": "length"}
-            return {"choices": [choice], "usage": {"completion_tokens": len(pieces)}}
+            return {"choices": [choice], "usage": {"completion_tokens": count}}
         if payload["echo"]:  # probe: one piece iff the prompt is one vocabulary item
             if self._vocab is not None:
                 single = prompt in self._vocab
@@ -491,7 +495,11 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
           ]
         }
 
-    The first rule whose ``contains`` strings all appear in the prompt wins.
+    The first rule whose ``contains`` strings all appear in the prompt wins;
+    a table with rules scans them in order on every request. A table without
+    rules answers with its defaults; with ``"hash"`` logits and no
+    ``default_reasoning`` those are the built-in hash mock's own functions,
+    so no per-request scan runs.
     A ``fail`` rule raises a backend error (for exercising error policy).
     ``{seed}`` in reasoning text is substituted at generation time so sampled
     outputs can differ per seed while staying deterministic. Every field is
@@ -526,9 +534,10 @@ def load_mock_table(path: str, config: BackendConfig | None = None) -> MockBacke
         return reasoning.replace("{seed}", str(seed))
 
     vocab = table.get("single_token_vocab")
+    scan = bool(rules)  # without rules, a hash-mock default is the hash mock's own function
     return MockBackend(
-        score_fn=score_fn,
-        generate_fn=generate_fn,
+        score_fn=score_fn if scan or default_logits != "hash" else None,
+        generate_fn=generate_fn if scan or default_reasoning is not None else None,
         single_token_vocab=set(vocab) if vocab is not None else None,
         config=config,
     )

@@ -267,6 +267,10 @@ def write_run(path: str, entries: Sequence[RunEntry]) -> None:
             fh.write(f"{e.query_id} Q0 {e.passage_id} {e.rank} {e.score:.6f} {e.tag}\n")
 
 
+# json.dumps(record, ensure_ascii=False), without making an encoder per line
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_scored(path: str, pairs: Iterable[ScoredPair], strategy: str) -> None:
     """Write a scored-pair dump, one line per pair as the pairs come."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -282,7 +286,7 @@ def write_scored(path: str, pairs: Iterable[ScoredPair], strategy: str) -> None:
                 ],
                 "strategy": strategy,
             }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_encode_record(record) + "\n")
 
 
 _NUMBER = {float, int}  # by exact type, so a JSON true is not a score

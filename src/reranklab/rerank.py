@@ -129,11 +129,12 @@ def score_pair(
     traces = []
     per_sample = []
     failure = None
+    generate, score_decision, stop = backend.generate, backend.score_decision, template.think_close
     for i in range(strategy.samples):
         seed = derive_seed(base_seed, query.id, passage.id, i)
         try:
-            trace = backend.generate(prompt, sampling, template.think_close, seed)
-            logits = backend.score_decision(decision_prompt(template, prompt, trace.text))
+            trace = generate(prompt, sampling, stop, seed)
+            logits = score_decision(decision_prompt(template, prompt, trace.text))
         except BackendError as exc:
             if not (average_over_successes and sampled):
                 raise

@@ -630,6 +630,34 @@ class TestMockBackend:
         assert retained < 1_000_000
 
 
+class TestMockTable:
+    def _load(self, tmp_path, table):
+        path = tmp_path / "mock.json"
+        path.write_text(json.dumps(table))
+        return backend_module.load_mock_table(str(path))
+
+    @pytest.mark.parametrize("table", [
+        {"default_logits": "hash"},
+        {"single_token_vocab": ["true", "false"], "default_logits": "hash", "rules": []},
+    ], ids=["hash", "vocab-and-empty-rules"])
+    def test_a_rule_free_hash_table_holds_the_hash_mock_functions(self, tmp_path, table):
+        mock = self._load(tmp_path, table)
+        assert mock._score_fn is backend_module._default_score_fn
+        assert mock._generate_fn is backend_module._default_generate_fn
+
+    def test_only_the_defaults_that_are_the_hash_mocks_are_shared(self, tmp_path):
+        reasoned = self._load(tmp_path, {"default_logits": "hash", "default_reasoning": "x"})
+        assert reasoned._score_fn is backend_module._default_score_fn
+        assert reasoned._generate_fn is not backend_module._default_generate_fn
+        fixed = self._load(tmp_path, {"default_logits": [1.0, 0.0]})
+        assert fixed._score_fn is not backend_module._default_score_fn
+        assert fixed._generate_fn is backend_module._default_generate_fn
+        ruled = self._load(tmp_path, {"default_logits": "hash",
+                                      "rules": [{"contains": ["x"], "fail": True}]})
+        assert ruled._score_fn is not backend_module._default_score_fn
+        assert ruled._generate_fn is not backend_module._default_generate_fn
+
+
 class TestConfigValidation:
     def test_decision_tokens_distinct(self):
         with pytest.raises(ValidationError):

@@ -1,9 +1,11 @@
 """Property-based invariants: file formats (the index file included) round-trip
-exactly, reranking ignores input order, the index build, its load-time ascent
-check, BM25 top-k and NDCG match naive references, bins add up, the prompt fill substitutes each
-placeholder once, the forced read is the open-think read after fixed think text,
-the mock transport answers as the old in-process mock did, and the CLI's
-per-query rerank writes what one whole-run rerank writes."""
+exactly and a scored dump's lines are what ``json.dumps`` writes, reranking ignores
+input order, the index build, its load-time ascent check, BM25 top-k and NDCG match
+naive references, bins add up, the prompt fill substitutes each placeholder once, the
+forced read is the open-think read after fixed think text, the mock transport answers
+as the old in-process mock did, a rule-free hash table answers as the hash mock while
+other tables keep their answers, and the CLI's per-query rerank writes what one
+whole-run rerank writes."""
 
 import contextlib
 import dataclasses
@@ -13,16 +15,19 @@ import json
 import math
 import operator
 import os
+import re
 import string
 import tempfile
 from array import array
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reranklab import (
     AnalyzerConfig,
+    BackendError,
     Bm25Params,
     Corpus,
     DEFAULT_TEMPLATE,
@@ -98,6 +103,41 @@ def test_scored_dump_roundtrip_is_exact(pairs, strategy):
         path = os.path.join(tmp, "scored.jsonl")
         write_scored(path, pairs, strategy)
         assert list(iter_scored(path)) == [(p, strategy) for p in pairs]
+
+
+# non-ASCII, line and paragraph separators, control characters and JSON's own escapes
+dump_text = st.text(max_size=30) | st.text(st.sampled_from(
+    "a \u2028\u2029\x00\x1f\x7f\x85\n\r\t\"\\/é中\U0001f600"), max_size=30)
+# subnormals and the two ends of the score range, beside ordinary scores
+dump_unit = st.sampled_from([0.0, 1.0, 5e-324, 2.225073858507201e-308]) | unit
+
+
+@st.composite
+def dump_pairs(draw):
+    samples = draw(st.lists(dump_unit, max_size=4))
+    score = math.fsum(samples) / len(samples) if samples else draw(dump_unit)
+    trace = st.builds(ReasoningTrace, text=dump_text, terminated=st.booleans(),
+                      token_count=st.integers(min_value=0, max_value=4096))
+    return ScoredPair(draw(dump_text), draw(dump_text), score,
+                      traces=tuple(draw(st.lists(trace, max_size=3))),
+                      per_sample_scores=tuple(samples))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(dump_pairs(), min_size=1, max_size=4), strategy=dump_text)
+def test_each_scored_line_is_json_dumps_of_its_record(pairs, strategy):
+    records = [{
+        "query_id": p.query_id, "passage_id": p.passage_id, "score": p.score,
+        "per_sample_scores": list(p.per_sample_scores),
+        "traces": [{"text": t.text, "terminated": t.terminated, "token_count": t.token_count}
+                   for t in p.traces],
+        "strategy": strategy,
+    } for p in pairs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scored.jsonl")
+        write_scored(path, pairs, strategy)
+        written = Path(path).read_bytes().decode("utf-8").split("\n")
+    assert written == [json.dumps(r, ensure_ascii=False) for r in records] + [""]
 
 
 @st.composite
@@ -504,7 +544,9 @@ def test_forced_read_is_the_open_think_read_after_fixed_text(
 
 
 STOP = DEFAULT_TEMPLATE.think_close
-reasoning_text = st.text(st.sampled_from(" \n\tab</>think"), max_size=160) | st.text(max_size=40)
+# \x1c-\x1f, \x85, \xa0, \u2028 and \u3000 are Unicode whitespace; \u200b only looks like it
+reasoning_text = st.text(st.sampled_from(
+    " \n\tab</>think\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u200b"), max_size=160) | st.text(max_size=40)
 
 
 @settings(max_examples=300, deadline=None)
@@ -512,6 +554,9 @@ reasoning_text = st.text(st.sampled_from(" \n\tab</>think"), max_size=160) | st.
 @example(body="", tail=" after", budget=1)  # the marker at position 0
 @example(body="one two three", tail="", budget=3)  # exactly at budget, marker present
 @example(body="one two three", tail=None, budget=3)  # exactly at budget, no marker
+@example(body="\x1cone\x85two\u2028", tail="", budget=3)  # leading Unicode space is a piece
+@example(body="\u3000\xa0a\u200bb\x1f", tail="", budget=1)  # one over budget: cut, not stopped
+@example(body="\u200bone\u200b two", tail="", budget=2)  # zero-width space is not a break
 def test_mock_generation_cuts_at_the_marker_then_the_budget(body, tail, budget):
     raw = body if tail is None else body + STOP + tail
     head, marker, _ = raw.partition(STOP)
@@ -524,6 +569,13 @@ def test_mock_generation_cuts_at_the_marker_then_the_budget(body, tail, budget):
     assert trace.text == "".join(pieces[:budget])
 
 
+def test_pieces_break_where_str_split_does():
+    """The mock counts an in-budget trace's pieces as ``len(head.split())`` plus one for
+    leading space; that is ``len(_pieces(head))`` only while re's ``\\s`` is ``str.isspace``."""
+    space = re.compile(r"\s")
+    assert [c for c in map(chr, range(0x110000)) if c.isspace() != bool(space.match(c))] == []
+
+
 logits = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -532,6 +584,73 @@ logits = st.floats(allow_nan=False, allow_infinity=False)
 def test_mock_score_decision_returns_the_score_fn_logits_exactly(z, prompt):
     read = MockBackend(score_fn=lambda p: z).score_decision(prompt)
     assert (read.true_logit.hex(), read.false_logit.hex()) == (z[0].hex(), z[1].hex())
+
+
+def _mock_table(table: dict) -> MockBackend:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mock.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(table, fh)
+        return load_mock_table(path)
+
+
+seeds = st.none() | st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(prompt=st.text(min_size=1, max_size=80), seed=seeds, budget=st.integers(1, 16))
+def test_a_rule_free_hash_table_answers_as_the_hash_mock(prompt, seed, budget):
+    hash_mock, sampling = MockBackend(), SamplingParams(max_tokens=budget)
+    for table in ({"default_logits": "hash"},
+                  {"single_token_vocab": ["true", "false"], "default_logits": "hash", "rules": []}):
+        mock = _mock_table(table)
+        assert mock.score_decision(prompt) == hash_mock.score_decision(prompt)
+        assert (mock.generate(prompt, sampling, STOP, seed)
+                == hash_mock.generate(prompt, sampling, STOP, seed))
+
+
+RULED_TABLE = {"default_logits": "hash", "rules": [
+    {"contains": ["boom"], "fail": True},
+    {"contains": ["cat", "hat"], "logits": [2.0, 0.0], "reasoning": "cat {seed}</think>"},
+    {"contains": ["cat"], "reasoning": "just a cat</think>"},
+]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(prompt=st.text(st.sampled_from("a cthbom"), min_size=1, max_size=16), seed=seeds)
+@example(prompt="boom cat hat", seed=1)  # the first matching rule wins, and it fails
+@example(prompt="a cat in a hat", seed=None)
+@example(prompt="cat", seed=7)
+def test_tables_with_fixed_answers_or_rules_keep_their_meaning(prompt, seed):
+    hash_mock, sampling = MockBackend(), SamplingParams(max_tokens=64)
+    hashed = hash_mock.generate(prompt, sampling, STOP, seed)
+
+    fixed = _mock_table({"default_logits": [1.5, -0.5]})
+    assert fixed.score_decision(prompt) == types.DecisionLogits(1.5, -0.5)
+    assert fixed.generate(prompt, sampling, STOP, seed) == hashed
+    assert _mock_table({}).score_decision(prompt) == types.DecisionLogits(0.0, 0.0)
+
+    seeded = _mock_table({"default_logits": "hash", "default_reasoning": "seed {seed} says no"
+                                                                         "</think>tail"})
+    assert seeded.score_decision(prompt) == hash_mock.score_decision(prompt)
+    assert seeded.generate(prompt, sampling, STOP, seed) == ReasoningTrace(
+        f"seed {seed} says no", True, 4)
+
+    ruled = _mock_table(RULED_TABLE)
+    if "boom" in prompt:
+        with pytest.raises(BackendError, match="^mock rule requested a failure$"):
+            ruled.score_decision(prompt)
+        with pytest.raises(BackendError, match="^mock rule requested a failure$"):
+            ruled.generate(prompt, sampling, STOP, seed)
+    elif "cat" in prompt:
+        hat = "hat" in prompt
+        assert ruled.score_decision(prompt) == (types.DecisionLogits(2.0, 0.0) if hat
+                                                else hash_mock.score_decision(prompt))
+        assert ruled.generate(prompt, sampling, STOP, seed) == (
+            ReasoningTrace(f"cat {seed}", True, 2) if hat else ReasoningTrace("just a cat", True, 3))
+    else:
+        assert ruled.score_decision(prompt) == hash_mock.score_decision(prompt)
+        assert ruled.generate(prompt, sampling, STOP, seed) == hashed
 
 
 @st.composite
