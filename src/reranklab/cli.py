@@ -390,31 +390,29 @@ def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
             concurrency=args.concurrency,
             allow_partial=args.allow_partial,
         )
-        # each pair goes to the dump as it is scored, and only its ids and score are kept
-        # until its query's last outcome comes: rerank is called once per query, on those
-        lists = ranked_lists(candidates)
-        open_queries: dict[str, list[ScoredPair | PairFailure]] = {}
-        reranked: dict[str, list[RunEntry]] = {}
+        # read_run gives each query's rows together and the stream keeps their order, so
+        # each query's outcomes arrive together: each pair goes to the dump as it is
+        # scored, and only the ids and score of the query being scored are kept for rerank
+        run: list[RunEntry] = []
         failures: list[PairFailure] = []
 
         def scored_pairs():
-            for o in outcomes:
-                failed = isinstance(o, PairFailure)
-                if failed:
-                    failures.append(o)
-                got = open_queries.setdefault(o.query_id, [])
-                got.append(o if failed else ScoredPair(o.query_id, o.passage_id, o.score))
-                if len(got) == len(lists[o.query_id]):
-                    reranked[o.query_id] = rerank(lists[o.query_id], open_queries.pop(o.query_id),
-                                                  tag)
-                if not failed:
-                    yield o
+            for rows in ranked_lists(candidates).values():
+                kept: list[ScoredPair | PairFailure] = []
+                for o in itertools.islice(outcomes, len(rows)):
+                    if isinstance(o, PairFailure):
+                        failures.append(o)
+                    else:
+                        yield o
+                        o = ScoredPair(o.query_id, o.passage_id, o.score)  # traces dropped
+                    kept.append(o)
+                run.extend(rerank(rows, kept, tag))
 
         with contextlib.closing(outcomes):
             data.write_scored(str(stage(f"{tag}_scored.jsonl", tag)), scored_pairs(), kind.value)
     run_path = stage(f"{tag}.run", tag)
     # queries in id order, as one rerank of the whole run writes them
-    data.write_run(str(run_path), [e for qid in sorted(reranked) for e in reranked[qid]])
+    data.write_run(str(run_path), sorted(run, key=lambda e: e.query_id))
     # staged even when empty: an earlier run's failures must not sit beside this run
     failures_path = stage(f"{tag}_failures.jsonl", tag)
     if failures:

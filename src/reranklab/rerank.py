@@ -22,10 +22,9 @@ import hashlib
 import math
 import threading
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -170,12 +169,14 @@ def rerank(
     The candidates must be a ranked list (:func:`types.ranked_lists`), and
     ``scores`` must give each candidate pair once, as a :class:`ScoredPair`
     or, under allow-partial, as a :class:`PairFailure`: the outcomes of
-    :func:`iter_scores`, in any order. Ties keep first-stage rank order, so
-    the output is invariant to the input candidate order. Failed pairs keep
-    no score and sink below the scored ones in first-stage order, with the
-    placeholder run score ``-rank``, below any real probability. The CLI
-    calls it once per query, with that query's candidates and outcomes, as
-    soon as the stream has yielded the query's last outcome.
+    :func:`iter_scores`, in any order. A score whose pair is not among the
+    candidates is ignored, so a rank prefix of each query's candidates can
+    be reranked with a whole dump's scores. Ties keep first-stage rank
+    order, so the output is invariant to the input candidate order. Failed
+    pairs keep no score and sink below the scored ones in first-stage order,
+    with the placeholder run score ``-rank``, below any real probability.
+    The CLI calls it once per query, with that query's candidates and
+    outcomes.
     """
     by_pair: dict[tuple[str, str], ScoredPair | PairFailure] = {}
     for s in scores:
@@ -224,30 +225,37 @@ def iter_scores(
     Each pair's outcome is yielded as soon as it and every earlier pair are
     done, so a caller that writes each one out and keeps no traces holds
     only the traces of pairs it has not yet taken, whatever the run's size.
-    Up to ``concurrency`` requests are in flight. A wire backend is scored
-    by ``2 * concurrency`` worker threads, which hold at most ``8 * workers``
-    unfinished pairs, and its own in-flight gate (the
+    Up to ``concurrency`` requests are in flight; a value below 1 is
+    refused by this call. A backend that answers in process (mock, replay)
+    is scored on the calling thread at any value, with identical output,
+    each pair when the caller takes it. A wire backend is scored by
+    ``2 * concurrency`` worker threads, and its own in-flight gate (the
     HTTP backend's pool of ``max_in_flight`` connections) bounds the
     requests on the wire: a worker asleep in a retry backoff or parsing a
     response holds no connection, so a spare worker sends the next request
-    meanwhile. A backend that answers in process (mock, replay) is scored on
-    the calling thread at any value, with identical output, each pair when
-    the caller takes it. Outcomes come in candidate order regardless of
-    thread scheduling, so a deterministic backend yields a deterministic
-    stream. Default error policy is fail-fast (a silent score gap would
-    corrupt downstream metric comparisons): the first failure cancels the
-    pairs no worker has started and is raised from the stream. With
+    meanwhile. Each pair takes one of ``8 * workers`` permits before it is
+    handed to the workers and gives it back when it is done, so no more
+    pairs than that are ever unfinished. While the caller waits on a slow
+    pair, each pair that finishes behind it lets the next one in, and their
+    outcomes wait for the slow one, as ``Executor.map``'s do. Pairs are
+    handed over only while the caller is taking outcomes, so a caller that
+    stops taking them hands the workers no more pairs. Outcomes come in
+    candidate order regardless of thread scheduling, so a deterministic
+    backend yields a deterministic stream. Default error policy is
+    fail-fast (a silent score gap would corrupt downstream metric
+    comparisons): the first failure ends the handing over, cancels the pairs
+    no worker has taken, fails with its error any pair a worker had taken
+    but not yet started, and is raised from the stream. With
     ``allow_partial`` a failed pair is yielded as a :class:`PairFailure`,
     which :func:`rerank` sinks below the scored pairs in first-stage order:
     the stream's outcomes, with or without their traces, are ``rerank``'s
-    ``scores`` as they come. While the caller waits on a slow pair, the pairs
-    after it go on being scored and their outcomes wait for it, as
-    ``Executor.map``'s do; a caller that stops taking outcomes hands the
-    workers no more pairs. Closing the stream early starts no further pair
-    and waits for the pairs already started. The candidates must be a ranked
-    list (:func:`types.ranked_lists`) naming known queries and passages;
-    that is checked by this call, before any request is sent.
+    ``scores`` as they come. Closing the stream early starts no further
+    pair and waits for the pairs already started. The candidates must be a
+    ranked list (:func:`types.ranked_lists`) naming known queries and
+    passages; that is checked by this call, before any request is sent.
     """
+    if concurrency < 1:  # the wire path would have no worker and no permit
+        raise ValidationError(f"concurrency must be >= 1, got {concurrency}")
     ranked_lists(candidates)
     for c in candidates:
         if c.query_id not in queries:
@@ -255,11 +263,13 @@ def iter_scores(
         if c.passage_id not in corpus:
             raise ValidationError(f"candidate references unknown passage id {c.passage_id!r}")
 
-    stop = threading.Event()  # fail-fast: once a pair has failed, no other pair starts
+    failed: list[BackendError] = []  # fail-fast: once a pair has failed, no other pair starts
 
     def attempt(c: RunEntry) -> ScoredPair | PairFailure:
-        if stop.is_set():  # the stream raises the failure of a pair dequeued before this one
-            raise BackendError("not started: another pair failed first")
+        # a worker may take a pair before the failed one yet get here after the failure; the
+        # stream meets this pair first, so it raises the failure
+        if failed:
+            raise BackendError(str(failed[0]))
         query, passage = queries[c.query_id], corpus.passage(c.passage_id)
         try:
             return score_pair(
@@ -268,10 +278,9 @@ def iter_scores(
         except BackendError as exc:
             if allow_partial:
                 return PairFailure(c.query_id, c.passage_id, str(exc))
-            stop.set()
-            raise BackendError(
-                f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}"
-            ) from exc
+            error = BackendError(f"scoring failed for ({c.query_id!r}, {c.passage_id!r}): {exc}")
+            failed.append(error)
+            raise error from exc
 
     def outcomes() -> Iterator[ScoredPair | PairFailure]:
         # in-process answers hold the interpreter lock, so threads would only contend for it
@@ -279,27 +288,20 @@ def iter_scores(
             yield from map(attempt, candidates)
             return
         workers = 2 * concurrency  # twice the backend's slots: a worker in backoff leaves none idle
-        todo = iter(candidates)
+        permits = threading.Semaphore(_UNFINISHED_PER_WORKER * workers)  # one per unfinished pair
         window: deque[Future] = deque()  # submitted and not yet yielded, in candidate order
-        unfinished: set[Future] = set()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-
-            def top_up() -> None:  # no pair starts after a failure
-                unfinished.difference_update([f for f in unfinished if f.done()])
-                room = 0 if stop.is_set() else _UNFINISHED_PER_WORKER * workers - len(unfinished)
-                for c in islice(todo, room):
-                    window.append(pool.submit(attempt, c))
-                    unfinished.add(window[-1])
-
             try:
-                top_up()
+                for c in candidates:
+                    while window and window[0].done():
+                        yield window.popleft().result()
+                    permits.acquire()
+                    if failed:  # no pair starts after a failure
+                        break
+                    window.append(pool.submit(attempt, c))
+                    window[-1].add_done_callback(lambda _: permits.release())
                 while window:
-                    while not window[0].done():  # the pairs behind a slow one keep the workers busy
-                        wait(unfinished, return_when=FIRST_COMPLETED)
-                        top_up()
-                    outcome = window.popleft().result()
-                    top_up()
-                    yield outcome
+                    yield window.popleft().result()
             finally:  # closed or failed: no worker starts a pair still waiting
                 for future in window:
                     future.cancel()

@@ -176,8 +176,8 @@ def naive_rerank(candidates, outcomes, tag):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=ranked_lists(), shuffle=st.randoms(use_true_random=False))
-def test_rerank_ignores_candidate_and_score_order(data, shuffle):
+@given(data=ranked_lists(), shuffle=st.randoms(use_true_random=False), depth=st.integers(1, 6))
+def test_rerank_ignores_candidate_and_score_order(data, shuffle, depth):
     candidates, outcomes = data
     reference = naive_rerank(candidates, outcomes, "t")
     assert rerank(candidates, outcomes, "t") == reference
@@ -185,6 +185,11 @@ def test_rerank_ignores_candidate_and_score_order(data, shuffle):
     shuffle.shuffle(candidates)
     shuffle.shuffle(outcomes)
     assert rerank(candidates, outcomes, "t") == reference
+    # a rank prefix of each query's candidates against every outcome: the others are ignored
+    prefix = [c for c in candidates if c.rank <= depth]
+    kept = {(c.query_id, c.passage_id) for c in prefix}
+    assert rerank(prefix, outcomes, "t") == naive_rerank(
+        prefix, [o for o in outcomes if (o.query_id, o.passage_id) in kept], "t")
 
 
 @settings(max_examples=150, deadline=None)
@@ -694,6 +699,10 @@ def test_cli_per_query_rerank_writes_what_one_whole_run_rerank_writes(run):
                              "--out-dir", str(d / "out")]) == 0
 
         candidates = read_run(str(d / "first.run"))
+        # each query's rows together, queries in the order of their first row in the file:
+        # ranked_lists flattened, the order in which cmd_rerank takes the stream query by query
+        first_rows = dict.fromkeys(line.split()[0] for line in lines)
+        assert candidates == [e for qid in first_rows for e in types.ranked_lists(candidates)[qid]]
         outcomes = list(iter_scores(
             load_mock_table(str(d / "mock.json")), DEFAULT_TEMPLATE,
             RerankStrategy(StrategyKind.DIRECT), {q.id: q for q in load_queries(

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -10,6 +11,8 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reranklab import (
     BackendConfig,
@@ -622,6 +625,38 @@ class _HeldWireFake(_WireFake):
         return super()._complete(payload)
 
 
+class _ScheduledWireFake(_WireFake):
+    """A :class:`_WireFake` for the direct pairs of passages ``<0>``, ``<1>``, ...
+
+    Pair ``slow`` is answered only once ``behind`` later pairs' requests have
+    arrived or pair ``fail`` has failed; pair ``fail``, if any, fails at once,
+    and each pair after it is held until ``release`` is set. ``sent`` lists
+    the pairs in the order their requests arrived.
+    """
+
+    def __init__(self, slow: int, behind: int, fail: int | None):
+        super().__init__()
+        self.slow, self.behind, self.fail = slow, behind, fail
+        self.sent = []
+        self.release = threading.Event()
+        self.slow_waited_out = False
+        self._slow_may_answer = threading.Event()
+
+    def _complete(self, payload: dict) -> dict:
+        i = int(re.search(r"<(\d+)>", payload["prompt"])[1])
+        with self._lock:
+            self.sent.append(i)
+            if i == self.fail or sum(j > self.slow for j in self.sent) >= self.behind:
+                self._slow_may_answer.set()
+        if i == self.fail:
+            raise BackendError(f"pair {i} refused")
+        if self.fail is not None and i > self.fail:
+            self.release.wait(timeout=10)
+        if i == self.slow:
+            self.slow_waited_out = not self._slow_may_answer.wait(timeout=10)
+        return super()._complete(payload)
+
+
 class _ThreadRecordingHttp(HttpCompletionsBackend):
     """The HTTP backend, noting which threads send its requests."""
 
@@ -735,6 +770,24 @@ class TestSchedule:
         # direct sends one request per pair: only pairs taken before the failure went out
         assert 1 <= len(fake.prompts) <= 2 * concurrency
 
+    def test_a_pair_reached_after_another_failed_raises_that_failure(self, monkeypatch):
+        # a worker takes the first pair, and reaches it only once the second has failed
+        corpus, queries, cands = self._fixture(2)
+        second_failed = threading.Event()
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, c):
+                if c is cands[0]:
+                    return super().submit(lambda: second_failed.wait(10) and fn(c))
+                future = super().submit(fn, c)
+                future.add_done_callback(lambda _: second_failed.set())
+                return future
+
+        monkeypatch.setattr(sys.modules["reranklab.rerank"], "ThreadPoolExecutor", Pool)
+        with pytest.raises(BackendError, match=r"^scoring failed for \('q1', 'p1'\): refused$"):
+            score_candidates(_FailingWireFake(), DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands,
+                             SamplingParams())
+
     def _consume_first_then_fail(self, stream):
         # the consumer fails after the first pair, as a failed dump write would
         with pytest.raises(OSError, match="disk full"), contextlib.closing(stream):
@@ -821,6 +874,65 @@ class TestSchedule:
         serial = [score_pair(_WireFake(), DEFAULT_TEMPLATE, DIRECT, queries["q1"],
                              corpus.passage(c.passage_id), SamplingParams()) for c in cands]
         assert scored == serial
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_wire_stream_over_random_schedules(self, data):
+        n = data.draw(st.integers(1, 80), label="pairs")
+        concurrency = data.draw(st.integers(1, 3), label="concurrency")
+        slow = data.draw(st.integers(0, n - 1), label="slow pair")
+        behind = data.draw(st.integers(0, n - 1 - slow), label="later arrivals it waits for")
+        fail = data.draw(st.none() | st.integers(0, n - 1), label="failing pair")
+        corpus = Corpus(tuple(Passage(f"p{i}", f"<{i}>") for i in range(n)))
+        queries = {"q1": Query("q1", "a question")}
+        cands = [RunEntry("q1", f"p{i}", i + 1, float(n - i)) for i in range(n)]
+        fake, peak = _ScheduledWireFake(slow, behind, fail), 0
+
+        class Pool(ThreadPoolExecutor):
+            submitted = []
+
+            def submit(self, *args, **kwargs):
+                nonlocal peak  # pairs submitted and unfinished, this one included
+                peak = max(peak, 1 + sum(not f.done() for f in self.submitted))
+                self.submitted.append(super().submit(*args, **kwargs))
+                return self.submitted[-1]
+
+            def shutdown(self, *args, **kwargs):
+                fake.release.set()  # the stream is over: free the pairs held after the failure
+                super().shutdown(*args, **kwargs)
+
+        got, error, switch = [], None, sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["reranklab.rerank"], "ThreadPoolExecutor", Pool)
+            sys.setswitchinterval(1e-5)  # frequent thread switches, so a lost permit would show
+            try:
+                got.extend(iter_scores(fake, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands,
+                                       SamplingParams(), concurrency=concurrency))
+            except BackendError as exc:
+                error = exc
+            finally:
+                sys.setswitchinterval(switch)
+        serial = [score_pair(_WireFake(), DEFAULT_TEMPLATE, DIRECT, queries["q1"],
+                             corpus.passage(c.passage_id), SamplingParams()) for c in cands]
+        assert not fake.slow_waited_out
+        assert peak <= 8 * 2 * concurrency
+        if fail is None:
+            assert error is None and got == serial
+        else:
+            # a pair before the failed one that no worker had started fails with it
+            assert len(got) <= fail and got == serial[:len(got)]
+            assert str(error) == f"scoring failed for ('q1', 'p{fail}'): pair {fail} refused"
+            assert sum(i > fail for i in fake.sent) <= 2 * concurrency
+
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    @pytest.mark.parametrize("wire", [False, True], ids=["mock", "wire"])
+    def test_stream_refuses_concurrency_below_one_before_it_is_read(self, wire, concurrency):
+        corpus, queries, cands = self._fixture()
+        backend = _WireFake() if wire else MockBackend()
+        with pytest.raises(ValidationError, match=f"^concurrency must be >= 1, got {concurrency}$"):
+            iter_scores(backend, DEFAULT_TEMPLATE, DIRECT, queries, corpus, cands,
+                        SamplingParams(), concurrency=concurrency)
+        assert (backend._calls if wire else backend.score_calls) == 0
 
     def test_stream_checks_candidates_before_it_is_read(self):
         corpus, queries, cands = self._fixture()
