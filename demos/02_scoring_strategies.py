@@ -18,7 +18,6 @@ from reranklab import (
     PromptMode,
     Query,
     RerankStrategy,
-    SamplingParams,
     StrategyKind,
     assemble_prompt,
     score_pair,
@@ -55,14 +54,14 @@ def generate_fn(prompt, seed):
 
 
 mock = MockBackend(score_fn=score_fn, generate_fn=generate_fn)
-sampling = SamplingParams(temperature=0.7, top_p=0.95, max_tokens=128)
 
 print("=== scores ===")
 scored = {}
-for kind, samples in ((StrategyKind.DIRECT, 1), (StrategyKind.REASON, 1),
-                      (StrategyKind.FORCED_NO_REASON, 1), (StrategyKind.SELF_CONSISTENCY, 8)):
-    pair = score_pair(mock, DEFAULT_TEMPLATE, RerankStrategy(kind, samples), query, passage,
-                      sampling, base_seed=0)
+for kind in StrategyKind:
+    # as `reranklab rerank --samples 8 --max-reasoning-tokens 128` resolves each strategy:
+    # 8 samples for self_consistency only, greedy sampling except for self_consistency
+    strategy, sampling = RerankStrategy.resolve(kind, samples=8, max_tokens=128)
+    pair = score_pair(mock, DEFAULT_TEMPLATE, strategy, query, passage, sampling, base_seed=0)
     scored[kind] = pair
     detail = ""
     if kind is StrategyKind.REASON:

@@ -51,7 +51,6 @@ from .backend import (
     CompletionsBackend,
     HttpCompletionsBackend,
     ReplayBackend,
-    SamplingParams,
     load_mock_table,
 )
 from .types import RunEntry, ScoredPair, ValidationError, ranked_lists
@@ -350,45 +349,25 @@ def _build_backend(args: argparse.Namespace) -> CompletionsBackend:
     return HttpCompletionsBackend(base)
 
 
-def _sampling(args: argparse.Namespace, kind: StrategyKind) -> SamplingParams:
-    # greedy by default; self-consistency needs sampling diversity
-    sampled = kind is StrategyKind.SELF_CONSISTENCY
-    return SamplingParams(
-        temperature=(0.7 if sampled else 0.0) if args.temperature is None else args.temperature,
-        top_p=(0.95 if sampled else 1.0) if args.top_p is None else args.top_p,
-        max_tokens=args.max_reasoning_tokens,
-    )
-
-
 def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
     # an out-of-range value is refused before any input is read or request sent
     for name in ("concurrency", "samples"):
         if getattr(args, name) < 1:
             raise ValidationError(f"{name} must be >= 1, got {getattr(args, name)}")
+    strategy, sampling = RerankStrategy.resolve(
+        args.strategy, args.samples, args.max_passage_chars,
+        args.temperature, args.top_p, args.max_reasoning_tokens,
+    )
     corpus = data.load_corpus(str(require_path(args.corpus, "corpus")))
     queries = data.load_queries(str(require_path(args.queries, "queries")))
     candidates = data.read_run(str(require_path(args.run_in, "first-stage run")))
-
-    kind = StrategyKind(args.strategy)
-    samples = args.samples if kind is StrategyKind.SELF_CONSISTENCY else 1
-    strategy = RerankStrategy(
-        kind=kind, samples=samples, max_passage_chars=args.max_passage_chars
-    )
     template = prompts.load_template(args.template) if args.template else prompts.DEFAULT_TEMPLATE
-    tag = _tag(args, kind.value)
+    tag = _tag(args, args.strategy)
     with contextlib.closing(_build_backend(args)) as backend:
         backend.validate_decision_tokens()
         outcomes = iter_scores(
-            backend,
-            template,
-            strategy,
-            {q.id: q for q in queries},
-            corpus,
-            candidates,
-            _sampling(args, kind),
-            base_seed=args.seed,
-            concurrency=args.concurrency,
-            allow_partial=args.allow_partial,
+            backend, template, strategy, {q.id: q for q in queries}, corpus, candidates, sampling,
+            base_seed=args.seed, concurrency=args.concurrency, allow_partial=args.allow_partial,
         )
         # read_run gives each query's rows together and the stream keeps their order, so
         # each query's outcomes arrive together: each pair goes to the dump as it is
@@ -409,7 +388,7 @@ def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
                 run.extend(rerank(rows, kept, tag))
 
         with contextlib.closing(outcomes):
-            data.write_scored(str(stage(f"{tag}_scored.jsonl", tag)), scored_pairs(), kind.value)
+            data.write_scored(str(stage(f"{tag}_scored.jsonl", tag)), scored_pairs(), args.strategy)
     run_path = stage(f"{tag}.run", tag)
     # queries in id order, as one rerank of the whole run writes them
     data.write_run(str(run_path), sorted(run, key=lambda e: e.query_id))
@@ -420,7 +399,7 @@ def cmd_rerank(args: argparse.Namespace, stage: _Stage) -> str:
             for f in failures:
                 fh.write(json.dumps(asdict(f)) + "\n")
     return (f"scored {len(candidates) - len(failures)} pairs ({len(failures)} failed) "
-            f"with {kind.value} -> {run_path.with_suffix('')}")
+            f"with {args.strategy} -> {run_path.with_suffix('')}")
 
 
 def cmd_eval(args: argparse.Namespace, stage: _Stage) -> str:

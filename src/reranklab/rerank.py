@@ -14,6 +14,16 @@ Four strategies produce a relevance probability per (query, passage) pair:
 
 All strategies share the same logits-to-probability mapping; they differ
 only in what the logits are conditioned on, so ``score_pair`` serves all four.
+
+What a run's settings mean for each kind is decided in one place,
+:meth:`RerankStrategy.resolve`, which the CLI calls once per run. Only
+``self_consistency`` takes more than one sample, and only it samples by
+default (temperature 0.7, top_p 0.95); every other kind takes one sample
+and is greedy unless told otherwise. Only ``reason`` and
+``self_consistency`` generate, so only they send the sampling and the
+token budget. The sampling is returned beside the strategy, not stored in
+it: :func:`score_pair`, :func:`iter_scores` and :func:`score_candidates`
+take it as an argument of its own.
 """
 
 from __future__ import annotations
@@ -56,6 +66,8 @@ class RerankStrategy:
     max_passage_chars: int = 2048  # prompt-time truncation; 0 disables
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, StrategyKind):  # a plain name would fail every `is` test
+            raise ValidationError(f"kind must be a StrategyKind, got {self.kind!r}")
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
         if self.max_passage_chars < 0:  # a negative cut would drop the passage's tail
@@ -64,6 +76,30 @@ class RerankStrategy:
             raise ValidationError(
                 f"samples > 1 only applies to self_consistency, not {self.kind.value}"
             )
+
+    @classmethod
+    def resolve(cls, kind: StrategyKind | str, samples: int = 1, max_passage_chars: int = 2048,
+                temperature: float | None = None, top_p: float | None = None,
+                max_tokens: int = 1024) -> tuple[RerankStrategy, SamplingParams]:
+        """A run's settings as the strategy and the sampling its generate reads send.
+
+        ``kind`` is a :class:`StrategyKind` or its name; any other value is
+        refused with ``ValidationError``. Only ``self_consistency`` takes
+        ``samples``; every other kind takes one. An unset ``temperature`` or
+        ``top_p`` is greedy (0 and 1), except 0.7 and 0.95 for
+        ``self_consistency``, which needs diverse samples. ``max_tokens`` is
+        the budget of each generated trace. The sampling is built, and so
+        checked, for every kind, though only ``reason`` and
+        ``self_consistency`` send it.
+        """
+        kind = next((k for k in StrategyKind if k == kind), kind)  # a name becomes its member
+        sampled = kind is StrategyKind.SELF_CONSISTENCY
+        strategy = cls(kind, samples if sampled else 1, max_passage_chars)
+        return strategy, SamplingParams(
+            temperature=(0.7 if sampled else 0.0) if temperature is None else temperature,
+            top_p=(0.95 if sampled else 1.0) if top_p is None else top_p,
+            max_tokens=max_tokens,
+        )
 
 
 def relevance_from_logits(logits: DecisionLogits) -> float:

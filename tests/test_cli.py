@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from reranklab import data
+from reranklab import RerankStrategy, StrategyKind, cli, data
 from reranklab.cli import build_parser, main
+from reranklab.rerank import iter_scores
 
 from conftest import make_corpus, make_queries, write_corpus_file, write_queries_file
 
@@ -229,6 +230,43 @@ class TestRerankCommand:
         ]
         assert all(len(d["per_sample_scores"]) == 3 for d in dump)
         assert all(len(d["traces"]) == 3 for d in dump)
+
+    def test_flags_that_do_not_apply_change_nothing(self, workspace, tmp_path, monkeypatch):
+        # a direct run takes one sample and generates nothing, so --samples and --temperature
+        # leave its strategy, its requests and its files as a plain direct run has them
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        handed = []
+
+        def recording(backend, template, strategy, *rest, **kwargs):
+            payloads = []
+            complete = backend._complete
+            backend._complete = lambda payload: (payloads.append(payload), complete(payload))[1]
+            handed.append((strategy, payloads))
+            return iter_scores(backend, template, strategy, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "iter_scores", recording)
+        for name, extra in (("plain", []), ("flagged", ["--samples", "5", "--temperature", "0.9"])):
+            assert self._rerank(workspace, tmp_path / name, run_path, "direct", extra) == 0
+        (plain, plain_requests), (flagged, flagged_requests) = handed
+        assert plain == flagged == RerankStrategy(StrategyKind.DIRECT)
+        assert plain_requests and flagged_requests == plain_requests
+        # resolved_config.json records the flags as given (ROADMAP item 25), so it differs
+        files = [{f.name: f.read_bytes() for f in (tmp_path / name).iterdir()
+                  if f.name != "resolved_config.json"} for name in ("plain", "flagged")]
+        assert sorted(files[0]) == ["direct.run", "direct_scored.jsonl"]
+        assert files[1] == files[0]
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--temperature", "-1", "temperature"), ("--top-p", "0", "top_p"),
+        ("--max-reasoning-tokens", "0", "max_tokens"),
+    ])
+    def test_a_flag_that_does_not_apply_is_still_checked(self, workspace, tmp_path, capsys,
+                                                           flag, value, named):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        out = tmp_path / "checked"
+        assert self._rerank(workspace, out, run_path, "direct", [flag, value]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_across_concurrency(self, workspace, tmp_path):
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")

@@ -951,3 +951,72 @@ class TestStrategyValidation:
         RerankStrategy(StrategyKind.SELF_CONSISTENCY, samples=8)
         with pytest.raises(ValidationError):
             RerankStrategy(StrategyKind.DIRECT, samples=2)
+
+    @pytest.mark.parametrize("kind, samples", [("direct", 1), ("nonsense", 1), ("direct", 2)],
+                             ids=["name", "unknown-name", "name-with-samples"])
+    def test_kind_must_be_a_strategy_kind(self, kind, samples):
+        # a plain name equals its member but is not it, so score_pair would read it as reason
+        mock = MockBackend()
+        with pytest.raises(ValidationError, match="StrategyKind"):
+            score_pair(mock, DEFAULT_TEMPLATE, RerankStrategy(kind, samples), Q, P,
+                       SamplingParams())
+        assert mock.generate_calls == mock.score_calls == 0
+
+
+class _RecordingMock(MockBackend):
+    """The hash mock, keeping the payload of every request it answers."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+    def _complete(self, payload: dict) -> dict:
+        self.payloads.append(payload)
+        return super()._complete(payload)
+
+
+class TestResolve:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(StrategyKind),
+        by_name=st.booleans(),
+        samples=st.integers(1, 4),
+        temperature=st.none() | st.floats(0, 2),
+        top_p=st.none() | st.floats(0, 1, exclude_min=True),
+        max_tokens=st.integers(1, 64),
+        max_passage_chars=st.integers(0, 80),
+    )
+    def test_the_backend_sees_what_was_resolved(self, kind, by_name, samples, temperature,
+                                                top_p, max_tokens, max_passage_chars):
+        strategy, sampling = RerankStrategy.resolve(
+            kind.value if by_name else kind, samples, max_passage_chars,
+            temperature, top_p, max_tokens,
+        )
+        sampled = kind is StrategyKind.SELF_CONSISTENCY
+        generated = kind in (StrategyKind.REASON, StrategyKind.SELF_CONSISTENCY)
+        n = samples if sampled else 1
+        assert strategy == RerankStrategy(kind, n, max_passage_chars)
+        assert sampling == SamplingParams(
+            (0.7 if sampled else 0.0) if temperature is None else temperature,
+            (0.95 if sampled else 1.0) if top_p is None else top_p,
+            max_tokens,
+        )
+        passage = Passage("p1", "αβγδεζηθικλμνξοπρστυφχψω" * 4)  # 96 letters no prompt has
+        mock = _RecordingMock()
+        pair = score_pair(mock, DEFAULT_TEMPLATE, strategy, Q, passage, sampling)
+        generates = [p for p in mock.payloads if "stop" in p]
+        reads = [p for p in mock.payloads if "stop" not in p]
+        assert len(generates) == (n if generated else 0)
+        assert len(reads) == (n if generated else 1)
+        for p in generates:
+            assert (p["temperature"], p["top_p"], p["max_tokens"]) == (
+                sampling.temperature, sampling.top_p, sampling.max_tokens)
+        kept = passage.text[: max_passage_chars or None]
+        for p in mock.payloads:
+            assert kept in p["prompt"]
+            assert kept == passage.text or passage.text[: len(kept) + 1] not in p["prompt"]
+        assert len(pair.per_sample_scores) == (n if sampled else 0)
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValidationError, match="StrategyKind"):
+            RerankStrategy.resolve("nonsense")

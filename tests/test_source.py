@@ -131,3 +131,18 @@ def test_every_dataclass_declares_slots():
                  for name, slotted in _dataclasses(ast.parse(module.read_text(encoding="utf-8")))
                  if not slotted]
     assert sorted(unslotted) == sorted(UNSLOTTED)
+
+
+def test_only_rerank_decides_what_a_strategy_kind_means():
+    # the samples and the sampling each kind takes are resolved by RerankStrategy.resolve, so
+    # the CLI cannot grow a rule of its own again; it names StrategyKind for --strategy's choices
+    deciders = {module.stem for module in sorted(PACKAGE.glob("*.py"))
+                for compare in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+                if isinstance(compare, ast.Compare)
+                for node in ast.walk(compare)
+                if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", "") == "StrategyKind"}
+    assert sorted(deciders) == ["rerank"]
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert "SamplingParams" not in names | set(_imported_names(tree))
