@@ -16,22 +16,38 @@ of ``(ordinal, tf)`` pairs. Each document's length norm
 ``k1 * (1 - b + b*dl/avgdl)`` is computed once, when the index is made, and
 both scoring paths read it from the same table.
 
-Top-k retrieval is exact, with no pruning: it scores every matching document
-term by term, finds the k-th largest score with a heap, and sorts only the
-documents at or above it. A term's per-row impacts
-``idf * tf*(k1+1) / (tf + norm)`` depend on the index alone, so the first
-query that uses the term computes them into a column of doubles and the
-index keeps it, next to a copy of the term's ordinals (a loop over an array
-runs faster than over a view of the shared column). The cache so costs 8
-bytes plus the ordinal width per posting of the terms some query has used
-(plus a small fixed cost per term), never more than that per posting in the
-index, and holds no entry for words the index lacks. It is derived state,
-left out of equality and ``repr``. Threads that fill the same term at once
-compute equal columns and one of them is kept, so no lock is needed.
-Impacts are summed in query-token order, as ``bm25_score`` sums its terms,
-so the two paths agree bit for bit. ``bm25_score`` never reads the cache: it
-bisects the term's span of the shared columns for the document, which keeps
-it an independent oracle for the cached path.
+Top-k retrieval is exact, and skips documents that cannot rank (MaxScore,
+Turtle and Flood 1995). A term's impacts ``idf * tf*(k1+1) / (tf + norm)``
+depend on the index alone, so the first query that uses the term computes
+them, with their largest, the term's bound, and the index keeps them next to
+a copy of the term's ordinals (a loop over an array runs faster than over a
+view of the shared column). A term with rows in under a quarter of the
+documents keeps one double per row, 8 bytes plus the ordinal width per
+posting. A commoner term keeps one double per document, 0.0 where it has no
+row, so a document's impact is one index and not a bisect: at most
+8 x ``doc_count`` bytes, so at most 32 bytes per posting of that term, plus
+its ordinals. The cache so costs at most 32 bytes plus the ordinal width per
+posting of the terms some query has used (plus a small fixed cost per term),
+and holds no entry for words the index lacks. It is derived state, left out
+of equality and ``repr``. Threads that fill the same term at once compute
+equal columns and one of them is kept, so no lock is needed.
+
+A query visits its tokens by descending bound and adds each one's impacts
+into partial sums until k documents have a partial above the summed bounds
+of the tokens not yet visited. It is then closed: a document with no partial
+yet cannot reach the k-th score, so each later token adds its impact to the
+candidates alone, and a candidate is dropped once its partial plus the
+remaining bounds falls short of the k-th partial. The survivors are scored
+again by adding their impacts in query-token order, as ``bm25_score`` sums
+its terms, so the two paths agree bit for bit; they are then sorted. The
+partial sums are taken in another order, so their rounding may differ from
+the final scores': both comparisons carry a relative margin of (query
+tokens) x 2**-50, beyond what rounding two sums of that many non-negative
+terms can move, so a document that ties the k-th score is never dropped. A
+query that never closes, with fewer than k matches, ends with every match
+scored. ``bm25_score`` never reads the cache: it bisects the term's span of
+the shared columns for the document, which keeps it an independent oracle
+for the cached path.
 
 Building makes the columns directly, with no column per term: one pass over
 the documents collects a (term id, tf) row per distinct term of each
@@ -75,8 +91,8 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice
-from operator import ge, le, sub
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, ge, le, sub
 
 from .porter import porter_stem
 from .types import Corpus, Query, RunEntry, ValidationError
@@ -208,11 +224,12 @@ class InvertedIndex:
     analyzer: AnalyzerConfig
     params: Bm25Params
     avg_doc_length: float = field(init=False)
-    # k1 * (1 - b + b*dl/avgdl) per document ordinal, and term -> (ordinals,
-    # impacts) filled by _impacts; derived from the fields above, so equality
-    # and repr leave them out
+    # k1 * (1 - b + b*dl/avgdl) per document ordinal, and term -> (bound,
+    # ordinals, impacts) filled by _impacts; derived from the fields above, so
+    # equality and repr leave them out
     length_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _impact_cache: dict[str, tuple[array, array]] = field(init=False, repr=False, compare=False)
+    _impact_cache: dict[str, tuple[float, array, array]] = field(init=False, repr=False,
+                                                                 compare=False)
 
     def __post_init__(self) -> None:
         if not self.doc_ids:
@@ -235,9 +252,12 @@ class InvertedIndex:
         """The idf of a term with ``df`` rows, the length of its span."""
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
-    def _impacts(self, term: str) -> tuple[array, array] | None:
-        """``(ordinals, impacts)`` of the term's rows, or None if the index lacks it.
+    def _impacts(self, term: str) -> tuple[float, array, array] | None:
+        """``(bound, ordinals, impacts)`` of the term, or None if the index lacks it.
 
+        ``bound`` is the largest impact. ``impacts`` is one double per row, or,
+        for a term with rows in at least a quarter of the documents, one per
+        document ordinal, 0.0 where the term has no row.
         Computed on the term's first use and kept; see the module docstring.
         """
         cached = self._impact_cache.get(term)
@@ -250,9 +270,15 @@ class InvertedIndex:
             ordinals, tfs = self.postings.ordinals[lo:hi], self.postings.tfs[lo:hi]
             idf, k1, norms = self._idf(hi - lo), self.params.k1, self.length_norms
             numerators = {tf: idf * tf * (k1 + 1.0) for tf in set(tfs)}
-            impacts = array("d", [numerators[tf] / (tf + norms[ordinal])
-                                  for ordinal, tf in zip(ordinals, tfs)])
-            cached = self._impact_cache[term] = (ordinals, impacts)
+            impacts = [numerators[tf] / (tf + norms[ordinal]) for ordinal, tf in zip(ordinals, tfs)]
+            bound = max(impacts)
+            if 4 * len(impacts) >= self.doc_count:
+                column = _zeros("d", self.doc_count)
+                for ordinal, impact in zip(ordinals, impacts):
+                    column[ordinal] = impact
+            else:
+                column = array("d", impacts)
+            cached = self._impact_cache[term] = (bound, ordinals, column)
         return cached
 
 
@@ -371,32 +397,87 @@ def retrieve_top_k(index: InvertedIndex, query: Query, k: int) -> list[RunEntry]
     """Exact top-k candidates as untagged rows, scores descending, ties by ascending id.
 
     Only documents matching at least one query term are candidates, so fewer
-    than k results may come back. Every match is scored; only those scoring
-    at least the k-th largest score are sorted.
+    than k results may come back. Query tokens are visited by descending
+    bound, their impacts added into partial sums, until k documents have a
+    partial above the summed bounds of the tokens not yet visited; from then
+    on no new document is taken, and a candidate is dropped once its partial
+    plus those bounds cannot reach the k-th partial. The survivors, at most
+    k or those within the float margin of the k-th, are scored in
+    query-token order, as ``bm25_score`` sums, and sorted. See the module
+    docstring.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    # term-at-a-time accumulation in query-token order: float summation order
-    # matches bm25_score exactly, so the two paths agree bit-for-bit
-    scores: dict[int, float] = {}
-    get = scores.get
-    for term in tokenize(query.text, index.analyzer):
-        columns = index._impacts(term)
-        if columns is None:
-            continue
-        for ordinal, impact in zip(*columns):
-            scores[ordinal] = get(ordinal, 0.0) + impact
-    matches = scores.items()
-    if len(scores) > k:
-        # keep every tie at the k-th score, so the id order below cuts them
-        # exactly where a sort of all matches would
-        kth = heapq.nlargest(k, scores.values())[-1]
-        matches = [(ordinal, score) for ordinal, score in matches if score >= kth]
-    ranked = sorted(matches, key=lambda item: (-item[1], index.doc_ids[item[0]]))
+    tokens = tokenize(query.text, index.analyzer)
+    entries = {term: index._impacts(term) for term in tokens}
+    tokens = [term for term in tokens if entries[term] is not None]  # repeats kept
+    if not tokens:
+        return []
+    bounds = [entries[term][0] for term in tokens]
+    visit = sorted(range(len(tokens)), key=bounds.__getitem__, reverse=True)
+    # rests[step]: the summed bounds of the tokens after visit[step]
+    rests = list(accumulate((bounds[i] for i in reversed(visit[1:])), initial=0.0))[::-1]
+    # the sums below are taken in another order than the final scores: a
+    # margin beyond what rounding sums of len(tokens) terms can move keeps ties
+    margin = len(tokens) * 2.0 ** -50
+    doc_count, partial = index.doc_count, {}
+    get = partial.get
+    for step, i in enumerate(visit):
+        _, ordinals, impacts = entries[tokens[i]]
+        if len(impacts) == doc_count:  # one impact per document: read the term's rows
+            impacts = map(impacts.__getitem__, ordinals)
+        for ordinal, impact in zip(ordinals, impacts):
+            partial[ordinal] = get(ordinal, 0.0) + impact
+        # closed once no document without a partial can reach the k-th partial
+        kth = _kth_at_least(partial.values(), k, rests[step] * (1.0 + margin))
+        if kth is not None:
+            break
+    candidates, partials = list(partial), list(partial.values())
+    while len(candidates) > k:  # keep those whose partial plus the rest can reach the k-th
+        floor = kth * (1.0 - margin) - rests[step]
+        if floor > min(partials):  # else the prune would drop nothing
+            kept = list(map(floor.__le__, partials))
+            candidates, partials = list(compress(candidates, kept)), list(compress(partials, kept))
+        step += 1
+        if step == len(visit):
+            break
+        partials = list(map(add, partials, _gathered(entries[tokens[visit[step]]], candidates,
+                                                     doc_count)))
+        kth = _kth_at_least(partials, k, kth)  # partials only grow
+    # the survivors' scores, summed in query-token order as bm25_score sums them
+    gathered = {term: _gathered(entries[term], candidates, doc_count) for term in set(tokens)}
+    scores = [0.0] * len(candidates)
+    for term in tokens:
+        scores = list(map(add, scores, gathered[term]))
+    ranked = sorted(zip(candidates, scores), key=lambda item: (-item[1], index.doc_ids[item[0]]))
     return [
         RunEntry(query.id, index.doc_ids[ordinal], rank, score)
         for rank, (ordinal, score) in enumerate(ranked[:k], start=1)
     ]
+
+
+def _kth_at_least(values, k: int, floor: float) -> float | None:
+    """The k-th largest of ``values`` if at least k of them are at least ``floor``, else None."""
+    values = list(filter(floor.__le__, values))
+    if len(values) < k:
+        return None
+    if len(values) > 16 * k:  # nlargest's loop beats a full sort only on long inputs
+        return heapq.nlargest(k, values)[-1]
+    return sorted(values, reverse=True)[k - 1]
+
+
+def _gathered(entry: tuple[float, array, array], wanted: list[int], doc_count: int) -> list[float]:
+    """The cached term's impact on each ``wanted`` ordinal, 0.0 where it has no row."""
+    _, ordinals, impacts = entry
+    if len(impacts) == doc_count:  # one impact per document
+        return list(map(impacts.__getitem__, wanted))
+    if len(ordinals) <= 4 * len(wanted):  # a dict of few rows beats a bisect per ordinal
+        return list(map(dict(zip(ordinals, impacts)).get, wanted, repeat(0.0)))
+    rows, found = len(ordinals), []
+    for ordinal in wanted:
+        i = bisect_left(ordinals, ordinal)
+        found.append(impacts[i] if i < rows and ordinals[i] == ordinal else 0.0)
+    return found
 
 
 def save_index(index: InvertedIndex, path: str) -> None:

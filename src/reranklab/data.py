@@ -21,7 +21,9 @@ Line-oriented formats:
 All of them are read by :func:`iter_records`, which parses one line at a
 time and yields each record as it is read: blank lines are skipped, a
 repeated key (passage id, query id, judged pair, scored pair) is refused, a
-file with no records is refused, and every error names the file and line.
+file with no records is refused, and every error names the file and line. A
+run file is read without keys; a repeated run pair, which
+:func:`types.ranked_lists` refuses, is found on a second, keyed read.
 Each reader here iterates it and keeps what it needs. A scored dump is read
 record by record by :func:`iter_scored`, so a reader that keeps only ids
 and scores never holds the traces; likewise :func:`write_scored` writes the
@@ -207,11 +209,19 @@ def _run_entry(line: str, shared: dict[str, str]) -> tuple[None, RunEntry]:
     return None, RunEntry(qid, pid, rank, score, tag)  # ranked_lists refuses a repeated pair
 
 
+def _run_pair(line: str) -> tuple[tuple[str, str], None]:
+    """The (query id, passage id) key of a run-file row :func:`_run_entry` has read."""
+    qid, _q0, pid = line.split()[:3]
+    return (qid, pid), None
+
+
 def read_run(path: str) -> list[RunEntry]:
     """Read a six-column run file as a ranked list, each query's rows in rank order.
 
     Every score must be a finite number, and the rows must pass
-    :func:`types.ranked_lists`; its errors are prefixed with the path. Scores
+    :func:`types.ranked_lists`; its errors are prefixed with the path, except
+    that a repeated pair is reported as ``path:LINE: duplicate run entry for
+    (q, p) (first seen on line N)``, found by reading the file again. Scores
     that are not non-increasing with rank get a warning and the query is
     re-ranked by score (descending, stable) on the way in. All rows of a
     query share one query-id string, and all rows of the run one tag string.
@@ -222,6 +232,10 @@ def read_run(path: str) -> list[RunEntry]:
     try:
         lists = ranked_lists(rows)
     except ValidationError as exc:
+        # only a failed check reads the file again, keyed by pair, to name a
+        # repeated pair's lines; the first read keeps no key per row
+        for _ in iter_records(path, _run_pair, "run entry for", "empty run file"):
+            pass
         raise ValidationError(f"{path}: {exc}") from exc
     entries: list[RunEntry] = []
     for qid, group in lists.items():

@@ -381,12 +381,65 @@ class TestImpactCache:
         with pytest.raises(AssertionError, match="impact cache read"):
             retrieve_top_k(index, query, 5)
 
+    def test_a_column_per_document_from_a_quarter_of_the_documents(self):
+        # 8 documents: "half" has rows in 4, "quarter" in 2 (the threshold), "rare" in 1
+        texts = ["half quarter rare", "half quarter", "half", "half"] + ["other"] * 4
+        index = build_index(Corpus(tuple(Passage(f"d{i}", t) for i, t in enumerate(texts))),
+                            CFG, PARAMS)
+        for term, rows in (("half", 4), ("quarter", 2), ("rare", 1)):
+            bound, ordinals, impacts = index._impacts(term)
+            assert len(ordinals) == rows
+            per_row = [bm25_score(index, Query("q", term), o) for o in ordinals]
+            assert bound == max(per_row)
+            if term == "rare":  # below a quarter: one impact per row
+                assert list(impacts) == per_row
+            else:  # one impact per document, 0.0 where the term has no row
+                assert list(impacts) == [dict(zip(ordinals, per_row)).get(o, 0.0)
+                                         for o in range(index.doc_count)]
+
+    def test_pruning_looks_up_the_common_term_for_candidates_only(self):
+        # every document holds "common"; "zebra", in three, closes the query at
+        # k=2 on its own, so "common" is looked up for those three at most
+        texts = [f"common filler{i % 7}" for i in range(400)]
+        texts[5], texts[77], texts[301] = "zebra zebra zebra common", "zebra zebra common", \
+            "zebra common filler1"
+        corpus = Corpus(tuple(Passage(f"d{i:03d}", t) for i, t in enumerate(texts)))
+        index, query = build_index(corpus, CFG, PARAMS), Query("q", "common zebra common")
+        scored = ((bm25_score(index, query, i), index.doc_ids[i]) for i in range(index.doc_count))
+        expected = sorted(scored, key=lambda t: (-t[0], t[1]))[:2]
+        assert [(c.score, c.passage_id) for c in retrieve_top_k(index, query, 2)] == expected
+        bound, ordinals, impacts = index._impact_cache["common"]
+        assert len(impacts) == len(ordinals) == index.doc_count  # a column per document
+
+        class IndexOnly:
+            """The column, read by index alone: iterating it fails, reads are counted."""
+
+            def __init__(self):
+                self.reads = 0
+
+            def __len__(self):
+                return len(impacts)
+
+            def __getitem__(self, ordinal):
+                self.reads += 1
+                return impacts[ordinal]
+
+            def __iter__(self):
+                raise AssertionError("the column per document was iterated")
+
+        column = IndexOnly()
+        index._impact_cache["common"] = (bound, ordinals, column)
+        assert [(c.score, c.passage_id) for c in retrieve_top_k(index, query, 2)] == expected
+        # a query that never closed would read all 400 rows, twice
+        assert 0 < column.reads <= 3 * 3
+
     def test_concurrent_queries_on_a_cold_index_match_a_serial_run(self):
         # the module docstring promises concurrent queries need no coordination:
         # eight threads take the same queries in the same order from one cold
-        # index, so they race to fill each term's impacts; a few rounds, each
-        # on a fresh index, because a race need not show in every one
-        corpus, queries = make_corpus(2000, seed=13), make_queries(20, seed=17)
+        # index, so they race to fill each term's impacts, per row for some
+        # terms and per document for others; a few rounds, each on a fresh
+        # index, because a race need not show in every one
+        corpus, queries = make_corpus(2000, seed=13, max_len=28), make_queries(20, seed=17)
         serial = [retrieve_top_k(build_index(corpus, CFG, PARAMS), q, 10) for q in queries]
 
         def run(index, start: threading.Barrier) -> list:
@@ -401,6 +454,9 @@ class TestImpactCache:
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     futures = [pool.submit(run, shared, start) for _ in range(8)]
                     assert all(f.result(timeout=60) == serial for f in futures)
+                per_document = [len(i) == shared.doc_count
+                                for _, _, i in shared._impact_cache.values()]
+                assert any(per_document) and not all(per_document)
         finally:
             sys.setswitchinterval(interval)
 
@@ -453,6 +509,7 @@ class TestMemory:
     SAVE_BEYOND_TEXT = 24
     SAVE_PEAK_OF_FILE = 0.5  # of the file's size
     LOAD_BEYOND_KEPT_OF_FILE = 0.6
+    CACHE_PER_TERM = 500  # bytes: its dict entry and key, tuple, bound and two array headers
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -495,6 +552,27 @@ class TestMemory:
         loaded, kept, peak = _traced(lambda: load_index(str(path)))
         assert peak - kept <= self.LOAD_BEYOND_KEPT_OF_FILE * path.stat().st_size
         assert loaded == built
+
+    def test_impact_cache_bytes_per_posting_within_the_stated_bound(self, corpus):
+        # the module docstring: 8 bytes a posting for a term in under a quarter
+        # of the documents, at most 8 x doc_count (32 a posting) for a commoner
+        # one, plus the ordinal width either way
+        index = build_index(corpus, CFG, PARAMS)
+
+        def fill() -> None:
+            for i in range(0, 3000, 7):
+                retrieve_top_k(index, Query("q", f"w{i} w{i // 50}"), 10)
+
+        _, held, _ = _traced(fill)
+        cached, width = index._impact_cache.values(), index.postings.ordinals.itemsize
+        for _, ordinals, impacts in cached:
+            rows = len(ordinals)
+            assert len(impacts) == (rows if 4 * rows < index.doc_count else index.doc_count)
+            assert impacts.itemsize * len(impacts) + width * rows <= (32 + width) * rows
+        assert sum(4 * len(o) >= index.doc_count for _, o, _ in cached) >= 3
+        rows = sum(len(o) for _, o, _ in cached)
+        per_term = self.CACHE_PER_TERM * len(cached)
+        assert (held - per_term) / rows <= 32 + width, (held - per_term) / rows
 
     def test_loaded_index_holds_no_array_per_term(self, tmp_path, built):
         path = tmp_path / "index.json"

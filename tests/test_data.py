@@ -226,7 +226,8 @@ class TestRunFiles:
         path = tmp_path / "dup.run"
         path.write_text("q0 Q0 d0 1 0.9 t\nq0 Q0 d1 2 0.5 t\nq0 Q0 d0 3 0.1 t\n")
         with pytest.raises(ValidationError,
-                           match=r"dup\.run: duplicate run entry for \('q0', 'd0'\)$"):
+                           match=r"dup\.run:3: duplicate run entry for \('q0', 'd0'\) "
+                                 r"\(first seen on line 1\)$"):
             read_run(str(path))
 
     def test_write_validates_invariants(self, tmp_path):

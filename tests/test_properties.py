@@ -1,7 +1,7 @@
 """Property-based invariants: file formats (the index file included) round-trip
 exactly and a scored dump's lines are what ``json.dumps`` writes, reranking ignores
-input order, the index build, its load-time ascent check, BM25 top-k and NDCG match
-naive references, bins add up, the prompt fill substitutes each placeholder once, the
+input order, the index build, its load-time ascent check, BM25 top-k (pruned, on
+skewed vocabularies too) and NDCG match naive references, bins add up, the prompt fill substitutes each placeholder once, the
 forced read is the open-think read after fixed think text, the mock transport answers
 as the old in-process mock did, a rule-free hash table answers as the hash mock while
 other tables keep their answers, and the CLI's per-query rerank writes what one
@@ -359,6 +359,45 @@ def test_retrieve_top_k_equals_full_sort_of_bm25_score(data):
         got = retrieve_top_k(index, query, k)
         assert [(c.score, c.passage_id) for c in got] == expected
         assert [c.rank for c in got] == list(range(1, len(got) + 1))
+
+
+@st.composite
+def skewed_retrievals(draw):
+    """Passages over a Zipf-skewed vocabulary, so a few words are in most of them.
+
+    Some passages are copies of others, so equal scores are common; the query
+    may repeat a word or hold one the index lacks; k is 1..5.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    vocab = [f"w{i}" for i in range(40)]
+    weights = [1 / rank for rank in range(1, len(vocab) + 1)]
+    texts = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 12)))
+             for _ in range(draw(st.integers(4, 40)))]
+    texts += [texts[i] for i in draw(st.lists(st.integers(0, len(texts) - 1), max_size=6))]
+    ids = draw(st.permutations([f"d{i}" for i in range(len(texts))]))
+    corpus = Corpus(tuple(Passage(i, t) for i, t in zip(ids, texts)))
+    words = st.sampled_from(vocab[:3] + vocab + ["yak"])  # the common words drawn more often
+    query = Query("q", " ".join(draw(st.lists(words, min_size=1, max_size=6))))
+    params = Bm25Params(b=draw(st.sampled_from((0.0, 0.4, 1.0))))
+    return corpus, params, query, draw(st.integers(1, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=skewed_retrievals())
+def test_pruned_top_k_equals_full_sort_of_bm25_score(data):
+    corpus, params, query, k = data
+    built = build_index(corpus, AnalyzerConfig(), params)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index")
+        save_index(built, path)
+        loaded = load_index(path)
+    for index in (built, loaded):
+        scored = ((bm25_score(index, query, i), index.doc_ids[i]) for i in range(index.doc_count))
+        expected = sorted(((s, d) for s, d in scored if s > 0.0), key=lambda t: (-t[0], t[1]))[:k]
+        for _ in ("cold", "warm"):  # the second query reads the impacts the first one cached
+            got = retrieve_top_k(index, query, k)
+            assert [(c.score, c.passage_id) for c in got] == expected
+            assert [c.rank for c in got] == list(range(1, len(got) + 1))
 
 
 def oracle_dcg(grades, k, gain):
