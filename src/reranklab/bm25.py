@@ -461,7 +461,9 @@ def _kth_at_least(values, k: int, floor: float) -> float | None:
     values = list(filter(floor.__le__, values))
     if len(values) < k:
         return None
-    if len(values) > 16 * k:  # nlargest's loop beats a full sort only on long inputs
+    # a sort is faster up to about 16 k values (further at k = 10), nlargest's
+    # loop past that (BENCH_2026-10-21_pruned_topk.json, cutoff_ab)
+    if len(values) > 16 * k:
         return heapq.nlargest(k, values)[-1]
     return sorted(values, reverse=True)[k - 1]
 
@@ -471,7 +473,9 @@ def _gathered(entry: tuple[float, array, array], wanted: list[int], doc_count: i
     _, ordinals, impacts = entry
     if len(impacts) == doc_count:  # one impact per document
         return list(map(impacts.__getitem__, wanted))
-    if len(ordinals) <= 4 * len(wanted):  # a dict of few rows beats a bisect per ordinal
+    # a dict of the rows is faster than a bisect per ordinal while the term has
+    # up to about 4 rows per ordinal wanted (BENCH_2026-10-21_pruned_topk.json, cutoff_ab)
+    if len(ordinals) <= 4 * len(wanted):
         return list(map(dict(zip(ordinals, impacts)).get, wanted, repeat(0.0)))
     rows, found = len(ordinals), []
     for ordinal in wanted:

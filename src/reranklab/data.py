@@ -210,9 +210,29 @@ def _run_entry(line: str, shared: dict[str, str]) -> tuple[None, RunEntry]:
 
 
 def _run_pair(line: str) -> tuple[tuple[str, str], None]:
-    """The (query id, passage id) key of a run-file row :func:`_run_entry` has read."""
-    qid, _q0, pid = line.split()[:3]
-    return (qid, pid), None
+    """The (query id, passage id) key of a six-column run-file row."""
+    parts = line.split()
+    if len(parts) != 6:  # the file changed since it was read
+        raise ValidationError(f"expected 'qid Q0 docid rank score tag', got {len(parts)} fields")
+    return (parts[0], parts[2]), None
+
+
+_REPEATED_PAIR = "duplicate run entry for"  # how types.ranked_lists words a repeated pair
+
+
+def _raise_repeated_pair(path: str) -> None:
+    """Read the run file again, keyed by pair, and raise the repeated pair's lines.
+
+    Only a refused file is read so; the first read keeps no key per row.
+    Returns, for the caller's own error to stand, if this read finds no
+    repeated pair or fails otherwise, as a pipe read once does.
+    """
+    try:
+        for _ in iter_records(path, _run_pair, "run entry for", "empty run file"):
+            pass
+    except (OSError, ValidationError) as exc:
+        if str(exc.__cause__).startswith(_REPEATED_PAIR):
+            raise
 
 
 def read_run(path: str) -> list[RunEntry]:
@@ -221,7 +241,8 @@ def read_run(path: str) -> list[RunEntry]:
     Every score must be a finite number, and the rows must pass
     :func:`types.ranked_lists`; its errors are prefixed with the path, except
     that a repeated pair is reported as ``path:LINE: duplicate run entry for
-    (q, p) (first seen on line N)``, found by reading the file again. Scores
+    (q, p) (first seen on line N)``, found by reading the file again (where
+    that read finds no repeated pair, as on a pipe, the check's error stands). Scores
     that are not non-increasing with rank get a warning and the query is
     re-ranked by score (descending, stable) on the way in. All rows of a
     query share one query-id string, and all rows of the run one tag string.
@@ -232,10 +253,8 @@ def read_run(path: str) -> list[RunEntry]:
     try:
         lists = ranked_lists(rows)
     except ValidationError as exc:
-        # only a failed check reads the file again, keyed by pair, to name a
-        # repeated pair's lines; the first read keeps no key per row
-        for _ in iter_records(path, _run_pair, "run entry for", "empty run file"):
-            pass
+        if str(exc).startswith(_REPEATED_PAIR):
+            _raise_repeated_pair(path)
         raise ValidationError(f"{path}: {exc}") from exc
     entries: list[RunEntry] = []
     for qid, group in lists.items():

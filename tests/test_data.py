@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import tracemalloc
 
 import pytest
@@ -229,6 +231,25 @@ class TestRunFiles:
                            match=r"dup\.run:3: duplicate run entry for \('q0', 'd0'\) "
                                  r"\(first seen on line 1\)$"):
             read_run(str(path))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text, message", [
+        ("q0 Q0 d0 1 0.9 t\nq0 Q0 d1 3 0.5 t\n",
+         r"ranks are not contiguous 1\.\.k: rank 2 is missing"),
+        ("q0 Q0 d0 1 0.9 t\nq0 Q0 d0 2 0.5 t\n", r"duplicate run entry for \('q0', 'd0'\)"),
+    ], ids=["rank gap", "repeated pair"])
+    def test_a_path_read_once_keeps_the_checks_error(self, text, message):
+        # a pipe's /dev/fd path reads empty the second time; the error must not
+        # become "empty run file"
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, text.encode())
+            os.close(write_fd)
+            path = f"/dev/fd/{read_fd}"
+            with pytest.raises(ValidationError, match=rf"^{re.escape(path)}: .*{message}$"):
+                read_run(path)
+        finally:
+            os.close(read_fd)
 
     def test_write_validates_invariants(self, tmp_path):
         bad = [RunEntry("q1", "d1", 1, 0.1, "t"), RunEntry("q1", "d2", 2, 0.9, "t")]
