@@ -39,9 +39,10 @@ import math
 import os
 import sys
 import time
+from array import array
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bm25, data, metrics, prompts
 from .rerank import PairFailure, RerankStrategy, StrategyKind, iter_scores, rerank
@@ -416,14 +417,22 @@ def cmd_eval(args: argparse.Namespace, stage: _Stage) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> str:
-    # checked before any work: resolved_config.json must hold valid JSON
-    if not math.isfinite(args.score_threshold):
-        raise ValidationError(f"score_threshold must be finite, got {args.score_threshold}")
-    pairs: list[ScoredPair] = []
+    scored = str(require_path(args.scored, "scored dump"))
+    judgments = data.load_qrels(str(require_path(args.qrels, "qrels"))) if args.qrels else {}
+    scores = array("d")
     strategy = ""
-    for pair, strategy in data.iter_scored(str(require_path(args.scored, "scored dump"))):
-        pairs.append(ScoredPair(pair.query_id, pair.passage_id, pair.score))  # traces dropped
-    dist = metrics.bin_scores([p.score for p in pairs])
+
+    def pairs() -> Iterator[ScoredPair]:  # one pass over the dump; each score is kept
+        nonlocal strategy
+        for pair, strategy in data.iter_scored(scored):
+            scores.append(pair.score)
+            yield pair
+
+    # classified with or without qrels: classify checks the threshold before the dump is
+    # read, since resolved_config.json must hold valid JSON
+    report = metrics.classify(pairs(), judgments, score_threshold=args.score_threshold,
+                              grade_rule=args.grade_rule)
+    dist = metrics.bin_scores(scores)
     if sum(dist.bin_counts) != dist.total:  # bin bookkeeping must balance
         raise AssertionError("bin counts do not sum to the sample total")
     blocks = [
@@ -433,12 +442,6 @@ def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> str:
     ]
     machine = {"strategy": strategy, "bin_edges": metrics.BIN_EDGES, **asdict(dist)}
     if args.qrels:
-        judgments = data.load_qrels(str(require_path(args.qrels, "qrels")))
-        report = metrics.classify(
-            pairs, judgments,
-            score_threshold=args.score_threshold,
-            grade_rule=args.grade_rule,
-        )
         blocks.append(report.format())
         machine["classification"] = asdict(report)
     else:

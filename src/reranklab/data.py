@@ -22,8 +22,9 @@ All of them are read by :func:`iter_records`, which parses one line at a
 time and yields each record as it is read: blank lines are skipped, a
 repeated key (passage id, query id, judged pair, scored pair) is refused, a
 file with no records is refused, and every error names the file and line. A
-run file is read without keys; a repeated run pair, which
-:func:`types.ranked_lists` refuses, is found on a second, keyed read.
+run file is read once, without keys; a repeated run pair, which
+:func:`types.ranked_lists` refuses, is then found among the rows read and
+named by its two lines, counting the blank lines skipped.
 Each reader here iterates it and keeps what it needs. A scored dump is read
 record by record by :func:`iter_scored`, so a reader that keeps only ids
 and scores never holds the traces; likewise :func:`write_scored` writes the
@@ -98,13 +99,18 @@ def iter_record_offsets(path: str, parse: Callable[[str], tuple], what: str,
 
 
 def _parse_lines(path: str, lines: Iterable[str], parse: Callable[[str], tuple], what: str,
-                 empty: str) -> Iterator:
-    """The body of :func:`iter_records`, over the lines of ``path``."""
+                 empty: str, blanks: list[int] | None = None) -> Iterator:
+    """The body of :func:`iter_records`, over the lines of ``path``.
+
+    The number of each blank line skipped is appended to ``blanks``, if given.
+    """
     first_seen: dict = {}
     line_no = records = 0
     try:
         for line_no, line in enumerate(lines, start=1):
             if line.isspace():
+                if blanks is not None:
+                    blanks.append(line_no)
                 continue
             key, record = parse(line)
             if key is not None:
@@ -209,52 +215,38 @@ def _run_entry(line: str, shared: dict[str, str]) -> tuple[None, RunEntry]:
     return None, RunEntry(qid, pid, rank, score, tag)  # ranked_lists refuses a repeated pair
 
 
-def _run_pair(line: str) -> tuple[tuple[str, str], None]:
-    """The (query id, passage id) key of a six-column run-file row."""
-    parts = line.split()
-    if len(parts) != 6:  # the file changed since it was read
-        raise ValidationError(f"expected 'qid Q0 docid rank score tag', got {len(parts)} fields")
-    return (parts[0], parts[2]), None
-
-
-_REPEATED_PAIR = "duplicate run entry for"  # how types.ranked_lists words a repeated pair
-
-
-def _raise_repeated_pair(path: str) -> None:
-    """Read the run file again, keyed by pair, and raise the repeated pair's lines.
-
-    Only a refused file is read so; the first read keeps no key per row.
-    Returns, for the caller's own error to stand, if this read finds no
-    repeated pair or fails otherwise, as a pipe read once does.
-    """
-    try:
-        for _ in iter_records(path, _run_pair, "run entry for", "empty run file"):
-            pass
-    except (OSError, ValidationError) as exc:
-        if str(exc.__cause__).startswith(_REPEATED_PAIR):
-            raise
-
-
 def read_run(path: str) -> list[RunEntry]:
     """Read a six-column run file as a ranked list, each query's rows in rank order.
 
     Every score must be a finite number, and the rows must pass
-    :func:`types.ranked_lists`; its errors are prefixed with the path, except
-    that a repeated pair is reported as ``path:LINE: duplicate run entry for
-    (q, p) (first seen on line N)``, found by reading the file again (where
-    that read finds no repeated pair, as on a pipe, the check's error stands). Scores
-    that are not non-increasing with rank get a warning and the query is
-    re-ranked by score (descending, stable) on the way in. All rows of a
-    query share one query-id string, and all rows of the run one tag string.
+    :func:`types.ranked_lists`. When they do not and two rows share a
+    (query id, passage id) pair, the error names the first such row in file
+    order, ``path:LINE: duplicate run entry for (q, p) (first seen on line
+    N)``, found among the rows already read; otherwise it is the check's
+    error with the path prefixed. The file is read once, so a pipe gets the
+    same errors as a file. Scores that are not non-increasing with rank get
+    a warning and the query is re-ranked by score (descending, stable) on
+    the way in. All rows of a query share one query-id string, and all rows
+    of the run one tag string.
     """
     shared: dict[str, str] = {}
-    rows = list(iter_records(path, lambda line: _run_entry(line, shared), "run entry for",
-                             "empty run file"))
+    blanks: list[int] = []  # the line numbers of the blank lines skipped, in file order
+    with open(path, encoding="utf-8") as fh:
+        rows = list(_parse_lines(path, fh, lambda line: _run_entry(line, shared),
+                                 "run entry for", "empty run file", blanks))
     try:
         lists = ranked_lists(rows)
     except ValidationError as exc:
-        if str(exc).startswith(_REPEATED_PAIR):
-            _raise_repeated_pair(path)
+        def line_of(row: int) -> int:  # blank j (from 1), on line b, follows b - j rows
+            return row + 1 + sum(blank - j <= row for j, blank in enumerate(blanks, start=1))
+
+        first_seen: dict[tuple[str, str], int] = {}
+        for row, e in enumerate(rows):
+            pair = (e.query_id, e.passage_id)
+            first = first_seen.setdefault(pair, row)
+            if first != row:
+                raise ValidationError(f"{path}:{line_of(row)}: duplicate run entry for {pair} "
+                                      f"(first seen on line {line_of(first)})") from exc
         raise ValidationError(f"{path}: {exc}") from exc
     entries: list[RunEntry] = []
     for qid, group in lists.items():

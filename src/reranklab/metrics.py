@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .types import JudgmentMap, RunEntry, ScoredPair, ValidationError, ranked_lists
 
@@ -148,7 +148,7 @@ class ClassificationReport:
 
 
 def classify(
-    scores: Sequence[ScoredPair],
+    scores: Iterable[ScoredPair],
     judgments: JudgmentMap,
     score_threshold: float = 0.5,
     grade_rule: str = "gt2",
@@ -156,7 +156,9 @@ def classify(
     """Confusion counts and precision/recall/F1 over the judged pairs.
 
     Prediction is the strict inequality score > threshold. Pairs without a
-    judgment are excluded from the counts and tallied separately.
+    judgment are excluded from the counts and tallied separately. ``scores``
+    may be a stream: the grade rule and threshold are checked before its
+    first pair is read, and no pair is kept.
     """
     if grade_rule not in GRADE_RULES:
         raise ValidationError(

@@ -506,7 +506,6 @@ class TestMemory:
     """
 
     BUILD_BEYOND_KEPT = 10  # bytes per posting
-    SAVE_BEYOND_TEXT = 24
     SAVE_PEAK_OF_FILE = 0.5  # of the file's size
     LOAD_BEYOND_KEPT_OF_FILE = 0.6
     CACHE_PER_TERM = 500  # bytes: its dict entry and key, tuple, bound and two array headers
@@ -528,12 +527,6 @@ class TestMemory:
     def test_build_peak_per_posting(self, corpus):
         index, kept, peak = _traced(lambda: build_index(corpus, CFG, PARAMS))
         assert (peak - kept) / len(index.postings.ordinals) <= self.BUILD_BEYOND_KEPT
-
-    def test_save_peak_per_posting(self, tmp_path, built):
-        path = tmp_path / "index.json"
-        _, _, peak = _traced(lambda: save_index(built, str(path)))
-        postings = sum(map(len, built.postings.values()))
-        assert (peak - path.stat().st_size) / postings <= self.SAVE_BEYOND_TEXT
 
     def test_save_never_holds_the_file_text(self, tmp_path, built):
         path = tmp_path / "index.json"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from reranklab import RerankStrategy, StrategyKind, cli, data
+from reranklab import RerankStrategy, ScoredPair, StrategyKind, cli, data
 from reranklab.cli import build_parser, main
 from reranklab.rerank import iter_scores
 
@@ -1293,6 +1293,20 @@ class TestStreaming:
         # against about 0.37 and 0.18 MB for direct
         assert peaks["rerank.self_consistency"] < 1.1 * peaks["rerank.direct"] + 0.2, peaks
         assert peaks["analyze.self_consistency"] < 1.1 * peaks["analyze.direct"] + 0.2, peaks
+
+    def test_analyze_keeps_a_score_a_pair(self, tmp_path, capsys):
+        # 100 queries x 100 pairs of a direct dump; every pair held without its traces, to bin
+        # and classify, peaked at about 267-278 B a pair. The dump reader's duplicate check keeps
+        # about 160-170 B of what is left, a (query id, passage id) key a pair
+        rng = random.Random(7)
+        data.write_scored(str(tmp_path / "direct_scored.jsonl"), (
+            ScoredPair(f"q{q:03d}", f"p{(q * 37 + r) % 5000:05d}", rng.random())
+            for q in range(100) for r in range(100)), "direct")
+        peak = _traced_peak_mb(["analyze", "--scored", tmp_path / "direct_scored.jsonl",
+                                "--out-dir", tmp_path / "out"]) * 1e6
+        capsys.readouterr()
+        assert "total\t10000" in (tmp_path / "out" / "analysis.txt").read_text()
+        assert peak / 10_000 <= 225, peak / 10_000
 
 
     def test_rerank_holds_compact_rows_beyond_its_inputs(self, tmp_path, capsys):

@@ -146,3 +146,29 @@ def test_only_rerank_decides_what_a_strategy_kind_means():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
     assert "SamplingParams" not in names | set(_imported_names(tree))
+
+
+def _message_tests(tree: ast.Module):
+    """Each line in an ``except … as name:`` body that compares or prefix-tests str(name…)."""
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+            continue
+        for node in (node for statement in handler.body for node in ast.walk(statement)):
+            if not (isinstance(node, ast.Compare) or isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "startswith"):
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "str":
+                    root = call.args[0] if call.args else None
+                    while isinstance(root, ast.Attribute):
+                        root = root.value
+                    if getattr(root, "id", None) == handler.name:
+                        yield node.lineno
+
+
+def test_no_module_branches_on_an_exception_message():
+    # an error's wording is for people; a caller that matches it breaks when the wording
+    # changes, and a second module's wording couples the two
+    found = sorted({f"{module.name}:{line}" for module in sorted(PACKAGE.glob("*.py"))
+                    for line in _message_tests(ast.parse(module.read_text(encoding="utf-8")))})
+    assert found == []
