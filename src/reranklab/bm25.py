@@ -58,29 +58,31 @@ overflows them; the df count is a list indexed by term id. The output
 holds the last ordinal with a row, so a built index's columns have the
 typecodes of its saved and loaded copy, and the build holds, beyond what it
 keeps, about the rows (3 bytes a posting when terms need 2-byte ids) and a
-few words per term. It stems each distinct word once: ``build_index`` keeps
-a word-to-stem memo for that document pass and drops it after, so nothing
-stays warm between builds or between a build and later queries. Queries
-stem through ``tokenize`` without a memo.
+few words per term. It stems each distinct word once: ``build_index`` wraps
+``porter_stem`` in ``functools.cache`` for that document pass and drops it
+after, so nothing stays warm between builds or between a build and later
+queries. Queries stem through ``tokenize`` without a memo.
 
 The persisted file is format v3: one line of JSON holding the header
 sections (analyzer, params, document ids and lengths, the sorted terms, and
 each posting column's typecode and item count), then the raw little-endian
 bytes of three integer columns, ``df`` (rows per term, in ``terms`` order),
 ``ordinals`` and ``tfs``, each in the narrowest typecode that holds it.
-Saving streams the file: each list in the header and each column is written
-a chunk of items at a time, so the save holds no text as long as the file,
-only a chunk's worth beside the index. The header's bytes are those of one
-``json.dumps`` call with sorted keys. Loading reads the header line with
-``json.loads`` and each column a chunk of items at a time into an array of
-the file's typecode, so it holds nothing beyond what the index keeps but the
-header's text and one chunk. Files of format v1 (one JSON array per posting
-row) and v2 (base64 columns inside one JSON object) are refused; rebuild
-them with ``reranklab index``.
+Saving streams the file: ``json.dump`` writes the header piece by piece
+through a write-through text layer, and each column is written a chunk of
+items at a time, so the save holds no text as long as the file, only a
+piece's or a chunk's worth beside the index. The header's bytes are those of
+``json.dumps`` with sorted keys and non-ASCII text as is. Loading reads the
+header line with ``json.loads`` and each column a chunk of items at a time
+into an array of the file's typecode, so it holds nothing beyond what the
+index keeps but the header's text and one chunk. Files of format v1 (one
+JSON array per posting row) and v2 (base64 columns inside one JSON object)
+are refused; rebuild them with ``reranklab index``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -88,7 +90,7 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -105,7 +107,7 @@ TOKEN_PATTERN = re.compile(r"[^\W_]+")  # runs of alphanumerics
 _SECTIONS = ("analyzer", "params", "doc_ids", "doc_lengths", "postings")
 _COLUMNS = ("df", "ordinals", "tfs")
 _TYPECODES = ("B", "H", "I", "Q")  # unsigned, 1, 2, 4 and 8 bytes
-_CHUNK = 3 << 8  # items of a list or column written or read at a time
+_CHUNK = 3 << 8  # items of a column written or read at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,22 +151,6 @@ def _tokenize(text: str, cfg: AnalyzerConfig, stem: Callable[[str], str]) -> lis
     if cfg.stemmer == "porter":
         tokens = [stem(t) for t in tokens]
     return tokens
-
-
-class _StemMemo(dict):
-    """Word -> Porter stem, filled on first sight of each word."""
-
-    def __missing__(self, word: str) -> str:
-        stem = self[word] = porter_stem(word)
-        return stem
-
-
-class _TermIds(dict):
-    """Term -> 0, 1, 2, ... in order of first sight."""
-
-    def __missing__(self, term: str) -> int:
-        term_id = self[term] = len(self)
-        return term_id
 
 
 class Postings(Mapping):
@@ -290,9 +276,9 @@ def build_index(corpus: Corpus, cfg: AnalyzerConfig, params: Bm25Params) -> Inve
     """
     if corpus.size == 0:
         raise ValidationError("cannot index an empty corpus")
-    stem = _StemMemo().__getitem__
+    stem = functools.cache(porter_stem)
     doc_lengths = []
-    ids = _TermIds()  # term -> id in row_terms
+    ids = defaultdict(count().__next__)  # term -> id in row_terms, in order of first sight
     # one row per (document, term), in document order; the term and tf
     # columns start at one byte and widen when a value overflows them
     row_terms, row_tfs, row_counts = array("B"), array("B"), array("I")
@@ -524,35 +510,11 @@ def save_index(index: InvertedIndex, path: str) -> None:
         },
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_json(fh, header)
+        fh.reconfigure(write_through=True)  # no queue of the encoder's small pieces
+        json.dump(header, fh, sort_keys=True, ensure_ascii=False)
         fh.write("\n")
-        fh.flush()  # the columns go to the byte stream under the text
         for name, column in columns.items():
             _write_column(fh.buffer, column, codes[name])
-
-
-def _write_json(fh, value) -> None:
-    """Write ``value`` as ``json.dumps(value, sort_keys=True, ensure_ascii=False)`` would.
-
-    Dicts are walked here, and lists and tuples written ``_CHUNK`` items at a
-    time, so no text longer than a chunk's is made. Each chunk of a list is
-    one ``json.dumps`` call, which runs the C encoder: its cost, a string
-    object per item and separator, stays bounded by the chunk.
-    """
-    if isinstance(value, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(value)):
-            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _write_json(fh, value[key])
-        fh.write("}")
-    elif isinstance(value, (list, tuple)):  # one json.dumps per chunk of items
-        fh.write("[")
-        for start in range(0, len(value), _CHUNK):
-            text = json.dumps(value[start:start + _CHUNK], sort_keys=True, ensure_ascii=False)
-            fh.write(f"{', ' if start else ''}{text[1:-1]}")
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value, sort_keys=True, ensure_ascii=False))
 
 
 def _write_column(fh, column: array, code: str) -> None:

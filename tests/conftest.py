@@ -6,6 +6,7 @@ import threading
 import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import chain
 
 import pytest
 
@@ -36,6 +37,13 @@ def make_queries(n: int, seed: int = 11) -> list[Query]:
         Query(f"q{i:02d}", " ".join(rng.choices(WORDS, k=rng.randint(2, 4))))
         for i in range(n)
     ]
+
+
+def expand_postings(postings) -> dict[str, tuple[tuple[int, int], ...]]:
+    """``{term: ((ordinal, tf), ...)}`` from an index's ``Postings`` columns, terms in order."""
+    ends = postings.ends
+    return {term: tuple(zip(postings.ordinals[lo:hi], postings.tfs[lo:hi]))
+            for term, lo, hi in zip(postings.terms, chain((0,), ends), ends)}
 
 
 def write_corpus_file(path, corpus: Corpus) -> None:

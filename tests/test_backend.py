@@ -616,7 +616,7 @@ class TestMockBackend:
         with pytest.raises(ValidationError):
             MockBackend().score_decision("")
 
-    def test_scored_prompts_are_not_retained(self):
+    def test_score_decision_keeps_no_prompt(self):
         mock = MockBackend()
         tracemalloc.start()
         try:

@@ -34,7 +34,7 @@ import reranklab.bm25 as bm25_module
 from reranklab.bm25 import Postings
 from reranklab.porter import porter_stem
 
-from conftest import make_corpus, make_queries
+from conftest import expand_postings, make_corpus, make_queries
 
 CFG = AnalyzerConfig()
 PARAMS = Bm25Params()  # k1=0.9, b=0.4
@@ -96,8 +96,7 @@ class TestBuildIndex:
     def test_postings_shape(self):
         corpus = Corpus((Passage("p0", "a b"), Passage("p1", "a")))
         index = build_index(corpus, CFG, PARAMS)
-        assert index.postings["a"] == ((0, 1), (1, 1))
-        assert index.postings["b"] == ((0, 1),)
+        assert expand_postings(index.postings) == {"a": ((0, 1), (1, 1)), "b": ((0, 1),)}
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
@@ -107,7 +106,7 @@ class TestBuildIndex:
         # every word is a stopword: no postings, average length 0
         cfg = AnalyzerConfig(stopwords=frozenset({"the", "of"}))
         index = build_index(Corpus((Passage("a", "the"), Passage("b", "of the"))), cfg, PARAMS)
-        assert index.avg_doc_length == 0.0 and dict(index.postings.items()) == {}
+        assert index.avg_doc_length == 0.0 and expand_postings(index.postings) == {}
         assert retrieve_top_k(index, Query("q", "the cat"), 5) == []
         assert bm25_score(index, Query("q", "the cat"), 1) == 0.0
 
@@ -160,7 +159,8 @@ class TestScore:
             )
             index = build_index(corpus, CFG, PARAMS)
             scores.append(bm25_score(index, Query("q", "cat"), 0))
-            bound = index._idf(len(index.postings["cat"])) * (PARAMS.k1 + 1.0)
+            lo, hi = index.postings.span("cat")
+            bound = index._idf(hi - lo) * (PARAMS.k1 + 1.0)
             assert scores[-1] < bound
         assert all(b >= a for a, b in zip(scores, scores[1:]))
 
@@ -282,7 +282,7 @@ class TestPostingList:
         loaded = load_index(str(path))
         assert _typecodes(built) == _typecodes(loaded) == ("B", "B")
         assert built == loaded and loaded == built
-        assert built.postings["cat"] == loaded.postings["cat"]
+        assert expand_postings(built.postings) == expand_postings(loaded.postings)
         # columns of other typecodes hold equal rows, and save the same bytes
         wide = Postings(built.postings.terms, built.postings.ends,
                         array("I", built.postings.ordinals), array("Q", built.postings.tfs))
@@ -498,15 +498,18 @@ class TestMemory:
     two arrays on load, 27. The shared columns take 16 and 13; built in
     4-byte rows and columns beside a ``Counter`` of term ids, the build takes
     16.4 beyond what it keeps, and 8.0 with narrow ones. Saving a v2 file as
-    one JSON text peaked at 4.3 times its size; streamed, the save peaks at
-    117 KB, 0.47 of the v3 file's size. Loading a v2 file through
-    ``json.load`` peaked at 0.96 of its size beyond what the index keeps,
-    since it held the text and every base64 string; a v3 load, which holds
-    the header line and one chunk of a column, at 117 KB, 0.47 of the file.
+    one JSON text peaked at 4.3 times its size. A v3 save that wrote the
+    header's lists in chunks through a buffered text layer peaked at 117 KB,
+    0.47 of the file's size; streamed by ``json.dump`` to a write-through
+    text layer, the header leaves a peak of 45 KB, 0.18. Loading a v2 file
+    through ``json.load`` peaked at 0.96 of its size beyond what the index
+    keeps, since it held the text and every base64 string; a v3 load, which
+    holds the header line and one chunk of a column, at 117 KB, 0.47 of the
+    file.
     """
 
     BUILD_BEYOND_KEPT = 10  # bytes per posting
-    SAVE_PEAK_OF_FILE = 0.5  # of the file's size
+    SAVE_PEAK_OF_FILE = 0.25  # of the file's size
     LOAD_BEYOND_KEPT_OF_FILE = 0.6
     CACHE_PER_TERM = 500  # bytes: its dict entry and key, tuple, bound and two array headers
 
@@ -521,7 +524,7 @@ class TestMemory:
     @pytest.fixture(scope="class")
     def built(self, corpus):
         index = build_index(corpus, CFG, PARAMS)
-        assert sum(map(len, index.postings.values())) >= 50_000
+        assert len(index.postings.ordinals) >= 50_000
         return index
 
     def test_build_peak_per_posting(self, corpus):
@@ -532,7 +535,7 @@ class TestMemory:
         path = tmp_path / "index.json"
         _, _, peak = _traced(lambda: save_index(built, str(path)))
         assert peak <= self.SAVE_PEAK_OF_FILE * path.stat().st_size
-        # every column and the terms span several chunks, and join into one JSON header
+        # every column spans several chunks, and the streamed header is one JSON text
         assert len(built.postings) > 3 * bm25_module._CHUNK
         header = path.read_bytes().split(b"\n", 1)[0].decode("utf-8")
         assert header == json.dumps(json.loads(header), sort_keys=True, ensure_ascii=False)
@@ -617,8 +620,8 @@ class TestPersistence:
         assert GOLDEN_INDEX.read_bytes() == _index_file({**GOLDEN_HEADER,
                                                          "postings": _postings(GOLDEN_ROWS)})
         assert load_index(str(GOLDEN_INDEX)) == index
-        assert dict(index.postings.items()) == {t: tuple(map(tuple, rows))
-                                               for t, rows in GOLDEN_ROWS.items()}
+        assert expand_postings(index.postings) == {t: tuple(map(tuple, rows))
+                                                  for t, rows in GOLDEN_ROWS.items()}
 
     def test_columns_are_narrowest_little_endian(self, tmp_path):
         # 300 documents share "common" (df and ordinals need 2 bytes); one
@@ -628,7 +631,7 @@ class TestPersistence:
         index = build_index(corpus, CFG, PARAMS)
         path = tmp_path / "index.json"
         save_index(index, str(path))
-        rows = {term: index.postings[term] for term in sorted(index.postings)}
+        rows = expand_postings(index.postings)
         assert _payload(path)["postings"] == _postings(rows, codes=("H", "H", "I"))
         assert load_index(str(path)) == index
         assert _typecodes(load_index(str(path))) == _typecodes(index) == ("H", "I")
@@ -640,7 +643,8 @@ class TestPersistence:
         corpus = Corpus((Passage("a", "cat dog"), Passage("b", "cat " * tf + "dog")))
         index = build_index(corpus, CFG, PARAMS)
         assert _typecodes(index) == ("B", code)
-        assert dict(index.postings.items()) == {"cat": ((0, 1), (1, tf)), "dog": ((0, 1), (1, 1))}
+        assert expand_postings(index.postings) == {"cat": ((0, 1), (1, tf)),
+                                                  "dog": ((0, 1), (1, 1))}
         path = tmp_path / "index.json"
         save_index(index, str(path))
         assert _typecodes(load_index(str(path))) == ("B", code)

@@ -26,9 +26,19 @@ def test_demo_runs(demo):
     _run(sys.executable, demo)
 
 
+def _oldest_python() -> str | None:
+    """The first ``python3.10`` that runs: the one on PATH (a pyenv shim may not
+    run), then each pyenv install of 3.10."""
+    pyenv = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    installs = map(str, sorted(pyenv.glob(f"versions/3.10*/bin/{OLDEST_PYTHON}")))
+    for python in (shutil.which(OLDEST_PYTHON), *installs):
+        if python and subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0:
+            return python
+    return None
+
+
 def test_cli_demo_runs_on_the_oldest_supported_python():
-    python = shutil.which(OLDEST_PYTHON)
-    runs = python and subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0
-    if not runs:
-        pytest.skip(f"no {OLDEST_PYTHON} on PATH runs `-c pass`")
+    python = _oldest_python()
+    if python is None:
+        pytest.skip(f"no {OLDEST_PYTHON} on PATH or under pyenv runs `-c pass`")
     _run(python, ROOT / "demos" / "04_cli_pipeline.py")

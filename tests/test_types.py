@@ -92,13 +92,13 @@ class TestRankedRow:
 class TestListInvariants:
     def test_candidate_ranks_contiguous(self):
         good = [
-            Candidate("q1", "p1", 2.0, 1),
-            Candidate("q1", "p2", 1.0, 2),
-            Candidate("q2", "p1", 9.0, 1),
+            RunEntry("q1", "p1", 1, 2.0),
+            RunEntry("q1", "p2", 2, 1.0),
+            RunEntry("q2", "p1", 1, 9.0),
         ]
-        validate_candidate_list(good)
+        validate_run(good)
         with pytest.raises(ValidationError, match="contiguous"):
-            validate_candidate_list([Candidate("q1", "p1", 2.0, 2)])
+            validate_run([RunEntry("q1", "p1", 2, 2.0)])
 
     @pytest.mark.parametrize("ranks, fault", [
         ([2, 3], "rank 1 is missing"),
@@ -113,9 +113,9 @@ class TestListInvariants:
         assert str(info.value) == f"query 'q0': ranks are not contiguous 1..k: {fault}"
 
     def test_candidate_scores_non_increasing(self):
-        bad = [Candidate("q1", "p1", 1.0, 1), Candidate("q1", "p2", 2.0, 2)]
+        bad = [RunEntry("q1", "p1", 1, 1.0), RunEntry("q1", "p2", 2, 2.0)]
         with pytest.raises(ValidationError, match="score increases"):
-            validate_candidate_list(bad)
+            validate_run(bad)
 
     def test_run_invariants(self):
         validate_run(
