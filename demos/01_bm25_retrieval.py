@@ -39,7 +39,7 @@ print("stemmed:", tokenize("Icing and elevation help injured fingers", stemmed))
 # --- indexing ------------------------------------------------------------
 index = build_index(corpus, cfg, Bm25Params(k1=0.9, b=0.4))
 print(f"\nindexed {index.doc_count} passages, {len(index.postings)} terms, "
-      f"avg length {index.avg_doc_length:.2f}")
+      f"avg length {sum(index.doc_lengths) / index.doc_count:.2f}")
 
 # the classic sanity check: one-word corpus scores exactly ln(4/3)
 tiny = build_index(Corpus((Passage("d", "a"),)), cfg, Bm25Params(0.9, 0.4))

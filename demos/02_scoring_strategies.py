@@ -22,6 +22,7 @@ from reranklab import (
     assemble_prompt,
     score_pair,
 )
+from reranklab.prompts import decision_prompt
 
 query = Query("q1", "how to help a jammed finger")
 passage = Passage("p1", "A broken finger is often more painful than a jammed finger, "
@@ -30,8 +31,9 @@ passage = Passage("p1", "A broken finger is often more painful than a jammed fin
 # --- what the model actually sees ----------------------------------------
 print("=== direct prompt (ends at the assistant turn) ===")
 print(assemble_prompt(DEFAULT_TEMPLATE, query.text, passage.text, PromptMode.DIRECT))
-print("=== forced think block (reasoning disabled) ===")
-print(assemble_prompt(DEFAULT_TEMPLATE, query.text, passage.text, PromptMode.FORCED_THINK))
+print("=== forced_no_reason's read (think block pre-filled and closed) ===")
+open_prompt = assemble_prompt(DEFAULT_TEMPLATE, query.text, passage.text, PromptMode.OPEN_THINK)
+print(decision_prompt(DEFAULT_TEMPLATE, open_prompt, DEFAULT_TEMPLATE.forced_think_text))
 
 # --- a mock that mimics the typical behaviours ----------------------------
 # direct prompts get a moderate, calibrated-looking score; once a generated

@@ -51,10 +51,13 @@ from typing import Callable, ClassVar
 from urllib.parse import urlsplit
 
 from .data import iter_record_offsets, read_json_object
+from .prompts import DECISION_TOKENS
 from .types import DecisionLogits, ReasoningTrace, ValidationError
 
 # log-probabilities asked for at the decision position; both decision tokens must be among them
 TOP_LOGPROBS = 20
+# seconds before the first retry, doubled before each one after it
+RETRY_BACKOFF = 0.5
 
 
 class BackendError(RuntimeError):
@@ -67,13 +70,13 @@ class ProtocolError(BackendError):
 
 @dataclass(frozen=True, slots=True)
 class BackendConfig:
+    """The client's settings, each one a run sets from a flag or the environment."""
+
     endpoint: str = ""
     model: str = ""
     timeout: float = 120.0
     max_in_flight: int = 8
     max_attempts: int = 3
-    backoff: float = 0.5
-    decision_tokens: tuple[str, str] = ("true", "false")
     capture_path: str | None = None
     auth_token: str | None = None
 
@@ -84,13 +87,6 @@ class BackendConfig:
             raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValidationError(f"timeout must be finite and > 0 seconds, got {self.timeout}")
-        if not self.backoff >= 0:
-            raise ValidationError(f"backoff must be >= 0 seconds, got {self.backoff}")
-        true_tok, false_tok = self.decision_tokens
-        if not true_tok or not false_tok or true_tok == false_tok:
-            raise ValidationError(
-                f"decision tokens must be two distinct non-empty strings, got {self.decision_tokens!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +124,7 @@ class CompletionsBackend:
 
     def validate_decision_tokens(self) -> None:
         """Probe the server: each decision token must be one vocabulary item."""
-        for token in self.config.decision_tokens:
+        for token in DECISION_TOKENS:
             payload = {
                 "model": self.config.model,
                 "prompt": token,
@@ -147,27 +143,25 @@ class CompletionsBackend:
             if len(tokens) != 1:
                 raise ProtocolError(
                     f"decision token {token!r} tokenizes to {len(tokens)} pieces "
-                    f"({tokens!r}); pick single-token decision words for this model"
+                    f"({tokens!r}); the decision read needs one-token words"
                 )
 
     def score_decision(self, prompt: str) -> DecisionLogits:
         if not prompt:
             raise ValidationError("prompt must be non-empty")
-        cfg = self.config
         body = self._complete({
-            "model": cfg.model, "prompt": prompt, "echo": False,
+            "model": self.config.model, "prompt": prompt, "echo": False,
             "max_tokens": 1, "temperature": 0.0, "logprobs": TOP_LOGPROBS,
         })
         top = _logprobs(body).get("top_logprobs")
         if not top:
             raise ProtocolError("response carried no top_logprobs for the next position")
         table = _shaped(_shaped(top, list, "top_logprobs")[0], dict, "top_logprobs[0]")
-        true_tok, false_tok = cfg.decision_tokens
+        true_tok, false_tok = DECISION_TOKENS
         if true_tok not in table or false_tok not in table:
-            missing = [t for t in (true_tok, false_tok) if t not in table]
+            missing = [t for t in DECISION_TOKENS if t not in table]
             raise ProtocolError(
-                f"decision token(s) {missing} absent from the top {TOP_LOGPROBS} "
-                f"logprobs; choose decision tokens this model ranks in its top {TOP_LOGPROBS}"
+                f"decision token(s) {missing} absent from the top {TOP_LOGPROBS} logprobs"
             )
         z_true, z_false = table[true_tok], table[false_tok]
         if not (_is_number(z_true) and _is_number(z_false)):
@@ -284,7 +278,7 @@ class HttpCompletionsBackend(CompletionsBackend):
         for attempt in range(cfg.max_attempts):
             if attempt:
                 time.sleep(wait)
-            wait = cfg.backoff * (2 ** attempt)
+            wait = RETRY_BACKOFF * (2 ** attempt)
             try:
                 status, headers, raw = self._post(payload)
                 if status == 429 or status >= 500:
@@ -437,12 +431,10 @@ class MockBackend(CompletionsBackend):
                 single = not any(ch.isspace() for ch in prompt)
             tokens = [prompt] if single else [prompt[:1], prompt[1:]]
             return {"choices": [{"logprobs": {"tokens": tokens}}]}
-        z_true, z_false = self._score_fn(prompt)
+        logits = self._score_fn(prompt)
         with self._lock:
             self.score_calls += 1
-        true_tok, false_tok = self.config.decision_tokens
-        top = {true_tok: z_true, false_tok: z_false}
-        return {"choices": [{"logprobs": {"top_logprobs": [top]}}]}
+        return {"choices": [{"logprobs": {"top_logprobs": [dict(zip(DECISION_TOKENS, logits))]}}]}
 
 
 def _is_logits(value) -> bool:

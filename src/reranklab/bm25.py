@@ -209,7 +209,6 @@ class InvertedIndex:
     postings: Postings = field(repr=False)
     analyzer: AnalyzerConfig
     params: Bm25Params
-    avg_doc_length: float = field(init=False)
     # k1 * (1 - b + b*dl/avgdl) per document ordinal, and term -> (bound,
     # ordinals, impacts) filled by _impacts; derived from the fields above, so
     # equality and repr leave them out
@@ -226,7 +225,6 @@ class InvertedIndex:
             norms = tuple(k1 * (1.0 - b + b * dl / avgdl) for dl in self.doc_lengths)
         else:  # no document kept a token, so there are no postings to score
             norms = (k1 * (1.0 - b),) * len(self.doc_lengths)
-        object.__setattr__(self, "avg_doc_length", avgdl)
         object.__setattr__(self, "length_norms", norms)
         object.__setattr__(self, "_impact_cache", {})
 

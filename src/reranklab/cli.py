@@ -302,7 +302,7 @@ def cmd_index(args: argparse.Namespace, stage: _Stage) -> str:
 
 def _tag(args: argparse.Namespace, default: str) -> str:
     """The run's tag, refused unless it is one run-file column and one file name."""
-    tag = args.tag or default
+    tag = default if args.tag is None else args.tag
     data.check_run_field("tag", tag)
     if set(tag) & {"/", os.sep, os.altsep}:  # would name a file in another directory
         raise ValidationError(f"tag must not hold a path separator, got {tag!r}")
@@ -433,8 +433,6 @@ def cmd_analyze(args: argparse.Namespace, stage: _Stage) -> str:
     report = metrics.classify(pairs(), judgments, score_threshold=args.score_threshold,
                               grade_rule=args.grade_rule)
     dist = metrics.bin_scores(scores)
-    if sum(dist.bin_counts) != dist.total:  # bin bookkeeping must balance
-        raise AssertionError("bin counts do not sum to the sample total")
     blocks = [
         f"strategy: {strategy}",
         dist.format(),

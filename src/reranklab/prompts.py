@@ -24,9 +24,11 @@ from enum import Enum
 from .data import read_json_object
 from .types import ValidationError
 
+# the answer words every strategy's decision read compares: (relevant, not relevant)
+DECISION_TOKENS = ("true", "false")
 DEFAULT_SYSTEM = (
     "Determine if the following passage is relevant to the query. "
-    "Answer only with 'true' or 'false'."
+    "Answer only with '{}' or '{}'.".format(*DECISION_TOKENS)
 )
 DEFAULT_USER = "Query: {query}\nPassage: {passage}"
 DEFAULT_FORCED_BODY = "Okay, I have finished thinking."

@@ -92,6 +92,7 @@ class _StubState:
         self.close_after_response = False  # drop each connection without announcing it
         self.stall_s = 0.0          # delay before every response
         self.extra_choice = {}      # fields merged into generation choices
+        self.vocab = {"true", "false"}  # words a probe finds to be one token
         self.requests = []
         self.headers = []
         self.clients = []           # client (host, port) per request
@@ -116,7 +117,7 @@ class _StubState:
         prompt = payload["prompt"]
         if payload.get("echo") and payload.get("max_tokens") == 0:
             # probe: one token iff the prompt is a known vocabulary word
-            tokens = [prompt] if prompt in ("true", "false") else [prompt[:2], prompt[2:]]
+            tokens = [prompt] if prompt in self.vocab else [prompt[:2], prompt[2:]]
             return {
                 "choices": [
                     {"text": prompt, "finish_reason": "stop", "logprobs": {"tokens": tokens}}

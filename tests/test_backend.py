@@ -45,8 +45,14 @@ def http_backend():
         backend.close()
 
 
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    """Retries wait 0.01 s before the first retry, unless a test sets its own wait."""
+    monkeypatch.setattr(backend_module, "RETRY_BACKOFF", 0.01)
+
+
 def _config(url, **overrides):
-    defaults = dict(endpoint=url, model="stub-model", timeout=5.0, backoff=0.01)
+    defaults = dict(endpoint=url, model="stub-model", timeout=5.0)
     defaults.update(overrides)
     return BackendConfig(**defaults)
 
@@ -109,11 +115,10 @@ class TestHttpBackend:
         backend.validate_decision_tokens()  # "true"/"false" are single tokens
 
     def test_probe_rejects_multi_token_word(self, stub_server, http_backend):
-        url, _ = stub_server
-        backend = http_backend(
-            _config(url, decision_tokens=("relevant", "false"))
-        )
-        with pytest.raises(ProtocolError, match="tokenizes to 2 pieces"):
+        url, state = stub_server
+        state.vocab = {"false"}  # this model splits "true"
+        backend = http_backend(_config(url))
+        with pytest.raises(ProtocolError, match="'true' tokenizes to 2 pieces"):
             backend.validate_decision_tokens()
 
     def test_generate_stops_at_marker(self, stub_server, http_backend):
@@ -160,6 +165,14 @@ class TestHttpBackend:
         trace = backend.generate("p<think>", SamplingParams(max_tokens=64), "</think>")
         assert trace.terminated is terminated
 
+    def test_stop_string_kept_by_the_server_is_stripped(self, stub_server, http_backend):
+        url, state = stub_server
+        state.extra_choice = {"text": "Let me think it over.</think>"}
+        backend = http_backend(_config(url))
+        trace = backend.generate("p<think>", SamplingParams(max_tokens=64), "</think>")
+        assert trace.text == "Let me think it over."
+        assert trace.terminated
+
     @pytest.mark.parametrize(
         "endpoint",
         ["localhost:8000/v1/completions", "ftp://host/v1", "http:///v1", "http://host:port/v1"],
@@ -170,10 +183,11 @@ class TestHttpBackend:
 
 
 class TestRetryPolicy:
-    def test_retry_after_zero_skips_backoff(self, stub_server, http_backend):
+    def test_retry_after_zero_skips_backoff(self, stub_server, http_backend, monkeypatch):
         url, state = stub_server
         state.refuse = [(429, "0")]
-        backend = http_backend(_config(url, backoff=5.0))
+        monkeypatch.setattr(backend_module, "RETRY_BACKOFF", 5.0)
+        backend = http_backend(_config(url))
         t0 = time.monotonic()
         assert backend.score_decision("p").true_logit == -0.2
         assert time.monotonic() - t0 < 2.0
@@ -189,14 +203,24 @@ class TestRetryPolicy:
         assert len(state.requests) == 2
 
     @pytest.mark.parametrize("retry_after", [None, "Wed, 21 Oct 2015 07:28:00 GMT"])
-    def test_without_delta_seconds_backoff_applies(self, stub_server, retry_after, http_backend):
+    def test_without_delta_seconds_backoff_applies(self, stub_server, retry_after, http_backend,
+                                                   monkeypatch):
         url, state = stub_server
         state.refuse = [(503, retry_after)]
-        backend = http_backend(_config(url, backoff=0.3))
+        monkeypatch.setattr(backend_module, "RETRY_BACKOFF", 0.3)
+        backend = http_backend(_config(url))
         t0 = time.monotonic()
         backend.score_decision("p")
         assert time.monotonic() - t0 >= 0.3
         assert len(state.requests) == 2
+
+    def test_client_error_is_not_retried(self, stub_server, http_backend):
+        url, state = stub_server
+        state.refuse = [(400, None)]
+        backend = http_backend(_config(url, max_attempts=3))
+        with pytest.raises(ProtocolError, match='^server returned 400: {"error": "busy"}$'):
+            backend.score_decision("p")
+        assert len(state.requests) == 1
 
 
 class TestTransport:
@@ -391,6 +415,11 @@ class TestCaptureReplay:
             replay._complete({"prompt": "p"})
 
 
+def _field(name):
+    """The start of the error for a response field of the wrong shape."""
+    return f"response field {name!r} must"
+
+
 class TestProtocolLayering:
     """One protocol in ``CompletionsBackend``; HTTP and replay are transports."""
 
@@ -419,9 +448,10 @@ class TestProtocolLayering:
         assert len(state.requests) == 7  # replay never went on the wire
 
     def test_replay_raises_the_live_protocol_error(self, stub_server, tmp_path, http_backend):
-        url, _ = stub_server
+        url, state = stub_server
+        state.vocab = {"false"}
         capture = tmp_path / "capture.jsonl"
-        cfg = _config(url, capture_path=str(capture), decision_tokens=("relevant", "false"))
+        cfg = _config(url, capture_path=str(capture))
         live = http_backend(cfg)
         with pytest.raises(ProtocolError) as live_error:
             live.validate_decision_tokens()
@@ -430,28 +460,33 @@ class TestProtocolLayering:
             ReplayBackend(str(capture), config=cfg).validate_decision_tokens()
         assert str(replay_error.value) == str(live_error.value)
 
-    @pytest.mark.parametrize("read, body, field", [
-        ("score", {"choices": [5]}, "choices[0]"),
-        ("score", {"choices": {"a": 1}}, "choices"),
-        ("score", {"choices": [{"logprobs": None}]}, "logprobs"),
-        ("probe", {"choices": [{"logprobs": None}]}, "logprobs"),
-        ("probe", {"choices": [{"logprobs": {"tokens": "true"}}]}, "logprobs.tokens"),
-        ("score", {"choices": [{"logprobs": {"top_logprobs": [5]}}]}, "top_logprobs[0]"),
-        ("score", {"choices": [{"logprobs": {"top_logprobs": {"0": {}}}}]}, "top_logprobs"),
+    @pytest.mark.parametrize("read, body, message", [
+        ("score", {"choices": [5]}, _field("choices[0]")),
+        ("score", {"choices": {"a": 1}}, _field("choices")),
+        ("score", {"choices": [{"logprobs": None}]}, _field("logprobs")),
+        ("probe", {"choices": [{"logprobs": None}]}, _field("logprobs")),
+        ("probe", {"choices": [{"logprobs": {"tokens": "true"}}]}, _field("logprobs.tokens")),
+        ("score", {"choices": [{"logprobs": {"top_logprobs": [5]}}]}, _field("top_logprobs[0]")),
+        ("score", {"choices": [{"logprobs": {"top_logprobs": {"0": {}}}}]},
+         _field("top_logprobs")),
         ("score", {"choices": [{"logprobs": {"top_logprobs": [{"true": "-0.2", "false": -1.7}]}}]},
-         "top_logprobs[0]['true']"),
+         _field("top_logprobs[0]['true']")),
         ("score", {"choices": [{"logprobs": {"top_logprobs": [{"true": -0.2, "false": None}]}}]},
-         "top_logprobs[0]['false']"),
-        ("generate", {"choices": [{"text": None}]}, "text"),
-        ("generate", {"choices": [{"text": "t"}], "usage": 5}, "usage"),
+         _field("top_logprobs[0]['false']")),
+        ("generate", {"choices": [{"text": None}]}, _field("text")),
+        ("generate", {"choices": [{"text": "t"}], "usage": 5}, _field("usage")),
         ("generate", {"choices": [{"text": "t"}], "usage": {"completion_tokens": 2.5}},
-         "usage.completion_tokens"),
+         _field("usage.completion_tokens")),
         ("generate", {"choices": [{"text": "t"}], "usage": {"completion_tokens": "many"}},
-         "usage.completion_tokens"),
+         _field("usage.completion_tokens")),
+        ("score", {}, "response carried no choices: {}"),
+        ("score", {"choices": [{"logprobs": {}}]}, "response carried no top_logprobs"),
+        ("probe", {"choices": [{"logprobs": {}}]}, "probe response carried no logprobs.tokens"),
     ], ids=["choice-not-object", "choices-not-list", "score-logprobs-null", "probe-logprobs-null",
             "tokens-not-list", "top-entry-not-object", "top-not-list", "logprob-string",
-            "logprob-null", "text-null", "usage-not-object", "count-fraction", "count-string"])
-    def test_malformed_body_is_a_protocol_error(self, read, body, field):
+            "logprob-null", "text-null", "usage-not-object", "count-fraction", "count-string",
+            "no-choices", "no-top-logprobs", "no-tokens"])
+    def test_malformed_body_is_a_protocol_error(self, read, body, message):
         class Answers(CompletionsBackend):
             config = BackendConfig(endpoint="fake:", model="fake")
 
@@ -463,7 +498,7 @@ class TestProtocolLayering:
             "probe": lambda b: b.validate_decision_tokens(),
             "generate": lambda b: b.generate("p", SamplingParams(), "</think>"),
         }
-        with pytest.raises(ProtocolError, match=f"response field {re.escape(repr(field))} must"):
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}"):
             reads[read](Answers())
 
     def test_replay_needs_no_endpoint_and_close_is_a_no_op(self, stub_server, tmp_path, http_backend):
@@ -560,11 +595,8 @@ class TestMockBackend:
     def test_vocab_validation(self):
         mock = MockBackend(single_token_vocab={"true", "false"})
         mock.validate_decision_tokens()
-        bad = MockBackend(
-            single_token_vocab={"true", "false"},
-            config=BackendConfig(endpoint="mock:", decision_tokens=("relevant", "false")),
-        )
-        with pytest.raises(ProtocolError):
+        bad = MockBackend(single_token_vocab={"true"})
+        with pytest.raises(ProtocolError, match="'false' tokenizes"):
             bad.validate_decision_tokens()
 
     def test_every_request_goes_through_complete(self, monkeypatch):
@@ -590,9 +622,9 @@ class TestMockBackend:
         assert (mock.score_calls, mock.generate_calls) == (2, 1)
 
     def test_probe_names_the_piece_count(self):
-        config = BackendConfig(endpoint="mock:", decision_tokens=("very true", "no"))
-        bad = MockBackend(config=config)
-        with pytest.raises(ProtocolError, match="'very true' tokenizes to 2 pieces"):
+        bad = MockBackend(single_token_vocab={"false"})
+        pieces = re.escape("'true' tokenizes to 2 pieces (['t', 'rue'])")
+        with pytest.raises(ProtocolError, match=pieces):
             bad.validate_decision_tokens()
 
     def test_call_counters(self):
@@ -659,18 +691,13 @@ class TestMockTable:
 
 
 class TestConfigValidation:
-    def test_decision_tokens_distinct(self):
-        with pytest.raises(ValidationError):
-            BackendConfig(endpoint="x", decision_tokens=("true", "true"))
-
     def test_in_flight_minimum(self):
         with pytest.raises(ValidationError):
             BackendConfig(endpoint="x", max_in_flight=0)
 
     @pytest.mark.parametrize(
         "field, value",
-        [("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("timeout", math.inf),
-         ("backoff", -0.5)],
+        [("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")), ("timeout", math.inf)],
     )
     def test_timing_bounds(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -91,7 +91,7 @@ class TestBuildIndex:
         corpus = Corpus((Passage("a", "x"), Passage("b", "y"), Passage("c", "z")))
         index = build_index(corpus, CFG, PARAMS)
         assert index.doc_count == 3
-        assert index.avg_doc_length == 1.0
+        assert index.length_norms == (PARAMS.k1,) * 3  # every length is the average
 
     def test_postings_shape(self):
         corpus = Corpus((Passage("p0", "a b"), Passage("p1", "a")))
@@ -106,7 +106,8 @@ class TestBuildIndex:
         # every word is a stopword: no postings, average length 0
         cfg = AnalyzerConfig(stopwords=frozenset({"the", "of"}))
         index = build_index(Corpus((Passage("a", "the"), Passage("b", "of the"))), cfg, PARAMS)
-        assert index.avg_doc_length == 0.0 and expand_postings(index.postings) == {}
+        assert index.length_norms == (PARAMS.k1 * (1.0 - PARAMS.b),) * 2
+        assert expand_postings(index.postings) == {}
         assert retrieve_top_k(index, Query("q", "the cat"), 5) == []
         assert bm25_score(index, Query("q", "the cat"), 1) == 0.0
 
@@ -765,6 +766,7 @@ class TestLoadValidation:
           ("analyzer", "params", "doc_ids", "doc_lengths", "postings")],
         pytest.param(_set(1, "version"), "re-run `reranklab index`", id="v1-file"),
         pytest.param(_set(2, "version"), "v2 is no longer read; re-run", id="v2-file"),
+        pytest.param(_set(4, "version"), "unsupported index version 4", id="v4-file"),
         pytest.param(_set({"lowercase": True}, "analyzer"), "malformed", id="analyzer-fields"),
         pytest.param(_set(r"\w+", "analyzer", "token_pattern"), r"token_pattern must be",
                      id="other-token-pattern"),

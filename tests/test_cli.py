@@ -144,15 +144,16 @@ class TestIndexRetrieve:
             "index", "--corpus", str(workspace / "corpus.jsonl"), "--out-dir", str(out),
         ]) == 0
         run_dir = tmp_path / "retrieved"
-        code = main([
-            "retrieve", "--index", str(out / "bm25_index.json"),
-            "--queries", str(workspace / "queries.jsonl"), "--tag", "my tag",
-            "--out-dir", str(run_dir),
-        ])
-        assert code == 2
-        assert "'my tag'" in capsys.readouterr().err
-        assert not (run_dir / "my tag.run").exists()
-        assert not run_dir.exists()
+        for tag in ("my tag", ""):  # an empty tag is refused too, not read as bm25
+            code = main([
+                "retrieve", "--index", str(out / "bm25_index.json"),
+                "--queries", str(workspace / "queries.jsonl"), "--tag", tag,
+                "--out-dir", str(run_dir),
+            ])
+            assert code == 2
+            assert repr(tag) in capsys.readouterr().err
+            assert not (run_dir / f"{tag}.run").exists()
+            assert not run_dir.exists()
 
     def test_passage_id_with_whitespace_fails_at_index(self, workspace, tmp_path, capsys):
         corpus = workspace / "spaced.jsonl"
@@ -286,9 +287,24 @@ class TestRerankCommand:
         run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
         capsys.readouterr()
         out = tmp_path / "rr"
-        code = self._rerank(workspace, out, run_path, "direct", ["--tag", "my tag"])
+        (workspace / "empty_tag.json").write_text('{"tag": ""}')
+        for extra, tag in ((["--tag", "my tag"], "my tag"), (["--tag", ""], ""),
+                           (["--config", str(workspace / "empty_tag.json")], "")):
+            code = self._rerank(workspace, out, run_path, "direct", extra)
+            assert code == 2
+            assert f"got {tag!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_missing_backend_is_data_error(self, workspace, tmp_path, capsys):
+        run_path = _index_and_retrieve(workspace, tmp_path / "stage1")
+        out = tmp_path / "rr"
+        code = main([
+            "rerank", "--corpus", str(workspace / "corpus.jsonl"),
+            "--queries", str(workspace / "queries.jsonl"), "--run-in", str(run_path),
+            "--out-dir", str(out),
+        ])
         assert code == 2
-        assert "'my tag'" in capsys.readouterr().err
+        assert "--backend is required" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self, workspace, tmp_path, capsys):
@@ -503,6 +519,9 @@ MALFORMED = [
      lambda ws, bad: ["eval", "--run-in", ws / "ok.run", "--qrels", bad]),
     ("run-in", "bad.run", "\nq00 Q0 p0000 one 1.0 t\n", ":2: rank must be an integer",
      lambda ws, bad: ["eval", "--run-in", bad, "--qrels", ws / "qrels.txt"]),
+    ("run-five-fields", "bad.run", "q00 Q0 p0000 1 1.0\n",
+     ":1: expected 'qid Q0 docid rank score tag', got 5 fields",
+     lambda ws, bad: ["eval", "--run-in", bad, "--qrels", ws / "qrels.txt"]),
     ("scored", "bad_scored.jsonl", '{"query_id": "q00", "score": 0.5}\n',
      ":1: bad scored record",
      lambda ws, bad: ["analyze", "--scored", bad]),
@@ -543,6 +562,8 @@ MALFORMED = [
      lambda ws, bad: [*_rerank_inputs(ws), "--backend", f"replay:{bad}"]),
     ("stopwords", "bad_stopwords.txt", b"\xff\xfe", ": not UTF-8 text",
      lambda ws, bad: ["index", "--corpus", ws / "corpus.jsonl", "--stopwords", bad]),
+    ("corpus-no-id", "bad.jsonl", '{"id": "p1", "text": "ok"}\n{"text": "no id"}\n',
+     ":2: record must have 'id' and 'text' fields", lambda ws, bad: ["index", "--corpus", bad]),
     ("corpus-text-null", "bad.jsonl", '{"id": "p1", "text": null}\n',
      ":1: 'id' must be a string or an integer and 'text' a string",
      lambda ws, bad: ["index", "--corpus", bad]),
@@ -570,6 +591,10 @@ MALFORMED = [
     ("scored-sample-bool", "bad_scored.jsonl",
      '{"query_id": "q00", "passage_id": "p0000", "score": 1.0, "per_sample_scores": [true]}\n',
      ":1: bad scored record: score and per_sample_scores must be numbers",
+     lambda ws, bad: ["analyze", "--scored", bad]),
+    ("scored-mean", "bad_scored.jsonl",
+     '{"query_id": "q00", "passage_id": "p0000", "score": 0.5, "per_sample_scores": [0.25, 0.5]}\n',
+     ":1: bad scored record: score 0.5 is not the mean of per-sample scores (0.375)",
      lambda ws, bad: ["analyze", "--scored", bad]),
     ("scored-strategy", "bad_scored.jsonl",
      '{"query_id": "q00", "passage_id": "p0000", "score": 0.5, "strategy": 5}\n',

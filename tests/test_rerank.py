@@ -738,10 +738,11 @@ class TestSchedule:
         assert len(workers) == 2 * concurrency
         assert state.peak_in_flight == concurrency
 
-    def test_retry_backoff_leaves_the_connection_to_another_pair(self, stub_server):
+    def test_retry_backoff_leaves_the_connection_to_another_pair(self, stub_server, monkeypatch):
         url, state = stub_server
         corpus, queries, cands = self._fixture()
-        config = BackendConfig(endpoint=url, model="m", max_in_flight=1, backoff=0.3)
+        monkeypatch.setattr("reranklab.backend.RETRY_BACKOFF", 0.3)
+        config = BackendConfig(endpoint=url, model="m", max_in_flight=1)
         runs = []
         for refuse in ([], [(503, None)]):  # a 503 without Retry-After: back off 0.3 s
             state.refuse, state.requests = refuse, []
@@ -937,9 +938,11 @@ class TestSchedule:
     def test_stream_checks_candidates_before_it_is_read(self):
         corpus, queries, cands = self._fixture()
         mock = MockBackend()
-        bad = [*cands, RunEntry("q9", "p0", 1, 1.0)]
-        with pytest.raises(ValidationError, match="unknown query id 'q9'"):
-            iter_scores(mock, DEFAULT_TEMPLATE, DIRECT, queries, corpus, bad, SamplingParams())
+        for extra, message in ((RunEntry("q9", "p0", 1, 1.0), "unknown query id 'q9'"),
+                               (RunEntry("q1", "p9", 7, 0.5), "unknown passage id 'p9'")):
+            with pytest.raises(ValidationError, match=message):
+                iter_scores(mock, DEFAULT_TEMPLATE, DIRECT, queries, corpus, [*cands, extra],
+                            SamplingParams())
         assert mock.score_calls == 0
 
     def test_in_process_is_fixed_per_class(self):

@@ -1,8 +1,10 @@
 """Checks on the package source itself, in place of a linter."""
 
 import ast
-import importlib
+import importlib.util
 import re
+from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -69,21 +71,48 @@ def _public_definitions(tree: ast.Module):
         yield from ((name, node) for name in targets if not name.startswith("_"))
 
 
-def test_every_public_name_has_a_program_caller():
-    # an import or an __all__ entry is not a use; tests do not count as callers
+def _program_callers() -> dict[str, set[str]]:
+    """Each public name of the package, with the top directories of the program files using it.
+
+    An import or an ``__all__`` entry is not a use, and tests are not callers.
+    """
     files = [*ROOT.glob("src/**/*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
-    uses = [(path, node, node.id if isinstance(node, ast.Name) else node.attr)
-            for path, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
-    unused = []
+    uses = defaultdict(list)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses[node.id if isinstance(node, ast.Name) else node.attr].append((path, node))
+    callers = {}
     for module in sorted(ROOT.glob("src/reranklab/*.py")):
         for name, definition in _public_definitions(trees[module]):
             inside = {id(node) for node in ast.walk(definition)}
-            if not any(used == name and not (path == module and id(node) in inside)
-                       for path, node, used in uses):
-                unused.append(f"{module.stem}.{name}")
-    assert unused == []
+            callers[f"{module.stem}.{name}"] = {
+                path.relative_to(ROOT).parts[0] for path, node in uses[name]
+                if not (path == module and id(node) in inside)}
+    return callers
+
+
+def test_every_public_name_has_a_program_caller():
+    assert [name for name, dirs in _program_callers().items() if not dirs] == []
+
+
+def test_the_bench_only_names_are_the_compatibility_names():
+    # the names that only the benchmark still calls; each goes once bench/ stops calling it
+    bench_only = [name for name, dirs in _program_callers().items() if dirs == {"bench"}]
+    assert sorted(bench_only) == [
+        "rerank.score_candidates", "types.Candidate", "types.validate_candidate_list"]
+
+
+def test_the_cli_sets_every_backend_setting():
+    # a BackendConfig field that no run can set is one that nothing needs
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_backend")
+    (call,) = [node for node in ast.walk(build) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "BackendConfig"]
+    assert sorted(k.arg for k in call.keywords) == sorted(
+        f.name for f in fields(reranklab.BackendConfig))
 
 
 def test_only_staging_and_report_read_out_dir():
@@ -172,3 +201,14 @@ def test_no_module_branches_on_an_exception_message():
     found = sorted({f"{module.name}:{line}" for module in sorted(PACKAGE.glob("*.py"))
                     for line in _message_tests(ast.parse(module.read_text(encoding="utf-8")))})
     assert found == []
+
+
+def test_code_lines_counts_code_outside_docstrings_and_comments(tmp_path):
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = tmp_path / "m.py"
+    source.write_text('"""Module\ndocstring."""\n# a comment\n\ndef f(x):\n    """Doc."""\n'
+                      '    return (x +  # two lines of one statement\n            1)\n'
+                      'TEXT = """a string\nthat is code"""\n', encoding="utf-8")
+    assert tool.code_lines(source) == 5  # def, return and its tail, TEXT's two lines
